@@ -7,10 +7,23 @@ Two discretizations serve two distinct purposes:
   restricted to the spectral subspaces of the endpoint potentials
   (incoming-negative at the left end, outgoing-positive at the right).
   The domain/codomain dimension difference then equals the expected index
-  by bookkeeping; the genuine numerical content is that the SVD-extracted
+  by bookkeeping; the genuine numerical content is that the extracted
   kernel and cokernel dimensions individually match closed-form oracles
   and survive grid refinement.  Second-order central schemes are avoided
   here on purpose: they square the matrix and hide the index.
+
+  The assembly keeps the per-cell blocks of its block-bidiagonal matrix,
+  and index extraction runs in O(n_cells k^3) on them.  Each cell is a
+  Cayley (Crank-Nicolson) step psi_{j+1} = -B_j^{-1} A_j psi_j, so the
+  kernel is a k x k problem: carry the left boundary subspace across the
+  grid with one QR per cell and test where it lands (Robbin-Salamon).
+  That count of exact kernel vectors is accepted only when block Sturm
+  counts on the Golub-Kahan matrix [[0, D], [D*, 0]] confirm that exactly
+  the implied number of singular values lies below the SVD route's cut
+  svd_gap_cap * sigma_max.  A singular value that is tiny but not zero
+  (tunnelling between two nearby crossings) lies below that cut while the
+  exact kernel misses it; then, or when some B_j is singular, the dense
+  SVD decides, as it always did.
 
 * Dirichlet assembly (quadratic-form bounds).  A square central-difference
   matrix on interior nodes with the potential sampled at nodes.  Its
@@ -23,6 +36,7 @@ Two discretizations serve two distinct purposes:
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -116,9 +130,17 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class DiscretizedDiracSchroedinger:
-    """Assembled matrix together with its boundary bookkeeping."""
+    """An assembled operator together with its boundary bookkeeping.
 
-    matrix: np.ndarray
+    An APS assembly keeps the blocks of its block-bidiagonal matrix D.  Row
+    block j (cell j, midpoint m_j) reads A_j psi_j + B_j psi_{j+1} with
+    A_j = (i/h) I - (i lam/2) S(m_j) and B_j = (-i/h) I - (i lam/2) S(m_j).
+    The boundary nodes are psi_0 = L c_0 and psi_n = R c_n in the bases L
+    of Ran P_-(S(-L)) and R of Ran P_+(S(+L)), so D's first block is A_0 L
+    and its last B_{n-1} R.  ``matrix`` is the dense D (or the Dirichlet
+    matrix), built on first read.
+    """
+
     bc: str                   # "aps" | "dirichlet"
     grid: GridSpec
     path: PotentialPath
@@ -127,6 +149,8 @@ class DiscretizedDiracSchroedinger:
     right_basis: Optional[np.ndarray]   # positive subspace of S(+L) (APS)
     n_plus_left: int
     n_minus_right: int
+    cell_a: Optional[np.ndarray] = None   # (n_cells, k, k) blocks A_j (APS)
+    cell_b: Optional[np.ndarray] = None   # (n_cells, k, k) blocks B_j (APS)
 
     @property
     def k(self) -> int:
@@ -134,7 +158,25 @@ class DiscretizedDiracSchroedinger:
 
     @property
     def shape(self) -> Tuple[int, int]:
-        return self.matrix.shape
+        k, n = self.k, self.grid.n_cells
+        if self.bc == "dirichlet":
+            return (n - 1) * k, (n - 1) * k
+        return n * k, self.left_basis.shape[1] + (n - 1) * k + self.right_basis.shape[1]
+
+    @cached_property
+    def matrix(self) -> np.ndarray:
+        if self.bc == "dirichlet":
+            return _dirichlet_matrix(self.path, self.grid, self.lam)
+        k, n = self.k, self.grid.n_cells
+        full = np.zeros((n * k, (n + 1) * k), dtype=np.complex128)
+        for j in range(n):
+            full[j * k:(j + 1) * k, j * k:(j + 1) * k] = self.cell_a[j]
+            full[j * k:(j + 1) * k, (j + 1) * k:(j + 2) * k] = self.cell_b[j]
+        cols = [full[:, :k] @ self.left_basis]
+        if n > 1:
+            cols.append(full[:, k:n * k])
+        cols.append(full[:, n * k:] @ self.right_basis)
+        return np.concatenate(cols, axis=1)
 
     @property
     def structural_index(self) -> int:
@@ -158,16 +200,15 @@ class DiscretizedDiracSchroedinger:
         return out.reshape(-1)
 
 
-def _aps_matrix(path, grid, lam, tol):
-    k, n, h = path.k, grid.n_cells, grid.h
+def _aps_operator(path, grid, lam, tol):
+    """The APS assembly of ``assemble``, without the path's declaration
+    check (it depends on the path only, not on the grid)."""
+    k, h = path.k, grid.h
     nodes = grid.nodes()
-    mids = grid.midpoints()
     eye = np.eye(k, dtype=np.complex128)
-    full = np.zeros((n * k, (n + 1) * k), dtype=np.complex128)
-    for j in range(n):
-        s_mid = path.sample(mids[j])
-        full[j * k:(j + 1) * k, j * k:(j + 1) * k] = (1j / h) * eye - (0.5j * lam) * s_mid
-        full[j * k:(j + 1) * k, (j + 1) * k:(j + 2) * k] = (-1j / h) * eye - (0.5j * lam) * s_mid
+    s_mid = np.stack([path.sample(m) for m in grid.midpoints()])
+    cell_a = (1j / h) * eye - (0.5j * lam) * s_mid
+    cell_b = (-1j / h) * eye - (0.5j * lam) * s_mid
     s_left = path.sample(nodes[0])
     s_right = path.sample(nodes[-1])
     for s, label in ((s_left, "left"), (s_right, "right")):
@@ -175,14 +216,12 @@ def _aps_matrix(path, grid, lam, tol):
             raise NotInvertible(f"potential not invertible at the {label} endpoint")
     wl, vl = eigh(s_left, tol)
     wr, vr = eigh(s_right, tol)
-    left_basis = vl[:, wl < 0.0]     # P_+(S(-L)) psi(-L) = 0
-    right_basis = vr[:, wr > 0.0]    # P_-(S(+L)) psi(+L) = 0
-    cols = [full[:, :k] @ left_basis]
-    if n > 1:
-        cols.append(full[:, k:n * k])
-    cols.append(full[:, n * k:] @ right_basis)
-    matrix = np.concatenate(cols, axis=1)
-    return matrix, left_basis, right_basis, int(np.sum(wl > 0.0)), int(np.sum(wr < 0.0))
+    return DiscretizedDiracSchroedinger(
+        bc="aps", grid=grid, path=path, lam=lam,
+        left_basis=vl[:, wl < 0.0],      # P_+(S(-L)) psi(-L) = 0
+        right_basis=vr[:, wr > 0.0],     # P_-(S(+L)) psi(+L) = 0
+        n_plus_left=int(np.sum(wl > 0.0)), n_minus_right=int(np.sum(wr < 0.0)),
+        cell_a=cell_a, cell_b=cell_b)
 
 
 def _dirichlet_matrix(path, grid, lam):
@@ -225,30 +264,46 @@ def assemble(path: PotentialPath, grid: GridSpec, bc: str = "aps",
             f"has gap {gap:.3e} at t={t_worst:g}, below proj_gap_tol "
             f"{tol.proj_gap_tol:.3e}")
     if bc == "aps":
-        matrix, lb, rb, npl, nmr = _aps_matrix(path, grid, lam, tol)
-        return DiscretizedDiracSchroedinger(
-            matrix=matrix, bc=bc, grid=grid, path=path, lam=lam,
-            left_basis=lb, right_basis=rb, n_plus_left=npl, n_minus_right=nmr)
-    matrix = _dirichlet_matrix(path, grid, lam)
+        return _aps_operator(path, grid, lam, tol)
     return DiscretizedDiracSchroedinger(
-        matrix=matrix, bc=bc, grid=grid, path=path, lam=lam,
+        bc=bc, grid=grid, path=path, lam=lam,
         left_basis=None, right_basis=None, n_plus_left=0, n_minus_right=0)
 
 
 @dataclass(frozen=True)
 class IndexReport:
+    """Index of an APS assembly with the certificate of its dimensions.
+
+    ``route`` names what decided (dim ker, dim coker):
+
+    * ``"transfer"``: the Cayley transfer kernel, certified by Sturm counts
+      of the singular values of D.  ``threshold`` is svd_gap_cap times a
+      lower bound of sigma_max: exactly dim ker - (cols - min(rows, cols))
+      singular values lie below it.  ``sigma_next`` is svd_gap_cap times
+      an upper bound of sigma_max, a lower bound of every other singular
+      value.  ``gap_ratio`` is the ratio, in the transfer test matrix, of
+      the smallest principal-angle cosine kept to the largest one counted
+      as zero (inf when either side is empty).  No singular value is
+      computed, so ``sigma_kernel`` is empty.
+    * ``"svd"``: the dense SVD.  ``sigma_kernel`` holds the singular values
+      assigned to the kernel cluster, ``sigma_next`` the smallest one above
+      the cut, ``gap_ratio`` the jump at the cut and ``threshold`` the cut
+      (see ``opcore.null_space``).
+    """
+
     index: int
     dim_ker: int
     dim_coker: int
     structural_index: int
     structural_agrees: bool
     refined_agrees: Optional[bool]
-    sigma_kernel: tuple      # singular values assigned to the kernel cluster
-    sigma_next: float        # smallest singular value above the threshold
+    sigma_kernel: tuple
+    sigma_next: float
     gap_ratio: float
     threshold: float
     shape: tuple
     lam: float
+    route: str                # "transfer" | "svd"
 
 
 def _dims_from_svd(matrix, tol):
@@ -263,10 +318,149 @@ def _dims_from_svd(matrix, tol):
     return res.dim, dim_coker, sigma_kernel, sigma_next, res.gap_ratio, res.threshold
 
 
+def _transfer_kernel(op, tol):
+    """(dim ker D, gap ratio) by Cayley transfer.
+
+    Every kernel vector starts at psi_0 in Ran L and follows
+    psi_{j+1} = -B_j^{-1} A_j psi_j, so ker D is the set of starts whose
+    psi_n lies in Ran R.  The orthonormal basis L is carried along with one
+    QR per cell; the singular values of (1 - R R*) Q_n are the cosines of
+    the principal angles between Ran Q_n and Ran P_-(S(+L)), and those
+    below svd_gap_cap count as zero.  Raises LinAlgError when some B_j is
+    singular (lam * s * h / 2 = -1 for an eigenvalue s of S(m_j)).
+    """
+    left, right = op.left_basis, op.right_basis
+    if left.shape[1] == 0:
+        return 0, float("inf")
+    q = left
+    for step in np.linalg.solve(op.cell_b, -op.cell_a):
+        q = np.linalg.qr(step @ q)[0]
+    cos = np.linalg.svd(q - right @ (right.conj().T @ q), compute_uv=False)
+    if not np.all(np.isfinite(cos)):
+        raise np.linalg.LinAlgError("transfer overflowed")
+    rank = int(np.sum(cos >= tol.svd_gap_cap))
+    zero_max = float(cos[rank]) if rank < cos.size else 0.0
+    ratio = float(cos[rank - 1]) / zero_max if rank and zero_max > 0.0 else float("inf")
+    return left.shape[1] - rank, ratio
+
+
+def _sigma_max_bracket(op):
+    """(lo, hi) with lo <= sigma_max(D) <= hi.
+
+    hi is the Schur test sqrt(max row sum * max column sum) on the moduli
+    of the unreduced block matrix, whose norm bounds D's (D restricts its
+    columns by the isometry diag(L, 1, ..., 1, R)).  lo is the largest
+    ||D x|| / ||x|| met by eight power steps on D*D from the alternating
+    node vector, which lies near the top singular vector.
+    """
+    a, b, left, right = op.cell_a, op.cell_b, op.left_basis, op.right_basis
+    n, k = a.shape[0], a.shape[1]
+    row = np.abs(a).sum(axis=2) + np.abs(b).sum(axis=2)
+    col = np.zeros((n + 1, k))
+    col[:-1] += np.abs(a).sum(axis=1)
+    col[1:] += np.abs(b).sum(axis=1)
+    hi = math.sqrt(float(row.max()) * float(col.max()))
+
+    def restrict(psi):
+        psi[0] = left @ (left.conj().T @ psi[0])
+        psi[-1] = right @ (right.conj().T @ psi[-1])
+        return psi
+
+    psi = restrict(np.outer((-1.0) ** np.arange(n + 1), np.ones(k)).astype(np.complex128))
+    lo = 0.0
+    for _ in range(8):
+        norm = float(np.linalg.norm(psi))
+        if norm == 0.0:
+            break
+        psi /= norm
+        y = np.einsum("jab,jb->ja", a, psi[:-1]) + np.einsum("jab,jb->ja", b, psi[1:])
+        lo = max(lo, float(np.linalg.norm(y)))
+        psi = np.zeros((n + 1, k), dtype=np.complex128)
+        psi[:-1] += np.einsum("jba,jb->ja", a.conj(), y)
+        psi[1:] += np.einsum("jba,jb->ja", b.conj(), y)
+        restrict(psi)
+    return lo, hi
+
+
+def _sturm_counts(diag, upper, levels):
+    """Number of singular values below each of ``levels`` (all > 0) of the
+    block-bidiagonal D whose row block j holds diag[j] in column block j
+    and upper[j] in column block j + 1.
+
+    The Golub-Kahan matrix K = [[0, D], [D*, 0]] has eigenvalues +-sigma
+    and max(rows, cols) - min(rows, cols) zeros, so
+    #(sigma < tau) = nu(K - tau) - max(rows, cols), where nu counts the
+    negative eigenvalues.  In the block order c_0, r_0, c_1, r_1, ..., c_n
+    (column and row blocks of D) K is block tridiagonal with zero diagonal
+    and couplings E = diag[j]* (c_j to r_j) and upper[j] (r_j to c_{j+1}).
+    By Sylvester's law nu is the number of negative eigenvalues of the
+    pivots of its block LDL* sweep, P_0 = -tau and
+    P_{i+1} = -tau - E_i* P_i^{-1} E_i, one O(k^3) step per block; all
+    levels share the sweep.  A pivot eigenvalue of modulus below pivmin is
+    set to -pivmin, as LAPACK's bisection (dstebz) does.
+    """
+    levels = np.asarray(levels, dtype=float)
+    couplings = []
+    for a, b in zip(diag, upper):
+        couplings += [a.conj().T, b]
+    rows = sum(a.shape[0] for a in diag)
+    cols = diag[0].shape[1] + sum(b.shape[1] for b in upper)
+    entries = np.concatenate([e.ravel() for e in couplings])
+    pivmin = np.finfo(float).tiny * max(1.0, float(np.abs(entries).max(initial=0.0)) ** 2)
+    shifts = {d: -levels[:, None, None] * np.eye(d)
+              for d in {diag[0].shape[1], *(e.shape[1] for e in couplings)}}
+    pivot = shifts[diag[0].shape[1]]
+    pivots = []
+    for e in couplings:
+        w, u = np.linalg.eigh(pivot)
+        w = np.where(np.abs(w) < pivmin, -pivmin, w)
+        pivots.append(w)
+        x = u.conj().swapaxes(1, 2) @ e
+        pivot = shifts[e.shape[1]] - x.conj().swapaxes(1, 2) @ (x / w[:, :, None])
+    pivots.append(np.linalg.eigvalsh(pivot))
+    # a clamped eigenvalue counts as negative
+    negative = np.sum(np.concatenate(pivots, axis=1) < pivmin, axis=1)
+    return negative - max(rows, cols)
+
+
+def _transfer_dims(op, tol):
+    """Index dimensions by the transfer route, or None when it cannot
+    certify them: some B_j is singular, or the Sturm counts at both ends
+    of the svd_gap_cap * sigma_max bracket differ from the number of exact
+    zero singular values that the transfer kernel implies."""
+    rows, cols = op.shape
+    try:
+        dim_ker, ratio = _transfer_kernel(op, tol)
+        lo, hi = _sigma_max_bracket(op)
+        levels = (tol.svd_gap_cap * lo, tol.svd_gap_cap * hi)
+        diag = [op.cell_a[0] @ op.left_basis, *op.cell_a[1:]]
+        upper = [*op.cell_b[:-1], op.cell_b[-1] @ op.right_basis]
+        counts = _sturm_counts(diag, upper, levels)
+    except np.linalg.LinAlgError:
+        return None
+    if np.any(counts != dim_ker - (cols - min(rows, cols))):
+        return None
+    return dim_ker, rows - cols + dim_ker, (), levels[1], ratio, levels[0], "transfer"
+
+
+def _index_dims(op, tol):
+    """(dim_ker, dim_coker, sigma_kernel, sigma_next, gap_ratio, threshold,
+    route): the certified transfer route, else the dense SVD."""
+    fast = _transfer_dims(op, tol)
+    if fast is not None:
+        return fast
+    return _dims_from_svd(op.matrix, tol) + ("svd",)
+
+
 def index_report(op: DiscretizedDiracSchroedinger, tol: Tolerances = DEFAULT_TOL,
                  refine_check: bool = True) -> IndexReport:
-    """Numerical index of an APS assembly: dim ker - dim coker via the
-    singular-value clusters of D (and hence of D*).
+    """Numerical index of an APS assembly: dim ker - dim coker.
+
+    The dimensions come from the Cayley transfer kernel when block Sturm
+    counts of D's singular values confirm its count of exact zeros at
+    svd_gap_cap * sigma_max, in O(n_cells k^3); otherwise from the
+    singular-value clusters of the dense D (``opcore.null_space``, whose
+    AmbiguousRank propagates).  ``IndexReport.route`` says which decided.
 
     The report carries the structural identity check
     index = k - n_+(S(-L)) - n_-(S(+L)) and, when ``refine_check`` is on,
@@ -274,13 +468,13 @@ def index_report(op: DiscretizedDiracSchroedinger, tol: Tolerances = DEFAULT_TOL
     """
     if op.bc != "aps":
         raise InvalidInput("index_report requires an APS assembly")
-    dim_ker, dim_coker, sig_ker, sig_next, ratio, thr = _dims_from_svd(op.matrix, tol)
+    dim_ker, dim_coker, sig_ker, sig_next, ratio, thr, route = _index_dims(op, tol)
     index = dim_ker - dim_coker
     structural = op.structural_index
     refined_agrees = None
     if refine_check:
-        op2 = assemble(op.path, op.grid.refined(), "aps", op.lam, tol)
-        dk2, dc2, *_ = _dims_from_svd(op2.matrix, tol)
+        refined = _aps_operator(op.path, op.grid.refined(), op.lam, tol)
+        dk2, dc2, *_ = _index_dims(refined, tol)
         refined_agrees = (dk2 == dim_ker and dc2 == dim_coker)
     return IndexReport(index=index, dim_ker=dim_ker, dim_coker=dim_coker,
                        structural_index=structural,
@@ -288,7 +482,7 @@ def index_report(op: DiscretizedDiracSchroedinger, tol: Tolerances = DEFAULT_TOL
                        refined_agrees=refined_agrees,
                        sigma_kernel=sig_ker, sigma_next=sig_next,
                        gap_ratio=ratio, threshold=thr,
-                       shape=op.shape, lam=op.lam)
+                       shape=op.shape, lam=op.lam, route=route)
 
 
 def kernel_vectors(op: DiscretizedDiracSchroedinger,
@@ -313,23 +507,25 @@ def kernel_oracle_diagonal(path: PotentialPath,
     Each scalar branch s(t) of the commuting family solves psi' = -s psi
     up to a positive coupling, so it contributes a kernel vector exactly
     when s changes sign upward (s(start) < 0 < s(end)) and a cokernel
-    vector when it changes sign downward.  Pairwise commutators above
-    1e-10 raise NotDiagonalizable.
+    vector when it changes sign downward.  The common eigenbasis V is that
+    of a randomly weighted sum of the samples; a sample whose off-diagonal
+    part in V exceeds 1e-10 (Frobenius norm, relative to the largest
+    sample norm) raises NotDiagonalizable.
     """
-    samples = [path.sample(t) for t in path.grid]
-    scale = max(1.0, max(float(np.linalg.norm(s, 2)) for s in samples))
-    for i in range(len(samples)):
-        for j in range(i + 1, len(samples)):
-            comm = samples[i] @ samples[j] - samples[j] @ samples[i]
-            if float(np.linalg.norm(comm, 2)) / scale**2 > 1e-10:
-                raise NotDiagonalizable(
-                    f"samples at t={path.grid[i]:g} and t={path.grid[j]:g} "
-                    f"do not commute")
+    samples = np.stack([path.sample(t) for t in path.grid])
+    scale = max(1.0, float(np.linalg.norm(samples, axis=(1, 2)).max()))
     rng = np.random.default_rng(0x5EED)
     weights = rng.uniform(0.5, 1.5, size=len(samples))
     _, v = eigh(sum(w * s for w, s in zip(weights, samples)), tol)
-    start = np.real(np.diag(v.conj().T @ samples[0] @ v))
-    end = np.real(np.diag(v.conj().T @ samples[-1] @ v))
+    rotated = v.conj().T @ samples @ v
+    diagonal = np.einsum("jaa->ja", rotated)
+    off = np.linalg.norm(rotated * (1.0 - np.eye(path.k)), axis=(1, 2)) / scale
+    worst = int(np.argmax(off))
+    if off[worst] > 1e-10:
+        raise NotDiagonalizable(
+            f"sample at t={path.grid[worst]:g} is not diagonal in the common "
+            f"eigenbasis: off-diagonal residual {off[worst]:.3e}")
+    start, end = diagonal[0].real, diagonal[-1].real
     dim_ker = int(np.sum((start < 0) & (end > 0)))
     dim_coker = int(np.sum((start > 0) & (end < 0)))
     return OracleIndex(dim_ker=dim_ker, dim_coker=dim_coker,
@@ -372,27 +568,30 @@ def doubled(op: DiscretizedDiracSchroedinger) -> DoubledOperator:
 # ---------------------------------------------------------------------------
 # Quantitative Fredholm bounds.
 
-def _one_sided(ts, samples, j, step):
-    """Three-point (second-order) slope at ts[j] from ts[j], ts[j + step]
-    and ts[j + 2 step]: the derivative of their Lagrange interpolant."""
-    t0, t1, t2 = ts[j], ts[j + step], ts[j + 2 * step]
-    s0, s1, s2 = samples[j], samples[j + step], samples[j + 2 * step]
-    return (s0 * (2.0 * t0 - t1 - t2) / ((t0 - t1) * (t0 - t2))
-            + s1 * (t0 - t2) / ((t1 - t0) * (t1 - t2))
-            + s2 * (t0 - t1) / ((t2 - t0) * (t2 - t1)))
+def _lagrange_slope(ts, samples, at):
+    """Derivative at ts[at] of the quadratic through three samples: the
+    three-point formula, second-order on any grid."""
+    t0, t1, t2 = ts
+    s0, s1, s2 = samples
+    x = ts[at]
+    return (s0 * (2.0 * x - t1 - t2) / ((t0 - t1) * (t0 - t2))
+            + s1 * (2.0 * x - t0 - t2) / ((t1 - t0) * (t1 - t2))
+            + s2 * (2.0 * x - t0 - t1) / ((t2 - t0) * (t2 - t1)))
 
 
 def _piece_slopes(ts, samples):
     """S' at each sample of one piece (two samples or more) from that
-    piece alone: central differences inside, the three-point one-sided
-    formula at its ends, the two-point one for a two-sample piece."""
+    piece alone: the three-point formula on each sample and its two
+    neighbours inside, on the first or last three samples at the ends,
+    the two-point one for a two-sample piece."""
     n = len(ts)
     if n == 2:
         ds = (samples[1] - samples[0]) / (ts[1] - ts[0])
         return [ds, ds]
-    inner = [(samples[j + 1] - samples[j - 1]) / (ts[j + 1] - ts[j - 1])
-             for j in range(1, n - 1)]
-    return [_one_sided(ts, samples, 0, 1)] + inner + [_one_sided(ts, samples, n - 1, -1)]
+    return ([_lagrange_slope(ts[:3], samples[:3], 0)]
+            + [_lagrange_slope(ts[j - 1:j + 2], samples[j - 1:j + 2], 1)
+               for j in range(1, n - 1)]
+            + [_lagrange_slope(ts[:-4:-1], samples[:-4:-1], 0)])
 
 
 def _path_derivative_norms(path: PotentialPath,
@@ -403,10 +602,11 @@ def _path_derivative_norms(path: PotentialPath,
     The endpoints of ``k_hat`` and of the declared support intervals cut
     the grid into pieces; the intervals are closed, so a sample on an
     endpoint belongs to that interval.  S may have a kink at a cut, so S'
-    at a sample uses samples of its own piece only: central differences
-    where both neighbours are in the piece, otherwise the three-point
-    one-sided formula, and the two-point one when the piece has exactly
-    two samples.  A piece holding a single sample raises InvalidInput.
+    at a sample uses samples of its own piece only: the three-point
+    formula on the sample and its neighbours where both are in the piece,
+    otherwise the three-point one-sided formula, and the two-point one
+    when the piece has exactly two samples.  A piece holding a single
+    sample raises InvalidInput.
     """
     ts = path.grid
     samples = [path.sample(t) for t in ts]

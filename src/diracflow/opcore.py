@@ -428,8 +428,13 @@ def spectral_norm(m) -> float:
 
 
 def spectral_gap(h) -> float:
-    """min |eigenvalue| of a Hermitian operator (0 for the empty matrix)."""
-    w = np.linalg.eigvalsh(as_hermitian(h).entries)
+    """min |eigenvalue| of a Hermitian operator (0 for the empty matrix).
+
+    The input is hermitised as HermitianOperator does, without the two
+    spectral norms of its residual."""
+    a = as_matrix(h)
+    _check_finite(a, "operator")
+    w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
     return float(np.abs(w).min()) if w.size else 0.0
 
 

@@ -213,6 +213,15 @@ class TestDiagonalOracle:
         with pytest.raises(NotDiagonalizable):
             kernel_oracle_diagonal(p)
 
+    def test_rejection_names_sample_and_residual(self):
+        # diagonal everywhere except one off-diagonal entry at t = 0.5
+        def sampler(t):
+            return np.array([[1.0 + t, 0.3 if t == 0.5 else 0.0], [0.0, -1.0]])
+
+        p = PotentialPath(2, np.linspace(0, 1, 5), sampler)
+        with pytest.raises(NotDiagonalizable, match=r"t=0\.5 .*residual [0-9.]+e-0[12]"):
+            kernel_oracle_diagonal(p)
+
 
 class TestDoubled:
     def test_requires_dirichlet(self):
@@ -332,6 +341,8 @@ class TestFredholmBounds:
         slopes = dirac1d._piece_slopes(ts, samples)
         assert slopes[0][0, 0] == pytest.approx(0.0, abs=1e-12)
         assert slopes[-1][0, 0] == pytest.approx(1.4, abs=1e-12)
+        for t, ds in zip(ts[1:-1], slopes[1:-1]):
+            assert ds[0, 0] == pytest.approx(2.0 * t, abs=1e-12)
 
 
 class TestSweepAndPerturbation:

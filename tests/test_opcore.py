@@ -181,6 +181,21 @@ class TestPositiveProjection:
                 p_plus.entries + p_minus.entries - np.eye(6), 2) <= 1e-10
 
 
+class TestSpectralGap:
+    @pytest.mark.parametrize("dim", [1, 3, 8])
+    def test_matches_hermitian_operator_route(self, dim):
+        # the same hermitised matrix as HermitianOperator, so bitwise equal
+        rng = np.random.default_rng(dim)
+        a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        for x in (a, HermitianOperator(a), positive_projection(a + a.conj().T)):
+            entries = opcore.as_hermitian(x).entries
+            assert opcore.spectral_gap(x) == float(np.abs(np.linalg.eigvalsh(entries)).min())
+
+    def test_rejects_non_finite(self):
+        with pytest.raises(InvalidInput):
+            opcore.spectral_gap(np.array([[np.nan]]))
+
+
 class TestNullSpace:
     def test_zero_matrix(self):
         res = null_space(np.zeros((3, 3)))
