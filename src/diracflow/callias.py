@@ -31,6 +31,7 @@ from .errors import (
 from .opcore import (
     DEFAULT_TOL,
     Tolerances,
+    as_matrix,
     positive_projection,
     spectral_gap,
     spectral_norm,
@@ -104,13 +105,12 @@ class FiberedFamily:
 def _resolve_reference(reference, k: int) -> np.ndarray:
     """Accept a scalar (multiple of the identity), a matrix, or a callable
     k -> matrix as the reference operator."""
-    if callable(reference) and not hasattr(reference, "entries"):
+    if callable(reference):
         reference = reference(k)
     if np.isscalar(reference):
         mat = complex(reference) * np.eye(k, dtype=np.complex128)
     else:
-        mat = np.asarray(reference.entries if hasattr(reference, "entries")
-                         else reference, dtype=np.complex128)
+        mat = as_matrix(reference)
     if mat.shape != (k, k):
         raise InvalidInput(f"reference has shape {mat.shape}, expected ({k}, {k})")
     return (mat + mat.conj().T) / 2.0
@@ -164,14 +164,7 @@ def _scalar_lhs(path: PotentialPath, lam, grid, tol, method, refine_check):
         sf_value = ident.endpoint_rel_index
     if method == "sf":
         return sf_value
-    if grid is None:
-        g = dirac1d.GridSpec.auto(path)
-    elif callable(grid):
-        g = grid(path)
-    else:
-        g = grid
-    rep = dirac1d.index_report(
-        dirac1d.assemble(path, g, "aps", lam, tol), tol, refine_check=refine_check)
+    rep = dirac1d.path_index_report(path, grid, lam, tol, refine_check)
     if sf_value is not None and sf_value != rep.index:
         raise TheoremViolation(
             f"assembled index {rep.index} != spectral flow {sf_value} "
@@ -312,8 +305,7 @@ def make_tower_scenario(seed: int, n_fibers: int = 2,
         scale = 3.0 / base_norm
         for _ in range(64):
             end = reference_template(base_dim) + scale * raw(base_dim)
-            from .opcore import HermitianOperator
-            if spectral_gap(HermitianOperator(end)) >= min_end_gap:
+            if spectral_gap(end) >= min_end_gap:
                 break
             scale *= 1.13
         else:

@@ -11,13 +11,11 @@ Exit codes: 0 = all checks passed or were precondition-skipped,
 
 import argparse
 import concurrent.futures
-import dataclasses
 import json
 import math
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 import numpy as np
 
@@ -35,7 +33,6 @@ from .errors import (
 )
 from .opcore import (
     DEFAULT_TOL,
-    HermitianOperator,
     Tolerances,
     alternating_diag_template,
     decaying_rank_template,
@@ -82,19 +79,12 @@ class ScenarioConfig:
     scenario: str
     seeds: list
     potential: dict
-    grid: object                  # "auto" or {"length", "n_cells"}
     coupling: object              # float or "auto-lambda0"
     tolerances: Tolerances
     out_dir: str
     emit_timings: bool
     params: dict
     raw: dict = field(repr=False, default_factory=dict)
-
-    def grid_for(self, path) -> dirac1d.GridSpec:
-        if self.grid == "auto":
-            return dirac1d.GridSpec.auto(path)
-        return dirac1d.GridSpec(float(self.grid["length"]),
-                                int(self.grid["n_cells"]))
 
     def coupling_for(self, path) -> float:
         if isinstance(self.coupling, str):
@@ -117,8 +107,8 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"not valid JSON: {exc.msg} at line {exc.lineno}")
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
-    allowed = {"scenario", "seeds", "potential", "grid", "coupling",
-               "tolerances", "output", "params"}
+    allowed = {"scenario", "seeds", "potential", "coupling", "tolerances",
+               "output", "params"}
     _reject_unknown(raw, allowed, "configuration")
     scenario = raw.get("scenario")
     if scenario not in SCENARIOS:
@@ -147,18 +137,6 @@ def parse_config(text: str) -> ScenarioConfig:
             f"potential kind must be one of {sorted(_POTENTIAL_KEYS)}",
             field="potential.kind")
     _reject_unknown(potential, _POTENTIAL_KEYS[kind], f"potential({kind})")
-
-    grid = raw.get("grid", "auto")
-    if grid != "auto":
-        if not isinstance(grid, dict):
-            raise ConfigError("grid must be \"auto\" or {length, n_cells}",
-                              field="grid")
-        _reject_unknown(grid, {"length", "n_cells"}, "grid")
-        if "length" not in grid or "n_cells" not in grid:
-            raise ConfigError("grid needs both length and n_cells", field="grid")
-        if not float(grid["length"]) > 0 or int(grid["n_cells"]) < 4:
-            raise ConfigError("grid needs length > 0 and n_cells >= 4",
-                              field="grid")
 
     coupling = raw.get("coupling", 1.0)
     if isinstance(coupling, str):
@@ -189,7 +167,7 @@ def parse_config(text: str) -> ScenarioConfig:
     _reject_unknown(params, _PARAM_KEYS[scenario], f"params({scenario})")
 
     return ScenarioConfig(scenario=scenario, seeds=seeds, potential=potential,
-                          grid=grid, coupling=coupling, tolerances=tolerances,
+                          coupling=coupling, tolerances=tolerances,
                           out_dir=out_dir, emit_timings=emit_timings,
                           params=params, raw=raw)
 
@@ -197,16 +175,6 @@ def parse_config(text: str) -> ScenarioConfig:
 # ---------------------------------------------------------------------------
 # Tabulated potential files: first line "k n_samples", then one line per
 # sample: t followed by k^2 complex entries as re,im pairs, row-major.
-
-def write_potential_table(path: PotentialPath, filename: str):
-    with open(filename, "w") as fh:
-        fh.write(f"{path.k} {path.grid.size}\n")
-        for t in path.grid:
-            s = path.sample(float(t))
-            tokens = ["%.17g" % t]
-            tokens.extend("%.17g,%.17g" % (z.real, z.imag) for z in s.reshape(-1))
-            fh.write(" ".join(tokens) + "\n")
-
 
 def load_potential_table(filename: str) -> PotentialPath:
     try:
@@ -263,19 +231,16 @@ def build_potential(cfg: ScenarioConfig) -> PotentialPath:
 # Scenario runners.  Each returns a list of CheckRecord (and may attach
 # branch data for the gnuplot emitter).
 
-def _timed(record_fn):
-    t0 = time.perf_counter()
-    rec = record_fn()
-    rec.seconds = time.perf_counter() - t0
-    return rec
-
-
 def _guarded(name, anchor, fn):
-    """Run one check, mapping precondition failures to skip records and
-    identity violations to failing records."""
+    """Run one check and record it under ``name`` and ``anchor``.
+
+    ``fn`` returns the remaining CheckRecord fields (lhs, rhs, passed, and
+    optionally residual and details).  A precondition failure becomes a
+    skip record and an identity violation a failing record, under the same
+    name and anchor."""
     t0 = time.perf_counter()
     try:
-        rec = fn()
+        rec = CheckRecord(name=name, anchor=anchor, **fn())
     except (HypothesisUnmet, NotInvertible, NotRelativelyCompact,
             AmbiguousRank, TowerTooShallow) as exc:
         rec = CheckRecord(name=name, anchor=anchor, lhs="skipped",
@@ -296,11 +261,8 @@ def _run_sf(cfg: ScenarioConfig):
         def check(seed=seed):
             path = scenarios.sf_path(seed, 1 + (seed + k) % 8, n_samples)
             r = specflow.endpoint_identity(path, tol=cfg.tolerances)
-            return CheckRecord(
-                name=f"endpoint-identity[seed={seed}]",
-                anchor="index = spectral flow = endpoint relative index",
-                lhs=(r.sf_by_crossings, r.sf_by_partition),
-                rhs=r.endpoint_rel_index, passed=r.passed)
+            return dict(lhs=(r.sf_by_crossings, r.sf_by_partition),
+                        rhs=r.endpoint_rel_index, passed=r.passed)
         records.append(_guarded(f"endpoint-identity[seed={seed}]",
                                 "index = spectral flow = endpoint relative index",
                                 check))
@@ -310,9 +272,7 @@ def _run_sf(cfg: ScenarioConfig):
         fwd, _ = specflow.sf_crossings(path, tol=cfg.tolerances)
         rev, _ = specflow.sf_crossings(specflow.reversed_path(path),
                                        tol=cfg.tolerances)
-        return CheckRecord(name="reversal-antisymmetry",
-                           anchor="spectral flow reverses sign with the path",
-                           lhs=fwd, rhs=-rev, passed=fwd == -rev)
+        return dict(lhs=fwd, rhs=-rev, passed=fwd == -rev)
     records.append(_guarded("reversal-antisymmetry",
                             "spectral flow reverses sign with the path",
                             reversal))
@@ -341,10 +301,10 @@ def _run_relind(cfg: ScenarioConfig):
                 projs.append((u * w) @ u.conj().T)
             rep = relindex.check_additivity(*projs, tol=cfg.tolerances)
             good += rep.passed
-        return CheckRecord(name=f"additivity[{trials}]",
-                           anchor="relative index is additive over a middle projection",
-                           lhs=good, rhs=trials, passed=good == trials)
-    records.append(_guarded("additivity", "relative index additivity", additivity))
+        return dict(lhs=good, rhs=trials, passed=good == trials)
+    records.append(_guarded(f"additivity[{trials}]",
+                            "relative index is additive over a middle projection",
+                            additivity))
 
     def rotation():
         thetas = np.linspace(0.0, np.pi / 2, 32)
@@ -352,10 +312,10 @@ def _run_relind(cfg: ScenarioConfig):
                   for a in thetas]
         q_path = [p_path[0]] * len(p_path)
         rep = relindex.homotopy_constancy(p_path, q_path, cfg.tolerances)
-        return CheckRecord(name="homotopy-rotation",
-                           anchor="relative index is constant along norm-continuous paths",
-                           lhs=rep.values[0], rhs=rep.values[-1], passed=rep.passed)
-    records.append(_guarded("homotopy-rotation", "homotopy constancy", rotation))
+        return dict(lhs=rep.values[0], rhs=rep.values[-1], passed=rep.passed)
+    records.append(_guarded("homotopy-rotation",
+                            "relative index is constant along norm-continuous paths",
+                            rotation))
 
     def cross_check():
         good = 0
@@ -369,10 +329,9 @@ def _run_relind(cfg: ScenarioConfig):
             q = (u * w2) @ u.conj().T
             good += (relindex.rel_index(p, q, cfg.tolerances)
                      == relindex.rel_index_restricted(p, q, cfg.tolerances))
-        return CheckRecord(name=f"trace-vs-restricted[{trials}]",
-                           anchor="trace formula equals the restricted-operator index",
-                           lhs=good, rhs=trials, passed=good == trials)
-    records.append(_guarded("trace-vs-restricted", "trace formula cross-check",
+        return dict(lhs=good, rhs=trials, passed=good == trials)
+    records.append(_guarded(f"trace-vs-restricted[{trials}]",
+                            "trace formula equals the restricted-operator index",
                             cross_check))
     return records, None
 
@@ -391,42 +350,42 @@ def _run_index1d(cfg: ScenarioConfig):
             support=((-1.5, 1.5),), name="diag-pair"), (0, 1, 1)),
     ]
     for label, path, expected in oracle_cases:
-        def check(path=path, expected=expected, label=label):
+        def check(path=path, expected=expected):
             rep = dirac1d.index_report(
                 dirac1d.assemble(path, grid, "aps", 1.0, cfg.tolerances),
                 cfg.tolerances)
             got = (rep.index, rep.dim_ker, rep.dim_coker)
             oracle = dirac1d.kernel_oracle_diagonal(path, cfg.tolerances)
             ok = got == expected == (oracle.index, oracle.dim_ker, oracle.dim_coker)
-            return CheckRecord(name=f"oracle[{label}]",
-                               anchor="index, kernel and cokernel match the closed form",
-                               lhs=got, rhs=expected,
-                               passed=ok and rep.refined_agrees)
-        records.append(_guarded(f"oracle[{label}]", "closed-form oracle", check))
+            return dict(lhs=got, rhs=expected, passed=ok and rep.refined_agrees)
+        records.append(_guarded(f"oracle[{label}]",
+                                "index, kernel and cokernel match the closed form",
+                                check))
 
     def sweep():
         path = specflow.tanh_path()
         lam0 = cfg.coupling_for(path)
         lams = cfg.params.get("lams") or [lam0, 2 * lam0, 5 * lam0]
         rep = dirac1d.lambda_sweep(path, lams, grid, cfg.tolerances)
-        return CheckRecord(name="coupling-sweep",
-                           anchor="index is constant for all couplings above threshold",
-                           lhs=rep.indices, rhs=rep.indices[0], passed=rep.passed)
-    records.append(_guarded("coupling-sweep", "coupling sweep", sweep))
+        return dict(lhs=rep.indices, rhs=rep.indices[0], passed=rep.passed)
+    records.append(_guarded("coupling-sweep",
+                            "index is constant for all couplings above threshold",
+                            sweep))
 
     def bound():
         path = specflow.tanh_path()
         rep = dirac1d.fredholm_bounds(path, 3.0, grid=dirac1d.GridSpec(8.0, 200),
                                       tol=cfg.tolerances)
-        return CheckRecord(name="lower-bound",
-                           anchor="doubled square plus cutoff dominates the epsilon bound",
-                           lhs=rep.min_eig, rhs=rep.epsilon * (1 - rep.disc_slack),
-                           passed=rep.passed,
-                           residual=max(0.0, rep.epsilon - rep.min_eig))
-    records.append(_guarded("lower-bound", "quantitative lower bound", bound))
+        return dict(lhs=rep.min_eig, rhs=rep.epsilon * (1 - rep.disc_slack),
+                    passed=rep.passed,
+                    residual=max(0.0, rep.epsilon - rep.min_eig))
+    records.append(_guarded("lower-bound",
+                            "doubled square plus cutoff dominates the epsilon bound",
+                            bound))
+
+    n_bumps = int(cfg.params.get("bumps", 10))
 
     def bumps():
-        n_bumps = int(cfg.params.get("bumps", 10))
         path = specflow.tanh_path()
         good = 0
         for seed in range(n_bumps):
@@ -435,10 +394,10 @@ def _run_index1d(cfg: ScenarioConfig):
             rep = dirac1d.perturbation_invariance(path, pert, 1.0, grid,
                                                   cfg.tolerances)
             good += rep.passed
-        return CheckRecord(name=f"bump-invariance[{n_bumps}]",
-                           anchor="compactly supported perturbations preserve the index",
-                           lhs=good, rhs=n_bumps, passed=good == n_bumps)
-    records.append(_guarded("bump-invariance", "perturbation invariance", bumps))
+        return dict(lhs=good, rhs=n_bumps, passed=good == n_bumps)
+    records.append(_guarded(f"bump-invariance[{n_bumps}]",
+                            "compactly supported perturbations preserve the index",
+                            bumps))
     return records, None
 
 
@@ -452,14 +411,11 @@ def _run_cutpaste(cfg: ScenarioConfig):
             m1, m2, t_cut = scenarios.collar_pair(seed, 1 + seed % k_max)
             rep = surgery.verify_additivity(m1, m2, t_cut, lam=1.0, grid=grid,
                                             tol=cfg.tolerances)
-            return CheckRecord(
-                name=f"cutpaste[seed={seed}]",
-                anchor="recombined problems preserve the index sum",
-                lhs=rep.ind_1 + rep.ind_2, rhs=rep.ind_3 + rep.ind_4,
-                passed=rep.passed,
-                details={"indices": (rep.ind_1, rep.ind_2, rep.ind_3, rep.ind_4)})
+            return dict(lhs=rep.ind_1 + rep.ind_2, rhs=rep.ind_3 + rep.ind_4,
+                        passed=rep.passed,
+                        details={"indices": (rep.ind_1, rep.ind_2, rep.ind_3, rep.ind_4)})
         records.append(_guarded(f"cutpaste[seed={seed}]",
-                                "cut-and-paste additivity", check))
+                                "recombined problems preserve the index sum", check))
     return records, None
 
 
@@ -473,13 +429,12 @@ def _run_callias(cfg: ScenarioConfig):
             rep = callias.callias_check(case, lam=lam, reference=ref,
                                         reference_alt=ref2, grid=gridder,
                                         tol=cfg.tolerances)
-            return CheckRecord(
-                name=f"pairing[seed={seed}]",
-                anchor="index equals the signed boundary pairing, independent of the reference",
-                lhs=rep.lhs, rhs=rep.rhs, passed=rep.passed,
-                details={"rhs_alt": rep.rhs_alt})
-        records.append(_guarded(f"pairing[seed={seed}]",
-                                "hypersurface pairing", check))
+            return dict(lhs=rep.lhs, rhs=rep.rhs, passed=rep.passed,
+                        details={"rhs_alt": rep.rhs_alt})
+        records.append(_guarded(
+            f"pairing[seed={seed}]",
+            "index equals the signed boundary pairing, independent of the reference",
+            check))
 
     def four_way():
         good = 0
@@ -487,20 +442,19 @@ def _run_callias(cfg: ScenarioConfig):
             rep = callias.four_way_identity(
                 scenarios.sf_path(seed, 1 + seed % 8), tol=cfg.tolerances)
             good += rep.passed
-        return CheckRecord(name=f"four-way[{len(cfg.seeds)}]",
-                           anchor="crossings = partition = endpoint relative index = pairing",
-                           lhs=good, rhs=len(cfg.seeds),
-                           passed=good == len(cfg.seeds))
-    records.append(_guarded("four-way", "four-way identity", four_way))
+        return dict(lhs=good, rhs=len(cfg.seeds), passed=good == len(cfg.seeds))
+    records.append(_guarded(f"four-way[{len(cfg.seeds)}]",
+                            "crossings = partition = endpoint relative index = pairing",
+                            four_way))
 
     def rank_pairing():
         path = scenarios.flat_tail_path(cfg.seeds[0], 2)
         val = callias.ran_projection_pairing(path, tol=cfg.tolerances)
         rhs = callias.rhs_pairing(path, reference=-1.0, tol=cfg.tolerances)
-        return CheckRecord(name="rank-pairing",
-                           anchor="signed rank sum realizes the pairing against -1",
-                           lhs=val, rhs=rhs, passed=val == rhs)
-    records.append(_guarded("rank-pairing", "rank pairing", rank_pairing))
+        return dict(lhs=val, rhs=rhs, passed=val == rhs)
+    records.append(_guarded("rank-pairing",
+                            "signed rank sum realizes the pairing against -1",
+                            rank_pairing))
     return records, None
 
 
@@ -515,12 +469,11 @@ def _run_tower(cfg: ScenarioConfig):
         rep = callias.tower_callias(builder, ref, dims,
                                     base_grid=dirac1d.GridSpec(9.0, 120),
                                     tol=cfg.tolerances)
-        return CheckRecord(name=f"tower{dims}",
-                           anchor="pairing integers stabilize and projection tails decay",
-                           lhs=rep.integers[-1], rhs=rep.integers[-2],
-                           passed=rep.passed,
-                           details={"tails": rep.tail_norms})
-    return [_guarded("tower", "tower pairing", check)], None
+        return dict(lhs=rep.integers[-1], rhs=rep.integers[-2],
+                    passed=rep.passed, details={"tails": rep.tail_norms})
+    return [_guarded(f"tower{dims}",
+                     "pairing integers stabilize and projection tails decay",
+                     check)], None
 
 
 def _run_appendix(cfg: ScenarioConfig):
@@ -540,11 +493,11 @@ def _run_appendix(cfg: ScenarioConfig):
                 inequalities.RandomSpec(base_seed + i + 10 ** 6, t.dim, (-2.0, 2.0)))
             good += inequalities.check_interpolation_inequality(
                 t, s, cfg.tolerances).passed
-        return CheckRecord(name=f"interpolation[{trials}]",
-                           anchor="half-power conjugated norm is dominated by the full-power one",
-                           lhs=good, rhs=trials, passed=good == trials)
-    records.append(_guarded("interpolation", "interpolation inequality",
-                            interpolation))
+        return dict(lhs=good, rhs=trials, passed=good == trials)
+    records.append(_guarded(
+        f"interpolation[{trials}]",
+        "half-power conjugated norm is dominated by the full-power one",
+        interpolation))
 
     def conjugation():
         good = 0
@@ -555,10 +508,10 @@ def _run_appendix(cfg: ScenarioConfig):
                 inequalities.RandomSpec(base_seed + i + 2 * 10 ** 6, t.dim, (-1.0, 1.0)))
             good += inequalities.check_conjugation_norm_bound(
                 t, f, cfg.tolerances).passed
-        return CheckRecord(name=f"conjugation[{trials}]",
-                           anchor="operator norm bounded by the conjugated norm",
-                           lhs=good, rhs=trials, passed=good == trials)
-    records.append(_guarded("conjugation", "conjugation bound", conjugation))
+        return dict(lhs=good, rhs=trials, passed=good == trials)
+    records.append(_guarded(f"conjugation[{trials}]",
+                            "operator norm bounded by the conjugated norm",
+                            conjugation))
 
     for eps in a4_eps:
         def stability(eps=eps):
@@ -573,22 +526,20 @@ def _run_appendix(cfg: ScenarioConfig):
                 rep = inequalities.check_bounded_transform_stability(
                     t, t.entries + r.entries, eps, cfg.tolerances)
                 good += rep.passed
-            return CheckRecord(name=f"transform-stability[eps={eps:g}]",
-                               anchor="bounded transform moves at most four epsilon",
-                               lhs=good, rhs=trials, passed=good == trials)
+            return dict(lhs=good, rhs=trials, passed=good == trials)
         records.append(_guarded(f"transform-stability[eps={eps:g}]",
-                                "bounded-transform stability", stability))
+                                "bounded transform moves at most four epsilon",
+                                stability))
 
     def schedule():
         rep = inequalities.check_relative_bound_schedule(
             alternating_diag_template, rank_one_template, dims,
             (0.5, 0.1, 0.02), seed=base_seed, tol=cfg.tolerances)
         worst = max(w for (_, _, _, w) in rep.entries)
-        return CheckRecord(name="relative-bound-schedule",
-                           anchor="relative bound with constant epsilon times shift",
-                           lhs=worst, rhs=0.0, passed=rep.passed,
-                           residual=max(0.0, worst))
-    records.append(_guarded("relative-bound-schedule", "relative bound", schedule))
+        return dict(lhs=worst, rhs=0.0, passed=rep.passed, residual=max(0.0, worst))
+    records.append(_guarded("relative-bound-schedule",
+                            "relative bound with constant epsilon times shift",
+                            schedule))
 
     def tails():
         raw = decaying_rank_template(2, 1.2, seed=base_seed)
@@ -596,31 +547,28 @@ def _run_appendix(cfg: ScenarioConfig):
         rep = inequalities.check_functional_calculus_tails(
             alternating_diag_template, lambda n: scale * raw(n), dims,
             tol=cfg.tolerances)
-        return CheckRecord(name="functional-calculus-tails",
-                           anchor="transform, resolvent and step differences have decaying tails",
-                           lhs=rep.tail_norms["step"][-1], rhs=1e-5,
-                           passed=rep.passed,
-                           residual=rep.resolvent_residual)
-    records.append(_guarded("functional-calculus-tails", "tail decay", tails))
+        return dict(lhs=rep.tail_norms["step"][-1], rhs=1e-5, passed=rep.passed,
+                    residual=rep.resolvent_residual)
+    records.append(_guarded(
+        "functional-calculus-tails",
+        "transform, resolvent and step differences have decaying tails", tails))
 
     def compact():
         rep = inequalities.check_compact_strong_convergence(
             dims, exp_decay_template(0.5))
-        return CheckRecord(name="compact-composition",
-                           anchor="compact templates turn strong convergence into norm convergence",
-                           lhs=rep.right_norms[-1], rhs=rep.final_bound,
-                           passed=rep.passed)
-    records.append(_guarded("compact-composition", "compact composition", compact))
+        return dict(lhs=rep.right_norms[-1], rhs=rep.final_bound, passed=rep.passed)
+    records.append(_guarded(
+        "compact-composition",
+        "compact templates turn strong convergence into norm convergence", compact))
 
     def quadrature():
         h = inequalities.random_hermitian(
             inequalities.RandomSpec(base_seed, 6, (-4.0, 4.0)))
         rep = inv_sqrt_via_quadrature(h, quad_nodes, cfg.tolerances)
-        return CheckRecord(name=f"quadrature[{quad_nodes}]",
-                           anchor="resolvent quadrature reproduces the inverse square root",
-                           lhs=rep.error, rhs=1e-8, passed=rep.error <= 1e-8,
-                           residual=rep.error)
-    records.append(_guarded("quadrature", "inverse square root quadrature",
+        return dict(lhs=rep.error, rhs=1e-8, passed=rep.error <= 1e-8,
+                    residual=rep.error)
+    records.append(_guarded(f"quadrature[{quad_nodes}]",
+                            "resolvent quadrature reproduces the inverse square root",
                             quadrature))
     return records, None
 

@@ -50,7 +50,6 @@ from .errors import (
 )
 from .opcore import (
     DEFAULT_TOL,
-    HermitianOperator,
     Tolerances,
     eigh,
     null_space,
@@ -67,6 +66,7 @@ __all__ = [
     "assemble",
     "bound_constants",
     "index_report",
+    "path_index_report",
     "kernel_vectors",
     "kernel_oracle_diagonal",
     "OracleIndex",
@@ -485,6 +485,23 @@ def index_report(op: DiscretizedDiracSchroedinger, tol: Tolerances = DEFAULT_TOL
                        shape=op.shape, lam=op.lam, route=route)
 
 
+def _resolve_grid(grid, path: PotentialPath) -> GridSpec:
+    """The grid for ``path``: ``grid`` itself, ``grid(path)`` when it is a
+    rule, or ``GridSpec.auto(path)`` when it is None."""
+    if grid is None:
+        return GridSpec.auto(path)
+    return grid(path) if callable(grid) else grid
+
+
+def path_index_report(path: PotentialPath, grid=None, lam: float = 1.0,
+                      tol: Tolerances = DEFAULT_TOL,
+                      refine_check: bool = True) -> IndexReport:
+    """``index_report`` of the APS assembly of ``path``.  ``grid`` is a
+    GridSpec, a rule path -> GridSpec, or None for ``GridSpec.auto``."""
+    return index_report(assemble(path, _resolve_grid(grid, path), "aps", lam, tol),
+                        tol, refine_check=refine_check)
+
+
 def kernel_vectors(op: DiscretizedDiracSchroedinger,
                    tol: Tolerances = DEFAULT_TOL) -> list:
     """Numerical kernel of an APS assembly as node-space functions
@@ -718,8 +735,7 @@ def fredholm_bounds(path: PotentialPath, lam: float,
             f"coupling lam={lam:g} below the positivity threshold "
             f"lambda0={lambda0:g}")
     second = delta_hat < c_hat ** 2 / (c_hat + 1.0)
-    if grid is None:
-        grid = GridSpec.auto(path)
+    grid = _resolve_grid(grid, path)
     needed = epsilon + 0.5 * (lam ** 2 + delta_k ** 2)
     amplitude = math.sqrt(needed)
     if f is None:
@@ -763,13 +779,9 @@ def lambda_sweep(path: PotentialPath, lams, grid: Optional[GridSpec] = None,
                  refine_check: bool = False) -> SweepReport:
     """Index of the APS assembly across a list of couplings; the integers
     must all coincide."""
-    if grid is None:
-        grid = GridSpec.auto(path)
-    indices = []
-    for lam in lams:
-        rep = index_report(assemble(path, grid, "aps", float(lam), tol), tol,
-                           refine_check=refine_check)
-        indices.append(rep.index)
+    grid = _resolve_grid(grid, path)
+    indices = [path_index_report(path, grid, float(lam), tol, refine_check).index
+               for lam in lams]
     return SweepReport(lams=tuple(float(x) for x in lams),
                        indices=tuple(indices),
                        passed=len(set(indices)) == 1)
@@ -789,9 +801,8 @@ def perturbation_invariance(path: PotentialPath, perturbed: PotentialPath,
     """Exact index equality between a path and a compactly supported
     symmetric perturbation of it (the perturbation must vanish outside the
     support set, which the caller guarantees by construction)."""
-    if grid is None:
-        grid = GridSpec.auto(path)
-    base = index_report(assemble(path, grid, "aps", lam, tol), tol, refine_check)
-    pert = index_report(assemble(perturbed, grid, "aps", lam, tol), tol, refine_check)
+    grid = _resolve_grid(grid, path)
+    base = path_index_report(path, grid, lam, tol, refine_check)
+    pert = path_index_report(perturbed, grid, lam, tol, refine_check)
     return PerturbationReport(base_index=base.index, perturbed_index=pert.index,
                               passed=base.index == pert.index)

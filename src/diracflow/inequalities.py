@@ -16,7 +16,7 @@ are never reported as violations of the inequalities.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
@@ -31,6 +31,7 @@ from .opcore import (
     DEFAULT_TOL,
     HermitianOperator,
     Tolerances,
+    as_matrix,
     bounded_transform,
     eigh,
     positive_projection,
@@ -185,9 +186,9 @@ def check_interpolation_inequality(t, s, tol: Tolerances = DEFAULT_TOL,
     1/c under T -> cT), so no normalization ||T^(-1)|| <= 1 is needed;
     the report still records whether the input happened to be normalized.
     """
-    tm = np.asarray(t.entries if hasattr(t, "entries") else t, dtype=np.complex128)
-    sm = np.asarray(s.entries if hasattr(s, "entries") else s, dtype=np.complex128)
-    w, v = eigh(HermitianOperator(tm), tol)
+    tm = as_matrix(t)
+    sm = as_matrix(s)
+    w, v = eigh(tm, tol)
     if w.min() < 1e-8:
         raise InvalidInput(f"T must be positive definite (min eig {w.min():.3e})")
     t_inv = (v * (1.0 / w)) @ v.conj().T
@@ -220,9 +221,9 @@ def check_conjugation_norm_bound(t, f, tol: Tolerances = DEFAULT_TOL,
                                  slack: float = 1e-10) -> ConjugationReport:
     """||F|| <= ||T^(-1/2) F T^(1/2)|| for positive invertible T and
     Hermitian F, with the two conjugated norms equal (1e-9 relative)."""
-    tm = np.asarray(t.entries if hasattr(t, "entries") else t, dtype=np.complex128)
-    fm = np.asarray(f.entries if hasattr(f, "entries") else f, dtype=np.complex128)
-    w, v = eigh(HermitianOperator(tm), tol)
+    tm = as_matrix(t)
+    fm = as_matrix(f)
+    w, v = eigh(tm, tol)
     if w.min() < 1e-8:
         raise InvalidInput(f"T must be positive definite (min eig {w.min():.3e})")
     t_h = (v * np.sqrt(w)) @ v.conj().T
@@ -253,9 +254,8 @@ def scale_perturbation_to_eps(t, r_raw, eps: float,
                               safety: float = 0.999) -> HermitianOperator:
     """Scale a raw Hermitian perturbation so both resolvent-smallness
     norms sit just below eps."""
-    tm = np.asarray(t.entries if hasattr(t, "entries") else t, dtype=np.complex128)
-    rm = np.asarray(r_raw.entries if hasattr(r_raw, "entries") else r_raw,
-                    dtype=np.complex128)
+    tm = as_matrix(t)
+    rm = as_matrix(r_raw)
     eye = np.eye(tm.shape[0], dtype=np.complex128)
     res = np.linalg.inv(tm + 1j * eye)
     h1 = spectral_norm(rm @ res)
@@ -276,9 +276,8 @@ def check_bounded_transform_stability(t, t_n, eps: float,
     """
     if not eps < 0.5:
         raise HypothesisUnmet(f"eps = {eps:g} is not < 1/2")
-    tm = np.asarray(t.entries if hasattr(t, "entries") else t, dtype=np.complex128)
-    tnm = np.asarray(t_n.entries if hasattr(t_n, "entries") else t_n,
-                     dtype=np.complex128)
+    tm = as_matrix(t)
+    tnm = as_matrix(t_n)
     eye = np.eye(tm.shape[0], dtype=np.complex128)
     res = np.linalg.inv(tm + 1j * eye)
     diff = tm - tnm
@@ -287,8 +286,8 @@ def check_bounded_transform_stability(t, t_n, eps: float,
     if max(h1, h2) > eps:
         raise HypothesisUnmet(
             f"resolvent-smallness norms ({h1:.3e}, {h2:.3e}) exceed eps={eps:g}")
-    f_t = bounded_transform(HermitianOperator(tm), tol).entries
-    f_tn = bounded_transform(HermitianOperator(tnm), tol).entries
+    f_t = bounded_transform(tm, tol).entries
+    f_tn = bounded_transform(tnm, tol).entries
     dist = spectral_norm(f_t - f_tn)
     return StabilityReport(eps=eps, hypothesis_norms=(h1, h2),
                            transform_diff=dist, bound=4.0 * eps,
@@ -393,10 +392,6 @@ class TailReport:
     passed: bool
 
 
-def _step_function(x: float) -> float:
-    return 1.0 if x > 0 else 0.0
-
-
 def check_functional_calculus_tails(t_template, r_template,
                                     dims: Sequence[int],
                                     structural_rank: int = 8,
@@ -423,7 +418,7 @@ def check_functional_calculus_tails(t_template, r_template,
         rn = np.asarray(r_template(n), dtype=np.complex128)
         tr = tn + rn
         for m, label in ((tn, "T"), (tr, "T+R")):
-            if spectral_gap(HermitianOperator(m)) < gap_floor:
+            if spectral_gap(m) < gap_floor:
                 raise NotInvertible(
                     f"{label} at dim {n} has gap below {gap_floor:g}; "
                     f"the hard-step leg needs invertibility")
@@ -431,14 +426,12 @@ def check_functional_calculus_tails(t_template, r_template,
         proj = np.zeros((n, n))
         proj[n // 2:, n // 2:] = np.eye(n - n // 2)
         diffs = {}
-        diffs["bounded-transform"] = (
-            bounded_transform(HermitianOperator(tr), tol).entries
-            - bounded_transform(HermitianOperator(tn), tol).entries)
+        diffs["bounded-transform"] = (bounded_transform(tr, tol).entries
+                                      - bounded_transform(tn, tol).entries)
         res_d = np.linalg.inv(tr + 1j * eye) - np.linalg.inv(tn + 1j * eye)
         diffs["resolvent"] = res_d
-        diffs["step"] = (
-            positive_projection(HermitianOperator(tr), gap_floor, tol).entries
-            - positive_projection(HermitianOperator(tn), gap_floor, tol).entries)
+        diffs["step"] = (positive_projection(tr, gap_floor, tol).entries
+                         - positive_projection(tn, gap_floor, tol).entries)
         for lab in labels:
             tails[lab].append(spectral_norm(diffs[lab] @ proj))
             sigmas[lab].append(np.linalg.svd(diffs[lab], compute_uv=False))

@@ -12,8 +12,8 @@ max(1, ||input||); reductions are plain left-to-right numpy reductions so
 repeated runs in one process are bitwise reproducible.
 """
 
-from dataclasses import dataclass, field
-from typing import Callable, NamedTuple, Optional, Sequence
+from dataclasses import dataclass
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -37,7 +37,6 @@ __all__ = [
     "apply_function",
     "bounded_transform",
     "positive_projection",
-    "negative_projection",
     "null_space",
     "NullSpaceResult",
     "inv_sqrt_via_quadrature",
@@ -94,33 +93,20 @@ class HermitianOperator:
     """A dense complex square matrix certified Hermitian.
 
     The constructor symmetrizes A <- (A + A*)/2 and records the relative
-    deviation ||A - A*|| / max(1, ||A||) of the input as ``herm_residual``,
-    so the decision to hermitize rather than reject stays auditable.
+    deviation ||A - A*||_F / max(1, ||A||_F) of the input as
+    ``herm_residual``, so the decision to hermitize rather than reject stays
+    auditable.  The Frobenius norm bounds the spectral norm from above.
     """
 
     __slots__ = ("entries", "dim", "herm_residual")
 
     def __init__(self, entries):
-        a = np.asarray(entries, dtype=np.complex128)
-        if a.ndim != 2 or a.shape[0] != a.shape[1]:
-            raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
+        a = as_matrix(entries)
         _check_finite(a, "operator")
-        dev = a - a.conj().T
-        scale = max(1.0, float(np.linalg.norm(a, 2))) if a.size else 1.0
-        self.herm_residual = float(np.linalg.norm(dev, 2)) / scale if a.size else 0.0
+        scale = max(1.0, float(np.linalg.norm(a)))
+        self.herm_residual = float(np.linalg.norm(a - a.conj().T)) / scale
         self.entries = (a + a.conj().T) / 2.0
         self.dim = a.shape[0]
-
-    @classmethod
-    def identity(cls, dim):
-        return cls(np.eye(dim, dtype=np.complex128))
-
-    @classmethod
-    def from_diagonal(cls, values):
-        return cls(np.diag(np.asarray(values, dtype=np.complex128)))
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.entries, 2))
 
     def __repr__(self):
         return f"HermitianOperator(dim={self.dim}, herm_residual={self.herm_residual:.2e})"
@@ -129,35 +115,30 @@ class HermitianOperator:
 class Projection:
     """A Hermitian idempotent within tolerance.
 
-    Construction validates ||P^2 - P|| <= 1e-10 and ||P - P*|| <= 1e-10;
-    degraded inputs are rejected rather than repaired.
+    Construction validates ||P^2 - P||_F <= 1e-10 and ||P - P*||_F <= 1e-10
+    (Frobenius norms, upper bounds of the spectral ones); degraded inputs
+    are rejected rather than repaired.
     """
 
     __slots__ = ("entries", "dim", "idem_residual", "herm_residual")
 
     def __init__(self, entries):
-        p = np.asarray(entries, dtype=np.complex128)
-        if p.ndim != 2 or p.shape[0] != p.shape[1]:
-            raise InvalidInput(f"expected a square matrix, got shape {p.shape}")
+        p = as_matrix(entries)
         _check_finite(p, "projection")
-        self.herm_residual = float(np.linalg.norm(p - p.conj().T, 2))
-        self.idem_residual = float(np.linalg.norm(p @ p - p, 2))
+        self.herm_residual = float(np.linalg.norm(p - p.conj().T))
+        self.idem_residual = float(np.linalg.norm(p @ p - p))
         if self.herm_residual > 1e-10:
             raise InvalidInput(
-                f"projection is not Hermitian: ||P - P*|| = {self.herm_residual:.3e}")
+                f"projection is not Hermitian: ||P - P*||_F = {self.herm_residual:.3e}")
         if self.idem_residual > 1e-10:
             raise InvalidInput(
-                f"projection is not idempotent: ||P^2 - P|| = {self.idem_residual:.3e}")
+                f"projection is not idempotent: ||P^2 - P||_F = {self.idem_residual:.3e}")
         self.entries = (p + p.conj().T) / 2.0
         self.dim = p.shape[0]
 
     @classmethod
     def zero(cls, dim):
         return cls(np.zeros((dim, dim), dtype=np.complex128))
-
-    @classmethod
-    def identity(cls, dim):
-        return cls(np.eye(dim, dtype=np.complex128))
 
     def rank(self) -> int:
         return int(round(float(np.trace(self.entries).real)))
@@ -167,26 +148,23 @@ class Projection:
 
 
 def as_hermitian(x) -> HermitianOperator:
-    if isinstance(x, HermitianOperator):
-        return x
-    if isinstance(x, Projection):
-        return HermitianOperator(x.entries)
-    return HermitianOperator(x)
+    return x if isinstance(x, HermitianOperator) else HermitianOperator(as_matrix(x))
 
 
 def eigh(h, tol: Tolerances = DEFAULT_TOL):
     """Eigendecomposition of a Hermitian operator.
 
     Returns (eigenvalues ascending, unitary eigenvector matrix V) with
-    H V = V diag(w).  Residual and unitarity are checked against
-    ``tol.eig_tol`` relative to max(1, ||H||).
+    H V = V diag(w).  The residual ||H V - V diag(w)||_F relative to
+    max(1, max |w|) and the unitarity defect ||V* V - 1||_F are checked
+    against ``tol.eig_tol``.
     """
     hop = as_hermitian(h)
     a = hop.entries
     w, v = np.linalg.eigh(a)
     scale = max(1.0, float(np.abs(w).max()) if w.size else 1.0)
-    resid = float(np.linalg.norm(a @ v - v * w, 2)) / scale
-    unit = float(np.linalg.norm(v.conj().T @ v - np.eye(hop.dim), 2))
+    resid = float(np.linalg.norm(a @ v - v * w)) / scale
+    unit = float(np.linalg.norm(v.conj().T @ v - np.eye(hop.dim)))
     if resid > tol.eig_tol or unit > tol.eig_tol:
         raise InvalidInput(
             f"eigendecomposition residual {resid:.3e} / unitarity {unit:.3e} "
@@ -232,13 +210,6 @@ def positive_projection(h, gap_tol: Optional[float] = None,
             f"eigenvalue {w[np.abs(w).argmin()]:.3e} inside gap (+-{gap_tol:.1e})")
     mask = (w > 0.0).astype(float)
     return Projection((v * mask) @ v.conj().T)
-
-
-def negative_projection(h, gap_tol: Optional[float] = None,
-                        tol: Tolerances = DEFAULT_TOL) -> Projection:
-    """Hard spectral projection onto (-inf, 0); complement of positive_projection."""
-    p = positive_projection(h, gap_tol, tol)
-    return Projection(np.eye(p.dim) - p.entries)
 
 
 class NullSpaceResult(NamedTuple):
@@ -464,21 +435,11 @@ def rank_one_template(n: int) -> np.ndarray:
     return a
 
 
-def inverse_index_template(n: int) -> np.ndarray:
-    """diag(1/j): compact with exactly computable tails ||K(1-Pi_n)|| = 1/(n+1)."""
-    return np.diag(1.0 / np.arange(1.0, n + 1.0)).astype(np.complex128)
-
-
 def exp_decay_template(rate: float) -> Callable[[int], np.ndarray]:
     """diag(exp(-j*rate)): compact with exponentially fast tails."""
     def template(n: int) -> np.ndarray:
         return np.diag(np.exp(-rate * np.arange(1.0, n + 1.0))).astype(np.complex128)
     return template
-
-
-def identity_template(n: int) -> np.ndarray:
-    """Not compact; used as a negative control."""
-    return np.eye(n, dtype=np.complex128)
 
 
 def decaying_rank_template(rank: int, rate: float, seed: int) -> Callable[[int], np.ndarray]:

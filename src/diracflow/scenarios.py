@@ -9,12 +9,13 @@ constant flank.
 """
 
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
-from .inequalities import RandomSpec, random_hermitian, random_unitary
-from .opcore import HermitianOperator, spectral_gap, spectral_norm
+from .dirac1d import quintic_plateau
+from .inequalities import random_unitary
+from .opcore import HermitianOperator, spectral_gap
 from .specflow import PotentialPath, random_smooth_path
 from .surgery import smoothstep
 
@@ -25,7 +26,6 @@ __all__ = [
     "flat_tail_path",
     "collar_pair",
     "bump_perturbation",
-    "fredholm_scenario",
     "engineered_threshold_path",
     "callias_case",
 ]
@@ -44,17 +44,6 @@ def sf_path(seed: int, k: int, n_samples: int = 64) -> PotentialPath:
     """Random smooth path on [0, 1] with invertibility-shifted endpoints,
     declared support K = [0, 1] (so N consists of the two endpoints)."""
     return random_smooth_path(seed, k, span=(0.0, 1.0), n_samples=n_samples)
-
-
-def _window(t, lo, hi, ramp):
-    """Smooth plateau: 1 on [lo, hi], 0 outside (lo - ramp, hi + ramp)."""
-    if t <= lo - ramp or t >= hi + ramp:
-        return 0.0
-    if lo <= t <= hi:
-        return 1.0
-    if t < lo:
-        return smoothstep((t - (lo - ramp)) / ramp)
-    return smoothstep(((hi + ramp) - t) / ramp)
 
 
 def chain_path(seed: int, k: int, n_intervals: int = 1,
@@ -91,7 +80,7 @@ def chain_path(seed: int, k: int, n_intervals: int = 1,
         return plateaus[-1]
 
     grid = np.linspace(span[0], span[1], n_samples)
-    margin = min(spectral_gap(HermitianOperator(p)) for p in plateaus)
+    margin = min(spectral_gap(p) for p in plateaus)
     return PotentialPath(k, grid, sampler, support=intervals,
                          margin=0.99 * margin,
                          name=f"chain(seed={seed}, k={k}, m={n_intervals})")
@@ -148,19 +137,10 @@ def bump_perturbation(seed: int, path: PotentialPath,
     center = a + (b - a) * rng.uniform(0.3, 0.7)
 
     def bump(t):
-        return height * _window(t, center - 0.3 * width, center + 0.3 * width,
-                                0.7 * width)
+        return height * quintic_plateau(t, center - 0.3 * width,
+                                        center + 0.3 * width, 0.7 * width)
 
     return bump, HermitianOperator(r)
-
-
-def fredholm_scenario(seed: int, k_max: int = 3):
-    """Path plus coupling for the quantitative lower-bound check: constant
-    invertible tails, smooth interior transition, coupling comfortably
-    above the computed positivity threshold."""
-    k = 1 + seed % k_max
-    path = flat_tail_path(seed, k, bump_amp=0.5)
-    return path, k
 
 
 def engineered_threshold_path(alpha: float = 0.4,

@@ -15,7 +15,7 @@ Branch tracking deliberately matches by eigenvector overlap instead of
 sorted order: sorted order silently swaps branches at avoided crossings.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -33,6 +33,7 @@ from .opcore import (
     DEFAULT_TOL,
     HermitianOperator,
     Tolerances,
+    as_matrix,
     eigh,
     positive_projection,
     spectral_gap,
@@ -414,8 +415,7 @@ def make_trivialising_gapshift(h, delta: float,
     w, v = eigh(h, tol)
     signs = np.where(w > -delta, 1.0, -1.0)
     b = delta * ((v * signs) @ v.conj().T)
-    gap = spectral_gap(np.asarray(h if isinstance(h, np.ndarray) else
-                                  h.entries if hasattr(h, "entries") else h) + b)
+    gap = spectral_gap(as_matrix(h) + b)
     if gap < delta / 2.0:
         raise ShiftFailure(
             f"gap(H+B) = {gap:.3e} < delta/2 = {delta / 2.0:.3e}; increase delta")
@@ -425,20 +425,19 @@ def make_trivialising_gapshift(h, delta: float,
 def ind_triple(d, b0, b1, tol: Tolerances = DEFAULT_TOL) -> int:
     """rel-ind(P_+(D + B1), P_+(D + B0)) for Hermitian D and trivialising
     shifts B0, B1 (both sums must be invertible)."""
-    dm = d.entries if hasattr(d, "entries") else np.asarray(d, dtype=np.complex128)
-    b0m = b0.entries if hasattr(b0, "entries") else np.asarray(b0, dtype=np.complex128)
-    b1m = b1.entries if hasattr(b1, "entries") else np.asarray(b1, dtype=np.complex128)
-    p1 = positive_projection(dm + b1m, tol.proj_gap_tol, tol)
-    p0 = positive_projection(dm + b0m, tol.proj_gap_tol, tol)
+    dm = as_matrix(d)
+    p1 = positive_projection(dm + as_matrix(b1), tol.proj_gap_tol, tol)
+    p0 = positive_projection(dm + as_matrix(b0), tol.proj_gap_tol, tol)
     return rel_index(p1, p0, tol)
 
 
-def _gap_level(eigs: np.ndarray, min_width: float) -> Optional[float]:
-    """Midpoint of the widest spectral gap near zero in a pooled spectrum.
+def _gap_level(eigs: np.ndarray, min_width: float) -> Tuple[Optional[float], float]:
+    """(level, score): the midpoint of the widest spectral gap near zero in
+    a pooled spectrum, and its score.
 
     Candidate gaps are the spaces between consecutive pooled eigenvalues of
     width >= min_width; among them the score width/(1 + mid^2) prefers wide
-    gaps close to zero.  Returns None when no candidate exists.
+    gaps close to zero.  Returns (None, 0.0) when no candidate exists.
     """
     vals = np.sort(eigs)
     best, best_score = None, 0.0
@@ -447,10 +446,10 @@ def _gap_level(eigs: np.ndarray, min_width: float) -> Optional[float]:
         if width < min_width:
             continue
         mid = 0.5 * (lo + hi)
-        score = width / (1.0 + mid * mid)
+        score = float(width / (1.0 + mid * mid))
         if score > best_score:
-            best, best_score = float(mid), float(score)
-    return best
+            best, best_score = float(mid), score
+    return best, best_score
 
 
 def _piece_level(spectra, steps, pgt: float) -> Optional[float]:
@@ -464,20 +463,12 @@ def _piece_level(spectra, steps, pgt: float) -> Optional[float]:
     the pooled spectrum (which no branch can reach) act as fallbacks, with
     a low score so interior gaps near zero win whenever they exist.
     """
-    pooled = np.sort(np.concatenate(spectra))
+    pooled = np.concatenate(spectra)
     max_step = float(max(steps)) if len(steps) else 0.0
     min_width = 1.5 * max_step + 4.0 * pgt
-    best, best_score = None, 0.0
-    for lo, hi in zip(pooled, pooled[1:]):
-        width = hi - lo
-        if width < min_width:
-            continue
-        mid = 0.5 * (lo + hi)
-        score = float(width / (1.0 + mid * mid))
-        if score > best_score:
-            best, best_score = float(mid), score
+    best, best_score = _gap_level(pooled, min_width)
     pad = max_step + 1.0
-    for mid in (float(pooled[0]) - pad, float(pooled[-1]) + pad):
+    for mid in (float(pooled.min()) - pad, float(pooled.max()) + pad):
         score = float(min_width / (1.0 + mid * mid)) * 1e-6
         if best is None or score > best_score:
             best, best_score = mid, score
@@ -594,7 +585,7 @@ def endpoint_identity(path: PotentialPath, crossing_tol: float = 1e-8,
 # Path builders.
 
 def constant_path(h, span=(0.0, 1.0), n_samples=9, name="constant") -> PotentialPath:
-    a = np.asarray(h.entries if hasattr(h, "entries") else h, dtype=np.complex128)
+    a = as_matrix(h)
     grid = np.linspace(span[0], span[1], n_samples)
     return PotentialPath(a.shape[0], grid, lambda t: a, support=(), name=name)
 
@@ -685,8 +676,8 @@ def random_smooth_path(seed, k, span=(0.0, 1.0), n_samples=64,
 
     def end_shift(mat):
         w = np.linalg.eigvalsh(mat)
-        lvl = _gap_level(np.concatenate([w, [w.min() - 2.0, w.max() + 2.0]]),
-                         2.0 * min_end_gap)
+        lvl, _ = _gap_level(np.concatenate([w, [w.min() - 2.0, w.max() + 2.0]]),
+                            2.0 * min_end_gap)
         return 0.0 if lvl is None else lvl
 
     c0 = end_shift(raw(lo))
@@ -747,8 +738,7 @@ def perturbed_path(p: PotentialPath, bump: Callable[[float], float], r,
                    name=None) -> PotentialPath:
     """p(t) + bump(t) * R with a fixed Hermitian R; bump should vanish
     outside the support set so margins are untouched."""
-    rm = np.asarray(r.entries if hasattr(r, "entries") else r,
-                    dtype=np.complex128)
+    rm = as_matrix(r)
 
     def sampler(t):
         return p.sample(t) + float(bump(t)) * rm

@@ -13,22 +13,19 @@ steepness feeds the derivative-resolvent bounds, so ramp widths are
 explicit parameters.
 """
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import CollarMismatch, InvalidInput, RampCrossing, TheoremViolation
-from .opcore import DEFAULT_TOL, Tolerances, spectral_gap
+from .opcore import DEFAULT_TOL, Tolerances, as_matrix, spectral_gap
 from .specflow import PotentialPath, _normalize_support
 from . import dirac1d
 
 __all__ = [
     "smoothstep",
     "SurgeryProfile",
-    "partition_pair",
-    "GluedProblem",
     "cut_paste",
     "verify_additivity",
     "AdditivityIndexReport",
@@ -66,28 +63,6 @@ class SurgeryProfile:
 
     def chi(self, r: float) -> float:
         return 1.0 - smoothstep(r / self.ramp)
-
-
-def partition_pair(ramp: float) -> Tuple[Callable[[float], float], Callable[[float], float]]:
-    """A smooth pair (chi1, chi2) with chi1^2 + chi2^2 = 1, chi1 = 1 left
-    of the ramp and chi2 = 1 right of it."""
-
-    def chi1(t: float) -> float:
-        return math.cos(0.5 * math.pi * smoothstep(t / ramp))
-
-    def chi2(t: float) -> float:
-        return math.sin(0.5 * math.pi * smoothstep(t / ramp))
-
-    return chi1, chi2
-
-
-@dataclass(frozen=True)
-class GluedProblem:
-    left: PotentialPath
-    right: PotentialPath
-    t_cut: float
-    collar: Tuple[float, float]
-    max_collar_deviation: float
 
 
 def _check_collar(m1: PotentialPath, m2: PotentialPath, t_cut, halfwidth,
@@ -170,14 +145,7 @@ def verify_additivity(m1: PotentialPath, m2: PotentialPath, t_cut: float,
     indices = []
     sf_ok = True
     for p in (m1, m2, m3, m4):
-        if grid is None:
-            g = dirac1d.GridSpec.auto(p)
-        elif callable(grid):
-            g = grid(p)
-        else:
-            g = grid
-        rep = dirac1d.index_report(dirac1d.assemble(p, g, "aps", lam, tol),
-                                   tol, refine_check=refine_check)
+        rep = dirac1d.path_index_report(p, grid, lam, tol, refine_check)
         ident = endpoint_identity(p, tol=tol)
         sf_ok = sf_ok and ident.passed and ident.endpoint_rel_index == rep.index
         indices.append(rep.index)
@@ -205,17 +173,6 @@ def _ramp_gap_check(path, lo, hi, tol, n_check=33):
                 f"interpolated potential loses invertibility at t={t:g} "
                 f"(gap {g:.3e}); shrink the ramp")
     return worst
-
-
-def _index_of(path, lam, grid, tol, refine_check=False):
-    if grid is None:
-        g = dirac1d.GridSpec.auto(path)
-    elif callable(grid):
-        g = grid(path)
-    else:
-        g = grid
-    return dirac1d.index_report(dirac1d.assemble(path, g, "aps", lam, tol),
-                                tol, refine_check=refine_check).index
 
 
 def cylindrical_end(path: PotentialPath, window: Tuple[float, float],
@@ -254,8 +211,8 @@ def cylindrical_end(path: PotentialPath, window: Tuple[float, float],
                         margin=None, name=f"cyl({path.name})")
     gap_r = _ramp_gap_check(out, u_hi, u_hi + ramp, tol)
     gap_l = _ramp_gap_check(out, u_lo - ramp, u_lo, tol)
-    before = _index_of(path, lam, grid, tol)
-    after = _index_of(out, lam, grid, tol)
+    before = dirac1d.path_index_report(path, grid, lam, tol, refine_check=False).index
+    after = dirac1d.path_index_report(out, grid, lam, tol, refine_check=False).index
     report = SurgeryReport(index_before=before, index_after=after,
                            min_ramp_gap=min(gap_l, gap_r),
                            passed=before == after)
@@ -289,8 +246,7 @@ def collar_flatten(path: PotentialPath, reference, collar_width: float = None,
     if hull is None:
         raise InvalidInput("path has empty support; nothing to flatten")
     a, b = hull
-    t_ref = np.asarray(reference.entries if hasattr(reference, "entries")
-                       else reference, dtype=np.complex128)
+    t_ref = as_matrix(reference)
     if spectral_gap(t_ref) < tol.proj_gap_tol:
         raise InvalidInput("reference operator must be invertible")
     if collar_width is None:
@@ -321,8 +277,8 @@ def collar_flatten(path: PotentialPath, reference, collar_width: float = None,
     collar_gaps = [spectral_gap(out.sample(t)) for t in
                    np.concatenate([np.linspace(a, a + collar_width, 17),
                                    np.linspace(b - collar_width, b, 17)])]
-    before = _index_of(path, lam, grid, tol)
-    after = _index_of(out, lam, grid, tol)
+    before = dirac1d.path_index_report(path, grid, lam, tol, refine_check=False).index
+    after = dirac1d.path_index_report(out, grid, lam, tol, refine_check=False).index
     report = SurgeryReport(index_before=before, index_after=after,
                            min_ramp_gap=min(collar_gaps),
                            passed=before == after)

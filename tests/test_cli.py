@@ -1,0 +1,87 @@
+"""Batch entry point: exit codes, byte-stable reports, and check records
+that keep their name and anchor when a check is skipped or fails."""
+
+import json
+
+import pytest
+
+from diracflow import cli, relindex
+from diracflow.errors import ConfigError, HypothesisUnmet, TheoremViolation
+from diracflow.reporting import CheckRecord
+
+SMALL = {"scenario": "relind", "seeds": [1], "params": {"trials": 4, "dim": 4}}
+# floats in lhs/rhs/residual, so byte stability is not trivial
+WITH_FLOATS = {"scenario": "appendix", "seeds": [2],
+               "params": {"trials": 3, "a4_eps": [0.1], "quad_nodes": 64}}
+
+
+def run_main(tmp_path, config, out="out"):
+    path = tmp_path / "config.json"
+    path.write_text(config if isinstance(config, str) else json.dumps(config))
+    return cli.main(["run", "--config", str(path), "--out", str(tmp_path / out)])
+
+
+def records_of(config):
+    return cli.run(cli.parse_config(json.dumps(config))).records
+
+
+class TestExitCodes:
+    def test_passing_config_exits_0(self, tmp_path):
+        assert run_main(tmp_path, SMALL) == 0
+        assert (tmp_path / "out" / "report.csv").is_file()
+        assert (tmp_path / "out" / "report.json").is_file()
+
+    @pytest.mark.parametrize("text", [
+        '{"scenario": "relind",',
+        '["relind"]',
+        '{"scenario": "relind", "colour": "blue"}',
+        '{"scenario": "relind", "params": {"trials": 4, "depth": 2}}',
+        '{"scenario": "nope"}',
+    ])
+    def test_invalid_config_exits_2(self, tmp_path, text, capsys):
+        assert run_main(tmp_path, text) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("grid", ["auto", {"length": 8.0, "n_cells": 160}])
+    def test_grid_key_is_unknown(self, tmp_path, grid, capsys):
+        config = dict(SMALL, grid=grid)
+        with pytest.raises(ConfigError) as info:
+            cli.parse_config(json.dumps(config))
+        assert info.value.field == "grid"
+        assert run_main(tmp_path, config) == 2
+        assert "(field: grid)" in capsys.readouterr().err
+
+    def test_failing_record_exits_1(self, tmp_path, monkeypatch):
+        failing = CheckRecord(name="forced", anchor="a failing record",
+                              lhs=1, rhs=2, passed=False)
+        monkeypatch.setitem(cli._RUNNERS, "relind", lambda cfg: ([failing], None))
+        assert run_main(tmp_path, SMALL) == 1
+        assert '"pass": "false"' in (tmp_path / "out" / "report.json").read_text()
+
+
+def test_rerun_is_byte_identical(tmp_path):
+    assert run_main(tmp_path, WITH_FLOATS, out="first") == 0
+    assert run_main(tmp_path, WITH_FLOATS, out="second") == 0
+    for name in ("report.csv", "report.json"):
+        first = (tmp_path / "first" / name).read_bytes()
+        assert first == (tmp_path / "second" / name).read_bytes()
+    assert b"quadrature[64]" in first
+
+
+@pytest.mark.parametrize("exc, outcome", [(HypothesisUnmet, "skip"),
+                                          (TheoremViolation, "false")])
+def test_skip_and_fail_keep_name_and_anchor(monkeypatch, exc, outcome):
+    passing = records_of(SMALL)
+
+    def broken(*args, **kwargs):
+        raise exc("forced")
+
+    for name in ("check_additivity", "homotopy_constancy", "rel_index_restricted"):
+        monkeypatch.setattr(relindex, name, broken)
+    guarded = records_of(SMALL)
+    assert [r.outcome for r in passing] == ["true"] * 3
+    assert [r.outcome for r in guarded] == [outcome] * 3
+    assert [(r.name, r.anchor) for r in guarded] == \
+        [(r.name, r.anchor) for r in passing]
+    assert passing[0].name == "additivity[4]"

@@ -35,6 +35,9 @@ class TestHermitianOperator:
         h = HermitianOperator(a)
         assert np.allclose(h.entries, h.entries.conj().T)
         assert h.herm_residual > 0.1
+        # Frobenius norms: an upper bound of the spectral ones, without an SVD
+        frobenius = np.linalg.norm(a - a.conj().T) / max(1.0, np.linalg.norm(a))
+        assert h.herm_residual == frobenius
 
     def test_hermitian_input_has_tiny_residual(self):
         h = HermitianOperator(random_hermitian(0, 5))
