@@ -51,7 +51,6 @@ from .opcore import (
     tower_instantiate,
 )
 from .relindex import (
-    ProjectionPair,
     check_additivity,
     homotopy_constancy,
     rel_index,

@@ -69,17 +69,15 @@ class Hypersurface:
             raise InvalidInput("gamma entries must be -1 or +1")
 
 
-def hypersurface_of(path: PotentialPath, tol: Tolerances = DEFAULT_TOL) -> Hypersurface:
+def hypersurface_of(path: PotentialPath) -> Hypersurface:
     """Boundary of the declared support set, signed by the outward normal:
     -1 at left endpoints of the intervals of K, +1 at right endpoints.
-    The potential must be invertible at every boundary point."""
+    Invertibility at the points is checked where their projections are
+    taken."""
     points, gamma = [], []
     for (a, b) in path.support:
         points.extend((a, b))
         gamma.extend((-1, +1))
-    for y in points:
-        if spectral_gap(path.sample(y)) < tol.proj_gap_tol:
-            raise NotInvertible(f"potential not invertible at boundary point {y:g}")
     return Hypersurface(points=tuple(points), gamma=tuple(gamma))
 
 
@@ -116,19 +114,34 @@ def _resolve_reference(reference, k: int) -> np.ndarray:
     return (mat + mat.conj().T) / 2.0
 
 
-def _scalar_rhs(path: PotentialPath, surface: Hypersurface, reference,
-                tol: Tolerances) -> int:
-    if not surface.points:
-        return 0
-    t_ref = _resolve_reference(reference, path.k)
-    if spectral_gap(t_ref) < tol.proj_gap_tol:
-        raise NotInvertible("reference operator is not invertible")
-    p_ref = positive_projection(t_ref, tol.proj_gap_tol, tol)
-    total = 0
-    for y, g in zip(surface.points, surface.gamma):
-        p_y = positive_projection(path.sample(y), tol.proj_gap_tol, tol)
-        total += g * rel_index(p_y, p_ref, tol)
-    return total
+def _boundary(path: PotentialPath, tol: Tolerances, surface=None):
+    """(surface, projections): ``surface`` (by default the boundary of the
+    support set) and P_+(S(y)) at each of its points y, each taken once."""
+    if surface is None:
+        surface = hypersurface_of(path)
+    projections = []
+    for y in surface.points:
+        try:
+            projections.append(
+                positive_projection(path.sample(y), tol.proj_gap_tol, tol))
+        except NotInvertible as exc:
+            raise NotInvertible(
+                f"potential not invertible at boundary point {y:g}") from exc
+    return surface, tuple(projections)
+
+
+def _pairing_terms(path: PotentialPath, surface: Hypersurface, projections,
+                   reference, tol: Tolerances) -> tuple:
+    """gamma(y) * rel-ind(P_+(S(y)), P_+(T)) for each boundary point y."""
+    if not projections:
+        return ()
+    try:
+        p_ref = positive_projection(_resolve_reference(reference, path.k),
+                                    tol.proj_gap_tol, tol)
+    except NotInvertible as exc:
+        raise NotInvertible("reference operator is not invertible") from exc
+    return tuple(g * rel_index(p_y, p_ref, tol)
+                 for p_y, g in zip(projections, surface.gamma))
 
 
 def rhs_pairing(path_or_family, surface=None, reference=-1.0,
@@ -140,17 +153,14 @@ def rhs_pairing(path_or_family, surface=None, reference=-1.0,
     ``surface`` defaults to the boundary of the declared support set.
     """
     if isinstance(path_or_family, FiberedFamily):
-        return tuple(
-            _scalar_rhs(p, surface if surface is not None else hypersurface_of(p, tol),
-                        reference, tol)
-            for p in path_or_family.paths)
+        return tuple(rhs_pairing(p, surface, reference, tol)
+                     for p in path_or_family.paths)
     path = path_or_family
-    if surface is None:
-        surface = hypersurface_of(path, tol)
-    return _scalar_rhs(path, surface, reference, tol)
+    surface, projections = _boundary(path, tol, surface)
+    return sum(_pairing_terms(path, surface, projections, reference, tol))
 
 
-def _scalar_lhs(path: PotentialPath, lam, grid, tol, method, refine_check):
+def _scalar_lhs(path: PotentialPath, lam, grid, tol, method):
     """Index of the assembled operator, cross-checked against the endpoint
     identity of the spectral-flow module when method == "both"."""
     if method not in ("pde", "sf", "both"):
@@ -164,7 +174,7 @@ def _scalar_lhs(path: PotentialPath, lam, grid, tol, method, refine_check):
         sf_value = ident.endpoint_rel_index
     if method == "sf":
         return sf_value
-    rep = dirac1d.path_index_report(path, grid, lam, tol, refine_check)
+    rep = dirac1d.path_index_report(path, grid, lam, tol, refine_check=False)
     if sf_value is not None and sf_value != rep.index:
         raise TheoremViolation(
             f"assembled index {rep.index} != spectral flow {sf_value} "
@@ -182,8 +192,7 @@ class CalliasReport:
 
 
 def callias_check(path_or_family, lam: float = 1.0, reference=-1.0,
-                  reference_alt=None, grid=None,
-                  lhs_method: str = "both", refine_check: bool = False,
+                  reference_alt=None, grid=None, lhs_method: str = "both",
                   tol: Tolerances = DEFAULT_TOL) -> CalliasReport:
     """Assert index == hypersurface pairing, including reference independence.
 
@@ -194,32 +203,27 @@ def callias_check(path_or_family, lam: float = 1.0, reference=-1.0,
     """
     fibered = isinstance(path_or_family, FiberedFamily)
     paths = path_or_family.paths if fibered else (path_or_family,)
+    boundaries = [_boundary(p, tol) for p in paths]
+    return _pairing_report(paths, boundaries, fibered, lam, reference,
+                           reference_alt, grid, lhs_method, tol)
 
-    def alt_for(ref, k):
-        if reference_alt is not None:
-            return _resolve_reference(reference_alt, k)
-        return -_resolve_reference(ref, k)
 
+def _pairing_report(paths, boundaries, fibered, lam, reference, reference_alt,
+                    grid, lhs_method, tol) -> CalliasReport:
+    """The CalliasReport of ``paths`` from their boundary projections."""
     lhs, rhs, rhs2, per_point = [], [], [], []
-    for p in paths:
-        surface = hypersurface_of(p, tol)
-        lhs.append(_scalar_lhs(p, lam, grid, tol, lhs_method, refine_check))
-        rhs.append(_scalar_rhs(p, surface, reference, tol))
-        rhs2.append(_scalar_rhs(p, surface, alt_for(reference, p.k), tol))
-        ref_mat = _resolve_reference(reference, p.k)
-        p_ref = positive_projection(ref_mat, tol.proj_gap_tol, tol)
-        per_point.append(tuple(
-            g * rel_index(positive_projection(p.sample(y), tol.proj_gap_tol, tol),
-                          p_ref, tol)
-            for y, g in zip(surface.points, surface.gamma)))
-    if fibered:
-        report = CalliasReport(lhs=tuple(lhs), rhs=tuple(rhs), rhs_alt=tuple(rhs2),
-                               per_point=tuple(per_point),
-                               passed=tuple(lhs) == tuple(rhs) == tuple(rhs2))
-    else:
-        report = CalliasReport(lhs=lhs[0], rhs=rhs[0], rhs_alt=rhs2[0],
-                               per_point=per_point[0],
-                               passed=lhs[0] == rhs[0] == rhs2[0])
+    for p, (surface, projections) in zip(paths, boundaries):
+        lhs.append(_scalar_lhs(p, lam, grid, tol, lhs_method))
+        alt = reference_alt if reference_alt is not None \
+            else -_resolve_reference(reference, p.k)
+        terms = _pairing_terms(p, surface, projections, reference, tol)
+        per_point.append(terms)
+        rhs.append(sum(terms))
+        rhs2.append(sum(_pairing_terms(p, surface, projections, alt, tol)))
+    pick = tuple if fibered else (lambda values: values[0])
+    lhs, rhs, rhs2 = pick(lhs), pick(rhs), pick(rhs2)
+    report = CalliasReport(lhs=lhs, rhs=rhs, rhs_alt=rhs2,
+                           per_point=pick(per_point), passed=lhs == rhs == rhs2)
     if not report.passed:
         exc = TheoremViolation(
             f"hypersurface pairing mismatch: lhs={report.lhs} rhs={report.rhs} "
@@ -242,13 +246,9 @@ def ran_projection_pairing(path_or_family, surface=None,
         return tuple(ran_projection_pairing(p, None, tol)
                      for p in path_or_family.paths)
     path = path_or_family
-    if surface is None:
-        surface = hypersurface_of(path, tol)
-    total = 0
-    for y, g in zip(surface.points, surface.gamma):
-        p_y = positive_projection(path.sample(y), tol.proj_gap_tol, tol)
-        total += g * p_y.rank()
-    against_minus_one = _scalar_rhs(path, surface, -1.0, tol)
+    surface, projections = _boundary(path, tol, surface)
+    total = sum(g * p_y.rank() for p_y, g in zip(projections, surface.gamma))
+    against_minus_one = sum(_pairing_terms(path, surface, projections, -1.0, tol))
     if total != against_minus_one:
         raise TheoremViolation(
             f"rank pairing {total} != relative-index pairing {against_minus_one}")
@@ -382,17 +382,18 @@ def tower_callias(family_builder: Callable[[int], FiberedFamily],
         pi_scaled = _tail_projector(n, n // 2)
         worst_pre, worst_tail = 0.0, 0.0
         p_ref = positive_projection(t_ref, tol.proj_gap_tol, tol)
+        boundaries = []
         for p in family.paths:
             if p.k != n:
                 raise InvalidInput("fiber dim must equal the tower dim")
-            surface = hypersurface_of(p, tol)
-            for y in surface.points:
+            surface, projections = _boundary(p, tol)
+            boundaries.append((surface, projections))
+            for y, p_y in zip(surface.points, projections):
                 diff = p.sample(y) - t_ref
                 for sign in (1j, -1j):
                     resolvent = np.linalg.solve((t_ref + sign * eye).conj().T,
                                                 pi_fixed).conj().T
                     worst_pre = max(worst_pre, spectral_norm(diff @ resolvent))
-                p_y = positive_projection(p.sample(y), tol.proj_gap_tol, tol)
                 worst_tail = max(worst_tail, spectral_norm(
                     (p_y.entries - p_ref.entries) @ pi_scaled))
         if worst_pre > tail_bound:
@@ -400,10 +401,9 @@ def tower_callias(family_builder: Callable[[int], FiberedFamily],
                 f"tail precondition fails at dim {n}: resolvent tail "
                 f"{worst_pre:.3e} > {tail_bound:.1e}")
         method = "both" if pos == 0 else "sf"
-        rep = callias_check(family, lam=lam,
-                            reference=reference_template(n),
-                            grid=base_grid if pos == 0 else None,
-                            lhs_method=method, tol=tol)
+        rep = _pairing_report(family.paths, boundaries, True, lam,
+                              reference_template(n), None,
+                              base_grid if pos == 0 else None, method, tol)
         integers.append(rep.lhs)
         tails.append(worst_tail)
         pre_norms.append(worst_pre)

@@ -209,13 +209,11 @@ def _aps_operator(path, grid, lam, tol):
     s_mid = np.stack([path.sample(m) for m in grid.midpoints()])
     cell_a = (1j / h) * eye - (0.5j * lam) * s_mid
     cell_b = (-1j / h) * eye - (0.5j * lam) * s_mid
-    s_left = path.sample(nodes[0])
-    s_right = path.sample(nodes[-1])
-    for s, label in ((s_left, "left"), (s_right, "right")):
-        if spectral_gap(s) < tol.proj_gap_tol:
+    wl, vl = eigh(path.sample(nodes[0]), tol)
+    wr, vr = eigh(path.sample(nodes[-1]), tol)
+    for w, label in ((wl, "left"), (wr, "right")):
+        if float(np.abs(w).min()) < tol.proj_gap_tol:
             raise NotInvertible(f"potential not invertible at the {label} endpoint")
-    wl, vl = eigh(s_left, tol)
-    wr, vr = eigh(s_right, tol)
     return DiscretizedDiracSchroedinger(
         bc="aps", grid=grid, path=path, lam=lam,
         left_basis=vl[:, wl < 0.0],      # P_+(S(-L)) psi(-L) = 0
@@ -775,12 +773,11 @@ class SweepReport:
 
 
 def lambda_sweep(path: PotentialPath, lams, grid: Optional[GridSpec] = None,
-                 tol: Tolerances = DEFAULT_TOL,
-                 refine_check: bool = False) -> SweepReport:
+                 tol: Tolerances = DEFAULT_TOL) -> SweepReport:
     """Index of the APS assembly across a list of couplings; the integers
     must all coincide."""
     grid = _resolve_grid(grid, path)
-    indices = [path_index_report(path, grid, float(lam), tol, refine_check).index
+    indices = [path_index_report(path, grid, float(lam), tol, refine_check=False).index
                for lam in lams]
     return SweepReport(lams=tuple(float(x) for x in lams),
                        indices=tuple(indices),
@@ -796,13 +793,12 @@ class PerturbationReport:
 
 def perturbation_invariance(path: PotentialPath, perturbed: PotentialPath,
                             lam: float = 1.0, grid: Optional[GridSpec] = None,
-                            tol: Tolerances = DEFAULT_TOL,
-                            refine_check: bool = False) -> PerturbationReport:
+                            tol: Tolerances = DEFAULT_TOL) -> PerturbationReport:
     """Exact index equality between a path and a compactly supported
     symmetric perturbation of it (the perturbation must vanish outside the
     support set, which the caller guarantees by construction)."""
     grid = _resolve_grid(grid, path)
-    base = path_index_report(path, grid, lam, tol, refine_check)
-    pert = path_index_report(perturbed, grid, lam, tol, refine_check)
+    base = path_index_report(path, grid, lam, tol, refine_check=False)
+    pert = path_index_report(perturbed, grid, lam, tol, refine_check=False)
     return PerturbationReport(base_index=base.index, perturbed_index=pert.index,
                               passed=base.index == pert.index)

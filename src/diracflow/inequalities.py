@@ -61,9 +61,8 @@ __all__ = [
 
 @dataclass(frozen=True)
 class RandomSpec:
-    """Deterministic recipe for a random Hermitian operator.
+    """Deterministic recipe for a dense random Hermitian operator.
 
-    structure: "dense", ("finite-rank", r), or ("banded-decay", rate).
     Identical seed and spec reproduce the operator bitwise within one
     process (plain numpy reductions, fixed call order).
     """
@@ -71,7 +70,6 @@ class RandomSpec:
     seed: int
     dim: int
     envelope: Tuple[float, float] = (-1.0, 1.0)
-    structure: object = "dense"
 
     def __post_init__(self):
         if self.dim <= 0:
@@ -92,27 +90,9 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 def random_hermitian(spec: RandomSpec) -> HermitianOperator:
     """Seeded random Hermitian operator with eigenvalues in the envelope."""
     rng = np.random.default_rng(spec.seed)
-    lo, hi = spec.envelope
-    if spec.structure == "dense":
-        u = random_unitary(rng, spec.dim)
-        w = rng.uniform(lo, hi, size=spec.dim)
-        return HermitianOperator((u * w) @ u.conj().T)
-    kind = spec.structure[0]
-    if kind == "finite-rank":
-        r = int(spec.structure[1])
-        u = random_unitary(rng, spec.dim)
-        w = np.zeros(spec.dim)
-        w[:r] = rng.uniform(lo, hi, size=r)
-        return HermitianOperator((u * w) @ u.conj().T)
-    if kind == "banded-decay":
-        rate = float(spec.structure[1])
-        a = rng.standard_normal((spec.dim, spec.dim)) \
-            + 1j * rng.standard_normal((spec.dim, spec.dim))
-        i = np.arange(spec.dim)
-        mask = np.exp(-rate * np.abs(i[:, None] - i[None, :]))
-        scale = max(abs(lo), abs(hi))
-        return HermitianOperator(scale * mask * (a + a.conj().T) / 2.0)
-    raise InvalidInput(f"unknown structure {spec.structure!r}")
+    u = random_unitary(rng, spec.dim)
+    w = rng.uniform(*spec.envelope, size=spec.dim)
+    return HermitianOperator((u * w) @ u.conj().T)
 
 
 # ---------------------------------------------------------------------------

@@ -89,6 +89,14 @@ def as_matrix(x) -> np.ndarray:
     return a
 
 
+def _hermitised(h) -> np.ndarray:
+    """(A + A*)/2 of the finite-checked matrix A behind ``h``.  Exact on an
+    already hermitised A, so a HermitianOperator passes through unchanged."""
+    a = as_matrix(h)
+    _check_finite(a, "operator")
+    return (a + a.conj().T) / 2.0
+
+
 class HermitianOperator:
     """A dense complex square matrix certified Hermitian.
 
@@ -102,10 +110,9 @@ class HermitianOperator:
 
     def __init__(self, entries):
         a = as_matrix(entries)
-        _check_finite(a, "operator")
+        self.entries = _hermitised(a)
         scale = max(1.0, float(np.linalg.norm(a)))
         self.herm_residual = float(np.linalg.norm(a - a.conj().T)) / scale
-        self.entries = (a + a.conj().T) / 2.0
         self.dim = a.shape[0]
 
     def __repr__(self):
@@ -159,12 +166,11 @@ def eigh(h, tol: Tolerances = DEFAULT_TOL):
     max(1, max |w|) and the unitarity defect ||V* V - 1||_F are checked
     against ``tol.eig_tol``.
     """
-    hop = as_hermitian(h)
-    a = hop.entries
+    a = _hermitised(h)
     w, v = np.linalg.eigh(a)
     scale = max(1.0, float(np.abs(w).max()) if w.size else 1.0)
     resid = float(np.linalg.norm(a @ v - v * w)) / scale
-    unit = float(np.linalg.norm(v.conj().T @ v - np.eye(hop.dim)))
+    unit = float(np.linalg.norm(v.conj().T @ v - np.eye(a.shape[0])))
     if resid > tol.eig_tol or unit > tol.eig_tol:
         raise InvalidInput(
             f"eigendecomposition residual {resid:.3e} / unitarity {unit:.3e} "
@@ -399,13 +405,8 @@ def spectral_norm(m) -> float:
 
 
 def spectral_gap(h) -> float:
-    """min |eigenvalue| of a Hermitian operator (0 for the empty matrix).
-
-    The input is hermitised as HermitianOperator does, without the two
-    spectral norms of its residual."""
-    a = as_matrix(h)
-    _check_finite(a, "operator")
-    w = np.linalg.eigvalsh((a + a.conj().T) / 2.0)
+    """min |eigenvalue| of a Hermitian operator (0 for the empty matrix)."""
+    w = np.linalg.eigvalsh(_hermitised(h))
     return float(np.abs(w).min()) if w.size else 0.0
 
 

@@ -19,7 +19,6 @@ from .errors import InvalidInput, NonIntegerTrace, PathTooCoarse
 from .opcore import DEFAULT_TOL, Projection, Tolerances, eigh, null_space
 
 __all__ = [
-    "ProjectionPair",
     "rel_index",
     "rel_index_restricted",
     "rel_index_odd_power",
@@ -30,36 +29,26 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ProjectionPair:
-    P: Projection
-    Q: Projection
-    diff_norm: float = None
-
-    def __post_init__(self):
-        if self.P.dim != self.Q.dim:
-            raise InvalidInput(
-                f"projection dims differ: {self.P.dim} vs {self.Q.dim}")
-        object.__setattr__(
-            self, "diff_norm",
-            float(np.linalg.norm(self.P.entries - self.Q.entries, 2)))
+def _projection(x) -> Projection:
+    return x if isinstance(x, Projection) else Projection(x)
 
 
-def _as_pair(p, q=None) -> ProjectionPair:
-    if isinstance(p, ProjectionPair):
-        return p
-    return ProjectionPair(p if isinstance(p, Projection) else Projection(p),
-                          q if isinstance(q, Projection) else Projection(q))
+def _pair(p, q):
+    """(P, Q) as Projections on one space; a Projection passes through."""
+    p, q = _projection(p), _projection(q)
+    if p.dim != q.dim:
+        raise InvalidInput(f"projection dims differ: {p.dim} vs {q.dim}")
+    return p, q
 
 
-def rel_index(p, q=None, tol: Tolerances = DEFAULT_TOL) -> int:
+def rel_index(p, q, tol: Tolerances = DEFAULT_TOL) -> int:
     """Relative index of (P, Q) via the trace formula round(tr(P - Q)).
 
     Raises NonIntegerTrace when the trace sits further than
     ``tol.integer_residual_tol`` from the nearest integer.
     """
-    pair = _as_pair(p, q)
-    t = float(np.trace(pair.P.entries - pair.Q.entries).real)
+    p, q = _pair(p, q)
+    t = float(np.trace(p.entries - q.entries).real)
     r = int(round(t))
     if abs(t - r) > tol.integer_residual_tol:
         raise NonIntegerTrace(
@@ -72,30 +61,30 @@ def _range_basis(p: Projection, tol: Tolerances) -> np.ndarray:
     return v[:, w > 0.5]
 
 
-def rel_index_restricted(p, q=None, tol: Tolerances = DEFAULT_TOL) -> int:
+def rel_index_restricted(p, q, tol: Tolerances = DEFAULT_TOL) -> int:
     """Index of Q: Ran(P) -> Ran(Q) computed explicitly from the restricted
     matrix (dim ker minus dim coker via SVD).  Cross-check for `rel_index`."""
-    pair = _as_pair(p, q)
-    bp = _range_basis(pair.P, tol)
-    bq = _range_basis(pair.Q, tol)
+    p, q = _pair(p, q)
+    bp = _range_basis(p, tol)
+    bq = _range_basis(q, tol)
     # matrix of psi -> Q psi in the orthonormal bases of Ran P and Ran Q
-    m = bq.conj().T @ (pair.Q.entries @ bp)
+    m = bq.conj().T @ (q.entries @ bp)
     ker = null_space(m, tol, want_basis=False).dim
     coker = null_space(m.conj().T, tol, want_basis=False).dim
     return ker - coker
 
 
-def rel_index_odd_power(p, q=None, m: int = 1, tol: Tolerances = DEFAULT_TOL) -> float:
+def rel_index_odd_power(p, q, m: int = 1, tol: Tolerances = DEFAULT_TOL) -> float:
     """tr((P - Q)^(2m+1)).
 
     For differences whose spectrum lies in {-1, 0, +1} the value is
     independent of m and equals the relative index; comparing m = 0, 1, 2
     is a cheap degradation diagnostic.
     """
-    pair = _as_pair(p, q)
+    p, q = _pair(p, q)
     if m < 0:
         raise InvalidInput("m must be a nonnegative integer")
-    d = pair.P.entries - pair.Q.entries
+    d = p.entries - q.entries
     acc = d.copy()
     for _ in range(2 * m):
         acc = acc @ d
@@ -112,6 +101,7 @@ class AdditivityReport:
 
 def check_additivity(p, q, r, tol: Tolerances = DEFAULT_TOL) -> AdditivityReport:
     """Verify rel-ind(P, R) = rel-ind(P, Q) + rel-ind(Q, R) exactly."""
+    p, q, r = _projection(p), _projection(q), _projection(r)
     i_pr = rel_index(p, r, tol)
     i_pq = rel_index(p, q, tol)
     i_qr = rel_index(q, r, tol)
@@ -138,8 +128,8 @@ def homotopy_constancy(p_path: Sequence, q_path: Sequence,
     ``q_path`` is constantly equal to P_0, the vanishing of
     rel_index(P_0, P_i) is verified as well.
     """
-    ps = [x if isinstance(x, Projection) else Projection(x) for x in p_path]
-    qs = [x if isinstance(x, Projection) else Projection(x) for x in q_path]
+    ps = [_projection(x) for x in p_path]
+    qs = [_projection(x) for x in q_path]
     if len(ps) != len(qs) or len(ps) == 0:
         raise InvalidInput("paths must be nonempty and sampled on a common grid")
     max_step = 0.0

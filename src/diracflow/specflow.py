@@ -47,7 +47,6 @@ __all__ = [
     "TrivialisingFamily",
     "sf_crossings",
     "sf_partition",
-    "PartitionReport",
     "make_trivialising_endpoint",
     "make_trivialising_gapshift",
     "ind_triple",
@@ -109,6 +108,7 @@ class PotentialPath:
         self.support = _normalize_support(support)
         self.margin = margin
         self.name = name
+        self._least_gap = None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -150,13 +150,14 @@ class PotentialPath:
 
     def least_gap_outside(self) -> Tuple[Optional[float], float]:
         """(t, gap): the grid sample outside K with the smallest spectral
-        gap, and that gap; (None, inf) when every sample lies in K."""
-        gaps = [(spectral_gap(self.sample(t)), float(t)) for t in self.grid
-                if not self.in_support(t)]
-        if not gaps:
-            return None, float("inf")
-        gap, t = min(gaps)
-        return t, gap
+        gap, and that gap; (None, inf) when every sample lies in K.
+        Measured on the first call only: grid, sampler and K are fixed."""
+        if self._least_gap is None:
+            gaps = [(spectral_gap(self.sample(t)), float(t)) for t in self.grid
+                    if not self.in_support(t)]
+            gap, t = min(gaps) if gaps else (float("inf"), None)
+            self._least_gap = (t, gap)
+        return self._least_gap
 
     def validate(self, tol: Tolerances = DEFAULT_TOL):
         """Check the declared invariants on the grid: Hermitian samples and
@@ -195,25 +196,25 @@ def _match_columns(va: np.ndarray, vb: np.ndarray) -> Optional[List[int]]:
 
     Returns perm with perm[i] = column of ``vb`` continuing column i of
     ``va``, or None when some assignment is ambiguous (two candidate
-    overlaps within 0.1 of each other).
+    overlaps within 0.1 of each other).  Each step takes the largest
+    overlap among unmatched rows and columns, the first in row-major order
+    on a tie, and compares it with the rest of its row.
     """
-    o = np.abs(va.conj().T @ vb)
-    kk = o.shape[0]
-    order = sorted(((float(o[i, j]), i, j) for i in range(kk) for j in range(kk)),
-                   key=lambda x: (-x[0], x[1], x[2]))
+    free = np.abs(va.conj().T @ vb)
+    kk = free.shape[0]
     perm = [-1] * kk
-    used_cols = [False] * kk
-    assigned_rows = [False] * kk
-    for val, i, j in order:
-        if assigned_rows[i] or used_cols[j]:
-            continue
-        alts = [float(o[i, jj]) for jj in range(kk)
-                if jj != j and not used_cols[jj]]
-        if alts and val - max(alts) < _AMBIGUITY_MARGIN:
+    for _ in range(kk):
+        i, j = divmod(int(free.argmax()), kk)
+        row = free[i]
+        val = row[j]
+        row[j] = -1.0
+        # matched rows and columns read -1 (overlaps are >= 0), so a row
+        # with no other unmatched column is never ambiguous
+        if val - row.max() < _AMBIGUITY_MARGIN:
             return None
         perm[i] = j
-        assigned_rows[i] = True
-        used_cols[j] = True
+        row.fill(-1.0)
+        free[:, j] = -1.0
     return perm
 
 
@@ -247,8 +248,9 @@ def _refine_chain(path, a: _Sample, b: _Sample, tol, depth, max_depth):
 
 def _tracked_branches(path: PotentialPath, tol: Tolerances, max_depth=24):
     """Eigendecompose the path on its (refined) grid and return
-    (times, values) with values[b][j] the eigenvalue of branch b at
-    sample j.  Branch b starts as the b-th ascending eigenvalue at t_0."""
+    (times, values, samples, columns): values[b][j] is the eigenvalue of
+    branch b at sample j and columns[b][j] the column of its eigenvector in
+    samples[j].v.  Branch b starts as the b-th ascending eigenvalue at t_0."""
     base = [_eig_sample(path, t, tol) for t in path.grid]
     samples = [base[0]]
     perms = []
@@ -256,21 +258,20 @@ def _tracked_branches(path: PotentialPath, tol: Tolerances, max_depth=24):
         seg, seg_perms = _refine_chain(path, base[i], base[i + 1], tol, 0, max_depth)
         samples.extend(seg)
         perms.extend(seg_perms)
-    kk = path.k
-    idx = list(range(kk))
-    values = [[float(samples[0].w[b])] for b in range(kk)]
-    for j, perm in enumerate(perms):
+    idx = list(range(path.k))
+    columns = [idx]
+    for perm in perms:
         idx = [perm[i] for i in idx]
-        for b in range(kk):
-            values[b].append(float(samples[j + 1].w[idx[b]]))
-    times = [s.t for s in samples]
-    return times, values, samples
+        columns.append(idx)
+    columns = [list(col) for col in zip(*columns)]
+    values = [[float(s.w[c]) for s, c in zip(samples, col)] for col in columns]
+    return [s.t for s in samples], values, samples, columns
 
 
 def branch_curves(path: PotentialPath, tol: Tolerances = DEFAULT_TOL):
     """Eigenvalue branches tracked along the path: (times, values) with
     values[b][j] the branch-b eigenvalue at times[j].  For plotting."""
-    times, values, _ = _tracked_branches(path, tol)
+    times, values, _, _ = _tracked_branches(path, tol)
     return times, values
 
 
@@ -336,7 +337,7 @@ def sf_crossings(path: PotentialPath, crossing_tol: float = 1e-8,
     for hend, label in ((path.start(), "start"), (path.end(), "end")):
         if spectral_gap(hend) < tol.proj_gap_tol:
             raise NotInvertible(f"path {label} point is not invertible")
-    times, values, _ = _tracked_branches(path, tol)
+    times, values, samples, columns = _tracked_branches(path, tol)
     n = len(times)
     crossings = []
     for b in range(path.k):
@@ -354,11 +355,8 @@ def sf_crossings(path: PotentialPath, crossing_tol: float = 1e-8,
             if jn >= n:
                 break
             if signs[j] * signs[jn] < 0:
-                v_lo = _eig_sample(path, times[j], tol)
-                # pick the branch eigenvector at the left window end
-                bcol = int(np.argmin(np.abs(v_lo.w - xs[j])))
                 t_star, depth = _bisect_branch_zero(
-                    path, times[j], xs[j], v_lo.v[:, bcol],
+                    path, times[j], xs[j], samples[j].v[:, columns[b][j]],
                     times[jn], xs[jn], crossing_tol, tol)
                 crossings.append(Crossing(t=t_star, branch=b,
                                           slope_sign=signs[jn], depth=depth))
@@ -475,17 +473,8 @@ def _piece_level(spectra, steps, pgt: float) -> Optional[float]:
     return best
 
 
-@dataclass(frozen=True)
-class PartitionReport:
-    value: int
-    junctions: tuple
-    levels: tuple
-    refined_value: Optional[int]
-
-
 def sf_partition(path: PotentialPath, tol: Tolerances = DEFAULT_TOL,
-                 n_chunks: int = 6, verify_refinement: bool = True,
-                 _return_report: bool = False):
+                 n_chunks: int = 6) -> int:
     """Spectral flow via the partition definition with scalar level shifts.
 
     The grid is split into contiguous chunks; per chunk a gap level ``a``
@@ -518,25 +507,14 @@ def sf_partition(path: PotentialPath, tol: Tolerances = DEFAULT_TOL,
         return levels_for(i0, mid, depth + 1) + levels_for(mid, i1, depth + 1)
 
     def compute(chunks):
-        pieces = []
-        for (i0, i1) in chunks:
-            pieces.extend(levels_for(i0, i1))
+        pieces = [piece for (i0, i1) in chunks for piece in levels_for(i0, i1)]
         eye = np.eye(path.k, dtype=np.complex128)
         zero = np.zeros_like(eye)
-        shifts = [-a * eye for (_, _, a) in pieces]
-        total = 0
-        junctions = []
-        # ind(S(t_0), 0, B^0)
-        s = path.sample(path.grid[pieces[0][0]])
-        total += ind_triple(s, zero, shifts[0], tol)
-        for i in range(1, len(pieces)):
-            tj = path.grid[pieces[i][0]]
-            s = path.sample(tj)
-            total += ind_triple(s, shifts[i - 1], shifts[i], tol)
-            junctions.append(float(tj))
-        s = path.sample(path.grid[pieces[-1][1]])
-        total += ind_triple(s, shifts[-1], zero, tol)
-        return total, junctions, tuple(a for (_, _, a) in pieces)
+        # B = 0 before the first piece and after the last one
+        shifts = [zero] + [-a * eye for (_, _, a) in pieces] + [zero]
+        junctions = [i0 for (i0, _, _) in pieces] + [pieces[-1][1]]
+        return sum(ind_triple(path.sample(path.grid[i]), b0, b1, tol)
+                   for i, b0, b1 in zip(junctions, shifts, shifts[1:]))
 
     n = path.grid.size - 1
 
@@ -544,17 +522,12 @@ def sf_partition(path: PotentialPath, tol: Tolerances = DEFAULT_TOL,
         bounds = np.unique(np.linspace(0, n, min(m, n) + 1).astype(int))
         return list(zip(bounds[:-1], bounds[1:]))
 
-    value, junctions, levels = compute(chunking(n_chunks))
-    refined_value = None
-    if verify_refinement:
-        refined_value, _, _ = compute(chunking(2 * n_chunks))
-        if refined_value != value:
-            raise TheoremViolation(
-                f"partition spectral flow changed under refinement: "
-                f"{value} vs {refined_value}")
-    if _return_report:
-        return PartitionReport(value=value, junctions=tuple(junctions),
-                               levels=levels, refined_value=refined_value)
+    value = compute(chunking(n_chunks))
+    refined_value = compute(chunking(2 * n_chunks))
+    if refined_value != value:
+        raise TheoremViolation(
+            f"partition spectral flow changed under refinement: "
+            f"{value} vs {refined_value}")
     return value
 
 

@@ -132,8 +132,7 @@ class AdditivityIndexReport:
 def verify_additivity(m1: PotentialPath, m2: PotentialPath, t_cut: float,
                       lam: float = 1.0, collar_halfwidth: Optional[float] = None,
                       grid: Optional[dirac1d.GridSpec] = None,
-                      tol: Tolerances = DEFAULT_TOL,
-                      refine_check: bool = False) -> AdditivityIndexReport:
+                      tol: Tolerances = DEFAULT_TOL) -> AdditivityIndexReport:
     """ind(m1) + ind(m2) = ind(m3) + ind(m4), exact integers.
 
     Indices come from the APS assembly; each is cross-checked against the
@@ -145,7 +144,7 @@ def verify_additivity(m1: PotentialPath, m2: PotentialPath, t_cut: float,
     indices = []
     sf_ok = True
     for p in (m1, m2, m3, m4):
-        rep = dirac1d.path_index_report(p, grid, lam, tol, refine_check)
+        rep = dirac1d.path_index_report(p, grid, lam, tol, refine_check=False)
         ident = endpoint_identity(p, tol=tol)
         sf_ok = sf_ok and ident.passed and ident.endpoint_rel_index == rep.index
         indices.append(rep.index)
