@@ -16,14 +16,17 @@ Two discretizations serve two distinct purposes:
   and index extraction runs in O(n_cells k^3) on them.  Each cell is a
   Cayley (Crank-Nicolson) step psi_{j+1} = -B_j^{-1} A_j psi_j, so the
   kernel is a k x k problem: carry the left boundary subspace across the
-  grid with one QR per cell and test where it lands (Robbin-Salamon).
-  That count of exact kernel vectors is accepted only when block Sturm
-  counts on the Golub-Kahan matrix [[0, D], [D*, 0]] confirm that exactly
-  the implied number of singular values lies below the SVD route's cut
-  svd_gap_cap * sigma_max.  A singular value that is tiny but not zero
-  (tunnelling between two nearby crossings) lies below that cut while the
-  exact kernel misses it; then, or when some B_j is singular, the dense
-  SVD decides, as it always did.
+  grid and test where it lands (Robbin-Salamon).  The carry is a chain of
+  plain products with a QR only where the steps' condition numbers have
+  grown past a bound set by machine epsilon and svd_gap_cap.
+  That count of exact kernel vectors is accepted only when Sturm counts of
+  D's singular values confirm that exactly the implied number lies below
+  the SVD route's cut svd_gap_cap * sigma_max.  The counts come from
+  odd-even reduction of the block tridiagonal DD* - tau^2, one batched
+  eigh per round, so O(log n_cells) numpy calls per level.  A singular
+  value that is tiny but not zero (tunnelling between two nearby
+  crossings) lies below that cut while the exact kernel misses it; then,
+  or when some B_j is singular, the dense SVD decides, as it always did.
 
 * Dirichlet assembly (quadratic-form bounds).  A square central-difference
   matrix on interior nodes with the potential sampled at nodes.  Its
@@ -316,23 +319,47 @@ def _dims_from_svd(matrix, tol):
     return res.dim, dim_coker, sigma_kernel, sigma_next, res.gap_ratio, res.threshold
 
 
+# The transfer carries q through plain products between QRs.  Rounding in a
+# product of steps whose conds multiply to g reaches the weakest carried
+# direction amplified by up to g, so a principal-angle cosine drifts by about
+# eps * g before the closing QR.  The cosines are cut at svd_gap_cap, and
+# keeping g at or below 1e-3 * svd_gap_cap / eps (4.5e6 for the default cap
+# 1e-6) holds that drift a thousand times below the cut.  A tighter cap
+# than the default is still covered by the Sturm certificate, which rejects
+# any count the drift could have moved.
+_GROWTH_LIMIT = 1e-3 * DEFAULT_TOL.svd_gap_cap / np.finfo(float).eps
+
+
 def _transfer_kernel(op, tol):
     """(dim ker D, gap ratio) by Cayley transfer.
 
     Every kernel vector starts at psi_0 in Ran L and follows
-    psi_{j+1} = -B_j^{-1} A_j psi_j, so ker D is the set of starts whose
-    psi_n lies in Ran R.  The orthonormal basis L is carried along with one
-    QR per cell; the singular values of (1 - R R*) Q_n are the cosines of
-    the principal angles between Ran Q_n and Ran P_-(S(+L)), and those
-    below svd_gap_cap count as zero.  Raises LinAlgError when some B_j is
-    singular (lam * s * h / 2 = -1 for an eigenvalue s of S(m_j)).
+    psi_{j+1} = M_j psi_j with M_j = -B_j^{-1} A_j, so ker D is the set of
+    starts whose psi_n lies in Ran R.  Each M_j is the Cayley transform of
+    the Hermitian S(m_j), hence normal, and one batched SVD gives every
+    cond(M_j).  The orthonormal basis L is carried along by plain products
+    of the steps scaled to norm 1, with a QR only when the product of the
+    conds since the last QR would pass _GROWTH_LIMIT, and one at the end.
+    The singular values of (1 - R R*) Q_n are the cosines of the principal
+    angles between Ran Q_n and Ran P_-(S(+L)), and those below svd_gap_cap
+    count as zero.  Raises LinAlgError when some B_j is singular
+    (lam * s * h / 2 = -1 for an eigenvalue s of S(m_j)).
     """
     left, right = op.left_basis, op.right_basis
     if left.shape[1] == 0:
         return 0, float("inf")
-    q = left
-    for step in np.linalg.solve(op.cell_b, -op.cell_a):
-        q = np.linalg.qr(step @ q)[0]
+    steps = np.linalg.solve(op.cell_b, -op.cell_a)
+    s = np.linalg.svd(steps, compute_uv=False)
+    steps /= np.where(s[:, 0] > 0.0, s[:, 0], 1.0)[:, None, None]
+    conds = np.divide(s[:, 0], s[:, -1], out=np.full(s.shape[0], np.inf),
+                      where=s[:, -1] > 0.0)
+    q, growth = left, 1.0
+    for step, cond in zip(steps, conds):
+        # growth 1 means q is orthonormal up to scale: nothing to restore
+        if growth > 1.0 and growth * cond > _GROWTH_LIMIT:
+            q, growth = np.linalg.qr(q)[0], 1.0
+        q, growth = step @ q, growth * cond
+    q = np.linalg.qr(q)[0]
     cos = np.linalg.svd(q - right @ (right.conj().T @ q), compute_uv=False)
     if not np.all(np.isfinite(cos)):
         raise np.linalg.LinAlgError("transfer overflowed")
@@ -380,45 +407,79 @@ def _sigma_max_bracket(op):
     return lo, hi
 
 
-def _sturm_counts(diag, upper, levels):
+def _sturm_counts(cell_a, cell_b, left, right, levels):
     """Number of singular values below each of ``levels`` (all > 0) of the
-    block-bidiagonal D whose row block j holds diag[j] in column block j
-    and upper[j] in column block j + 1.
+    block-bidiagonal D whose row block j holds cell_a[j] in column block j
+    and cell_b[j] in column block j + 1, with column block 0 restricted by
+    ``left`` and column block n by ``right``: D's first block is
+    cell_a[0] @ left and its last cell_b[-1] @ right.
 
     The Golub-Kahan matrix K = [[0, D], [D*, 0]] has eigenvalues +-sigma
-    and max(rows, cols) - min(rows, cols) zeros, so
-    #(sigma < tau) = nu(K - tau) - max(rows, cols), where nu counts the
-    negative eigenvalues.  In the block order c_0, r_0, c_1, r_1, ..., c_n
-    (column and row blocks of D) K is block tridiagonal with zero diagonal
-    and couplings E = diag[j]* (c_j to r_j) and upper[j] (r_j to c_{j+1}).
-    By Sylvester's law nu is the number of negative eigenvalues of the
-    pivots of its block LDL* sweep, P_0 = -tau and
-    P_{i+1} = -tau - E_i* P_i^{-1} E_i, one O(k^3) step per block; all
-    levels share the sweep.  A pivot eigenvalue of modulus below pivmin is
-    set to -pivmin, as LAPACK's bisection (dstebz) does.
+    and max(rows, cols) - min(rows, cols) zeros, and #(sigma < tau) is its
+    count nu(K - tau) of negative eigenvalues minus max(rows, cols).  The
+    count follows from odd-even block reduction (Buzbee, Golub and Nielson
+    1970): eliminating every other block of a block tridiagonal matrix is a
+    congruence, so by Sylvester's law nu is the count over the eliminated
+    pivots plus that of the Schur complement, which is again block
+    tridiagonal.
+
+    * Round 1 eliminates every column block of K, whose pivots are all
+      -tau; that accounts for cols negative eigenvalues and leaves
+      (DD* - tau^2) / tau on the row blocks.  Scaled by tau > 0 this is
+      T = DD* - tau^2, block tridiagonal with diagonal blocks
+      a_j a_j* + b_j b_j* (the end blocks restricted by left and right)
+      and couplings b_j a_{j+1}*, so #(sigma < tau) = nu(T) -
+      max(0, rows - cols).  It is built once for all levels.
+    * Each later round eliminates the blocks 0, 2, 4, ... of T with one
+      batched eigh P = U diag(w) U* and applies each pivot inverse as
+      x = U* F and x / w to the couplings F of its two neighbours.  The
+      kept blocks 1, 3, 5, ... and their new couplings form the next T.
+      With an even block count the last block is kept with no pivot to
+      its right, which is what padding with a decoupled -1 block would
+      give after subtracting that block's k negative eigenvalues.  One
+      block is left at the end, and its eigenvalues are counted directly.
+
+    The levels are reduced one after another, each on its own copy of
+    DD* - tau^2 updated in place, so memory stays at a few copies of the
+    blocks.  A pivot eigenvalue of modulus below pivmin is set to -pivmin
+    and counts as negative, as in LAPACK's bisection (dstebz), with pivmin
+    scaled by the largest diagonal entry of DD*, which bounds every entry
+    of that positive semidefinite matrix.
     """
-    levels = np.asarray(levels, dtype=float)
-    couplings = []
-    for a, b in zip(diag, upper):
-        couplings += [a.conj().T, b]
-    rows = sum(a.shape[0] for a in diag)
-    cols = diag[0].shape[1] + sum(b.shape[1] for b in upper)
-    entries = np.concatenate([e.ravel() for e in couplings])
-    pivmin = np.finfo(float).tiny * max(1.0, float(np.abs(entries).max(initial=0.0)) ** 2)
-    shifts = {d: -levels[:, None, None] * np.eye(d)
-              for d in {diag[0].shape[1], *(e.shape[1] for e in couplings)}}
-    pivot = shifts[diag[0].shape[1]]
-    pivots = []
-    for e in couplings:
-        w, u = np.linalg.eigh(pivot)
-        w = np.where(np.abs(w) < pivmin, -pivmin, w)
-        pivots.append(w)
-        x = u.conj().swapaxes(1, 2) @ e
-        pivot = shifts[e.shape[1]] - x.conj().swapaxes(1, 2) @ (x / w[:, :, None])
-    pivots.append(np.linalg.eigvalsh(pivot))
-    # a clamped eigenvalue counts as negative
-    negative = np.sum(np.concatenate(pivots, axis=1) < pivmin, axis=1)
-    return negative - max(rows, cols)
+    n, k = cell_a.shape[0], cell_a.shape[1]
+    rows, cols = n * k, left.shape[1] + (n - 1) * k + right.shape[1]
+    first, last = cell_a[0] @ left, cell_b[-1] @ right
+    gram = cell_a @ cell_a.conj().swapaxes(1, 2)                # diagonal blocks of DD*
+    coupling = cell_b[:-1] @ cell_a[1:].conj().swapaxes(1, 2)   # block (j, j + 1)
+    gram[0] = first @ first.conj().T
+    end = gram[-1] + last @ last.conj().T
+    gram += cell_b @ cell_b.conj().swapaxes(1, 2)
+    gram[-1] = end
+    scale = float(np.abs(np.einsum("jaa->ja", gram)).max(initial=0.0))
+    pivmin = np.finfo(float).tiny * max(1.0, scale) ** 2
+    counts = []
+    for tau in np.asarray(levels, dtype=float):
+        diag, upper = gram - tau * tau * np.eye(k), coupling
+        negative = -max(0, rows - cols)
+        while diag.shape[0] > 1:
+            w, u = np.linalg.eigh(diag[0::2])
+            w = np.where(np.abs(w) < pivmin, -pivmin, w)
+            negative += int(np.sum(w < 0.0))
+            # pivot 2i meets block 2i + 1 through upper[2i] and, for i > 0,
+            # block 2i - 1 through upper[2i - 1]*; with an even count the
+            # last block is kept and has no right pivot
+            kept, to_right, to_left = diag[1::2], upper[0::2], upper[1::2]
+            x = u[:len(to_right)].conj().swapaxes(1, 2) @ to_right
+            z = to_left @ u[1:len(to_left) + 1]
+            y = x / w[:len(to_right), :, None]
+            v = z / w[1:len(to_left) + 1, None, :]
+            kept -= x.conj().swapaxes(1, 2) @ y
+            kept[:len(to_left)] -= v @ z.conj().swapaxes(1, 2)
+            diag, upper = kept, -v[:len(kept) - 1] @ x[1:]
+        # the last block's eigenvalues, a clamped one counting as negative
+        negative += int(np.sum(np.linalg.eigvalsh(diag[0]) < pivmin))
+        counts.append(negative)
+    return np.array(counts)
 
 
 def _transfer_dims(op, tol):
@@ -431,9 +492,8 @@ def _transfer_dims(op, tol):
         dim_ker, ratio = _transfer_kernel(op, tol)
         lo, hi = _sigma_max_bracket(op)
         levels = (tol.svd_gap_cap * lo, tol.svd_gap_cap * hi)
-        diag = [op.cell_a[0] @ op.left_basis, *op.cell_a[1:]]
-        upper = [*op.cell_b[:-1], op.cell_b[-1] @ op.right_basis]
-        counts = _sturm_counts(diag, upper, levels)
+        counts = _sturm_counts(op.cell_a, op.cell_b, op.left_basis,
+                               op.right_basis, levels)
     except np.linalg.LinAlgError:
         return None
     if np.any(counts != dim_ker - (cols - min(rows, cols))):

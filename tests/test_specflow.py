@@ -9,6 +9,7 @@ from diracflow.errors import (
 )
 from diracflow.inequalities import random_unitary
 from diracflow.opcore import HermitianOperator, positive_projection, spectral_gap
+from diracflow import specflow
 from diracflow.relindex import rel_index
 from diracflow.specflow import (
     PotentialPath,
@@ -48,6 +49,25 @@ class TestPotentialPath:
         p = linear_scalar_path()
         assert p.sample(5.0) == pytest.approx(p.sample(1.0))
         assert p.sample(-5.0) == pytest.approx(p.sample(0.0))
+
+    def test_least_gap_outside_matches_per_sample_gaps(self):
+        p = random_smooth_path(8, 4)
+        p = PotentialPath(4, p.grid, p.sampler, support=((0.3, 0.6),))
+        reference = min((spectral_gap(p.sample(t)), float(t)) for t in p.grid
+                        if not p.in_support(t))
+        t, gap = p.least_gap_outside()
+        assert t == reference[1] and gap == pytest.approx(reference[0], rel=1e-12)
+
+    def test_least_gap_outside_rejects_non_finite_sample(self):
+        p = PotentialPath(1, np.linspace(0, 1, 5),
+                          lambda t: np.array([[np.nan if t == 0.75 else 1.0]]))
+        with pytest.raises(InvalidInput, match="t=0.75"):
+            p.least_gap_outside()
+
+    def test_least_gap_outside_empty_when_all_in_support(self):
+        p = PotentialPath(1, np.linspace(0, 1, 5), lambda t: np.array([[t]]),
+                          support=((0.0, 1.0),))
+        assert p.least_gap_outside() == (None, float("inf"))
 
     def test_support_normalization(self):
         p = PotentialPath(1, [0, 1], lambda t: np.array([[1.0]]),
@@ -112,6 +132,16 @@ class TestCrossings:
 
 
 class TestPartition:
+    def test_grid_spectra_match_per_sample_reference(self):
+        p = random_smooth_path(5, 4)
+        spectra, steps = specflow._grid_spectra(p)
+        samples = [p.sample(t) for t in p.grid]
+        np.testing.assert_allclose(spectra, [np.linalg.eigvalsh(s) for s in samples],
+                                   rtol=0, atol=1e-13)
+        np.testing.assert_allclose(
+            steps, [np.linalg.norm(b - a, 2) for a, b in zip(samples, samples[1:])],
+            rtol=1e-12)
+
     def test_constant(self):
         assert sf_partition(constant_path(np.diag([2.0, -1.0]))) == 0
 

@@ -1,6 +1,7 @@
 """The transfer route of index_report against the dense SVD route."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from diracflow.errors import AmbiguousRank
 from diracflow.opcore import DEFAULT_TOL
 from diracflow.scenarios import callias_case, chain_path, sf_path
 from diracflow.specflow import PotentialPath, constant_path, tanh_path
+from sturm_sweep import as_cells, sweep_counts
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -174,7 +176,7 @@ class TestSturmCounts:
         # keep clear of the singular values, where rounding decides
         levels = levels[np.abs(levels[:, None] - s[None, :]).min(axis=1, initial=np.inf)
                         > 1e-8 * max(1.0, float(s.max(initial=0.0)))]
-        counts = dirac1d._sturm_counts(diag, upper, levels)
+        counts = dirac1d._sturm_counts(*as_cells(diag, upper), levels)
         assert list(counts) == [int(np.sum(s < lv)) for lv in levels]
 
     def test_rank_deficient_blocks(self):
@@ -186,8 +188,135 @@ class TestSturmCounts:
         dense[2:4] = 0.0
         s = np.linalg.svd(dense, compute_uv=False)
         assert int(np.sum(s < 1e-12)) == 2
-        counts = dirac1d._sturm_counts(diag, upper, [1e-6, 0.5 * s[s > 1e-12].min()])
+        counts = dirac1d._sturm_counts(*as_cells(diag, upper),
+                                       [1e-6, 0.5 * s[s > 1e-12].min()])
         assert list(counts) == [2, 2]
+
+
+class TestCyclicReduction:
+    """_sturm_counts against the sequential sweep it replaced and the SVD."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 64), k=st.integers(1, 3),
+           ends=st.tuples(st.integers(0, 3), st.integers(0, 3)),
+           zero_rows=st.integers(0, 3), scaled=st.booleans())
+    def test_counts_match_sweep_and_svd(self, seed, n, k, ends, zero_rows, scaled):
+        rng = np.random.default_rng(seed)
+        col_sizes = [min(ends[0], k)] + [k] * (n - 1) + [min(ends[1], k)]
+        diag, upper, dense = block_bidiagonal(rng, [k] * n, col_sizes)
+        if scaled:
+            # block rows scaled over 1e-3 .. 1e3
+            for j, f in enumerate(10.0 ** rng.uniform(-3.0, 3.0, size=n)):
+                diag[j] *= f
+                upper[j] *= f
+                dense[j * k:(j + 1) * k] *= f
+        for j in rng.choice(n, size=min(zero_rows, n), replace=False):
+            diag[j][:] = 0.0
+            upper[j][:] = 0.0
+            dense[j * k:(j + 1) * k] = 0.0
+        s = np.linalg.svd(dense, compute_uv=False)
+        smax = float(s.max(initial=0.0))
+        if smax == 0.0:
+            return
+        levels = smax * 10.0 ** rng.uniform(-4.0, 0.1, size=6)
+        # keep clear of the singular values, where rounding decides
+        levels = levels[np.abs(levels[:, None] - s[None, :]).min(axis=1, initial=np.inf)
+                        > 1e-6 * smax]
+        counts = dirac1d._sturm_counts(*as_cells(diag, upper), levels)
+        assert list(counts) == list(sweep_counts(diag, upper, levels))
+        assert list(counts) == [int(np.sum(s < lv)) for lv in levels]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 7, 8, 9, 16, 17, 33])
+    def test_block_counts_odd_and_even(self, n):
+        # odd and even block counts in every round, on square and tall D
+        rng = np.random.default_rng(n)
+        for ends in ((2, 2), (0, 1), (2, 0)):
+            diag, upper, dense = block_bidiagonal(
+                rng, [2] * n, [ends[0]] + [2] * (n - 1) + [ends[1]])
+            s = np.linalg.svd(dense, compute_uv=False)
+            levels = 0.5 * (np.sort(s)[:-1] + np.sort(s)[1:])
+            counts = dirac1d._sturm_counts(*as_cells(diag, upper), levels)
+            assert list(counts) == list(sweep_counts(diag, upper, levels))
+            assert list(counts) == [int(np.sum(s < lv)) for lv in levels]
+
+
+    @pytest.mark.parametrize("n", [1, 2, 5, 8])
+    def test_exact_ties_count_as_below_like_the_sweep(self, n):
+        # D = 2 * shift: every singular value is exactly 2 (one is 0 when
+        # kr = 0), so at tau = 2 every pivot of DD* - tau^2 is exactly 0;
+        # the clamp counts those as negative, as the sweep does
+        for kl, kr in ((1, 1), (0, 1), (1, 0)):
+            diag = [np.zeros((1, kl if j == 0 else 1)) for j in range(n)]
+            upper = [np.full((1, kr if j == n - 1 else 1), 2.0) for j in range(n)]
+            counts = dirac1d._sturm_counts(*as_cells(diag, upper), [2.0, 1.0])
+            assert list(counts) == list(sweep_counts(diag, upper, [2.0, 1.0]))
+            assert list(counts) == [n, 0 if kr else 1]
+
+
+def counting(monkeypatch, *names):
+    """Count calls of the named numpy.linalg kernels."""
+    calls = Counter()
+    for name in names:
+        kernel = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _kernel=kernel, **kwargs):
+            calls[_name] += 1
+            return _kernel(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestCallCounts:
+    """The index route takes O(log n_cells) eigh calls and few QRs."""
+
+    def test_sturm_counts_take_log_many_eigh_calls(self, monkeypatch):
+        n = 640
+        op = assemble(tanh_path(), GridSpec(8.0, n), "aps")
+        calls = counting(monkeypatch, "eigh", "eigvalsh")
+        counts = dirac1d._sturm_counts(op.cell_a, op.cell_b, op.left_basis,
+                                       op.right_basis, [1e-5, 2e-5])
+        assert list(counts) == [0, 0]
+        assert calls["eigh"] + calls["eigvalsh"] <= 2 * (math.ceil(math.log2(n)) + 2)
+
+    @pytest.mark.parametrize("path, lam, dim_ker", [
+        (tanh_path(), 1.0, 1),
+        (ramp_path(7, 3, 1, 2), 1.3, 0),    # k = 3: the steps' conds exceed 1
+    ])
+    def test_transfer_takes_few_qrs(self, monkeypatch, path, lam, dim_ker):
+        n = 640
+        op = assemble(path, GridSpec(8.0, n), "aps", lam)
+        calls = counting(monkeypatch, "qr")
+        assert dirac1d._transfer_kernel(op, DEFAULT_TOL)[0] == dim_ker
+        assert calls["qr"] <= n / 4
+
+
+class TestGrowthBoundedTransfer:
+    def test_qr_after_every_cell_when_every_step_exceeds_the_limit(self, monkeypatch):
+        # S = diag(c, tanh 2t) with lam h c / 2 = 1 - 1e-8: every step damps
+        # e1 by 5e-9 and keeps e2, so cond(M_j) ~ 2e8 exceeds the limit
+        grid = GridSpec(4.0, 40)
+        c = 2.0 * (1.0 - 1e-8) / grid.h
+        path = PotentialPath(2, np.linspace(-4.0, 4.0, 81),
+                             lambda t: np.diag([c, math.tanh(2.0 * t)]),
+                             support=((-1.0, 1.0),))
+        op = assemble(path, grid, "aps")
+        s = np.linalg.svd(np.linalg.solve(op.cell_b, -op.cell_a), compute_uv=False)
+        assert np.all(s[:, 0] / s[:, -1] > dirac1d._GROWTH_LIMIT)
+        calls = counting(monkeypatch, "qr")
+        fast = dirac1d._transfer_dims(op, DEFAULT_TOL)
+        assert calls["qr"] == grid.n_cells
+        assert fast is not None
+        assert fast[:2] == dirac1d._dims_from_svd(op.matrix, DEFAULT_TOL)[:2] == (1, 0)
+
+    def test_tower_fiber_k16_matches_dense(self):
+        builder, _ = make_tower_scenario(3, n_fibers=2, base_dim=16)
+        for path in builder(16).paths:
+            op = assemble(path, GridSpec(9.0, 64), "aps")
+            assert op.k == 16
+            fast = dirac1d._transfer_dims(op, DEFAULT_TOL)
+            assert fast is not None
+            assert fast[:2] == dirac1d._dims_from_svd(op.matrix, DEFAULT_TOL)[:2]
 
 
 class TestSigmaMaxBracket:
