@@ -23,10 +23,13 @@ Two discretizations serve two distinct purposes:
   D's singular values confirm that exactly the implied number lies below
   the SVD route's cut svd_gap_cap * sigma_max.  The counts come from
   odd-even reduction of the block tridiagonal DD* - tau^2, one batched
-  eigh per round, so O(log n_cells) numpy calls per level.  A singular
-  value that is tiny but not zero (tunnelling between two nearby
-  crossings) lies below that cut while the exact kernel misses it; then,
-  or when some B_j is singular, the dense SVD decides, as it always did.
+  eigh per round, so O(log n_cells) numpy calls per level.  Their rounding
+  is about eps * sigma_max^2, so they decide only cuts whose square lies a
+  thousandfold above that; a smaller svd_gap_cap goes to the dense SVD.
+  A singular value that is tiny but not zero (tunnelling between two
+  nearby crossings) lies below that cut while the exact kernel misses it;
+  then, or when some B_j is singular, the dense SVD decides, as it always
+  did.
 
 * Dirichlet assembly (quadratic-form bounds).  A square central-difference
   matrix on interior nodes with the potential sampled at nodes.  Its
@@ -319,15 +322,16 @@ def _dims_from_svd(matrix, tol):
     return res.dim, dim_coker, sigma_kernel, sigma_next, res.gap_ratio, res.threshold
 
 
-# The transfer carries q through plain products between QRs.  Rounding in a
-# product of steps whose conds multiply to g reaches the weakest carried
-# direction amplified by up to g, so a principal-angle cosine drifts by about
-# eps * g before the closing QR.  The cosines are cut at svd_gap_cap, and
-# keeping g at or below 1e-3 * svd_gap_cap / eps (4.5e6 for the default cap
-# 1e-6) holds that drift a thousand times below the cut.  A tighter cap
-# than the default is still covered by the Sturm certificate, which rejects
-# any count the drift could have moved.
-_GROWTH_LIMIT = 1e-3 * DEFAULT_TOL.svd_gap_cap / np.finfo(float).eps
+# The Sturm counts work on DD* - tau^2, whose computed eigenvalues carry
+# errors of a few eps * sigma_max^2 (from forming DD* and from the
+# reduction), so a count at tau is trusted only where tau^2 clears that by a
+# thousandfold: tau >= _LEVEL_FLOOR * sigma_max, about 4.7e-7 * sigma_max.
+# On the k = 16 tower fibers and the tunnelling chain(3866) the counts are
+# still right at tau^2 = 0.45 eps * sigma_max^2 and wrong below 0.05.  The
+# default svd_gap_cap 1e-6 clears the floor whenever the sigma_max bracket
+# has lo >= 0.47 hi; a smaller configured cap leaves the count to the
+# dense SVD.
+_LEVEL_FLOOR = math.sqrt(1e3 * np.finfo(float).eps)
 
 
 def _transfer_kernel(op, tol):
@@ -338,8 +342,12 @@ def _transfer_kernel(op, tol):
     starts whose psi_n lies in Ran R.  Each M_j is the Cayley transform of
     the Hermitian S(m_j), hence normal, and one batched SVD gives every
     cond(M_j).  The orthonormal basis L is carried along by plain products
-    of the steps scaled to norm 1, with a QR only when the product of the
-    conds since the last QR would pass _GROWTH_LIMIT, and one at the end.
+    of the steps scaled to norm 1, with a QR only when the product g of the
+    conds since the last QR would pass 1e-3 * svd_gap_cap / eps, and one at
+    the end.  Rounding in such a product reaches the weakest carried
+    direction amplified by up to g, so a cosine drifts by about eps * g
+    before the closing QR; the limit holds that drift a thousand times
+    below the cut svd_gap_cap (g <= 4.5e6 at the default cap 1e-6).
     The singular values of (1 - R R*) Q_n are the cosines of the principal
     angles between Ran Q_n and Ran P_-(S(+L)), and those below svd_gap_cap
     count as zero.  Raises LinAlgError when some B_j is singular
@@ -353,10 +361,11 @@ def _transfer_kernel(op, tol):
     steps /= np.where(s[:, 0] > 0.0, s[:, 0], 1.0)[:, None, None]
     conds = np.divide(s[:, 0], s[:, -1], out=np.full(s.shape[0], np.inf),
                       where=s[:, -1] > 0.0)
+    limit = 1e-3 * tol.svd_gap_cap / np.finfo(float).eps
     q, growth = left, 1.0
     for step, cond in zip(steps, conds):
         # growth 1 means q is orthonormal up to scale: nothing to restore
-        if growth > 1.0 and growth * cond > _GROWTH_LIMIT:
+        if growth > 1.0 and growth * cond > limit:
             q, growth = np.linalg.qr(q)[0], 1.0
         q, growth = step @ q, growth * cond
     q = np.linalg.qr(q)[0]
@@ -442,9 +451,10 @@ def _sturm_counts(cell_a, cell_b, left, right, levels):
     The levels are reduced one after another, each on its own copy of
     DD* - tau^2 updated in place, so memory stays at a few copies of the
     blocks.  A pivot eigenvalue of modulus below pivmin is set to -pivmin
-    and counts as negative, as in LAPACK's bisection (dstebz), with pivmin
-    scaled by the largest diagonal entry of DD*, which bounds every entry
-    of that positive semidefinite matrix.
+    and counts as negative, as in LAPACK's bisection (dstebz).  As there,
+    pivmin is the smallest normal number times the square of the largest
+    entry, which for the positive semidefinite DD* is its largest diagonal
+    entry.  When that square overflows, LinAlgError is raised.
     """
     n, k = cell_a.shape[0], cell_a.shape[1]
     rows, cols = n * k, left.shape[1] + (n - 1) * k + right.shape[1]
@@ -456,7 +466,9 @@ def _sturm_counts(cell_a, cell_b, left, right, levels):
     gram += cell_b @ cell_b.conj().swapaxes(1, 2)
     gram[-1] = end
     scale = float(np.abs(np.einsum("jaa->ja", gram)).max(initial=0.0))
-    pivmin = np.finfo(float).tiny * max(1.0, scale) ** 2
+    if not scale * scale < np.inf:
+        raise np.linalg.LinAlgError("Sturm pivots out of floating-point range")
+    pivmin = np.finfo(float).tiny * max(1.0, scale * scale)
     counts = []
     for tau in np.asarray(levels, dtype=float):
         diag, upper = gram - tau * tau * np.eye(k), coupling
@@ -484,14 +496,18 @@ def _sturm_counts(cell_a, cell_b, left, right, levels):
 
 def _transfer_dims(op, tol):
     """Index dimensions by the transfer route, or None when it cannot
-    certify them: some B_j is singular, or the Sturm counts at both ends
-    of the svd_gap_cap * sigma_max bracket differ from the number of exact
-    zero singular values that the transfer kernel implies."""
+    certify them: the lower level svd_gap_cap * lo lies below the floor
+    _LEVEL_FLOOR * hi where Sturm counts are reliable, some B_j is
+    singular, or the Sturm counts at both ends of the svd_gap_cap *
+    sigma_max bracket differ from the number of exact zero singular values
+    that the transfer kernel implies."""
     rows, cols = op.shape
+    lo, hi = _sigma_max_bracket(op)
+    levels = (tol.svd_gap_cap * lo, tol.svd_gap_cap * hi)
+    if not levels[0] >= _LEVEL_FLOOR * hi:
+        return None
     try:
         dim_ker, ratio = _transfer_kernel(op, tol)
-        lo, hi = _sigma_max_bracket(op)
-        levels = (tol.svd_gap_cap * lo, tol.svd_gap_cap * hi)
         counts = _sturm_counts(op.cell_a, op.cell_b, op.left_basis,
                                op.right_basis, levels)
     except np.linalg.LinAlgError:

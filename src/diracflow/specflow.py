@@ -108,7 +108,7 @@ class PotentialPath:
         self.support = _normalize_support(support)
         self.margin = margin
         self.name = name
-        self._least_gap = None
+        self._spectra = None
 
     # -- evaluation ---------------------------------------------------------
 
@@ -119,14 +119,6 @@ class PotentialPath:
             raise InvalidInput(
                 f"sampler returned shape {a.shape}, expected ({self.k}, {self.k})")
         return (a + a.conj().T) / 2.0
-
-    def _sample_stack(self, ts) -> np.ndarray:
-        """The samples at ``ts`` as one (len(ts), k, k) array, filled in
-        place so that no per-sample copies are held at the same time."""
-        out = np.empty((len(ts), self.k, self.k), dtype=np.complex128)
-        for i, t in enumerate(ts):
-            out[i] = self.sample(t)
-        return out
 
     def start(self) -> np.ndarray:
         return self.sample(self.grid[0])
@@ -158,22 +150,39 @@ class PotentialPath:
 
     def least_gap_outside(self) -> Tuple[Optional[float], float]:
         """(t, gap): the grid sample outside K with the smallest spectral
-        gap, and that gap; (None, inf) when every sample lies in K.
-        Measured on the first call only: grid, sampler and K are fixed."""
-        if self._least_gap is None:
-            ts = [float(t) for t in self.grid if not self.in_support(t)]
-            if not ts:
-                self._least_gap = (None, float("inf"))
-                return self._least_gap
-            samples = self._sample_stack(ts)
+        gap, and that gap; (None, inf) when every sample lies in K."""
+        outside = np.array([not self.in_support(t) for t in self.grid])
+        if not outside.any():
+            return None, float("inf")
+        gaps = np.abs(self._grid_spectra()[0][outside]).min(axis=1)
+        worst = int(np.argmin(gaps))
+        return float(self.grid[outside][worst]), float(gaps[worst])
+
+    def _grid_spectra(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(spectra, steps): the eigenvalues of every grid sample, one row
+        per sample, and for each consecutive pair ||S(t_{j+1}) - S(t_j)||,
+        which bounds how far an eigenvalue moves between them (Weyl).
+
+        One pass over the grid on the first call only (grid and sampler are
+        fixed): the samples fill one array in place, a non-finite one raises
+        InvalidInput, and one stacked eigvalsh takes the spectra.
+        """
+        if self._spectra is None:
+            samples = np.empty((self.grid.size, self.k, self.k), dtype=np.complex128)
+            for i, t in enumerate(self.grid):
+                samples[i] = self.sample(t)
             finite = np.isfinite(samples).all(axis=(1, 2))
             if not finite.all():
-                raise InvalidInput(f"path sample at t={ts[int(np.argmin(finite))]:g} "
+                raise InvalidInput(f"path sample at t={self.grid[np.argmin(finite)]:g} "
                                    f"has non-finite entries")
-            gaps = np.abs(np.linalg.eigvalsh(samples)).min(axis=1)
-            worst = int(np.argmin(gaps))
-            self._least_gap = (ts[worst], float(gaps[worst]))
-        return self._least_gap
+            spectra = np.linalg.eigvalsh(samples)
+            # the differences in place, last first; hermitised samples differ
+            # by an exactly Hermitian matrix, whose spectral norm is its
+            # largest |eigenvalue|
+            for j in range(samples.shape[0] - 1, 0, -1):
+                samples[j] -= samples[j - 1]
+            self._spectra = (spectra, np.abs(np.linalg.eigvalsh(samples[1:])).max(axis=1))
+        return self._spectra
 
     def validate(self, tol: Tolerances = DEFAULT_TOL):
         """Check the declared invariants on the grid: Hermitian samples and
@@ -466,19 +475,6 @@ def _gap_level(eigs: np.ndarray, min_width: float) -> Tuple[Optional[float], flo
     return best, best_score
 
 
-def _grid_spectra(path: PotentialPath):
-    """(spectra, steps): the eigenvalues of every grid sample, one row per
-    sample, and for each consecutive pair ||S(t_{j+1}) - S(t_j)||, which
-    bounds how far an eigenvalue moves between them (Weyl)."""
-    samples = path._sample_stack(path.grid)
-    spectra = np.linalg.eigvalsh(samples)
-    # the differences in place, last first; hermitised samples differ by an
-    # exactly Hermitian matrix, whose spectral norm is its largest |eigenvalue|
-    for j in range(samples.shape[0] - 1, 0, -1):
-        samples[j] -= samples[j - 1]
-    return spectra, np.abs(np.linalg.eigvalsh(samples[1:])).max(axis=1)
-
-
 def _piece_level(spectra, steps, pgt: float) -> Optional[float]:
     """Gap level for one partition piece, valid at every sample AND safe
     against motion between samples.
@@ -517,7 +513,7 @@ def sf_partition(path: PotentialPath, tol: Tolerances = DEFAULT_TOL,
     for hend, label in ((path.start(), "start"), (path.end(), "end")):
         if spectral_gap(hend) < tol.proj_gap_tol:
             raise NotInvertible(f"path {label} point is not invertible")
-    spectra, steps = _grid_spectra(path)
+    spectra, steps = path._grid_spectra()
 
     def levels_for(i0, i1, depth=0):
         if depth > 40:

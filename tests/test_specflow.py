@@ -9,7 +9,6 @@ from diracflow.errors import (
 )
 from diracflow.inequalities import random_unitary
 from diracflow.opcore import HermitianOperator, positive_projection, spectral_gap
-from diracflow import specflow
 from diracflow.relindex import rel_index
 from diracflow.specflow import (
     PotentialPath,
@@ -134,7 +133,7 @@ class TestCrossings:
 class TestPartition:
     def test_grid_spectra_match_per_sample_reference(self):
         p = random_smooth_path(5, 4)
-        spectra, steps = specflow._grid_spectra(p)
+        spectra, steps = p._grid_spectra()
         samples = [p.sample(t) for t in p.grid]
         np.testing.assert_allclose(spectra, [np.linalg.eigvalsh(s) for s in samples],
                                    rtol=0, atol=1e-13)

@@ -1,5 +1,6 @@
 """The transfer route of index_report against the dense SVD route."""
 
+import dataclasses
 import math
 from collections import Counter
 
@@ -12,7 +13,7 @@ from diracflow import dirac1d
 from diracflow.callias import make_tower_scenario
 from diracflow.dirac1d import GridSpec, assemble, index_report
 from diracflow.errors import AmbiguousRank
-from diracflow.opcore import DEFAULT_TOL
+from diracflow.opcore import DEFAULT_TOL, Tolerances
 from diracflow.scenarios import callias_case, chain_path, sf_path
 from diracflow.specflow import PotentialPath, constant_path, tanh_path
 from sturm_sweep import as_cells, sweep_counts
@@ -302,12 +303,23 @@ class TestGrowthBoundedTransfer:
                              support=((-1.0, 1.0),))
         op = assemble(path, grid, "aps")
         s = np.linalg.svd(np.linalg.solve(op.cell_b, -op.cell_a), compute_uv=False)
-        assert np.all(s[:, 0] / s[:, -1] > dirac1d._GROWTH_LIMIT)
+        assert np.all(s[:, 0] / s[:, -1] > 1e-3 * DEFAULT_TOL.svd_gap_cap / np.finfo(float).eps)
         calls = counting(monkeypatch, "qr")
         fast = dirac1d._transfer_dims(op, DEFAULT_TOL)
         assert calls["qr"] == grid.n_cells
         assert fast is not None
         assert fast[:2] == dirac1d._dims_from_svd(op.matrix, DEFAULT_TOL)[:2] == (1, 0)
+
+    def test_limit_follows_the_configured_cap(self, monkeypatch):
+        # a smaller cap lowers the growth limit, so the carry takes more QRs
+        op = assemble(ramp_path(7, 3, 1, 2), GridSpec(8.0, 640), "aps", 1.3)
+        calls = counting(monkeypatch, "qr")
+        qrs = []
+        for cap in (1e-6, 1e-9):
+            calls.clear()
+            assert dirac1d._transfer_kernel(op, Tolerances(svd_gap_cap=cap))[0] == 0
+            qrs.append(calls["qr"])
+        assert qrs[1] > qrs[0]
 
     def test_tower_fiber_k16_matches_dense(self):
         builder, _ = make_tower_scenario(3, n_fibers=2, base_dim=16)
@@ -317,6 +329,38 @@ class TestGrowthBoundedTransfer:
             fast = dirac1d._transfer_dims(op, DEFAULT_TOL)
             assert fast is not None
             assert fast[:2] == dirac1d._dims_from_svd(op.matrix, DEFAULT_TOL)[:2]
+
+
+class TestCountFloor:
+    """Sturm counts of DD* - tau^2 decide only above tau^2 ~ 1e3 eps sigma_max^2."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: assemble(tanh_path(), GridSpec(8.0, 160), "aps"),
+        lambda: assemble(ramp_path(7, 3, 1, 2), GridSpec(5.0, 60), "aps", 1.3),
+        lambda: assemble(make_tower_scenario(3, n_fibers=2, base_dim=16)[0](16).paths[1],
+                         GridSpec(9.0, 30), "aps"),
+    ])
+    def test_cap_below_the_floor_takes_the_dense_route(self, make):
+        op = make()
+        tol = Tolerances(svd_gap_cap=1e-9)
+        assert dirac1d._transfer_dims(op, DEFAULT_TOL) is not None
+        assert dirac1d._transfer_dims(op, tol) is None
+        rep = index_report(op, tol, refine_check=False)
+        assert rep.route == "svd"
+        assert (rep.dim_ker, rep.dim_coker) == dirac1d._dims_from_svd(op.matrix, tol)[:2]
+
+    # the power steps of the sigma_max bracket overflow at this scale too
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_huge_entries_take_the_dense_route(self):
+        # sigma_max ~ 1e81: the square in pivmin overflows, the dense SVD decides
+        op = assemble(tanh_path(), GridSpec(8.0, 160), "aps")
+        big = dataclasses.replace(op, cell_a=1e80 * op.cell_a, cell_b=1e80 * op.cell_b)
+        with pytest.raises(np.linalg.LinAlgError):
+            dirac1d._sturm_counts(big.cell_a, big.cell_b, big.left_basis,
+                                  big.right_basis, [1e75])
+        assert dirac1d._transfer_dims(big, DEFAULT_TOL) is None
+        rep = index_report(big, refine_check=False)
+        assert rep.route == "svd" and (rep.dim_ker, rep.dim_coker) == (1, 0)
 
 
 class TestSigmaMaxBracket:
