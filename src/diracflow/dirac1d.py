@@ -385,7 +385,9 @@ def _sigma_max_bracket(op):
     of the unreduced block matrix, whose norm bounds D's (D restricts its
     columns by the isometry diag(L, 1, ..., 1, R)).  lo is the largest
     ||D x|| / ||x|| met by eight power steps on D*D from the alternating
-    node vector, which lies near the top singular vector.
+    node vector, which lies near the top singular vector.  The iterate is
+    normalised before D and again before D*, so it grows as sigma_max, not
+    sigma_max^2, and stays finite wherever D's entries are.
     """
     a, b, left, right = op.cell_a, op.cell_b, op.left_basis, op.right_basis
     n, k = a.shape[0], a.shape[1]
@@ -408,7 +410,11 @@ def _sigma_max_bracket(op):
             break
         psi /= norm
         y = np.einsum("jab,jb->ja", a, psi[:-1]) + np.einsum("jab,jb->ja", b, psi[1:])
-        lo = max(lo, float(np.linalg.norm(y)))
+        norm = float(np.linalg.norm(y))
+        if norm == 0.0:
+            break
+        lo = max(lo, norm)
+        y /= norm
         psi = np.zeros((n + 1, k), dtype=np.complex128)
         psi[:-1] += np.einsum("jba,jb->ja", a.conj(), y)
         psi[1:] += np.einsum("jba,jb->ja", b.conj(), y)

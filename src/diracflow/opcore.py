@@ -74,7 +74,7 @@ DEFAULT_TOL = Tolerances()
 
 
 def _check_finite(a, what="matrix"):
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
+    if not np.isfinite(a).all():
         raise InvalidInput(f"{what} has non-finite entries")
 
 

@@ -11,6 +11,16 @@ junctions.  Both must agree with each other and with the endpoint
 relative index rel-ind(P_+(S(end)), P_+(S(start))); `endpoint_identity`
 asserts the triple equality.
 
+Both routes read one certified eigendecomposition of the grid samples
+(`PotentialPath._grid_pass`), and `endpoint_identity` takes it once for
+all three integers.  They share that sampled LAPACK output but no logic:
+the first matches eigenvectors, follows branches and bisects their zeros
+off the grid; the second picks Weyl-safe gap levels from the spectra and
+step bounds and counts eigenvalues above them at the junctions.  The path
+caches only the spectra and step bounds; the eigenvectors go back to the
+caller, because keeping them on every path raised the peak RSS of the
+k = 64 tower fibers' run by 5% (47.8 to 50.4 MB).
+
 Branch tracking deliberately matches by eigenvector overlap instead of
 sorted order: sorted order silently swaps branches at avoided crossings.
 """
@@ -32,6 +42,7 @@ from .errors import (
 from .opcore import (
     DEFAULT_TOL,
     HermitianOperator,
+    Projection,
     Tolerances,
     as_matrix,
     eigh,
@@ -78,6 +89,10 @@ def _normalize_support(support) -> tuple:
         if a2 <= b1:
             raise InvalidInput("support intervals must be disjoint")
     return tuple(ivs)
+
+
+# Bytes of grid samples per batched eigh in `PotentialPath._grid_pass`.
+_CHUNK_BYTES = 64 * 1024
 
 
 class PotentialPath:
@@ -159,30 +174,73 @@ class PotentialPath:
         return float(self.grid[outside][worst]), float(gaps[worst])
 
     def _grid_spectra(self) -> Tuple[np.ndarray, np.ndarray]:
-        """(spectra, steps): the eigenvalues of every grid sample, one row
-        per sample, and for each consecutive pair ||S(t_{j+1}) - S(t_j)||,
-        which bounds how far an eigenvalue moves between them (Weyl).
-
-        One pass over the grid on the first call only (grid and sampler are
-        fixed): the samples fill one array in place, a non-finite one raises
-        InvalidInput, and one stacked eigvalsh takes the spectra.
-        """
+        """(spectra, steps) of the grid pass, taken on the first call only
+        (grid and sampler are fixed) and certified against DEFAULT_TOL."""
         if self._spectra is None:
-            samples = np.empty((self.grid.size, self.k, self.k), dtype=np.complex128)
-            for i, t in enumerate(self.grid):
-                samples[i] = self.sample(t)
-            finite = np.isfinite(samples).all(axis=(1, 2))
-            if not finite.all():
-                raise InvalidInput(f"path sample at t={self.grid[np.argmin(finite)]:g} "
-                                   f"has non-finite entries")
-            spectra = np.linalg.eigvalsh(samples)
-            # the differences in place, last first; hermitised samples differ
-            # by an exactly Hermitian matrix, whose spectral norm is its
-            # largest |eigenvalue|
-            for j in range(samples.shape[0] - 1, 0, -1):
-                samples[j] -= samples[j - 1]
-            self._spectra = (spectra, np.abs(np.linalg.eigvalsh(samples[1:])).max(axis=1))
+            self._grid_pass(DEFAULT_TOL)
         return self._spectra
+
+    def _grid_pass(self, tol: Tolerances):
+        """(spectra, vectors, steps): one certified eigendecomposition of
+        every grid sample and the Weyl bounds between them.
+
+        spectra[i] holds the ascending eigenvalues of S(t_i), vectors[i]
+        its eigenvectors as columns, and steps[i] = ||S(t_{i+1}) - S(t_i)||,
+        which bounds how far an eigenvalue moves between the two samples.
+        The samples are taken once each, in chunks of at most _CHUNK_BYTES
+        (or one sample, if larger) with one batched eigh per chunk, which
+        is bitwise equal to one call per sample.  A non-finite sample
+        raises InvalidInput naming its t.  Each sample's residual
+        ||SV - V diag w||_F / max(1, max|w|) and unitarity ||V*V - 1||_F
+        must stay within tol.eig_tol; otherwise InvalidInput names the
+        worst sample.
+
+        The path keeps (spectra, steps) for `least_gap_outside`; the
+        vectors go back to the caller only.  Both limits are measured: on
+        the benchmark's index-large workload (k = 64 tower fibers, 41
+        samples) the peak RSS is 47.8 MB, against 50.4 MB with the vectors
+        kept on the path, 48.6 MB with 256 KiB chunks and 57.8 MB with the
+        whole grid in one chunk.
+        """
+        n, k = self.grid.size, self.k
+        spectra = np.empty((n, k))
+        vectors = np.empty((n, k, k), dtype=np.complex128)
+        steps = np.empty(n - 1)
+        defect = np.empty((n, 2))
+        per_chunk = max(1, _CHUNK_BYTES // vectors[0].nbytes)
+        # buf[0] holds the previous chunk's last sample, for the step across
+        # the seam
+        buf = np.empty((per_chunk + 1, k, k), dtype=np.complex128)
+        eye = np.eye(k)
+        for i0 in range(0, n, per_chunk):
+            i1 = min(i0 + per_chunk, n)
+            s = buf[1:1 + i1 - i0]
+            for j, t in enumerate(self.grid[i0:i1]):
+                s[j] = self.sample(t)
+            finite = np.isfinite(s).all(axis=(1, 2))
+            if not finite.all():
+                raise InvalidInput(f"path sample at t={self.grid[i0 + np.argmin(finite)]:g} "
+                                   f"has non-finite entries")
+            w, v = np.linalg.eigh(s)
+            spectra[i0:i1], vectors[i0:i1] = w, v
+            defect[i0:i1, 0] = (np.linalg.norm(s @ v - v * w[:, None, :], axis=(1, 2))
+                                / np.maximum(1.0, np.abs(w).max(axis=1)))
+            defect[i0:i1, 1] = np.linalg.norm(v.conj().transpose(0, 2, 1) @ v - eye,
+                                              axis=(1, 2))
+            # hermitised samples differ by an exactly Hermitian matrix, whose
+            # spectral norm is its largest |eigenvalue|
+            first = 0 if i0 else 1
+            steps[i0 + first - 1:i1 - 1] = np.abs(np.linalg.eigvalsh(
+                buf[first + 1:1 + i1 - i0] - buf[first:i1 - i0])).max(axis=1)
+            buf[0] = s[-1]
+        worst = int(np.argmax(defect.max(axis=1)))
+        if defect[worst].max() > tol.eig_tol:
+            raise InvalidInput(
+                f"eigendecomposition residual {defect[worst, 0]:.3e} / unitarity "
+                f"{defect[worst, 1]:.3e} at t={self.grid[worst]:g} exceed "
+                f"eig_tol={tol.eig_tol:.1e}")
+        self._spectra = (spectra, steps)
+        return spectra, vectors, steps
 
     def validate(self, tol: Tolerances = DEFAULT_TOL):
         """Check the declared invariants on the grid: Hermitian samples and
@@ -271,12 +329,13 @@ def _refine_chain(path, a: _Sample, b: _Sample, tol, depth, max_depth):
     return s1 + s2, p1 + p2
 
 
-def _tracked_branches(path: PotentialPath, tol: Tolerances, max_depth=24):
-    """Eigendecompose the path on its (refined) grid and return
-    (times, values, samples, columns): values[b][j] is the eigenvalue of
-    branch b at sample j and columns[b][j] the column of its eigenvector in
-    samples[j].v.  Branch b starts as the b-th ascending eigenvalue at t_0."""
-    base = [_eig_sample(path, t, tol) for t in path.grid]
+def _tracked_branches(path: PotentialPath, spectra, vectors, tol: Tolerances,
+                      max_depth=24):
+    """Follow the eigenpairs of the grid pass across the (refined) grid and
+    return (times, values, samples, columns): values[b][j] is the eigenvalue
+    of branch b at sample j and columns[b][j] the column of its eigenvector
+    in samples[j].v.  Branch b starts as the b-th ascending eigenvalue at t_0."""
+    base = [_Sample(float(t), w, v) for t, w, v in zip(path.grid, spectra, vectors)]
     samples = [base[0]]
     perms = []
     for i in range(len(base) - 1):
@@ -296,7 +355,8 @@ def _tracked_branches(path: PotentialPath, tol: Tolerances, max_depth=24):
 def branch_curves(path: PotentialPath, tol: Tolerances = DEFAULT_TOL):
     """Eigenvalue branches tracked along the path: (times, values) with
     values[b][j] the branch-b eigenvalue at times[j].  For plotting."""
-    times, values, _, _ = _tracked_branches(path, tol)
+    spectra, vectors, _ = path._grid_pass(tol)
+    times, values, _, _ = _tracked_branches(path, spectra, vectors, tol)
     return times, values
 
 
@@ -351,18 +411,20 @@ def _bisect_branch_zero(path, t_lo, x_lo, v_lo, t_hi, x_hi, crossing_tol,
         f"|lambda| <= {crossing_tol:g} after {max_depth} bisections")
 
 
-def sf_crossings(path: PotentialPath, crossing_tol: float = 1e-8,
-                 tol: Tolerances = DEFAULT_TOL):
-    """Spectral flow by signed eigenvalue-crossing counting.
-
-    Returns (net flow, CrossingReport).  Requires invertible endpoints;
-    ambiguous branch matching raises RefineGrid, unresolvable tangencies
-    raise DegeneratePath.
-    """
-    for hend, label in ((path.start(), "start"), (path.end(), "end")):
-        if spectral_gap(hend) < tol.proj_gap_tol:
+def _route_pass(path: PotentialPath, tol: Tolerances):
+    """The grid pass of a path whose endpoints must be invertible (rows 0
+    and -1 of its spectra); NotInvertible otherwise."""
+    grid_pass = path._grid_pass(tol)
+    spectra = grid_pass[0]
+    for row, label in ((0, "start"), (-1, "end")):
+        if np.abs(spectra[row]).min() < tol.proj_gap_tol:
             raise NotInvertible(f"path {label} point is not invertible")
-    times, values, samples, columns = _tracked_branches(path, tol)
+    return grid_pass
+
+
+def _crossings(path, grid_pass, crossing_tol, tol):
+    spectra, vectors, _ = grid_pass
+    times, values, samples, columns = _tracked_branches(path, spectra, vectors, tol)
     n = len(times)
     crossings = []
     for b in range(path.k):
@@ -389,6 +451,17 @@ def sf_crossings(path: PotentialPath, crossing_tol: float = 1e-8,
     report = CrossingReport(crossings=tuple(sorted(crossings, key=lambda c: (c.t, c.branch))),
                             n_samples=n)
     return report.net(), report
+
+
+def sf_crossings(path: PotentialPath, crossing_tol: float = 1e-8,
+                 tol: Tolerances = DEFAULT_TOL):
+    """Spectral flow by signed eigenvalue-crossing counting.
+
+    Returns (net flow, CrossingReport).  Requires invertible endpoints;
+    ambiguous branch matching raises RefineGrid, unresolvable tangencies
+    raise DegeneratePath.
+    """
+    return _crossings(path, _route_pass(path, tol), crossing_tol, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -498,22 +571,21 @@ def _piece_level(spectra, steps, pgt: float) -> Optional[float]:
     return best
 
 
-def sf_partition(path: PotentialPath, tol: Tolerances = DEFAULT_TOL,
-                 n_chunks: int = 6) -> int:
-    """Spectral flow via the partition definition with scalar level shifts.
+def _projection_above(t: float, w: np.ndarray, v: np.ndarray, a: float,
+                      gap_tol: float) -> Projection:
+    """P_+(S(t) - a) from the eigenpairs (w, v) of S(t): the spectral
+    projection of S(t) onto (a, inf).  Raises NotInvertible when an
+    eigenvalue lies within gap_tol of the level a."""
+    near = np.abs(w - a)
+    if near.min() < gap_tol:
+        raise NotInvertible(
+            f"S(t={t:g}) - {a:g} has eigenvalue {w[near.argmin()] - a:.3e} "
+            f"inside gap (+-{gap_tol:.1e})")
+    return Projection((v * (w > a)) @ v.conj().T)
 
-    The grid is split into contiguous chunks; per chunk a gap level ``a``
-    valid for every sample of the chunk realizes the trivialising operator
-    B = -a*1, and the flow is accumulated junction-by-junction as
-    ind(S(t_i), B^{i-1}, B^i) with zero shifts at the invertible endpoints.
-    Chunks without a usable level are split recursively; an unsplittable
-    chunk without a level raises PartitionFailure.  The result is
-    recomputed on a refined partition and must agree exactly.
-    """
-    for hend, label in ((path.start(), "start"), (path.end(), "end")):
-        if spectral_gap(hend) < tol.proj_gap_tol:
-            raise NotInvertible(f"path {label} point is not invertible")
-    spectra, steps = path._grid_spectra()
+
+def _partition(path, grid_pass, tol, n_chunks=6):
+    spectra, vectors, steps = grid_pass
 
     def levels_for(i0, i1, depth=0):
         if depth > 40:
@@ -529,15 +601,18 @@ def sf_partition(path: PotentialPath, tol: Tolerances = DEFAULT_TOL,
         mid = (i0 + i1) // 2
         return levels_for(i0, mid, depth + 1) + levels_for(mid, i1, depth + 1)
 
+    def above(i, a):
+        return _projection_above(path.grid[i], spectra[i], vectors[i], a,
+                                 tol.proj_gap_tol)
+
     def compute(chunks):
         pieces = [piece for (i0, i1) in chunks for piece in levels_for(i0, i1)]
-        eye = np.eye(path.k, dtype=np.complex128)
-        zero = np.zeros_like(eye)
-        # B = 0 before the first piece and after the last one
-        shifts = [zero] + [-a * eye for (_, _, a) in pieces] + [zero]
+        # level 0 (B = 0) before the first piece and after the last one
+        levels = [0.0] + [a for (_, _, a) in pieces] + [0.0]
         junctions = [i0 for (i0, _, _) in pieces] + [pieces[-1][1]]
-        return sum(ind_triple(path.sample(path.grid[i]), b0, b1, tol)
-                   for i, b0, b1 in zip(junctions, shifts, shifts[1:]))
+        # ind(S(t_i), -a0*1, -a1*1) = rel-ind(P_+(S - a1), P_+(S - a0))
+        return sum(rel_index(above(i, a1), above(i, a0), tol)
+                   for i, a0, a1 in zip(junctions, levels, levels[1:]))
 
     n = path.grid.size - 1
 
@@ -554,6 +629,21 @@ def sf_partition(path: PotentialPath, tol: Tolerances = DEFAULT_TOL,
     return value
 
 
+def sf_partition(path: PotentialPath, tol: Tolerances = DEFAULT_TOL,
+                 n_chunks: int = 6) -> int:
+    """Spectral flow via the partition definition with scalar level shifts.
+
+    The grid is split into contiguous chunks; per chunk a gap level ``a``
+    valid for every sample of the chunk realizes the trivialising operator
+    B = -a*1, and the flow is accumulated junction-by-junction as
+    ind(S(t_i), B^{i-1}, B^i) with zero shifts at the invertible endpoints.
+    Chunks without a usable level are split recursively; an unsplittable
+    chunk without a level raises PartitionFailure.  The result is
+    recomputed on a refined partition and must agree exactly.
+    """
+    return _partition(path, _route_pass(path, tol), tol, n_chunks)
+
+
 @dataclass(frozen=True)
 class EndpointIdentityReport:
     sf_by_crossings: int
@@ -565,11 +655,16 @@ class EndpointIdentityReport:
 
 def endpoint_identity(path: PotentialPath, crossing_tol: float = 1e-8,
                       tol: Tolerances = DEFAULT_TOL) -> EndpointIdentityReport:
-    """Assert sf_crossings = sf_partition = rel-ind(P_+(S(end)), P_+(S(start)))."""
-    n_cross, report = sf_crossings(path, crossing_tol, tol)
-    n_part = sf_partition(path, tol)
-    p_end = positive_projection(path.end(), tol.proj_gap_tol, tol)
-    p_start = positive_projection(path.start(), tol.proj_gap_tol, tol)
+    """Assert sf_crossings = sf_partition = rel-ind(P_+(S(end)), P_+(S(start))),
+    all three read from one grid pass."""
+    grid_pass = _route_pass(path, tol)
+    n_cross, report = _crossings(path, grid_pass, crossing_tol, tol)
+    n_part = _partition(path, grid_pass, tol)
+    spectra, vectors, _ = grid_pass
+    p_end = _projection_above(path.grid[-1], spectra[-1], vectors[-1], 0.0,
+                              tol.proj_gap_tol)
+    p_start = _projection_above(path.grid[0], spectra[0], vectors[0], 0.0,
+                                tol.proj_gap_tol)
     n_rel = rel_index(p_end, p_start, tol)
     return EndpointIdentityReport(
         sf_by_crossings=n_cross, sf_by_partition=n_part,

@@ -1,5 +1,6 @@
-"""Branch matching by eigenvector overlap, and the samples that branch
-tracking and the invertibility declaration take of a path."""
+"""Branch matching by eigenvector overlap, and the samples and
+decompositions that branch tracking, the endpoint identity and the
+invertibility declaration take of a path."""
 
 from collections import Counter
 
@@ -7,9 +8,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diracflow import specflow
 from diracflow.dirac1d import GridSpec, assemble, lambda_sweep
 from diracflow.inequalities import random_unitary
-from diracflow.specflow import PotentialPath, _match_columns, sf_crossings, tanh_path
+from diracflow.specflow import (
+    PotentialPath,
+    _match_columns,
+    endpoint_identity,
+    random_smooth_path,
+    sf_crossings,
+    tanh_path,
+)
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True, database=None)
 
@@ -94,10 +103,44 @@ def test_least_gap_is_measured_once_per_path():
 
     path.sampler = recorded
     GridSpec.auto(path)
-    # one pass over the grid, inside K too: sf_partition reads the same spectra
+    # one pass over the grid, inside K too
     assert sampled == Counter(float(t) for t in path.grid)
     sampled.clear()
     lambda_sweep(path, [1.0, 2.0], GridSpec(8.0, 64))
     assemble(path, GridSpec(8.0, 64), "dirichlet")
     # only the APS endpoint nodes and midpoints, no second pass over the grid
     assert sum(sampled.values()) == 2 * (64 + 2)
+
+
+def test_endpoint_identity_takes_one_pass_per_path(monkeypatch):
+    path = random_smooth_path(17, 5)
+    sampled = Counter()
+    sampler = path.sampler
+
+    def recorded(t):
+        sampled[t] += 1
+        return sampler(t)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the grid pass already holds this decomposition")
+
+    stacked, single = [], []
+    real_eigh = np.linalg.eigh
+
+    def counted_eigh(a, *args, **kwargs):
+        (stacked if np.ndim(a) == 3 else single).append(np.shape(a))
+        return real_eigh(a, *args, **kwargs)
+
+    path.sampler = recorded
+    monkeypatch.setattr(specflow, "positive_projection", forbidden)
+    monkeypatch.setattr(specflow, "spectral_gap", forbidden)
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    rep = endpoint_identity(path)
+    assert rep.passed and rep.crossings.crossings
+    grid = {float(t) for t in path.grid}
+    assert all(sampled[t] == 1 for t in grid)
+    # 64 samples of 5 x 5 fill one chunk
+    assert stacked == [(64, 5, 5)]
+    # every other eigh is a refinement midpoint or a bisection step, one
+    # per sample taken off the grid
+    assert len(single) == sum(n for t, n in sampled.items() if t not in grid) > 0

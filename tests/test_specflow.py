@@ -1,6 +1,11 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from diracflow import specflow
 from diracflow.errors import (
     InvalidInput,
     NotInvertible,
@@ -8,7 +13,14 @@ from diracflow.errors import (
     ShiftFailure,
 )
 from diracflow.inequalities import random_unitary
-from diracflow.opcore import HermitianOperator, positive_projection, spectral_gap
+from diracflow.opcore import (
+    DEFAULT_TOL,
+    HermitianOperator,
+    Tolerances,
+    eigh,
+    positive_projection,
+    spectral_gap,
+)
 from diracflow.relindex import rel_index
 from diracflow.specflow import (
     PotentialPath,
@@ -73,6 +85,84 @@ class TestPotentialPath:
                           support=(0.2, 0.4))
         assert p.support == ((0.2, 0.4),)
         assert p.hull() == (0.2, 0.4)
+
+
+class TestGridPass:
+    @pytest.mark.parametrize("k", [1, 5, 64])
+    def test_matches_per_sample_eigh_across_chunk_seams(self, k, monkeypatch):
+        # three samples per chunk: the 11 samples cross three seams and end
+        # on a partial chunk
+        monkeypatch.setattr(specflow, "_CHUNK_BYTES", 3 * 16 * k * k)
+        p = random_smooth_path(k, k, n_samples=11)
+        spectra, vectors, steps = p._grid_pass(DEFAULT_TOL)
+        samples = [p.sample(t) for t in p.grid]
+        for s, w, v in zip(samples, spectra, vectors):
+            w_ref, v_ref = eigh(s)
+            np.testing.assert_array_equal(w, w_ref)
+            np.testing.assert_array_equal(v, v_ref)
+        # the stacked step formula: in-place differences, last first
+        stacked = np.array(samples)
+        for j in range(stacked.shape[0] - 1, 0, -1):
+            stacked[j] -= stacked[j - 1]
+        np.testing.assert_array_equal(
+            steps, np.abs(np.linalg.eigvalsh(stacked[1:])).max(axis=1))
+        cached = p._grid_spectra()
+        assert cached[0] is spectra and cached[1] is steps
+
+    def test_tiny_eig_tol_names_the_worst_sample(self, monkeypatch):
+        monkeypatch.setattr(specflow, "_CHUNK_BYTES", 2 * 16 * 16 ** 2)
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        dense = a + a.conj().T
+        mostly_diagonal = np.diag(np.arange(1.0, 17.0)).astype(np.complex128)
+        mostly_diagonal[:2, :2] = dense[:2, :2]
+        # diagonal samples decompose exactly; the 2 x 2 block at t = 0.25 (in
+        # the second chunk) leaves a defect about 12 times smaller than the
+        # dense sample at t = 0.625 (in the third)
+        p = PotentialPath(16, np.linspace(0, 1, 9),
+                          lambda t: {0.25: mostly_diagonal, 0.625: dense}.get(
+                              t, np.diag(np.arange(1.0, 17.0) + t)))
+        p._grid_pass(DEFAULT_TOL)
+        with pytest.raises(InvalidInput, match=r"at t=0\.625 exceed eig_tol"):
+            p._grid_pass(Tolerances(eig_tol=1e-300))
+
+    def test_non_finite_sample_in_second_chunk_is_named(self, monkeypatch):
+        monkeypatch.setattr(specflow, "_CHUNK_BYTES", 4 * 16 * 4)
+        p = PotentialPath(2, np.linspace(0, 1, 9),
+                          lambda t: np.diag([np.nan if t == 0.75 else 1.0, -1.0]))
+        with pytest.raises(InvalidInput, match=r"t=0\.75 has non-finite"):
+            p._grid_pass(DEFAULT_TOL)
+
+    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 10_000), k=st.integers(1, 6))
+    def test_junctions_match_positive_projection_and_ind_triple(self, seed, k):
+        path = random_smooth_path(seed, k, n_samples=24)
+        real = specflow._projection_above
+        calls = []
+
+        def recorded(t, w, v, a, gap_tol):
+            p = real(t, w, v, a, gap_tol)
+            calls.append((t, a, p))
+            return p
+
+        with mock.patch.object(specflow, "_projection_above", recorded):
+            sf_partition(path)
+        # each junction term is rel_index(P_+(S - a1), P_+(S - a0)), in that order
+        assert calls and len(calls) % 2 == 0
+        eye = np.eye(k)
+        for (t, a1, p1), (t0, a0, p0) in zip(calls[::2], calls[1::2]):
+            assert t0 == t
+            s = path.sample(t)
+            for a, p in ((a1, p1), (a0, p0)):
+                np.testing.assert_allclose(p.entries, positive_projection(s - a * eye).entries,
+                                           rtol=0, atol=1e-12)
+            assert rel_index(p1, p0) == ind_triple(s, -a0 * eye, -a1 * eye)
+
+    def test_junction_inside_gap_is_not_invertible(self):
+        p = constant_path(np.diag([1.0, -1.0]))
+        spectra, vectors, _ = p._grid_pass(DEFAULT_TOL)
+        with pytest.raises(NotInvertible, match="t=0"):
+            specflow._projection_above(0.0, spectra[0], vectors[0], 1.0 + 1e-9, 1e-8)
 
 
 class TestCrossings:

@@ -349,8 +349,8 @@ class TestCountFloor:
         assert rep.route == "svd"
         assert (rep.dim_ker, rep.dim_coker) == dirac1d._dims_from_svd(op.matrix, tol)[:2]
 
-    # the power steps of the sigma_max bracket overflow at this scale too
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    # no step of the bracket, the counts or the SVD may overflow on the way
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_huge_entries_take_the_dense_route(self):
         # sigma_max ~ 1e81: the square in pivmin overflows, the dense SVD decides
         op = assemble(tanh_path(), GridSpec(8.0, 160), "aps")
@@ -372,6 +372,15 @@ class TestSigmaMaxBracket:
         smax = np.linalg.svd(op.matrix, compute_uv=False)[0]
         assert lo <= smax * (1 + 1e-12) and smax <= hi * (1 + 1e-12)
         assert hi / lo < 1.5
+
+    def test_huge_entries_keep_the_bracket(self):
+        # sigma_max ~ 1e81: unnormalised power steps on D*D overflowed here
+        op = assemble(tanh_path(), GridSpec(8.0, 160), "aps")
+        big = dataclasses.replace(op, cell_a=1e80 * op.cell_a, cell_b=1e80 * op.cell_b)
+        lo, hi = dirac1d._sigma_max_bracket(op)
+        big_lo, big_hi = dirac1d._sigma_max_bracket(big)
+        assert big_lo / 1e80 == pytest.approx(lo, rel=1e-12)
+        assert big_hi / 1e80 == pytest.approx(hi, rel=1e-12)
 
 
 def test_dense_matrix_is_block_bidiagonal():
