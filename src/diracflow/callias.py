@@ -10,14 +10,20 @@ operator T,
 
 must equal the index of the assembled 1-D operator, independently of the
 choice of T (the signed sum telescopes).  Fibered inputs (one independent
-path per point of a finite fiber set Y) produce one integer per fiber,
-and truncation towers give the finite-dimensional meaning of the
-relatively-compact-perturbation hypothesis: difference-of-projection
-tails must decay along the tower and the integers must stabilize.
+path per point of a finite fiber set Y) produce one integer per fiber.
+
+Truncation towers give the finite-dimensional meaning of the
+relatively-compact-perturbation hypothesis.  A tower is an
+`opcore.TruncationTower`: a reference template T and one perturbation
+template R_i per fiber, whose nesting `opcore.tower_instantiate` verifies
+at every dimension n.  `tower_family` turns it into the fibered family
+T_n + smoothstep((t + 1)/2) R_i,n, and `tower_callias` pairs that family
+against T_n: the difference-of-projection tails must decay along the
+tower and the integers must stabilize.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
@@ -31,13 +37,19 @@ from .errors import (
 from .opcore import (
     DEFAULT_TOL,
     Tolerances,
+    TruncationTower,
+    alternating_diag_template,
     as_matrix,
+    decaying_rank_template,
     positive_projection,
     spectral_gap,
     spectral_norm,
+    tail_projector,
+    tower_instantiate,
 )
 from .relindex import rel_index
 from .specflow import PotentialPath, endpoint_identity
+from .surgery import smoothstep
 from . import dirac1d
 
 __all__ = [
@@ -50,6 +62,8 @@ __all__ = [
     "ran_projection_pairing",
     "four_way_identity",
     "FourWayReport",
+    "tower_scenario",
+    "tower_family",
     "tower_callias",
     "TowerCalliasReport",
 ]
@@ -101,10 +115,8 @@ class FiberedFamily:
 
 
 def _resolve_reference(reference, k: int) -> np.ndarray:
-    """Accept a scalar (multiple of the identity), a matrix, or a callable
-    k -> matrix as the reference operator."""
-    if callable(reference):
-        reference = reference(k)
+    """Accept a scalar (multiple of the identity) or a matrix as the
+    reference operator."""
     if np.isscalar(reference):
         mat = complex(reference) * np.eye(k, dtype=np.complex128)
     else:
@@ -282,51 +294,60 @@ def four_way_identity(path: PotentialPath, reference=-1.0,
 # ---------------------------------------------------------------------------
 # Truncation-tower version.
 
-def make_tower_scenario(seed: int, n_fibers: int = 2,
-                        base_dim: int = 16, rank: int = 2,
-                        decay_rate: float = 1.6,
-                        min_end_gap: float = 0.8):
-    """Seeded tower-backed scenario: nested reference template plus, per
-    fiber, a path that ramps a decaying finite-rank perturbation onto the
-    reference across the support set [-1, 1].
+# `tower_callias`'s precondition: resolvent tails beyond the first 12
+# coordinates stay below 1e-6 at every boundary point.
+_TAIL_CUTOFF = 12
+_TAIL_BOUND = 1e-6
 
-    Returns (family_builder, reference_template).  The perturbation scale
-    is fixed at the base dimension (so all truncations nest) and bumped
-    deterministically until the perturbed endpoint keeps a healthy gap.
-    """
-    from .opcore import alternating_diag_template, decaying_rank_template
-    from .surgery import smoothstep
 
-    reference_template = alternating_diag_template
-    fiber_scales = []
-    for i in range(n_fibers):
-        raw = decaying_rank_template(rank, decay_rate, seed * 101 + i)
-        base_norm = spectral_norm(raw(base_dim))
-        scale = 3.0 / base_norm
+def _fibre_scales(start: float):
+    """start * 1.13^j for j = 0..63, then start / 1.13^j for j = 1..64."""
+    for scale, step in ((start, 1.13), (start / 1.13, 1.0 / 1.13)):
         for _ in range(64):
-            end = reference_template(base_dim) + scale * raw(base_dim)
-            if spectral_gap(end) >= min_end_gap:
-                break
-            scale *= 1.13
-        else:
+            yield scale
+            scale *= step
+
+
+def tower_scenario(seed: int, dims, n_fibers: int = 2) -> TruncationTower:
+    """Seeded tower: the reference template diag(1, -1, 2, -2, ...) and,
+    per fiber, a rank-2 perturbation template whose vectors decay like
+    exp(-1.6 j) (see `tower_family` for the paths they make).
+
+    Each perturbation's scale is fixed at the base dimension dims[0] (so
+    all truncations nest): the first of `_fibre_scales(3/||R||)` at which
+    the perturbed endpoint keeps a gap of at least 0.8 there.  Growing the
+    scale finds one for most seeds; where the gap peaks below 0.8 on the
+    way up (fiber 0 of seed 35 peaks at 0.39), shrinking it does, because
+    the reference's own gap is 1.
+    """
+    base_dim = int(dims[0])
+    t_base = alternating_diag_template(base_dim)
+    perturbations = []
+    for i in range(n_fibers):
+        raw = decaying_rank_template(2, 1.6, seed * 101 + i)
+        r_base = raw(base_dim)
+        scale = next((s for s in _fibre_scales(3.0 / spectral_norm(r_base))
+                      if spectral_gap(t_base + s * r_base) >= 0.8), None)
+        if scale is None:
             raise InvalidInput("could not reach an invertible perturbed endpoint")
-        fiber_scales.append((raw, scale))
+        perturbations.append(lambda n, raw=raw, scale=scale: scale * raw(n))
+    return TruncationTower(dims, alternating_diag_template, perturbations)
 
-    def family_builder(n: int) -> FiberedFamily:
-        paths = []
-        for i, (raw, scale) in enumerate(fiber_scales):
-            r_n = scale * raw(n)
-            t_n = reference_template(n)
 
-            def sampler(t, r_n=r_n, t_n=t_n):
-                return t_n + smoothstep((t + 1.0) / 2.0) * r_n
+def tower_family(tower: TruncationTower, n: int) -> FiberedFamily:
+    """The fibered family at tower dimension n: fiber i is the path
+    T_n + smoothstep((t + 1)/2) R_i,n on [-2.5, 2.5], which ramps the i-th
+    perturbation onto the reference across the support set [-1, 1]."""
+    return _ramp_family(n, *tower_instantiate(tower, n))
 
-            paths.append(PotentialPath(
-                n, np.linspace(-2.5, 2.5, 41), sampler,
-                support=((-1.0, 1.0),), name=f"tower-fiber-{i}(dim={n})"))
-        return FiberedFamily(labels=tuple(range(n_fibers)), paths=tuple(paths))
 
-    return family_builder, reference_template
+def _ramp_family(n: int, t_n, perturbations) -> FiberedFamily:
+    paths = tuple(
+        PotentialPath(n, np.linspace(-2.5, 2.5, 41),
+                      lambda t, r_n=r_n: t_n + smoothstep((t + 1.0) / 2.0) * r_n,
+                      support=((-1.0, 1.0),), name=f"tower-fiber-{i}(dim={n})")
+        for i, r_n in enumerate(perturbations))
+    return FiberedFamily(labels=tuple(range(len(paths))), paths=paths)
 
 
 @dataclass(frozen=True)
@@ -340,69 +361,61 @@ class TowerCalliasReport:
     passed: bool
 
 
-def _tail_projector(n: int, start: int) -> np.ndarray:
-    p = np.zeros((n, n))
-    p[start:, start:] = np.eye(n - start)
-    return p
-
-
-def tower_callias(family_builder: Callable[[int], FiberedFamily],
-                  reference_template: Callable[[int], np.ndarray],
-                  dims: Sequence[int], lam: float = 1.0,
-                  rank_cutoff: int = 12,
+def tower_callias(tower: TruncationTower,
                   base_grid: Optional[dirac1d.GridSpec] = None,
-                  tail_bound: float = 1e-6,
                   tol: Tolerances = DEFAULT_TOL) -> TowerCalliasReport:
     """Hypersurface pairing along a truncation tower.
 
-    ``family_builder(n)`` must produce the fibered family at fiber
-    dimension n (nested compressions of one template scenario) and
-    ``reference_template(n)`` the reference operator at dimension n.
+    At every tower dimension n the fibers are `tower_family(tower, n)`'s,
+    the reference is T_n, the tower's operator, and the coupling is 1.
+    Every level is instantiated, and so checked for nesting, before the
+    first is paired.
 
-    Preconditions: at every boundary point, the perturbation against the
-    reference must have a small resolvent tail beyond ``rank_cutoff``
-    (||(S(y) - T)(T +- i)^(-1) Pi_tail|| <= tail_bound).  The full
-    assembled-operator check runs at the base dimension; larger dimensions
-    use the (already cross-validated) spectral-flow route for the
-    left-hand side.  The per-fiber integers must agree at the top two
+    Preconditions: at every boundary point y, the perturbation against the
+    reference must have a small resolvent tail beyond the first 12
+    coordinates (||(S(y) - T_n)(T_n +- i)^(-1) Pi_tail|| <= 1e-6).  The
+    full assembled-operator check runs at the base dimension; larger
+    dimensions use the (already cross-validated) spectral-flow route for
+    the left-hand side; ``base_grid`` is that check's grid (None:
+    ``GridSpec.auto``).  The per-fiber integers must agree at the top two
     dimensions and the difference-of-projection tail norms must decay
     monotonically (within factor 2) along the tower.
     """
-    dims = tuple(int(d) for d in dims)
-    if len(dims) < 2 or any(b <= a for a, b in zip(dims, dims[1:])):
-        raise InvalidInput("need at least two strictly increasing dims")
-    if rank_cutoff >= dims[0]:
-        raise InvalidInput("rank_cutoff must be below the smallest dim")
+    dims = tower.dims
+    if len(dims) < 2:
+        raise InvalidInput("need at least two tower dims")
+    if _TAIL_CUTOFF >= dims[0]:
+        raise InvalidInput(f"the smallest tower dim must exceed {_TAIL_CUTOFF}")
+    # every level first, so that a nesting violation stops the check before
+    # any spectral work
+    levels = [(n,) + tower_instantiate(tower, n) for n in dims]
     integers, tails, pre_norms = [], [], []
-    for pos, n in enumerate(dims):
-        family = family_builder(n)
-        t_ref = _resolve_reference(reference_template, n)
+    for pos, (n, t_n, perturbations) in enumerate(levels):
+        family = _ramp_family(n, t_n, perturbations)
         eye = np.eye(n, dtype=np.complex128)
-        pi_fixed = _tail_projector(n, rank_cutoff)
-        pi_scaled = _tail_projector(n, n // 2)
+        pi_fixed = tail_projector(n, _TAIL_CUTOFF)
+        pi_scaled = tail_projector(n, n // 2)
+        # (T_n +- i)^(-1) Pi_tail depends on n and the sign only
+        resolvents = [np.linalg.solve((t_n + sign * eye).conj().T, pi_fixed).conj().T
+                      for sign in (1j, -1j)]
         worst_pre, worst_tail = 0.0, 0.0
-        p_ref = positive_projection(t_ref, tol.proj_gap_tol, tol)
+        p_ref = positive_projection(t_n, tol.proj_gap_tol, tol)
         boundaries = []
         for p in family.paths:
-            if p.k != n:
-                raise InvalidInput("fiber dim must equal the tower dim")
             surface, projections = _boundary(p, tol)
             boundaries.append((surface, projections))
             for y, p_y in zip(surface.points, projections):
-                diff = p.sample(y) - t_ref
-                for sign in (1j, -1j):
-                    resolvent = np.linalg.solve((t_ref + sign * eye).conj().T,
-                                                pi_fixed).conj().T
+                diff = p.sample(y) - t_n
+                for resolvent in resolvents:
                     worst_pre = max(worst_pre, spectral_norm(diff @ resolvent))
                 worst_tail = max(worst_tail, spectral_norm(
                     (p_y.entries - p_ref.entries) @ pi_scaled))
-        if worst_pre > tail_bound:
+        if worst_pre > _TAIL_BOUND:
             raise HypothesisUnmet(
                 f"tail precondition fails at dim {n}: resolvent tail "
-                f"{worst_pre:.3e} > {tail_bound:.1e}")
+                f"{worst_pre:.3e} > {_TAIL_BOUND:.1e}")
         method = "both" if pos == 0 else "sf"
-        rep = _pairing_report(family.paths, boundaries, True, lam,
-                              reference_template(n), None,
+        rep = _pairing_report(family.paths, boundaries, True, 1.0, t_n, None,
                               base_grid if pos == 0 else None, method, tol)
         integers.append(rep.lhs)
         tails.append(worst_tail)

@@ -34,6 +34,7 @@ from .errors import (
 from .opcore import (
     DEFAULT_TOL,
     Tolerances,
+    TruncationTower,
     alternating_diag_template,
     decaying_rank_template,
     exp_decay_template,
@@ -463,12 +464,9 @@ def _run_tower(cfg: ScenarioConfig):
     fibers = int(cfg.params.get("fibers", 2))
 
     def check():
-        builder, ref = callias.make_tower_scenario(cfg.seeds[0],
-                                                   n_fibers=fibers,
-                                                   base_dim=dims[0])
-        rep = callias.tower_callias(builder, ref, dims,
-                                    base_grid=dirac1d.GridSpec(9.0, 120),
-                                    tol=cfg.tolerances)
+        tower = callias.tower_scenario(cfg.seeds[0], dims, fibers)
+        rep = callias.tower_callias(tower, dirac1d.GridSpec(9.0, 120),
+                                    cfg.tolerances)
         return dict(lhs=rep.integers[-1], rhs=rep.integers[-2],
                     passed=rep.passed, details={"tails": rep.tail_norms})
     return [_guarded(f"tower{dims}",
@@ -532,9 +530,10 @@ def _run_appendix(cfg: ScenarioConfig):
                                 stability))
 
     def schedule():
+        tower = TruncationTower(dims, alternating_diag_template,
+                                (rank_one_template,))
         rep = inequalities.check_relative_bound_schedule(
-            alternating_diag_template, rank_one_template, dims,
-            (0.5, 0.1, 0.02), seed=base_seed, tol=cfg.tolerances)
+            tower, (0.5, 0.1, 0.02), seed=base_seed, tol=cfg.tolerances)
         worst = max(w for (_, _, _, w) in rep.entries)
         return dict(lhs=worst, rhs=0.0, passed=rep.passed, residual=max(0.0, worst))
     records.append(_guarded("relative-bound-schedule",
@@ -544,9 +543,10 @@ def _run_appendix(cfg: ScenarioConfig):
     def tails():
         raw = decaying_rank_template(2, 1.2, seed=base_seed)
         scale = 3.0 / float(np.linalg.norm(raw(dims[0]), 2))
+        tower = TruncationTower(dims, alternating_diag_template,
+                                (lambda n: scale * raw(n),))
         rep = inequalities.check_functional_calculus_tails(
-            alternating_diag_template, lambda n: scale * raw(n), dims,
-            tol=cfg.tolerances)
+            tower, tol=cfg.tolerances)
         return dict(lhs=rep.tail_norms["step"][-1], rhs=1e-5, passed=rep.passed,
                     residual=rep.resolvent_residual)
     records.append(_guarded(

@@ -42,6 +42,7 @@ __all__ = [
     "inv_sqrt_via_quadrature",
     "QuadratureResult",
     "tower_instantiate",
+    "tail_projector",
     "spectral_norm",
     "spectral_gap",
 ]
@@ -351,17 +352,18 @@ def inv_sqrt_via_quadrature(h, n_nodes: int, tol: Tolerances = DEFAULT_TOL) -> Q
 
 @dataclass(frozen=True)
 class TruncationTower:
-    """Nested finite compressions of a fixed infinite template.
+    """Nested finite compressions of fixed infinite templates.
 
     ``operator_template(n)`` must return the top-left n x n block of one
-    fixed infinite Hermitian matrix; ``perturbation_template`` likewise
-    (or None).  Nesting is re-verified at instantiation time.
+    fixed infinite Hermitian matrix T, and each of
+    ``perturbation_templates`` likewise for a perturbation R_i.  Nesting is
+    verified at instantiation (`tower_instantiate`), once for every
+    consumer of the tower.
     """
 
     dims: tuple
     operator_template: Callable[[int], np.ndarray]
-    perturbation_template: Optional[Callable[[int], np.ndarray]] = None
-    name: str = ""
+    perturbation_templates: tuple = ()
 
     def __post_init__(self):
         dims = tuple(int(d) for d in self.dims)
@@ -370,34 +372,39 @@ class TruncationTower:
         if any(b <= a for a, b in zip(dims, dims[1:])):
             raise InvalidInput("tower dims must be strictly increasing")
         object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "perturbation_templates",
+                           tuple(self.perturbation_templates))
 
 
 def tower_instantiate(tower: TruncationTower, n: int):
-    """Instantiate (T_n, R_n) and verify the nested-compression invariant
-    against the next-smaller tower dimension."""
+    """(T_n, (R_1,n, ..., R_m,n)): the templates' own n x n arrays, after
+    checking each against its compression at the next-smaller tower
+    dimension.  The arrays are not hermitised here; consumers that
+    decompose them do so."""
     if n not in tower.dims:
         raise InvalidInput(f"dim {n} not in tower dims {tower.dims}")
-    t_n = as_hermitian(tower.operator_template(n))
-    if t_n.dim != n:
-        raise GeneratorError(f"template returned dim {t_n.dim}, expected {n}")
-    r_n = None
-    if tower.perturbation_template is not None:
-        r_n = as_hermitian(tower.perturbation_template(n))
-        if r_n.dim != n:
-            raise GeneratorError(f"perturbation returned dim {r_n.dim}, expected {n}")
-    smaller = [d for d in tower.dims if d < n]
-    if smaller:
-        m = smaller[-1]
-        t_m = as_hermitian(tower.operator_template(m))
-        if not np.array_equal(t_n.entries[:m, :m], t_m.entries):
+    m = max((d for d in tower.dims if d < n), default=0)
+    out = []
+    for i, template in enumerate((tower.operator_template,)
+                                 + tower.perturbation_templates):
+        what = "operator" if i == 0 else f"perturbation {i - 1}"
+        a = as_matrix(template(n))
+        _check_finite(a, f"{what} template")
+        if a.shape[0] != n:
+            raise GeneratorError(f"{what} template returned dim {a.shape[0]}, expected {n}")
+        if m and not np.array_equal(a[:m, :m], as_matrix(template(m))):
             raise GeneratorError(
-                f"nesting violated: top-left {m}x{m} block of T_{n} != T_{m}")
-        if r_n is not None:
-            r_m = as_hermitian(tower.perturbation_template(m))
-            if not np.array_equal(r_n.entries[:m, :m], r_m.entries):
-                raise GeneratorError(
-                    f"nesting violated for perturbation at dims ({m}, {n})")
-    return t_n, r_n
+                f"nesting violated: top-left {m}x{m} block of the {what} "
+                f"template at dim {n} differs from its dim-{m} value")
+        out.append(a)
+    return out[0], tuple(out[1:])
+
+
+def tail_projector(n: int, start: int) -> np.ndarray:
+    """The real n x n coordinate projection onto e_start, ..., e_(n-1)."""
+    p = np.zeros((n, n))
+    p[start:, start:] = np.eye(n - start)
+    return p
 
 
 def spectral_norm(m) -> float:

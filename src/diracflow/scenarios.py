@@ -15,7 +15,7 @@ import numpy as np
 
 from .dirac1d import quintic_plateau
 from .inequalities import random_unitary
-from .opcore import HermitianOperator, spectral_gap
+from .opcore import HermitianOperator
 from .specflow import PotentialPath, random_smooth_path
 from .surgery import smoothstep
 
@@ -80,9 +80,7 @@ def chain_path(seed: int, k: int, n_intervals: int = 1,
         return plateaus[-1]
 
     grid = np.linspace(span[0], span[1], n_samples)
-    margin = min(spectral_gap(p) for p in plateaus)
     return PotentialPath(k, grid, sampler, support=intervals,
-                         margin=0.99 * margin,
                          name=f"chain(seed={seed}, k={k}, m={n_intervals})")
 
 
@@ -164,7 +162,7 @@ def engineered_threshold_path(alpha: float = 0.4,
         return np.array([[math.sinh(alpha * t)]])
 
     path = PotentialPath(1, grid, sampler, support=((k_hat[0], k_hat[1]),),
-                         margin=0.99, name=f"sinh({alpha:g} t)")
+                         name=f"sinh({alpha:g} t)")
     return path, k_hat
 
 

@@ -107,12 +107,12 @@ class PotentialPath:
         values (the sampler is evaluated at the clamped parameter).
     support : the declared compact set K where invertibility may fail,
         as a finite union of disjoint closed intervals (or one (a, b)
-        pair).  Empty means globally invertible.
-    margin : optional lower bound on the spectral gap outside K; a float
-        or a rule t -> float.  Checked by `validate`.
+        pair).  Empty means globally invertible.  The declaration is
+        checked where it is used: `dirac1d.assemble` requires a spectral
+        gap of at least ``proj_gap_tol`` at every grid sample outside K.
     """
 
-    def __init__(self, k, grid, sampler, support=(), margin=None, name=""):
+    def __init__(self, k, grid, sampler, support=(), name=""):
         self.k = int(k)
         self.grid = np.asarray(grid, dtype=float)
         if self.grid.ndim != 1 or self.grid.size < 2:
@@ -121,7 +121,6 @@ class PotentialPath:
             raise InvalidInput("grid must be strictly increasing")
         self.sampler = sampler
         self.support = _normalize_support(support)
-        self.margin = margin
         self.name = name
         self._spectra = None
 
@@ -152,13 +151,6 @@ class PotentialPath:
 
     def in_support(self, t: float) -> bool:
         return any(a <= t <= b for a, b in self.support)
-
-    def margin_at(self, t: float) -> float:
-        if self.margin is None:
-            return DEFAULT_TOL.proj_gap_tol
-        if callable(self.margin):
-            return float(self.margin(t))
-        return float(self.margin)
 
     def min_gap_outside(self) -> float:
         return self.least_gap_outside()[1]
@@ -241,26 +233,6 @@ class PotentialPath:
                 f"eig_tol={tol.eig_tol:.1e}")
         self._spectra = (spectra, steps)
         return spectra, vectors, steps
-
-    def validate(self, tol: Tolerances = DEFAULT_TOL):
-        """Check the declared invariants on the grid: Hermitian samples and
-        the invertibility margin outside K."""
-        for t in self.grid:
-            raw = np.asarray(self.sampler(float(t)), dtype=np.complex128)
-            dev = float(np.linalg.norm(raw - raw.conj().T, 2))
-            scale = max(1.0, float(np.linalg.norm(raw, 2)))
-            if dev / scale > 1e-12:
-                raise InvalidInput(
-                    f"sampler not Hermitian at t={t}: residual {dev / scale:.3e}")
-            if not self.in_support(t):
-                m = self.margin_at(t)
-                if not m > 0.0:
-                    raise InvalidInput(f"margin at t={t} is not positive")
-                g = spectral_gap(self.sample(t))
-                if g < m:
-                    raise InvalidInput(
-                        f"gap {g:.3e} below declared margin {m:.3e} at t={t}")
-        return self
 
     def __repr__(self):
         a, b = self.span()
@@ -700,22 +672,21 @@ def tanh_path(k=1, scale=1.0, span=(-10.0, 10.0), n_samples=161,
     eye = np.eye(k, dtype=np.complex128)
     body = np.arctanh(0.9) / scale
     return PotentialPath(k, grid, lambda t: np.tanh(scale * t) * eye,
-                         support=((-body, body),), margin=0.9, name=name)
+                         support=((-body, body),), name=name)
 
 
 def diagonal_path(funcs: Sequence[Callable[[float], float]], span, n_samples,
-                  support=(), margin=None, name="diagonal") -> PotentialPath:
+                  support=(), name="diagonal") -> PotentialPath:
     fs = list(funcs)
     grid = np.linspace(span[0], span[1], n_samples)
 
     def sampler(t):
         return np.diag([f(t) for f in fs]).astype(np.complex128)
 
-    return PotentialPath(len(fs), grid, sampler, support=support,
-                         margin=margin, name=name)
+    return PotentialPath(len(fs), grid, sampler, support=support, name=name)
 
 
-def path_from_samples(grid, matrices, support=(), margin=None,
+def path_from_samples(grid, matrices, support=(),
                       name="tabulated") -> PotentialPath:
     """Piecewise-linear interpolation through tabulated Hermitian samples."""
     grid = np.asarray(grid, dtype=float)
@@ -730,8 +701,7 @@ def path_from_samples(grid, matrices, support=(), margin=None,
         u = (t - grid[j]) / (grid[j + 1] - grid[j])
         return (1.0 - u) * mats[j] + u * mats[j + 1]
 
-    return PotentialPath(k, grid, sampler, support=support, margin=margin,
-                         name=name)
+    return PotentialPath(k, grid, sampler, support=support, name=name)
 
 
 def _trig_coeff_matrices(rng, k, n_terms=3, decay=0.6):
@@ -812,8 +782,7 @@ def reversed_path(p: PotentialPath, name=None) -> PotentialPath:
     grid = (a + b) - p.grid[::-1]
     support = tuple(sorted(((a + b) - hi, (a + b) - lo) for lo, hi in p.support))
     return PotentialPath(p.k, grid, lambda t: p.sample(a + b - t),
-                         support=support, margin=p.margin,
-                         name=name or f"reversed({p.name})")
+                         support=support, name=name or f"reversed({p.name})")
 
 
 def conjugated_path(p: PotentialPath, unitary_rule, name=None) -> PotentialPath:
@@ -822,17 +791,17 @@ def conjugated_path(p: PotentialPath, unitary_rule, name=None) -> PotentialPath:
         return u @ p.sample(t) @ u.conj().T
 
     return PotentialPath(p.k, p.grid.copy(), sampler, support=p.support,
-                         margin=p.margin, name=name or f"conjugated({p.name})")
+                         name=name or f"conjugated({p.name})")
 
 
 def perturbed_path(p: PotentialPath, bump: Callable[[float], float], r,
                    name=None) -> PotentialPath:
     """p(t) + bump(t) * R with a fixed Hermitian R; bump should vanish
-    outside the support set so margins are untouched."""
+    outside the support set so invertibility outside K is untouched."""
     rm = as_matrix(r)
 
     def sampler(t):
         return p.sample(t) + float(bump(t)) * rm
 
     return PotentialPath(p.k, p.grid.copy(), sampler, support=p.support,
-                         margin=p.margin, name=name or f"perturbed({p.name})")
+                         name=name or f"perturbed({p.name})")

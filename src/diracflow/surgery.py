@@ -207,7 +207,7 @@ def cylindrical_end(path: PotentialPath, window: Tuple[float, float],
     grid_pts = np.unique(np.concatenate([
         path.grid, [u_lo - ramp, u_lo, u_hi, u_hi + ramp]]))
     out = PotentialPath(path.k, grid_pts, sampler, support=path.support,
-                        margin=None, name=f"cyl({path.name})")
+                        name=f"cyl({path.name})")
     gap_r = _ramp_gap_check(out, u_hi, u_hi + ramp, tol)
     gap_l = _ramp_gap_check(out, u_lo - ramp, u_lo, tol)
     before = dirac1d.path_index_report(path, grid, lam, tol, refine_check=False).index
@@ -272,7 +272,7 @@ def collar_flatten(path: PotentialPath, reference, collar_width: float = None,
     grid_pts = np.unique(np.concatenate([
         path.grid, [a, a + collar_width, b - collar_width, b]]))
     out = PotentialPath(path.k, grid_pts, sampler, support=path.support,
-                        margin=None, name=f"flattened({path.name})")
+                        name=f"flattened({path.name})")
     collar_gaps = [spectral_gap(out.sample(t)) for t in
                    np.concatenate([np.linspace(a, a + collar_width, 17),
                                    np.linspace(b - collar_width, b, 17)])]

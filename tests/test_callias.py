@@ -90,9 +90,8 @@ def test_flipped_sign_is_a_violation(monkeypatch):
 
 
 def test_tower_integers_and_tails():
-    builder, ref = callias.make_tower_scenario(3, n_fibers=2, base_dim=16)
-    rep = callias.tower_callias(builder, ref, (16, 32),
-                                base_grid=dirac1d.GridSpec(9.0, 120))
+    tower = callias.tower_scenario(3, (16, 32), n_fibers=2)
+    rep = callias.tower_callias(tower, base_grid=dirac1d.GridSpec(9.0, 120))
     assert rep.passed
     assert rep.integers == ((0, -1), (0, -1))
     assert len(rep.tail_norms) == 2

@@ -43,19 +43,6 @@ from diracflow.specflow import (
 
 
 class TestPotentialPath:
-    def test_rejects_non_hermitian_sampler(self):
-        p = PotentialPath(2, np.linspace(0, 1, 5),
-                          lambda t: np.array([[0.0, 1.0], [0.0, 0.0]]))
-        with pytest.raises(InvalidInput):
-            p.validate()
-
-    def test_margin_enforced(self):
-        p = PotentialPath(1, np.linspace(0, 1, 5),
-                          lambda t: np.array([[0.01]]),
-                          support=(), margin=0.5)
-        with pytest.raises(InvalidInput):
-            p.validate()
-
     def test_constant_extension_beyond_grid(self):
         p = linear_scalar_path()
         assert p.sample(5.0) == pytest.approx(p.sample(1.0))

@@ -10,7 +10,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from diracflow import dirac1d
-from diracflow.callias import make_tower_scenario
+from diracflow.callias import tower_family, tower_scenario
 from diracflow.dirac1d import GridSpec, assemble, index_report
 from diracflow.errors import AmbiguousRank
 from diracflow.opcore import DEFAULT_TOL, Tolerances
@@ -105,8 +105,7 @@ class TestRoutesAgree:
     @settings(max_examples=4, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 40))
     def test_tower_fibers(self, seed):
-        builder, _ = make_tower_scenario(seed, n_fibers=2, base_dim=16)
-        for path in builder(16).paths:
+        for path in tower_family(tower_scenario(seed, (16,), n_fibers=2), 16).paths:
             routes_agree(assemble(path, GridSpec(9.0, 30), "aps"))
 
     def test_reports_name_the_route(self):
@@ -322,8 +321,7 @@ class TestGrowthBoundedTransfer:
         assert qrs[1] > qrs[0]
 
     def test_tower_fiber_k16_matches_dense(self):
-        builder, _ = make_tower_scenario(3, n_fibers=2, base_dim=16)
-        for path in builder(16).paths:
+        for path in tower_family(tower_scenario(3, (16,), n_fibers=2), 16).paths:
             op = assemble(path, GridSpec(9.0, 64), "aps")
             assert op.k == 16
             fast = dirac1d._transfer_dims(op, DEFAULT_TOL)
@@ -337,7 +335,7 @@ class TestCountFloor:
     @pytest.mark.parametrize("make", [
         lambda: assemble(tanh_path(), GridSpec(8.0, 160), "aps"),
         lambda: assemble(ramp_path(7, 3, 1, 2), GridSpec(5.0, 60), "aps", 1.3),
-        lambda: assemble(make_tower_scenario(3, n_fibers=2, base_dim=16)[0](16).paths[1],
+        lambda: assemble(tower_family(tower_scenario(3, (16,), n_fibers=2), 16).paths[1],
                          GridSpec(9.0, 30), "aps"),
     ])
     def test_cap_below_the_floor_takes_the_dense_route(self, make):
@@ -350,7 +348,7 @@ class TestCountFloor:
         assert (rep.dim_ker, rep.dim_coker) == dirac1d._dims_from_svd(op.matrix, tol)[:2]
 
     # no step of the bracket, the counts or the SVD may overflow on the way
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    # (pyproject.toml turns every RuntimeWarning into an error)
     def test_huge_entries_take_the_dense_route(self):
         # sigma_max ~ 1e81: the square in pivmin overflows, the dense SVD decides
         op = assemble(tanh_path(), GridSpec(8.0, 160), "aps")
