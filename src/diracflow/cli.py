@@ -11,6 +11,7 @@ Exit codes: 0 = all checks passed or were precondition-skipped,
 
 import argparse
 import concurrent.futures
+import functools
 import json
 import math
 import sys
@@ -36,6 +37,7 @@ from .opcore import (
     Tolerances,
     TruncationTower,
     alternating_diag_template,
+    bounded_transform_stack,
     decaying_rank_template,
     exp_decay_template,
     inv_sqrt_via_quadrature,
@@ -482,52 +484,92 @@ def _run_appendix(cfg: ScenarioConfig):
     base_seed = cfg.seeds[0]
     records = []
 
-    def interpolation():
-        good = 0
-        for i in range(trials):
-            t = inequalities.random_hermitian(
-                inequalities.RandomSpec(base_seed + i, 4 + i % 9, (0.05, 3.0)))
-            s = inequalities.random_hermitian(
-                inequalities.RandomSpec(base_seed + i + 10 ** 6, t.dim, (-2.0, 2.0)))
-            good += inequalities.check_interpolation_inequality(
-                t, s, cfg.tolerances).passed
-        return dict(lhs=good, rhs=trials, passed=good == trials)
+    def draw(idx, offset, dim, envelope):
+        """The stack of trial i's random Hermitian (seed base + i + offset)
+        for the trial numbers ``idx``."""
+        return inequalities.random_hermitian_stack(
+            [inequalities.RandomSpec(base_seed + int(i) + offset, dim, envelope)
+             for i in idx])
+
+    def trial_suites(period, prepare, checks):
+        """Trial suites that share their per-dim work, trial i at dim
+        4 + i % period, run one stack per dim and one dim at a time, so
+        that only one dim's arrays are alive: ``prepare(dim, idx)`` makes
+        the shared arrays of the trial numbers ``idx`` and each
+        ``check(shared, dim, idx)`` one suite's stacked report.
+
+        Returns ``record(k)``: suite k's passed trials against trials, with
+        its weakest trial (least margin) in details, or the error that
+        ended the suite, raised for `_guarded` to judge."""
+        passed = np.zeros((len(checks), trials), dtype=bool)
+        margin = np.zeros((len(checks), trials))
+        errors = [None] * len(checks)
+        for dim in range(4, 4 + min(period, trials)):
+            idx = np.arange(dim - 4, trials, period)
+            try:
+                shared = prepare(dim, idx)
+            except DiracflowError as exc:
+                errors = [err or exc for err in errors]
+                break
+            for k, check in enumerate(checks):
+                if errors[k] is None:
+                    try:
+                        rep = check(shared, dim, idx)
+                    except DiracflowError as exc:
+                        errors[k] = exc
+                        continue
+                    passed[k, idx] = rep.passed
+                    margin[k, idx] = rep.margin
+
+        def record(k):
+            if errors[k] is not None:
+                raise errors[k]
+            good = int(np.count_nonzero(passed[k]))
+            out = dict(lhs=good, rhs=trials, passed=good == trials)
+            if trials:
+                i = int(np.argmin(margin[k]))
+                out["details"] = {"weakest_trial": i, "seed": base_seed + i,
+                                  "dim": 4 + i % period, "margin": float(margin[k, i])}
+            return out
+        return record
+
+    # interpolation and conjugation draw the same T and decompose it once
+    conjugated_norms = functools.cache(lambda: trial_suites(
+        9,
+        lambda dim, idx: inequalities.positive_decomposition(
+            draw(idx, 0, dim, (0.05, 3.0)), cfg.tolerances, trials=idx),
+        [lambda pos, dim, idx: inequalities.check_interpolation_stack(
+            pos, draw(idx, 10 ** 6, dim, (-2.0, 2.0))),
+         lambda pos, dim, idx: inequalities.check_conjugation_stack(
+            pos, draw(idx, 2 * 10 ** 6, dim, (-1.0, 1.0)))]))
     records.append(_guarded(
         f"interpolation[{trials}]",
         "half-power conjugated norm is dominated by the full-power one",
-        interpolation))
-
-    def conjugation():
-        good = 0
-        for i in range(trials):
-            t = inequalities.random_hermitian(
-                inequalities.RandomSpec(base_seed + i, 4 + i % 9, (0.05, 3.0)))
-            f = inequalities.random_hermitian(
-                inequalities.RandomSpec(base_seed + i + 2 * 10 ** 6, t.dim, (-1.0, 1.0)))
-            good += inequalities.check_conjugation_norm_bound(
-                t, f, cfg.tolerances).passed
-        return dict(lhs=good, rhs=trials, passed=good == trials)
+        lambda: conjugated_norms()(0)))
     records.append(_guarded(f"conjugation[{trials}]",
                             "operator norm bounded by the conjugated norm",
-                            conjugation))
+                            lambda: conjugated_norms()(1)))
 
-    for eps in a4_eps:
-        def stability(eps=eps):
-            good = 0
-            for i in range(trials):
-                t = inequalities.random_hermitian(
-                    inequalities.RandomSpec(base_seed + i, 4 + i % 12, (-6.0, 6.0)))
-                raw = inequalities.random_hermitian(
-                    inequalities.RandomSpec(base_seed + i + 3 * 10 ** 6, t.dim,
-                                            (-1.0, 1.0)))
-                r = inequalities.scale_perturbation_to_eps(t, raw, eps)
-                rep = inequalities.check_bounded_transform_stability(
-                    t, t.entries + r.entries, eps, cfg.tolerances)
-                good += rep.passed
-            return dict(lhs=good, rhs=trials, passed=good == trials)
+    def stability_base(dim, idx):
+        """T, raw R, (T + i)^(-1) and F_T, taken once for every eps."""
+        t = draw(idx, 0, dim, (-6.0, 6.0))
+        return (t, draw(idx, 3 * 10 ** 6, dim, (-1.0, 1.0)),
+                inequalities.resolvent_at_i(t), bounded_transform_stack(t, cfg.tolerances))
+
+    def stability(eps):
+        def check(base, dim, idx):
+            t, raw, res, f_t = base
+            r = inequalities.scale_perturbation_stack(t, raw, eps, res=res)
+            return inequalities.check_stability_stack(
+                t, t + r, eps, cfg.tolerances, res=res, f_t=f_t, trials=idx)
+        return check
+
+    stabilities = functools.cache(lambda: trial_suites(
+        12, stability_base, [stability(eps) for eps in a4_eps]))
+    for k, eps in enumerate(a4_eps):
         records.append(_guarded(f"transform-stability[eps={eps:g}]",
                                 "bounded transform moves at most four epsilon",
-                                stability))
+                                lambda k=k: stabilities()(k)))
 
     def schedule():
         tower = TruncationTower(dims, alternating_diag_template,

@@ -16,7 +16,7 @@ are never reported as violations of the inequalities.
 """
 
 from dataclasses import dataclass
-from typing import Callable, Sequence, Tuple
+from typing import Callable, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -32,8 +32,10 @@ from .opcore import (
     HermitianOperator,
     Tolerances,
     TruncationTower,
+    _hermitised,
     as_matrix,
     bounded_transform,
+    bounded_transform_stack,
     eigh,
     positive_projection,
     spectral_gap,
@@ -45,16 +47,24 @@ from .opcore import (
 __all__ = [
     "RandomSpec",
     "random_hermitian",
+    "random_hermitian_stack",
     "random_unitary",
     "check_compact_strong_convergence",
     "CompactConvergenceReport",
+    "PositiveDecomposition",
+    "positive_decomposition",
     "check_interpolation_inequality",
+    "check_interpolation_stack",
     "InterpolationReport",
     "check_conjugation_norm_bound",
+    "check_conjugation_stack",
     "ConjugationReport",
     "check_bounded_transform_stability",
+    "check_stability_stack",
     "StabilityReport",
+    "resolvent_at_i",
     "scale_perturbation_to_eps",
+    "scale_perturbation_stack",
     "check_relative_bound_schedule",
     "ScheduleReport",
     "check_functional_calculus_tails",
@@ -81,21 +91,71 @@ class RandomSpec:
             raise InvalidInput("envelope must be ordered (lo, hi)")
 
 
-def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
-    """Haar-ish unitary from the QR decomposition of a Gaussian matrix,
+def _phase_fixed_q(a: np.ndarray) -> np.ndarray:
+    """Q of the QR decomposition of a matrix, or of each matrix of a stack,
     with the phase convention that makes the factorization unique."""
-    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     q, r = np.linalg.qr(a)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
+    d = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (d / np.abs(d))[..., None, :]
+
+
+def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """Haar-ish unitary from the QR decomposition of a Gaussian matrix."""
+    return _phase_fixed_q(rng.standard_normal((dim, dim))
+                          + 1j * rng.standard_normal((dim, dim)))
+
+
+def random_hermitian_stack(specs: Sequence[RandomSpec]) -> np.ndarray:
+    """The operators of several specs of one dim, as a hermitised stack
+    (m, dim, dim).
+
+    Each spec draws from its own generator, in the order of a single
+    `random_hermitian`; the QR, the phase fix and the product U diag(w) U*
+    then run once for the stack, matrix by matrix bitwise equal to
+    separate calls.
+    """
+    dims = {spec.dim for spec in specs}
+    if len(dims) != 1:
+        raise InvalidInput(f"need specs of one dim, got dims {sorted(dims)}")
+    n = dims.pop()
+    gauss = np.empty((len(specs), n, n), dtype=np.complex128)
+    w = np.empty((len(specs), n))
+    for j, spec in enumerate(specs):
+        rng = np.random.default_rng(spec.seed)
+        gauss[j] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+        w[j] = rng.uniform(*spec.envelope, size=n)
+    u = _phase_fixed_q(gauss)
+    return _hermitised((u * w[:, None, :]) @ u.conj().swapaxes(-1, -2), stack=True)
 
 
 def random_hermitian(spec: RandomSpec) -> HermitianOperator:
     """Seeded random Hermitian operator with eigenvalues in the envelope."""
-    rng = np.random.default_rng(spec.seed)
-    u = random_unitary(rng, spec.dim)
-    w = rng.uniform(*spec.envelope, size=spec.dim)
-    return HermitianOperator((u * w) @ u.conj().T)
+    return HermitianOperator(random_hermitian_stack([spec])[0])
+
+
+def _stack(x, like=None, what="") -> np.ndarray:
+    """The (m, n, n) stack behind a matrix (m = 1) or a stack; with
+    ``like``, it must have like's shape."""
+    a = as_matrix(x, stack=True)
+    a = a[None] if a.ndim == 2 else a
+    if like is not None and a.shape != like.shape:
+        raise InvalidInput(f"{what} has shape {a.shape}, expected {like.shape}")
+    return a
+
+
+def _trial(trials, j: int) -> int:
+    """The trial number of stack entry j (its index when none are given)."""
+    return j if trials is None else int(trials[j])
+
+
+def _single(report):
+    """The report of a stack of one, with plain float and bool fields."""
+    def item(x):
+        if isinstance(x, tuple):
+            return tuple(item(y) for y in x)
+        return x.item(0) if isinstance(x, np.ndarray) else x
+    return type(report)(**{name: item(getattr(report, name))
+                           for name in report.__dataclass_fields__})
 
 
 # ---------------------------------------------------------------------------
@@ -145,14 +205,69 @@ def check_compact_strong_convergence(dims: Sequence[int],
 # ---------------------------------------------------------------------------
 # Interpolation inequalities for conjugated norms.
 
+class PositiveDecomposition(NamedTuple):
+    """A stack of positive definite T with its certified eigenpairs and
+    T^(-1/2), taken once for both conjugated-norm checks."""
+
+    t: np.ndarray           # (m, n, n), as given
+    w: np.ndarray           # (m, n) eigenvalues, ascending, all >= 1e-8
+    v: np.ndarray           # (m, n, n) eigenvectors
+    half_inv: np.ndarray    # (m, n, n) T^(-1/2)
+
+
+def positive_decomposition(t, tol: Tolerances = DEFAULT_TOL,
+                           trials=None) -> PositiveDecomposition:
+    """Decompose a positive definite T, or each matrix of a stack, by one
+    certified `eigh`.  A matrix with an eigenvalue below 1e-8 raises
+    InvalidInput naming its trial (``trials[j]``, else its stack index)."""
+    tm = _stack(t)
+    w, v = eigh(tm, tol)
+    low = w.min(axis=1)
+    bad = np.flatnonzero(low < 1e-8)
+    if bad.size:
+        j = bad[0]
+        raise InvalidInput(f"T must be positive definite (trial {_trial(trials, j)}: "
+                           f"min eig {low[j]:.3e})")
+    half_inv = (v * (1.0 / np.sqrt(w))[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    return PositiveDecomposition(tm, w, v, half_inv)
+
+
 @dataclass(frozen=True)
 class InterpolationReport:
+    """One trial's measurements (floats), or a stack's (arrays)."""
+
     lhs: float              # ||T^(-1/2) S T^(-1/2)||
     rhs: float              # ||S T^(-1)||
     conj_equal_residual: float   # | ||T S T^(-1)|| - ||T^(-1) S T|| | (relative)
     adjoint_residual: float      # ||(T^(-1) S T)* - T S T^(-1)|| (relative)
     normalized: bool
     passed: bool
+
+    @property
+    def margin(self):
+        """rhs - lhs: how far the inequality holds (negative: violated)."""
+        return self.rhs - self.lhs
+
+
+def check_interpolation_stack(pos: PositiveDecomposition, s,
+                              slack: float = 1e-10) -> InterpolationReport:
+    """`check_interpolation_inequality` for every trial of a stack at once:
+    trial j pairs T = pos.t[j] with S = s[j], and each field of the report
+    is an array over the trials."""
+    w, v, tm = pos.w, pos.v, pos.t
+    sm = _stack(s, tm, "S")
+    t_inv = (v * (1.0 / w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    lhs = spectral_norm(pos.half_inv @ sm @ pos.half_inv)
+    rhs = spectral_norm(sm @ t_inv)
+    scale = np.maximum(1.0, rhs)
+    tst = tm @ sm @ t_inv
+    tst_rev = t_inv @ sm @ tm
+    conj_resid = np.abs(spectral_norm(tst) - spectral_norm(tst_rev)) / scale
+    adj_resid = spectral_norm(tst_rev.conj().swapaxes(-1, -2) - tst) / scale
+    passed = (lhs <= rhs + slack * scale) & (conj_resid <= 1e-9) & (adj_resid <= 1e-10)
+    return InterpolationReport(lhs=lhs, rhs=rhs, conj_equal_residual=conj_resid,
+                               adjoint_residual=adj_resid,
+                               normalized=w.min(axis=1) >= 1.0, passed=passed)
 
 
 def check_interpolation_inequality(t, s, tol: Tolerances = DEFAULT_TOL,
@@ -168,56 +283,46 @@ def check_interpolation_inequality(t, s, tol: Tolerances = DEFAULT_TOL,
     1/c under T -> cT), so no normalization ||T^(-1)|| <= 1 is needed;
     the report still records whether the input happened to be normalized.
     """
-    tm = as_matrix(t)
-    sm = as_matrix(s)
-    w, v = eigh(tm, tol)
-    if w.min() < 1e-8:
-        raise InvalidInput(f"T must be positive definite (min eig {w.min():.3e})")
-    t_inv = (v * (1.0 / w)) @ v.conj().T
-    t_half_inv = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    lhs = spectral_norm(t_half_inv @ sm @ t_half_inv)
-    rhs = spectral_norm(sm @ t_inv)
-    scale = max(1.0, rhs)
-    tst = tm @ sm @ t_inv
-    tst_rev = t_inv @ sm @ tm
-    conj_resid = abs(spectral_norm(tst) - spectral_norm(tst_rev)) / scale
-    adj_resid = spectral_norm(tst_rev.conj().T - tst) / scale
-    passed = (lhs <= rhs + slack * scale) and conj_resid <= 1e-9 \
-        and adj_resid <= 1e-10
-    return InterpolationReport(lhs=lhs, rhs=rhs,
-                               conj_equal_residual=conj_resid,
-                               adjoint_residual=adj_resid,
-                               normalized=bool(w.min() >= 1.0),
-                               passed=passed)
+    return _single(check_interpolation_stack(positive_decomposition(t, tol), s, slack))
 
 
 @dataclass(frozen=True)
 class ConjugationReport:
+    """One trial's measurements (floats), or a stack's (arrays)."""
+
     norm_f: float
     conjugated_norm: float       # ||T^(-1/2) F T^(1/2)||
     reverse_equal_residual: float
     passed: bool
+
+    @property
+    def margin(self):
+        """||T^(-1/2) F T^(1/2)|| - ||F|| (negative: violated)."""
+        return self.conjugated_norm - self.norm_f
+
+
+def check_conjugation_stack(pos: PositiveDecomposition, f,
+                            slack: float = 1e-10) -> ConjugationReport:
+    """`check_conjugation_norm_bound` for every trial of a stack at once:
+    trial j pairs T = pos.t[j] with F = f[j]."""
+    w, v = pos.w, pos.v
+    fm = _stack(f, pos.t, "F")
+    t_h = (v * np.sqrt(w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
+    fwd = spectral_norm(pos.half_inv @ fm @ t_h)
+    rev = spectral_norm(t_h @ fm @ pos.half_inv)
+    norm_f = spectral_norm(fm)
+    scale = np.maximum(1.0, fwd)
+    resid = np.abs(fwd - rev) / scale
+    passed = (norm_f <= fwd + slack * scale) & (resid <= 1e-9)
+    return ConjugationReport(norm_f=norm_f, conjugated_norm=fwd,
+                             reverse_equal_residual=resid, passed=passed)
 
 
 def check_conjugation_norm_bound(t, f, tol: Tolerances = DEFAULT_TOL,
                                  slack: float = 1e-10) -> ConjugationReport:
     """||F|| <= ||T^(-1/2) F T^(1/2)|| for positive invertible T and
     Hermitian F, with the two conjugated norms equal (1e-9 relative)."""
-    tm = as_matrix(t)
-    fm = as_matrix(f)
-    w, v = eigh(tm, tol)
-    if w.min() < 1e-8:
-        raise InvalidInput(f"T must be positive definite (min eig {w.min():.3e})")
-    t_h = (v * np.sqrt(w)) @ v.conj().T
-    t_h_inv = (v * (1.0 / np.sqrt(w))) @ v.conj().T
-    fwd = spectral_norm(t_h_inv @ fm @ t_h)
-    rev = spectral_norm(t_h @ fm @ t_h_inv)
-    norm_f = spectral_norm(fm)
-    scale = max(1.0, fwd)
-    resid = abs(fwd - rev) / scale
-    passed = norm_f <= fwd + slack * scale and resid <= 1e-9
-    return ConjugationReport(norm_f=norm_f, conjugated_norm=fwd,
-                             reverse_equal_residual=resid, passed=passed)
+    return _single(check_conjugation_stack(positive_decomposition(t, tol), f, slack))
 
 
 # ---------------------------------------------------------------------------
@@ -225,27 +330,81 @@ def check_conjugation_norm_bound(t, f, tol: Tolerances = DEFAULT_TOL,
 
 @dataclass(frozen=True)
 class StabilityReport:
+    """One trial's measurements (floats), or a stack's (arrays)."""
+
     eps: float
     hypothesis_norms: tuple      # the two resolvent-smallness norms
     transform_diff: float        # ||F_T - F_Tn||
     bound: float                 # 4 * eps
     passed: bool
 
+    @property
+    def margin(self):
+        """4 eps - ||F_T - F_Tn|| (negative: violated)."""
+        return self.bound - self.transform_diff
+
+
+def resolvent_at_i(t) -> np.ndarray:
+    """(T + i)^(-1) of each matrix of a stack (m, n, n), in one batched
+    `inv`; a single matrix gives a stack of one."""
+    tm = _stack(t)
+    return np.linalg.inv(tm + 1j * np.eye(tm.shape[-1], dtype=np.complex128))
+
+
+def scale_perturbation_stack(t, r_raw, eps: float, safety: float = 0.999,
+                             res=None) -> np.ndarray:
+    """`scale_perturbation_to_eps` for every trial of a stack at once, as
+    a hermitised stack.  ``res`` is `resolvent_at_i` of ``t``, when the
+    caller already has it."""
+    tm = _stack(t)
+    rm = _stack(r_raw, tm, "R")
+    if res is None:
+        res = resolvent_at_i(tm)
+    worst = np.maximum(spectral_norm(rm @ res), spectral_norm(res @ rm))
+    zero = worst == 0.0
+    factor = np.where(zero, 1.0, safety * eps / np.where(zero, 1.0, worst))
+    return _hermitised(rm * factor[:, None, None], stack=True)
+
 
 def scale_perturbation_to_eps(t, r_raw, eps: float,
                               safety: float = 0.999) -> HermitianOperator:
     """Scale a raw Hermitian perturbation so both resolvent-smallness
     norms sit just below eps."""
-    tm = as_matrix(t)
-    rm = as_matrix(r_raw)
-    eye = np.eye(tm.shape[0], dtype=np.complex128)
-    res = np.linalg.inv(tm + 1j * eye)
-    h1 = spectral_norm(rm @ res)
-    h2 = spectral_norm(res @ rm)
-    worst = max(h1, h2)
-    if worst == 0.0:
-        return HermitianOperator(rm)
-    return HermitianOperator(rm * (safety * eps / worst))
+    return HermitianOperator(scale_perturbation_stack(t, r_raw, eps, safety)[0])
+
+
+def check_stability_stack(t, t_n, eps: float, tol: Tolerances = DEFAULT_TOL,
+                          res=None, f_t=None, trials=None) -> StabilityReport:
+    """`check_bounded_transform_stability` for every trial of a stack at
+    once: trial j compares T = t[j] with Tn = t_n[j].
+
+    ``res`` and ``f_t`` are (T + i)^(-1) (`resolvent_at_i`) and F_T
+    (`bounded_transform_stack`) of ``t``, when the caller already has
+    them, for instance from an earlier eps.  The hypothesis norms are
+    always measured on T - Tn.  An unmet hypothesis raises HypothesisUnmet
+    naming its trial (``trials[j]``, else its stack index).
+    """
+    if not eps < 0.5:
+        raise HypothesisUnmet(f"eps = {eps:g} is not < 1/2")
+    tm = _stack(t)
+    tnm = _stack(t_n, tm, "Tn")
+    if res is None:
+        res = resolvent_at_i(tm)
+    diff = tm - tnm
+    h1 = spectral_norm(diff @ res)
+    h2 = spectral_norm(res @ diff)
+    over = np.flatnonzero(np.maximum(h1, h2) > eps)
+    if over.size:
+        j = over[0]
+        raise HypothesisUnmet(
+            f"trial {_trial(trials, j)}: resolvent-smallness norms "
+            f"({h1[j]:.3e}, {h2[j]:.3e}) exceed eps={eps:g}")
+    if f_t is None:
+        f_t = bounded_transform_stack(tm, tol)
+    dist = spectral_norm(f_t - bounded_transform_stack(tnm, tol))
+    return StabilityReport(eps=eps, hypothesis_norms=(h1, h2),
+                           transform_diff=dist, bound=4.0 * eps,
+                           passed=dist <= 4.0 * eps)
 
 
 def check_bounded_transform_stability(t, t_n, eps: float,
@@ -256,24 +415,7 @@ def check_bounded_transform_stability(t, t_n, eps: float,
     Unmet hypotheses (eps >= 1/2 or oversized norms) raise HypothesisUnmet
     and are never counted as violations of the bound.
     """
-    if not eps < 0.5:
-        raise HypothesisUnmet(f"eps = {eps:g} is not < 1/2")
-    tm = as_matrix(t)
-    tnm = as_matrix(t_n)
-    eye = np.eye(tm.shape[0], dtype=np.complex128)
-    res = np.linalg.inv(tm + 1j * eye)
-    diff = tm - tnm
-    h1 = spectral_norm(diff @ res)
-    h2 = spectral_norm(res @ diff)
-    if max(h1, h2) > eps:
-        raise HypothesisUnmet(
-            f"resolvent-smallness norms ({h1:.3e}, {h2:.3e}) exceed eps={eps:g}")
-    f_t = bounded_transform(tm, tol).entries
-    f_tn = bounded_transform(tnm, tol).entries
-    dist = spectral_norm(f_t - f_tn)
-    return StabilityReport(eps=eps, hypothesis_norms=(h1, h2),
-                           transform_diff=dist, bound=4.0 * eps,
-                           passed=dist <= 4.0 * eps)
+    return _single(check_stability_stack(t, t_n, eps, tol))
 
 
 # ---------------------------------------------------------------------------

@@ -36,6 +36,7 @@ __all__ = [
     "eigh",
     "apply_function",
     "bounded_transform",
+    "bounded_transform_stack",
     "positive_projection",
     "null_space",
     "NullSpaceResult",
@@ -75,27 +76,34 @@ DEFAULT_TOL = Tolerances()
 
 
 def _check_finite(a, what="matrix"):
-    if not np.isfinite(a).all():
-        raise InvalidInput(f"{what} has non-finite entries")
+    """Reject non-finite entries; for a stack (m, rows, cols), name the
+    first matrix that has one."""
+    finite = np.isfinite(a).all(axis=(-2, -1))
+    if not finite.all():
+        where = f" (matrix {int(np.argmin(finite))} of the stack)" if a.ndim == 3 else ""
+        raise InvalidInput(f"{what} has non-finite entries{where}")
 
 
-def as_matrix(x) -> np.ndarray:
+def as_matrix(x, stack: bool = False) -> np.ndarray:
     """Return the complex matrix behind ``x`` (HermitianOperator, Projection
-    or plain array-like)."""
+    or plain array-like).  With ``stack``, a stack (m, n, n) of square
+    matrices is accepted too."""
     if isinstance(x, (HermitianOperator, Projection)):
         return x.entries
     a = np.asarray(x, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise InvalidInput(f"expected a square matrix, got shape {a.shape}")
+    if a.ndim not in ((2, 3) if stack else (2,)) or a.shape[-2] != a.shape[-1]:
+        raise InvalidInput(f"expected a square matrix{' or a stack of them' if stack else ''}, "
+                           f"got shape {a.shape}")
     return a
 
 
-def _hermitised(h) -> np.ndarray:
-    """(A + A*)/2 of the finite-checked matrix A behind ``h``.  Exact on an
-    already hermitised A, so a HermitianOperator passes through unchanged."""
-    a = as_matrix(h)
+def _hermitised(h, stack: bool = False) -> np.ndarray:
+    """(A + A*)/2 of the finite-checked matrix A behind ``h``, or of each
+    matrix of a stack.  Exact on an already hermitised A, so a
+    HermitianOperator passes through unchanged."""
+    a = as_matrix(h, stack)
     _check_finite(a, "operator")
-    return (a + a.conj().T) / 2.0
+    return (a + a.conj().swapaxes(-1, -2)) / 2.0
 
 
 class HermitianOperator:
@@ -160,22 +168,27 @@ def as_hermitian(x) -> HermitianOperator:
 
 
 def eigh(h, tol: Tolerances = DEFAULT_TOL):
-    """Eigendecomposition of a Hermitian operator.
+    """Eigendecomposition of a Hermitian operator, or of each matrix of a
+    stack (m, n, n) in one batched call.
 
     Returns (eigenvalues ascending, unitary eigenvector matrix V) with
-    H V = V diag(w).  The residual ||H V - V diag(w)||_F relative to
-    max(1, max |w|) and the unitarity defect ||V* V - 1||_F are checked
-    against ``tol.eig_tol``.
+    H V = V diag(w), stacked like the input.  Per matrix, the residual
+    ||H V - V diag(w)||_F relative to max(1, max |w|) and the unitarity
+    defect ||V* V - 1||_F are checked against ``tol.eig_tol``; a failure
+    names the worst matrix of a stack.
     """
-    a = _hermitised(h)
+    a = _hermitised(h, stack=True)
     w, v = np.linalg.eigh(a)
-    scale = max(1.0, float(np.abs(w).max()) if w.size else 1.0)
-    resid = float(np.linalg.norm(a @ v - v * w)) / scale
-    unit = float(np.linalg.norm(v.conj().T @ v - np.eye(a.shape[0])))
-    if resid > tol.eig_tol or unit > tol.eig_tol:
+    scale = np.abs(w).max(axis=-1, initial=1.0)
+    resid = np.linalg.norm(a @ v - v * w[..., None, :], axis=(-2, -1)) / scale
+    unit = np.linalg.norm(v.conj().swapaxes(-1, -2) @ v - np.eye(a.shape[-1]), axis=(-2, -1))
+    defect = np.maximum(resid, unit)
+    if defect.max() > tol.eig_tol:
+        worst = np.unravel_index(np.argmax(defect), defect.shape)
+        where = f" at matrix {worst[0]} of the stack" if a.ndim == 3 else ""
         raise InvalidInput(
-            f"eigendecomposition residual {resid:.3e} / unitarity {unit:.3e} "
-            f"exceed eig_tol={tol.eig_tol:.1e}")
+            f"eigendecomposition residual {resid[worst]:.3e} / unitarity "
+            f"{unit[worst]:.3e}{where} exceed eig_tol={tol.eig_tol:.1e}")
     return w, v
 
 
@@ -196,9 +209,17 @@ def apply_function(h, f: Callable[[float], float], tol: Tolerances = DEFAULT_TOL
     return HermitianOperator((v * fw) @ v.conj().T)
 
 
+def bounded_transform_stack(h, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """H (1 + H^2)^(-1/2) of a Hermitian matrix, or of each matrix of a
+    stack (m, n, n) from one batched `eigh`, hermitised."""
+    w, v = eigh(h, tol)
+    fw = w / np.sqrt(1.0 + w * w)
+    return _hermitised((v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2), stack=True)
+
+
 def bounded_transform(h, tol: Tolerances = DEFAULT_TOL):
     """The contraction H (1 + H^2)^(-1/2); its spectrum lies in (-1, 1)."""
-    return apply_function(h, lambda x: x / np.sqrt(1.0 + x * x), tol)
+    return HermitianOperator(bounded_transform_stack(h, tol))
 
 
 def positive_projection(h, gap_tol: Optional[float] = None,
@@ -407,8 +428,16 @@ def tail_projector(n: int, start: int) -> np.ndarray:
     return p
 
 
-def spectral_norm(m) -> float:
-    return float(np.linalg.norm(np.asarray(m, dtype=np.complex128), 2))
+def spectral_norm(m):
+    """Largest singular value of a matrix (a float), or of each matrix of a
+    stack (an array) from one batched `svd` without vectors, bitwise equal
+    to ``np.linalg.norm(m[j], 2)`` for each j."""
+    a = np.asarray(m, dtype=np.complex128)
+    if a.ndim == 2:
+        # the same SVD; kept so that traces of single-matrix norms keep
+        # counting them as np.linalg.norm calls
+        return float(np.linalg.norm(a, 2))
+    return np.linalg.svd(a, compute_uv=False).max(axis=-1)
 
 
 def spectral_gap(h) -> float:
@@ -450,17 +479,32 @@ def exp_decay_template(rate: float) -> Callable[[int], np.ndarray]:
     return template
 
 
+_DECAYING_LENGTH = 4096
+
+
 def decaying_rank_template(rank: int, rate: float, seed: int) -> Callable[[int], np.ndarray]:
     """Hermitian rank-``rank`` perturbation built from exponentially decaying
-    vectors with seeded random phases; nested by construction."""
+    vectors with seeded random phases, for n up to 4096.  The vectors are
+    drawn once, when the template is made, and every n truncates the same
+    ones, so the template is nested by construction."""
+    rng = np.random.default_rng(seed)
+    decay = np.exp(-rate * np.arange(1.0, _DECAYING_LENGTH + 1.0))
+    # past the underflow of the decay the vectors are exactly zero: keep the
+    # rest only, so a template holds a few KB instead of 64 KB per rank
+    kept = int(np.count_nonzero(decay))
+    vectors = [((rng.standard_normal(_DECAYING_LENGTH)
+                 + 1j * rng.standard_normal(_DECAYING_LENGTH)) * decay)[:kept].copy()
+               for _ in range(rank)]
+
     def template(n: int) -> np.ndarray:
-        rng = np.random.default_rng(seed)
+        if n > _DECAYING_LENGTH:
+            raise InvalidInput(f"decaying_rank_template holds {_DECAYING_LENGTH} "
+                               f"coordinates, got n = {n}")
         a = np.zeros((n, n), dtype=np.complex128)
-        for r in range(rank):
-            # draw a long vector once per rank index so truncations nest
-            raw = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+        v = np.zeros(n, dtype=np.complex128)
+        for r, vector in enumerate(vectors):
             sign = 1.0 if r % 2 == 0 else -1.0
-            v = raw[:n] * np.exp(-rate * np.arange(1.0, n + 1.0))
+            v[:kept] = vector[:n]
             a += sign * np.outer(v, v.conj())
         return a
     return template

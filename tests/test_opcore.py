@@ -87,6 +87,22 @@ class TestEigh:
         with pytest.raises(InvalidInput):
             eigh(np.array([[np.inf, 0], [0, 1]]))
 
+    def test_stack_names_its_worst_matrix(self):
+        # diagonal matrices decompose exactly, so only matrix 2 has a defect
+        stack = np.stack([np.diag([1.0, 2.0, 3.0])] * 4).astype(np.complex128)
+        stack[2] = random_hermitian(5, 3)
+        w, v = eigh(stack)
+        assert w.shape == (4, 3) and v.shape == (4, 3, 3)
+        with pytest.raises(InvalidInput, match="at matrix 2 of the stack"):
+            eigh(stack, opcore.Tolerances(eig_tol=1e-300))
+        stack[3, 0, 0] = np.nan
+        with pytest.raises(InvalidInput, match=r"matrix 3 of the stack"):
+            eigh(stack)
+
+    def test_only_eigh_takes_stacks(self):
+        with pytest.raises(InvalidInput, match="square matrix, got shape"):
+            HermitianOperator(np.zeros((2, 3, 3)))
+
 
 class TestApplyFunction:
     def test_identity(self):
@@ -304,6 +320,31 @@ class TestTowers:
     def test_decaying_rank_template_nests(self):
         template = opcore.decaying_rank_template(2, 1.0, seed=4)
         assert np.array_equal(template(16)[:8, :8], template(8))
+
+    @pytest.mark.parametrize("rank, rate, n", [(1, 1.2, 1), (2, 1.2, 64), (3, 1.2, 700),
+                                               (2, 0.1, 300)])
+    def test_decaying_rank_template_draws_once(self, monkeypatch, rank, rate, n):
+        def drawn_per_call(n):
+            # the values of a template that draws its vectors on every call
+            rng = np.random.default_rng(7)
+            a = np.zeros((n, n), dtype=np.complex128)
+            for r in range(rank):
+                raw = rng.standard_normal(4096) + 1j * rng.standard_normal(4096)
+                v = raw[:n] * np.exp(-rate * np.arange(1.0, n + 1.0))
+                a += (1.0 if r % 2 == 0 else -1.0) * np.outer(v, v.conj())
+            return a
+
+        expected = drawn_per_call(n)
+        template = opcore.decaying_rank_template(rank, rate, seed=7)
+        monkeypatch.setattr(np.random, "default_rng", None)
+        # bytes, so that even the signs of zeros agree (past n = 621 the
+        # decay at rate 1.2 underflows)
+        assert template(n).tobytes() == expected.tobytes()
+
+    def test_decaying_rank_template_rejects_long_truncations(self):
+        template = opcore.decaying_rank_template(2, 1.2, seed=7)
+        with pytest.raises(InvalidInput, match="4096 coordinates, got n = 4100"):
+            template(4100)
 
 
 class TestTolerances:
