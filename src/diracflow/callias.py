@@ -38,8 +38,8 @@ from .opcore import (
     DEFAULT_TOL,
     Tolerances,
     TruncationTower,
+    _hermitised,
     alternating_diag_template,
-    as_matrix,
     decaying_rank_template,
     positive_projection,
     spectral_gap,
@@ -118,12 +118,11 @@ def _resolve_reference(reference, k: int) -> np.ndarray:
     """Accept a scalar (multiple of the identity) or a matrix as the
     reference operator."""
     if np.isscalar(reference):
-        mat = complex(reference) * np.eye(k, dtype=np.complex128)
-    else:
-        mat = as_matrix(reference)
+        reference = complex(reference) * np.eye(k, dtype=np.complex128)
+    mat = _hermitised(reference)
     if mat.shape != (k, k):
         raise InvalidInput(f"reference has shape {mat.shape}, expected ({k}, {k})")
-    return (mat + mat.conj().T) / 2.0
+    return mat
 
 
 def _boundary(path: PotentialPath, tol: Tolerances, surface=None):

@@ -37,13 +37,13 @@ from .opcore import (
     Tolerances,
     TruncationTower,
     alternating_diag_template,
-    bounded_transform_stack,
+    bounded_transform,
     decaying_rank_template,
     exp_decay_template,
     inv_sqrt_via_quadrature,
     rank_one_template,
 )
-from .reporting import CheckRecord, RunReport, digest_of, emit
+from .reporting import CheckRecord, RunReport, check_formats, digest_of, emit
 from .specflow import PotentialPath
 
 SCENARIOS = {
@@ -97,9 +97,20 @@ class ScenarioConfig:
 
 
 def _reject_unknown(mapping, allowed, where):
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where} must be an object", field=where)
     for key in mapping:
         if key not in allowed:
             raise ConfigError(f"unknown key in {where}", field=key)
+
+
+def _number(value, field, integer=False):
+    """A JSON integer, or with ``integer`` off any JSON number as a float;
+    ConfigError naming ``field`` for anything else."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise ConfigError(f"expected {'an integer' if integer else 'a number'}, "
+                          f"got {value!r}", field=field)
+    return value if integer else float(value)
 
 
 def parse_config(text: str) -> ScenarioConfig:
@@ -120,10 +131,13 @@ def parse_config(text: str) -> ScenarioConfig:
 
     seeds_raw = raw.get("seeds", {"base": 0, "count": 8})
     if isinstance(seeds_raw, list):
-        seeds = [int(s) for s in seeds_raw]
+        if not seeds_raw:
+            raise ConfigError("seeds must not be empty", field="seeds")
+        seeds = [_number(s, "seeds", integer=True) for s in seeds_raw]
     elif isinstance(seeds_raw, dict):
         _reject_unknown(seeds_raw, {"base", "count"}, "seeds")
-        base, count = int(seeds_raw.get("base", 0)), int(seeds_raw.get("count", 8))
+        base = _number(seeds_raw.get("base", 0), "seeds.base", integer=True)
+        count = _number(seeds_raw.get("count", 8), "seeds.count", integer=True)
         if count <= 0:
             raise ConfigError("seed count must be positive", field="seeds.count")
         seeds = list(range(base, base + count))
@@ -153,9 +167,10 @@ def parse_config(text: str) -> ScenarioConfig:
     tol_raw = raw.get("tolerances", {})
     tol_fields = set(Tolerances.__dataclass_fields__)
     _reject_unknown(tol_raw, tol_fields, "tolerances")
+    tol_values = {f: getattr(DEFAULT_TOL, f) for f in tol_fields}
+    tol_values.update((k, _number(v, f"tolerances.{k}")) for k, v in tol_raw.items())
     try:
-        tolerances = Tolerances(**{**{f: getattr(DEFAULT_TOL, f) for f in tol_fields},
-                                   **{k: float(v) for k, v in tol_raw.items()}})
+        tolerances = Tolerances(**tol_values)
     except InvalidInput as exc:
         raise ConfigError(str(exc), field="tolerances")
 
@@ -554,7 +569,7 @@ def _run_appendix(cfg: ScenarioConfig):
         """T, raw R, (T + i)^(-1) and F_T, taken once for every eps."""
         t = draw(idx, 0, dim, (-6.0, 6.0))
         return (t, draw(idx, 3 * 10 ** 6, dim, (-1.0, 1.0)),
-                inequalities.resolvent_at_i(t), bounded_transform_stack(t, cfg.tolerances))
+                inequalities.resolvent_at_i(t), bounded_transform(t, cfg.tolerances))
 
     def stability(eps):
         def check(base, dim, idx):
@@ -604,8 +619,8 @@ def _run_appendix(cfg: ScenarioConfig):
         "compact templates turn strong convergence into norm convergence", compact))
 
     def quadrature():
-        h = inequalities.random_hermitian(
-            inequalities.RandomSpec(base_seed, 6, (-4.0, 4.0)))
+        h = inequalities.random_hermitian_stack(
+            [inequalities.RandomSpec(base_seed, 6, (-4.0, 4.0))])[0]
         rep = inv_sqrt_via_quadrature(h, quad_nodes, cfg.tolerances)
         return dict(lhs=rep.error, rhs=1e-8, passed=rep.error <= 1e-8,
                     residual=rep.error)
@@ -690,12 +705,9 @@ def main(argv=None) -> int:
             cfg.seeds = list(range(args.seed, args.seed + len(cfg.seeds)))
             cfg.raw = dict(cfg.raw, seeds={"base": args.seed,
                                            "count": len(cfg.seeds)})
-        formats = [f.strip() for f in args.format.split(",") if f.strip()]
+        formats = check_formats(f.strip() for f in args.format.split(",") if f.strip())
         report = run(cfg, jobs=max(1, args.jobs))
-    except (ConfigError, InvalidInput, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except DiracflowError as exc:
+    except (DiracflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = args.out if args.out is not None else cfg.out_dir

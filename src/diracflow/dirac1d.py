@@ -83,6 +83,7 @@ __all__ = [
     "SweepReport",
     "perturbation_invariance",
     "PerturbationReport",
+    "quintic_plateau",
 ]
 
 DECAY_TARGET = 1e-8

@@ -29,16 +29,14 @@ from .errors import (
 )
 from .opcore import (
     DEFAULT_TOL,
-    HermitianOperator,
     Tolerances,
     TruncationTower,
     _hermitised,
+    _projection_above,
+    _transform_of,
     as_matrix,
     bounded_transform,
-    bounded_transform_stack,
     eigh,
-    positive_projection,
-    spectral_gap,
     spectral_norm,
     tail_projector,
     tower_instantiate,
@@ -46,24 +44,19 @@ from .opcore import (
 
 __all__ = [
     "RandomSpec",
-    "random_hermitian",
     "random_hermitian_stack",
     "random_unitary",
     "check_compact_strong_convergence",
     "CompactConvergenceReport",
     "PositiveDecomposition",
     "positive_decomposition",
-    "check_interpolation_inequality",
     "check_interpolation_stack",
     "InterpolationReport",
-    "check_conjugation_norm_bound",
     "check_conjugation_stack",
     "ConjugationReport",
-    "check_bounded_transform_stability",
     "check_stability_stack",
     "StabilityReport",
     "resolvent_at_i",
-    "scale_perturbation_to_eps",
     "scale_perturbation_stack",
     "check_relative_bound_schedule",
     "ScheduleReport",
@@ -106,13 +99,14 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
 
 
 def random_hermitian_stack(specs: Sequence[RandomSpec]) -> np.ndarray:
-    """The operators of several specs of one dim, as a hermitised stack
+    """Seeded random Hermitian operators with eigenvalues in their specs'
+    envelopes, for several specs of one dim, as a hermitised stack
     (m, dim, dim).
 
-    Each spec draws from its own generator, in the order of a single
-    `random_hermitian`; the QR, the phase fix and the product U diag(w) U*
-    then run once for the stack, matrix by matrix bitwise equal to
-    separate calls.
+    Each spec draws from its own generator: a complex Gaussian matrix, whose
+    phase-fixed QR factor is U, then the eigenvalues w.  The QR, the phase
+    fix and the product U diag(w) U* run once for the stack, matrix by
+    matrix bitwise equal to a stack of one.
     """
     dims = {spec.dim for spec in specs}
     if len(dims) != 1:
@@ -128,11 +122,6 @@ def random_hermitian_stack(specs: Sequence[RandomSpec]) -> np.ndarray:
     return _hermitised((u * w[:, None, :]) @ u.conj().swapaxes(-1, -2), stack=True)
 
 
-def random_hermitian(spec: RandomSpec) -> HermitianOperator:
-    """Seeded random Hermitian operator with eigenvalues in the envelope."""
-    return HermitianOperator(random_hermitian_stack([spec])[0])
-
-
 def _stack(x, like=None, what="") -> np.ndarray:
     """The (m, n, n) stack behind a matrix (m = 1) or a stack; with
     ``like``, it must have like's shape."""
@@ -146,16 +135,6 @@ def _stack(x, like=None, what="") -> np.ndarray:
 def _trial(trials, j: int) -> int:
     """The trial number of stack entry j (its index when none are given)."""
     return j if trials is None else int(trials[j])
-
-
-def _single(report):
-    """The report of a stack of one, with plain float and bool fields."""
-    def item(x):
-        if isinstance(x, tuple):
-            return tuple(item(y) for y in x)
-        return x.item(0) if isinstance(x, np.ndarray) else x
-    return type(report)(**{name: item(getattr(report, name))
-                           for name in report.__dataclass_fields__})
 
 
 # ---------------------------------------------------------------------------
@@ -234,14 +213,14 @@ def positive_decomposition(t, tol: Tolerances = DEFAULT_TOL,
 
 @dataclass(frozen=True)
 class InterpolationReport:
-    """One trial's measurements (floats), or a stack's (arrays)."""
+    """A stack's measurements, one array entry per trial."""
 
-    lhs: float              # ||T^(-1/2) S T^(-1/2)||
-    rhs: float              # ||S T^(-1)||
-    conj_equal_residual: float   # | ||T S T^(-1)|| - ||T^(-1) S T|| | (relative)
-    adjoint_residual: float      # ||(T^(-1) S T)* - T S T^(-1)|| (relative)
-    normalized: bool
-    passed: bool
+    lhs: np.ndarray         # ||T^(-1/2) S T^(-1/2)||
+    rhs: np.ndarray         # ||S T^(-1)||
+    conj_equal_residual: np.ndarray  # | ||T S T^(-1)|| - ||T^(-1) S T|| | (relative)
+    adjoint_residual: np.ndarray     # ||(T^(-1) S T)* - T S T^(-1)|| (relative)
+    normalized: np.ndarray
+    passed: np.ndarray
 
     @property
     def margin(self):
@@ -251,9 +230,19 @@ class InterpolationReport:
 
 def check_interpolation_stack(pos: PositiveDecomposition, s,
                               slack: float = 1e-10) -> InterpolationReport:
-    """`check_interpolation_inequality` for every trial of a stack at once:
-    trial j pairs T = pos.t[j] with S = s[j], and each field of the report
-    is an array over the trials."""
+    """||T^(-1/2) S T^(-1/2)|| <= ||S T^(-1)|| for positive invertible T,
+    for every trial of a stack at once: trial j pairs T = pos.t[j] with
+    S = s[j], and each field of the report is an array over the trials.
+
+    Also asserts the norm equality ||T S T^(-1)|| = ||T^(-1) S T|| (1e-9
+    relative) and the adjoint identity (T^(-1) S T)* = T S T^(-1) (1e-10
+    relative), which cover the domain-theoretic parts that are automatic
+    in finite dimensions.
+
+    The inequality is scale-invariant in T (both sides pick up the same
+    1/c under T -> cT), so no normalization ||T^(-1)|| <= 1 is needed;
+    the report still records whether the input happened to be normalized.
+    """
     w, v, tm = pos.w, pos.v, pos.t
     sm = _stack(s, tm, "S")
     t_inv = (v * (1.0 / w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
@@ -270,30 +259,14 @@ def check_interpolation_stack(pos: PositiveDecomposition, s,
                                normalized=w.min(axis=1) >= 1.0, passed=passed)
 
 
-def check_interpolation_inequality(t, s, tol: Tolerances = DEFAULT_TOL,
-                                   slack: float = 1e-10) -> InterpolationReport:
-    """||T^(-1/2) S T^(-1/2)|| <= ||S T^(-1)|| for positive invertible T.
-
-    Also asserts the norm equality ||T S T^(-1)|| = ||T^(-1) S T|| (1e-9
-    relative) and the adjoint identity (T^(-1) S T)* = T S T^(-1) (1e-10
-    relative), which cover the domain-theoretic parts that are automatic
-    in finite dimensions.
-
-    The inequality is scale-invariant in T (both sides pick up the same
-    1/c under T -> cT), so no normalization ||T^(-1)|| <= 1 is needed;
-    the report still records whether the input happened to be normalized.
-    """
-    return _single(check_interpolation_stack(positive_decomposition(t, tol), s, slack))
-
-
 @dataclass(frozen=True)
 class ConjugationReport:
-    """One trial's measurements (floats), or a stack's (arrays)."""
+    """A stack's measurements, one array entry per trial."""
 
-    norm_f: float
-    conjugated_norm: float       # ||T^(-1/2) F T^(1/2)||
-    reverse_equal_residual: float
-    passed: bool
+    norm_f: np.ndarray
+    conjugated_norm: np.ndarray  # ||T^(-1/2) F T^(1/2)||
+    reverse_equal_residual: np.ndarray
+    passed: np.ndarray
 
     @property
     def margin(self):
@@ -303,8 +276,10 @@ class ConjugationReport:
 
 def check_conjugation_stack(pos: PositiveDecomposition, f,
                             slack: float = 1e-10) -> ConjugationReport:
-    """`check_conjugation_norm_bound` for every trial of a stack at once:
-    trial j pairs T = pos.t[j] with F = f[j]."""
+    """||F|| <= ||T^(-1/2) F T^(1/2)|| for positive invertible T and
+    Hermitian F, with the two conjugated norms equal (1e-9 relative), for
+    every trial of a stack at once: trial j pairs T = pos.t[j] with
+    F = f[j]."""
     w, v = pos.w, pos.v
     fm = _stack(f, pos.t, "F")
     t_h = (v * np.sqrt(w)[:, None, :]) @ v.conj().swapaxes(-1, -2)
@@ -318,25 +293,18 @@ def check_conjugation_stack(pos: PositiveDecomposition, f,
                              reverse_equal_residual=resid, passed=passed)
 
 
-def check_conjugation_norm_bound(t, f, tol: Tolerances = DEFAULT_TOL,
-                                 slack: float = 1e-10) -> ConjugationReport:
-    """||F|| <= ||T^(-1/2) F T^(1/2)|| for positive invertible T and
-    Hermitian F, with the two conjugated norms equal (1e-9 relative)."""
-    return _single(check_conjugation_stack(positive_decomposition(t, tol), f, slack))
-
-
 # ---------------------------------------------------------------------------
 # Quantitative stability of the bounded transform.
 
 @dataclass(frozen=True)
 class StabilityReport:
-    """One trial's measurements (floats), or a stack's (arrays)."""
+    """A stack's measurements, one array entry per trial."""
 
     eps: float
-    hypothesis_norms: tuple      # the two resolvent-smallness norms
-    transform_diff: float        # ||F_T - F_Tn||
+    hypothesis_norms: tuple      # the two resolvent-smallness norms, each an array
+    transform_diff: np.ndarray   # ||F_T - F_Tn||
     bound: float                 # 4 * eps
-    passed: bool
+    passed: np.ndarray
 
     @property
     def margin(self):
@@ -351,10 +319,14 @@ def resolvent_at_i(t) -> np.ndarray:
     return np.linalg.inv(tm + 1j * np.eye(tm.shape[-1], dtype=np.complex128))
 
 
-def scale_perturbation_stack(t, r_raw, eps: float, safety: float = 0.999,
-                             res=None) -> np.ndarray:
-    """`scale_perturbation_to_eps` for every trial of a stack at once, as
-    a hermitised stack.  ``res`` is `resolvent_at_i` of ``t``, when the
+# The scaled perturbation's resolvent-smallness norms sit at this share of eps.
+_SAFETY = 0.999
+
+
+def scale_perturbation_stack(t, r_raw, eps: float, res=None) -> np.ndarray:
+    """Scale a raw Hermitian perturbation so both resolvent-smallness norms
+    sit just below eps, for every trial of a stack at once, as a
+    hermitised stack.  ``res`` is `resolvent_at_i` of ``t``, when the
     caller already has it."""
     tm = _stack(t)
     rm = _stack(r_raw, tm, "R")
@@ -362,27 +334,23 @@ def scale_perturbation_stack(t, r_raw, eps: float, safety: float = 0.999,
         res = resolvent_at_i(tm)
     worst = np.maximum(spectral_norm(rm @ res), spectral_norm(res @ rm))
     zero = worst == 0.0
-    factor = np.where(zero, 1.0, safety * eps / np.where(zero, 1.0, worst))
+    factor = np.where(zero, 1.0, _SAFETY * eps / np.where(zero, 1.0, worst))
     return _hermitised(rm * factor[:, None, None], stack=True)
-
-
-def scale_perturbation_to_eps(t, r_raw, eps: float,
-                              safety: float = 0.999) -> HermitianOperator:
-    """Scale a raw Hermitian perturbation so both resolvent-smallness
-    norms sit just below eps."""
-    return HermitianOperator(scale_perturbation_stack(t, r_raw, eps, safety)[0])
 
 
 def check_stability_stack(t, t_n, eps: float, tol: Tolerances = DEFAULT_TOL,
                           res=None, f_t=None, trials=None) -> StabilityReport:
-    """`check_bounded_transform_stability` for every trial of a stack at
-    once: trial j compares T = t[j] with Tn = t_n[j].
+    """||F_T - F_Tn|| <= 4*eps whenever both resolvent-smallness norms
+    ||(T - Tn)(T + i)^(-1)|| and ||(T + i)^(-1)(T - Tn)|| are <= eps < 1/2,
+    for every trial of a stack at once: trial j compares T = t[j] with
+    Tn = t_n[j].
 
     ``res`` and ``f_t`` are (T + i)^(-1) (`resolvent_at_i`) and F_T
-    (`bounded_transform_stack`) of ``t``, when the caller already has
+    (`opcore.bounded_transform`) of ``t``, when the caller already has
     them, for instance from an earlier eps.  The hypothesis norms are
-    always measured on T - Tn.  An unmet hypothesis raises HypothesisUnmet
-    naming its trial (``trials[j]``, else its stack index).
+    always measured on T - Tn.  Unmet hypotheses (eps >= 1/2 or oversized
+    norms) raise HypothesisUnmet, naming the trial (``trials[j]``, else its
+    stack index), and are never counted as violations of the bound.
     """
     if not eps < 0.5:
         raise HypothesisUnmet(f"eps = {eps:g} is not < 1/2")
@@ -400,22 +368,11 @@ def check_stability_stack(t, t_n, eps: float, tol: Tolerances = DEFAULT_TOL,
             f"trial {_trial(trials, j)}: resolvent-smallness norms "
             f"({h1[j]:.3e}, {h2[j]:.3e}) exceed eps={eps:g}")
     if f_t is None:
-        f_t = bounded_transform_stack(tm, tol)
-    dist = spectral_norm(f_t - bounded_transform_stack(tnm, tol))
+        f_t = bounded_transform(tm, tol)
+    dist = spectral_norm(f_t - bounded_transform(tnm, tol))
     return StabilityReport(eps=eps, hypothesis_norms=(h1, h2),
                            transform_diff=dist, bound=4.0 * eps,
                            passed=dist <= 4.0 * eps)
-
-
-def check_bounded_transform_stability(t, t_n, eps: float,
-                                      tol: Tolerances = DEFAULT_TOL) -> StabilityReport:
-    """||F_T - F_Tn|| <= 4*eps whenever both resolvent-smallness norms
-    ||(T - Tn)(T + i)^(-1)|| and ||(T + i)^(-1)(T - Tn)|| are <= eps < 1/2.
-
-    Unmet hypotheses (eps >= 1/2 or oversized norms) raise HypothesisUnmet
-    and are never counted as violations of the bound.
-    """
-    return _single(check_stability_stack(t, t_n, eps, tol))
 
 
 # ---------------------------------------------------------------------------
@@ -539,7 +496,8 @@ def check_functional_calculus_tails(tower: TruncationTower,
     from one dimension to the next (slack 1e-8), and the exact resolvent
     identity (T+R+-i)^(-1) - (T+-i)^(-1) = -(T+R+-i)^(-1) R (T+-i)^(-1)
     must hold to 1e-12.  The hard-step leg requires both T and T+R
-    invertible with gap >= ``gap_floor``.
+    invertible with gap >= ``gap_floor``.  Per dimension, one certified
+    `eigh` of T and one of T+R give the gap test, F and the step.
     """
     dims = tower.dims
     labels = ("bounded-transform", "resolvent", "step")
@@ -549,21 +507,25 @@ def check_functional_calculus_tails(tower: TruncationTower,
     for n in dims:
         tn, rn = _one_perturbation(tower, n)
         tr = tn + rn
+        # F and the step of T (entry 0) and of T+R (entry 1), one eigh each
+        transforms, steps = [], []
         for m, label in ((tn, "T"), (tr, "T+R")):
-            if spectral_gap(m) < gap_floor:
+            w, v = eigh(m, tol)
+            try:
+                steps.append(_projection_above(w, v, 0.0, gap_floor).entries)
+            except NotInvertible as exc:
                 raise NotInvertible(
                     f"{label} at dim {n} has gap below {gap_floor:g}; "
-                    f"the hard-step leg needs invertibility")
+                    f"the hard-step leg needs invertibility") from exc
+            transforms.append(_transform_of(w, v))
         eye = np.eye(n, dtype=np.complex128)
         # ((T+R+-i)^(-1), (T+-i)^(-1)) for each sign
         inverses = [(np.linalg.inv(tr + sign * eye), np.linalg.inv(tn + sign * eye))
                     for sign in (1j, -1j)]
         diffs = {
-            "bounded-transform": (bounded_transform(tr, tol).entries
-                                  - bounded_transform(tn, tol).entries),
+            "bounded-transform": transforms[1] - transforms[0],
             "resolvent": inverses[0][0] - inverses[0][1],
-            "step": (positive_projection(tr, gap_floor, tol).entries
-                     - positive_projection(tn, gap_floor, tol).entries),
+            "step": steps[1] - steps[0],
         }
         proj = tail_projector(n, n // 2)
         for lab in labels:

@@ -36,7 +36,6 @@ __all__ = [
     "eigh",
     "apply_function",
     "bounded_transform",
-    "bounded_transform_stack",
     "positive_projection",
     "null_space",
     "NullSpaceResult",
@@ -46,6 +45,11 @@ __all__ = [
     "tail_projector",
     "spectral_norm",
     "spectral_gap",
+    "alternating_diag_template",
+    "banded_shift_template",
+    "rank_one_template",
+    "exp_decay_template",
+    "decaying_rank_template",
 ]
 
 
@@ -149,7 +153,7 @@ class Projection:
         if self.idem_residual > 1e-10:
             raise InvalidInput(
                 f"projection is not idempotent: ||P^2 - P||_F = {self.idem_residual:.3e}")
-        self.entries = (p + p.conj().T) / 2.0
+        self.entries = _hermitised(p)
         self.dim = p.shape[0]
 
     @classmethod
@@ -167,6 +171,30 @@ def as_hermitian(x) -> HermitianOperator:
     return x if isinstance(x, HermitianOperator) else HermitianOperator(as_matrix(x))
 
 
+def _decompose(a: np.ndarray):
+    """One `np.linalg.eigh` of a hermitised matrix, or of each matrix of a
+    stack (m, n, n), with its certificate: (w, v, defects), where
+    defects[..., 0] is the residual ||A V - V diag(w)||_F / max(1, max |w|)
+    and defects[..., 1] the unitarity defect ||V* V - 1||_F of each matrix."""
+    w, v = np.linalg.eigh(a)
+    scale = np.abs(w).max(axis=-1, initial=1.0)
+    resid = np.linalg.norm(a @ v - v * w[..., None, :], axis=(-2, -1)) / scale
+    unit = np.linalg.norm(v.conj().swapaxes(-1, -2) @ v - np.eye(a.shape[-1]), axis=(-2, -1))
+    return w, v, np.stack([resid, unit], axis=-1)
+
+
+def _certify(defects: np.ndarray, tol: Tolerances, where: Callable[[int], str]):
+    """Raise InvalidInput when a certificate of `_decompose` exceeds
+    ``tol.eig_tol``; ``where(i)`` names the worst matrix i."""
+    flat = defects.reshape(-1, 2)
+    worst = int(np.argmax(flat.max(axis=1)))
+    resid, unit = flat[worst]
+    if max(resid, unit) > tol.eig_tol:
+        raise InvalidInput(
+            f"eigendecomposition residual {resid:.3e} / unitarity "
+            f"{unit:.3e}{where(worst)} exceed eig_tol={tol.eig_tol:.1e}")
+
+
 def eigh(h, tol: Tolerances = DEFAULT_TOL):
     """Eigendecomposition of a Hermitian operator, or of each matrix of a
     stack (m, n, n) in one batched call.
@@ -178,17 +206,8 @@ def eigh(h, tol: Tolerances = DEFAULT_TOL):
     names the worst matrix of a stack.
     """
     a = _hermitised(h, stack=True)
-    w, v = np.linalg.eigh(a)
-    scale = np.abs(w).max(axis=-1, initial=1.0)
-    resid = np.linalg.norm(a @ v - v * w[..., None, :], axis=(-2, -1)) / scale
-    unit = np.linalg.norm(v.conj().swapaxes(-1, -2) @ v - np.eye(a.shape[-1]), axis=(-2, -1))
-    defect = np.maximum(resid, unit)
-    if defect.max() > tol.eig_tol:
-        worst = np.unravel_index(np.argmax(defect), defect.shape)
-        where = f" at matrix {worst[0]} of the stack" if a.ndim == 3 else ""
-        raise InvalidInput(
-            f"eigendecomposition residual {resid[worst]:.3e} / unitarity "
-            f"{unit[worst]:.3e}{where} exceed eig_tol={tol.eig_tol:.1e}")
+    w, v, defects = _decompose(a)
+    _certify(defects, tol, lambda i: f" at matrix {i} of the stack" if a.ndim == 3 else "")
     return w, v
 
 
@@ -209,17 +228,30 @@ def apply_function(h, f: Callable[[float], float], tol: Tolerances = DEFAULT_TOL
     return HermitianOperator((v * fw) @ v.conj().T)
 
 
-def bounded_transform_stack(h, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
-    """H (1 + H^2)^(-1/2) of a Hermitian matrix, or of each matrix of a
-    stack (m, n, n) from one batched `eigh`, hermitised."""
-    w, v = eigh(h, tol)
+def _transform_of(w: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """H (1 + H^2)^(-1/2), hermitised, from the eigenpairs (w, v) of H or
+    of each matrix of a stack."""
     fw = w / np.sqrt(1.0 + w * w)
     return _hermitised((v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2), stack=True)
 
 
-def bounded_transform(h, tol: Tolerances = DEFAULT_TOL):
-    """The contraction H (1 + H^2)^(-1/2); its spectrum lies in (-1, 1)."""
-    return HermitianOperator(bounded_transform_stack(h, tol))
+def bounded_transform(h, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+    """The contraction H (1 + H^2)^(-1/2) of a Hermitian matrix, or of each
+    matrix of a stack (m, n, n) from one batched `eigh`; its spectrum lies
+    in (-1, 1)."""
+    return _transform_of(*eigh(h, tol))
+
+
+def _projection_above(w: np.ndarray, v: np.ndarray, level: float,
+                      gap_tol: float) -> Projection:
+    """P_+(H - level) from the eigenpairs (w, v) of H: the spectral
+    projection onto (level, inf).  Raises NotInvertible when an eigenvalue
+    lies within gap_tol of the level."""
+    near = np.abs(w - level)
+    if near.size and float(near.min()) < gap_tol:
+        raise NotInvertible(
+            f"eigenvalue {w[near.argmin()] - level:.3e} inside gap (+-{gap_tol:.1e})")
+    return Projection((v * (w > level)) @ v.conj().T)
 
 
 def positive_projection(h, gap_tol: Optional[float] = None,
@@ -230,14 +262,8 @@ def positive_projection(h, gap_tol: Optional[float] = None,
     otherwise NotInvertible is raised.  The hard step at 0 is legitimate
     exactly because every caller guarantees such a gap.
     """
-    if gap_tol is None:
-        gap_tol = tol.proj_gap_tol
-    w, v = eigh(h, tol)
-    if w.size and float(np.abs(w).min()) < gap_tol:
-        raise NotInvertible(
-            f"eigenvalue {w[np.abs(w).argmin()]:.3e} inside gap (+-{gap_tol:.1e})")
-    mask = (w > 0.0).astype(float)
-    return Projection((v * mask) @ v.conj().T)
+    return _projection_above(*eigh(h, tol), 0.0,
+                             tol.proj_gap_tol if gap_tol is None else gap_tol)
 
 
 class NullSpaceResult(NamedTuple):

@@ -8,10 +8,16 @@ stay available on the in-memory records).
 
 import hashlib
 import json
+import os
 from dataclasses import dataclass, field
 from typing import Optional
 
-__all__ = ["CheckRecord", "RunReport", "emit", "format_value"]
+from .errors import InvalidInput
+
+__all__ = ["CheckRecord", "RunReport", "check_formats", "digest_of", "emit",
+           "format_value"]
+
+FORMATS = ("csv", "json", "gnuplot")
 
 CSV_COLUMNS = ("check_name", "paper_anchor", "lhs", "rhs", "pass",
                "residual", "seconds")
@@ -79,11 +85,22 @@ def _record_row(rec: CheckRecord, emit_timings: bool):
     }
 
 
+def check_formats(formats) -> tuple:
+    """The report formats as a tuple; InvalidInput names the first one that
+    is not in FORMATS."""
+    formats = tuple(formats)
+    for fmt in formats:
+        if fmt not in FORMATS:
+            raise InvalidInput(f"unknown format {fmt!r}; expected one of {', '.join(FORMATS)}")
+    return formats
+
+
 def emit(report: RunReport, out_dir, formats=("csv", "json"),
          emit_timings: bool = False, stem: str = "report"):
-    """Write the requested formats into ``out_dir``; returns the paths."""
-    import os
-
+    """Write the requested formats into ``out_dir``, after checking them
+    all (`check_formats`), so an unknown one writes nothing; returns the
+    paths."""
+    formats = check_formats(formats)
     os.makedirs(out_dir, exist_ok=True)
     written = []
     rows = [_record_row(r, emit_timings) for r in report.records]
@@ -104,7 +121,7 @@ def emit(report: RunReport, out_dir, formats=("csv", "json"),
             with open(path, "w") as fh:
                 json.dump(payload, fh, indent=1, sort_keys=True)
                 fh.write("\n")
-        elif fmt == "gnuplot":
+        else:
             path = os.path.join(out_dir, f"{stem}.dat")
             with open(path, "w") as fh:
                 if report.branch_data:
@@ -117,7 +134,5 @@ def emit(report: RunReport, out_dir, formats=("csv", "json"),
                                           ["%.12g" % b[j] for b in branches]) + "\n")
                 else:
                     fh.write("# t\n")
-        else:
-            raise ValueError(f"unknown format {fmt!r}")
         written.append(path)
     return written

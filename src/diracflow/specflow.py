@@ -42,8 +42,10 @@ from .errors import (
 from .opcore import (
     DEFAULT_TOL,
     HermitianOperator,
-    Projection,
     Tolerances,
+    _certify,
+    _decompose,
+    _projection_above,
     as_matrix,
     eigh,
     positive_projection,
@@ -56,6 +58,7 @@ __all__ = [
     "CrossingReport",
     "Crossing",
     "TrivialisingFamily",
+    "branch_curves",
     "sf_crossings",
     "sf_partition",
     "make_trivialising_endpoint",
@@ -89,6 +92,15 @@ def _normalize_support(support) -> tuple:
         if a2 <= b1:
             raise InvalidInput("support intervals must be disjoint")
     return tuple(ivs)
+
+
+def _merged_support(support) -> tuple:
+    """The support intervals of two joined paths: normalized when they stay
+    disjoint, else their hull."""
+    try:
+        return _normalize_support(support)
+    except InvalidInput:
+        return ((min(s[0] for s in support), max(s[1] for s in support)),)
 
 
 # Bytes of grid samples per batched eigh in `PotentialPath._grid_pass`.
@@ -182,10 +194,9 @@ class PotentialPath:
         The samples are taken once each, in chunks of at most _CHUNK_BYTES
         (or one sample, if larger) with one batched eigh per chunk, which
         is bitwise equal to one call per sample.  A non-finite sample
-        raises InvalidInput naming its t.  Each sample's residual
-        ||SV - V diag w||_F / max(1, max|w|) and unitarity ||V*V - 1||_F
-        must stay within tol.eig_tol; otherwise InvalidInput names the
-        worst sample.
+        raises InvalidInput naming its t.  Each sample's certificate
+        (`opcore._decompose`: residual and unitarity) must stay within
+        tol.eig_tol; otherwise InvalidInput names the worst sample.
 
         The path keeps (spectra, steps) for `least_gap_outside`; the
         vectors go back to the caller only.  Both limits are measured: on
@@ -198,12 +209,11 @@ class PotentialPath:
         spectra = np.empty((n, k))
         vectors = np.empty((n, k, k), dtype=np.complex128)
         steps = np.empty(n - 1)
-        defect = np.empty((n, 2))
+        defects = np.empty((n, 2))
         per_chunk = max(1, _CHUNK_BYTES // vectors[0].nbytes)
         # buf[0] holds the previous chunk's last sample, for the step across
         # the seam
         buf = np.empty((per_chunk + 1, k, k), dtype=np.complex128)
-        eye = np.eye(k)
         for i0 in range(0, n, per_chunk):
             i1 = min(i0 + per_chunk, n)
             s = buf[1:1 + i1 - i0]
@@ -213,24 +223,14 @@ class PotentialPath:
             if not finite.all():
                 raise InvalidInput(f"path sample at t={self.grid[i0 + np.argmin(finite)]:g} "
                                    f"has non-finite entries")
-            w, v = np.linalg.eigh(s)
-            spectra[i0:i1], vectors[i0:i1] = w, v
-            defect[i0:i1, 0] = (np.linalg.norm(s @ v - v * w[:, None, :], axis=(1, 2))
-                                / np.maximum(1.0, np.abs(w).max(axis=1)))
-            defect[i0:i1, 1] = np.linalg.norm(v.conj().transpose(0, 2, 1) @ v - eye,
-                                              axis=(1, 2))
+            spectra[i0:i1], vectors[i0:i1], defects[i0:i1] = _decompose(s)
             # hermitised samples differ by an exactly Hermitian matrix, whose
             # spectral norm is its largest |eigenvalue|
             first = 0 if i0 else 1
             steps[i0 + first - 1:i1 - 1] = np.abs(np.linalg.eigvalsh(
                 buf[first + 1:1 + i1 - i0] - buf[first:i1 - i0])).max(axis=1)
             buf[0] = s[-1]
-        worst = int(np.argmax(defect.max(axis=1)))
-        if defect[worst].max() > tol.eig_tol:
-            raise InvalidInput(
-                f"eigendecomposition residual {defect[worst, 0]:.3e} / unitarity "
-                f"{defect[worst, 1]:.3e} at t={self.grid[worst]:g} exceed "
-                f"eig_tol={tol.eig_tol:.1e}")
+        _certify(defects, tol, lambda i: f" at t={self.grid[i]:g}")
         self._spectra = (spectra, steps)
         return spectra, vectors, steps
 
@@ -543,21 +543,18 @@ def _piece_level(spectra, steps, pgt: float) -> Optional[float]:
     return best
 
 
-def _projection_above(t: float, w: np.ndarray, v: np.ndarray, a: float,
-                      gap_tol: float) -> Projection:
-    """P_+(S(t) - a) from the eigenpairs (w, v) of S(t): the spectral
-    projection of S(t) onto (a, inf).  Raises NotInvertible when an
-    eigenvalue lies within gap_tol of the level a."""
-    near = np.abs(w - a)
-    if near.min() < gap_tol:
-        raise NotInvertible(
-            f"S(t={t:g}) - {a:g} has eigenvalue {w[near.argmin()] - a:.3e} "
-            f"inside gap (+-{gap_tol:.1e})")
-    return Projection((v * (w > a)) @ v.conj().T)
+def _above(path: PotentialPath, grid_pass, i: int, a: float, gap_tol: float):
+    """P_+(S(t_i) - a) from the eigenpairs of S(t_i) in the grid pass;
+    NotInvertible names t_i when an eigenvalue lies within gap_tol of a."""
+    spectra, vectors, _ = grid_pass
+    try:
+        return _projection_above(spectra[i], vectors[i], a, gap_tol)
+    except NotInvertible as exc:
+        raise NotInvertible(f"S(t={path.grid[i]:g}) - {a:g}: {exc}") from exc
 
 
 def _partition(path, grid_pass, tol, n_chunks=6):
-    spectra, vectors, steps = grid_pass
+    spectra, _, steps = grid_pass
 
     def levels_for(i0, i1, depth=0):
         if depth > 40:
@@ -573,17 +570,14 @@ def _partition(path, grid_pass, tol, n_chunks=6):
         mid = (i0 + i1) // 2
         return levels_for(i0, mid, depth + 1) + levels_for(mid, i1, depth + 1)
 
-    def above(i, a):
-        return _projection_above(path.grid[i], spectra[i], vectors[i], a,
-                                 tol.proj_gap_tol)
-
     def compute(chunks):
         pieces = [piece for (i0, i1) in chunks for piece in levels_for(i0, i1)]
         # level 0 (B = 0) before the first piece and after the last one
         levels = [0.0] + [a for (_, _, a) in pieces] + [0.0]
         junctions = [i0 for (i0, _, _) in pieces] + [pieces[-1][1]]
         # ind(S(t_i), -a0*1, -a1*1) = rel-ind(P_+(S - a1), P_+(S - a0))
-        return sum(rel_index(above(i, a1), above(i, a0), tol)
+        return sum(rel_index(_above(path, grid_pass, i, a1, tol.proj_gap_tol),
+                             _above(path, grid_pass, i, a0, tol.proj_gap_tol), tol)
                    for i, a0, a1 in zip(junctions, levels, levels[1:]))
 
     n = path.grid.size - 1
@@ -632,12 +626,8 @@ def endpoint_identity(path: PotentialPath, crossing_tol: float = 1e-8,
     grid_pass = _route_pass(path, tol)
     n_cross, report = _crossings(path, grid_pass, crossing_tol, tol)
     n_part = _partition(path, grid_pass, tol)
-    spectra, vectors, _ = grid_pass
-    p_end = _projection_above(path.grid[-1], spectra[-1], vectors[-1], 0.0,
-                              tol.proj_gap_tol)
-    p_start = _projection_above(path.grid[0], spectra[0], vectors[0], 0.0,
-                                tol.proj_gap_tol)
-    n_rel = rel_index(p_end, p_start, tol)
+    n_rel = rel_index(_above(path, grid_pass, -1, 0.0, tol.proj_gap_tol),
+                      _above(path, grid_pass, 0, 0.0, tol.proj_gap_tol), tol)
     return EndpointIdentityReport(
         sf_by_crossings=n_cross, sf_by_partition=n_part,
         endpoint_rel_index=n_rel,
@@ -768,11 +758,8 @@ def concat_paths(p1: PotentialPath, p2: PotentialPath, name=None) -> PotentialPa
         return p1.sample(t) if t <= b1 else p2.sample(t - offset)
 
     grid = np.concatenate([p1.grid, p2.grid[1:] + offset])
-    support = p1.support + tuple((a + offset, b + offset) for a, b in p2.support)
-    try:
-        support = _normalize_support(support)
-    except InvalidInput:
-        support = ((min(s[0] for s in support), max(s[1] for s in support)),)
+    support = _merged_support(
+        p1.support + tuple((a + offset, b + offset) for a, b in p2.support))
     return PotentialPath(p1.k, grid, sampler, support=support,
                          name=name or f"{p1.name}||{p2.name}")
 

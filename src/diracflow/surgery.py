@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CollarMismatch, InvalidInput, RampCrossing, TheoremViolation
 from .opcore import DEFAULT_TOL, Tolerances, as_matrix, spectral_gap
-from .specflow import PotentialPath, _normalize_support
+from .specflow import PotentialPath, _merged_support
 from . import dirac1d
 
 __all__ = [
@@ -87,12 +87,8 @@ def _splice(left: PotentialPath, right: PotentialPath, t_cut,
 
     grid = np.unique(np.concatenate([
         left.grid[left.grid < t_cut], [t_cut], right.grid[right.grid > t_cut]]))
-    support = tuple(iv for iv in left.support if iv[0] < t_cut) \
-        + tuple(iv for iv in right.support if iv[1] > t_cut)
-    try:
-        support = _normalize_support(support)
-    except InvalidInput:
-        support = ((min(s[0] for s in support), max(s[1] for s in support)),)
+    support = _merged_support(tuple(iv for iv in left.support if iv[0] < t_cut)
+                              + tuple(iv for iv in right.support if iv[1] > t_cut))
     return PotentialPath(left.k, grid, sampler, support=support, name=name)
 
 

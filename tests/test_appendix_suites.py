@@ -2,8 +2,8 @@
 
 The stacked bodies must give, trial by trial, the floats and decisions of
 the per-trial loops in ``appendix_loops`` bitwise; a stack must agree with
-one-at-a-time calls; a weakened check must fail; and the numpy.linalg calls
-of a suite must not grow with the number of trials.
+stacks of one; a weakened check must fail; and the numpy.linalg calls of a
+suite must not grow with the number of trials.
 """
 
 import functools
@@ -70,7 +70,7 @@ def stability_stack(eps):
         res = inequalities.resolvent_at_i(t)
         r = inequalities.scale_perturbation_stack(t, raw, eps, res=res)
         return inequalities.check_stability_stack(
-            t, t + r, eps, res=res, f_t=opcore.bounded_transform_stack(t))
+            t, t + r, eps, res=res, f_t=opcore.bounded_transform(t))
     return suite
 
 
@@ -119,14 +119,15 @@ class TestOracle:
 
 
 class TestStackOfOne:
-    """A stack agrees bitwise with one-at-a-time calls."""
+    """A stack agrees bitwise with stacks of one (a single matrix is one)
+    and with the per-trial loops."""
 
     @pytest.mark.parametrize("dim", [1, 4, 15])
     def test_generation(self, dim):
         specs = [RandomSpec(seed, dim, (-2.0, 3.0)) for seed in range(5)]
         stack = inequalities.random_hermitian_stack(specs)
         for j, spec in enumerate(specs):
-            assert np.array_equal(stack[j], inequalities.random_hermitian(spec).entries)
+            assert np.array_equal(stack[j], inequalities.random_hermitian_stack([spec])[0])
             assert np.array_equal(stack[j], loops.random_hermitian(spec.seed, dim, spec.envelope))
 
     @pytest.mark.parametrize("dim", [1, 4, 15])
@@ -138,8 +139,11 @@ class TestStackOfOne:
         interp = per_trial(inequalities.check_interpolation_stack(pos, s))
         conj = per_trial(inequalities.check_conjugation_stack(pos, s))
         for j in range(seeds.size):
-            assert interp[j] == vars(inequalities.check_interpolation_inequality(t[j], s[j]))
-            assert conj[j] == vars(inequalities.check_conjugation_norm_bound(t[j], s[j]))
+            one = inequalities.positive_decomposition(t[j])
+            assert interp[j] == per_trial(inequalities.check_interpolation_stack(one, s[j]))[0] \
+                == loops.interpolation(t[j], s[j])
+            assert conj[j] == per_trial(inequalities.check_conjugation_stack(one, s[j]))[0] \
+                == loops.conjugation(t[j], s[j])
 
     @pytest.mark.parametrize("dim", [1, 4, 15])
     def test_stability(self, dim):
@@ -148,14 +152,16 @@ class TestStackOfOne:
         raw = stack_of(seeds + 100, dim, (-1.0, 1.0))
         r = inequalities.scale_perturbation_stack(t, raw, 0.1)
         stacked = per_trial(inequalities.check_stability_stack(t, t + r, 0.1))
-        f_t = opcore.bounded_transform_stack(t)
+        f_t = opcore.bounded_transform(t)
         w, v = opcore.eigh(t)
         for j in range(seeds.size):
-            r_j = inequalities.scale_perturbation_to_eps(t[j], raw[j], 0.1).entries
+            r_j = inequalities.scale_perturbation_stack(t[j], raw[j], 0.1)[0]
             assert np.array_equal(r[j], r_j)
-            assert stacked[j] == vars(
-                inequalities.check_bounded_transform_stability(t[j], t[j] + r_j, 0.1))
-            assert np.array_equal(f_t[j], opcore.bounded_transform(t[j]).entries)
+            assert np.array_equal(r_j, loops.scale_to_eps(t[j], raw[j], 0.1))
+            assert stacked[j] == per_trial(
+                inequalities.check_stability_stack(t[j], t[j] + r_j, 0.1))[0] \
+                == loops.stability(t[j], t[j] + r_j, 0.1)
+            assert np.array_equal(f_t[j], opcore.bounded_transform(t[j]))
             assert np.array_equal(f_t[j], loops.bounded_transform(t[j]))
             w_j, v_j = opcore.eigh(t[j])
             assert np.array_equal(w[j], w_j) and np.array_equal(v[j], v_j)

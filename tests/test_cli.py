@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from diracflow import cli, relindex
-from diracflow.errors import ConfigError, HypothesisUnmet, TheoremViolation
+from diracflow import cli, relindex, reporting
+from diracflow.errors import ConfigError, HypothesisUnmet, InvalidInput, TheoremViolation
 from diracflow.reporting import CheckRecord
 
 SMALL = {"scenario": "relind", "seeds": [1], "params": {"trials": 4, "dim": 4}}
@@ -51,6 +51,39 @@ class TestExitCodes:
         assert info.value.field == "grid"
         assert run_main(tmp_path, config) == 2
         assert "(field: grid)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("config, field", [
+        (dict(SMALL, seeds=["a"]), "seeds"),
+        (dict(SMALL, seeds=[]), "seeds"),
+        (dict(SMALL, seeds={"base": 1.5}), "seeds.base"),
+        (dict(SMALL, tolerances={"eig_tol": "x"}), "tolerances.eig_tol"),
+        (dict(SMALL, tolerances=[1e-10]), "tolerances"),
+    ])
+    def test_malformed_value_names_its_field(self, tmp_path, config, field, capsys):
+        with pytest.raises(ConfigError) as info:
+            cli.parse_config(json.dumps(config))
+        assert info.value.field == field
+        assert run_main(tmp_path, config) == 2
+        assert f"(field: {field})" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("formats", ["xml", "csv,xml"])
+    def test_unknown_format_exits_2_and_writes_nothing(self, tmp_path, formats, capsys,
+                                                       monkeypatch):
+        ran = []
+        monkeypatch.setattr(cli, "run", lambda *args, **kwargs: ran.append(args))
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(SMALL))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                         "--format", formats]) == 2
+        assert "error: unknown format 'xml'" in capsys.readouterr().err
+        assert not ran and not (tmp_path / "out").exists()
+
+    def test_emit_checks_every_format_first(self, tmp_path):
+        report = cli.run(cli.parse_config(json.dumps(SMALL)))
+        with pytest.raises(InvalidInput, match="unknown format 'xml'"):
+            reporting.emit(report, tmp_path / "out", ("csv", "xml"))
+        assert not (tmp_path / "out").exists()
 
     def test_failing_record_exits_1(self, tmp_path, monkeypatch):
         failing = CheckRecord(name="forced", anchor="a failing record",

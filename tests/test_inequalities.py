@@ -2,6 +2,8 @@
 consumer, non-compact perturbations are rejected or fail, and tails at the
 rounding floor do not."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -11,6 +13,7 @@ from diracflow.errors import (
     GeneratorError,
     HypothesisUnmet,
     InvalidInput,
+    NotInvertible,
     NotRelativelyCompact,
 )
 from diracflow.opcore import (
@@ -132,6 +135,26 @@ class TestFunctionalCalculusTails:
         assert rep.passed
         assert max(seq[-1] for seq in rep.tail_norms.values()) < 128 * np.finfo(float).eps
 
+    def test_one_eigh_of_t_and_of_t_plus_r_per_dim(self, monkeypatch):
+        # the gap test, F and the step all come from these two
+        calls = Counter()
+        for name in ("eigh", "eigvalsh"):
+            def counted(*args, _kernel=getattr(np.linalg, name), _name=name, **kwargs):
+                calls[_name] += 1
+                return _kernel(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        dims = (16, 32, 64)
+        rep = inequalities.check_functional_calculus_tails(appendix_tails_tower(3, dims))
+        assert rep.passed
+        assert (calls["eigh"], calls["eigvalsh"]) == (2 * len(dims), 0)
+
+    def test_t_plus_r_inside_the_gap_floor_is_not_invertible(self):
+        # T + R = diag(1e-4, -1, 2, -2, ...): one eigenvalue below gap_floor
+        tower = TruncationTower((16, 32), alternating_diag_template,
+                                (lambda n: -(1.0 - 1e-4) * rank_one_template(n),))
+        with pytest.raises(NotInvertible, match=r"T\+R at dim 16 has gap below 0\.001"):
+            inequalities.check_functional_calculus_tails(tower, gap_floor=1e-3)
+
     def test_half_identity_fails(self):
         tower = TruncationTower((16, 32, 64), alternating_diag_template,
                                 (half_identity,))
@@ -152,14 +175,12 @@ class TestOtherChecks:
                 (16, 32, 64), lambda n: np.eye(n, dtype=np.complex128))
 
     def test_stability_hypotheses_are_preconditions(self):
-        t = inequalities.random_hermitian(inequalities.RandomSpec(1, 6, (-6.0, 6.0)))
-        raw = inequalities.random_hermitian(inequalities.RandomSpec(2, 6, (-1.0, 1.0)))
-        r = inequalities.scale_perturbation_to_eps(t, raw, 0.1)
-        rep = inequalities.check_bounded_transform_stability(
-            t, t.entries + r.entries, 0.1)
-        assert rep.passed and max(rep.hypothesis_norms) <= 0.1
+        t = inequalities.random_hermitian_stack([inequalities.RandomSpec(1, 6, (-6.0, 6.0))])
+        raw = inequalities.random_hermitian_stack([inequalities.RandomSpec(2, 6, (-1.0, 1.0))])
+        r = inequalities.scale_perturbation_stack(t, raw, 0.1)
+        rep = inequalities.check_stability_stack(t, t + r, 0.1)
+        assert rep.passed.all() and np.max(rep.hypothesis_norms) <= 0.1
         with pytest.raises(HypothesisUnmet):
-            inequalities.check_bounded_transform_stability(
-                t, t.entries + 2.0 * r.entries, 0.1)
+            inequalities.check_stability_stack(t, t + 2.0 * r, 0.1)
         with pytest.raises(HypothesisUnmet):
-            inequalities.check_bounded_transform_stability(t, t, 0.5)
+            inequalities.check_stability_stack(t, t, 0.5)

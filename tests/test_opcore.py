@@ -144,15 +144,15 @@ class TestApplyFunction:
 class TestBoundedTransform:
     def test_zero(self):
         out = bounded_transform(np.zeros((3, 3)))
-        assert np.allclose(out.entries, 0.0)
+        assert np.allclose(out, 0.0)
 
     def test_closed_form(self):
         out = bounded_transform(np.diag([1.0, -1.0]))
-        assert np.allclose(out.entries, np.diag([1 / np.sqrt(2), -1 / np.sqrt(2)]))
+        assert np.allclose(out, np.diag([1 / np.sqrt(2), -1 / np.sqrt(2)]))
 
     def test_algebraic_identity(self):
         h = random_hermitian(7, 6, scale=2.0)
-        f = bounded_transform(h).entries
+        f = bounded_transform(h)
         target = h @ h @ np.linalg.inv(np.eye(6) + h @ h)
         assert np.linalg.norm(f @ f - target, 2) <= 1e-10
 
@@ -161,7 +161,7 @@ class TestBoundedTransform:
             h = random_hermitian(seed, 7, scale=2.0)
             f = bounded_transform(h)
             wh = np.linalg.eigvalsh(h)
-            wf = np.linalg.eigvalsh(f.entries)
+            wf = np.linalg.eigvalsh(f)
             assert np.array_equal(np.sign(wh), np.sign(wf))
 
 

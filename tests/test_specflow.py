@@ -124,15 +124,15 @@ class TestGridPass:
     @given(seed=st.integers(0, 10_000), k=st.integers(1, 6))
     def test_junctions_match_positive_projection_and_ind_triple(self, seed, k):
         path = random_smooth_path(seed, k, n_samples=24)
-        real = specflow._projection_above
+        real = specflow._above
         calls = []
 
-        def recorded(t, w, v, a, gap_tol):
-            p = real(t, w, v, a, gap_tol)
-            calls.append((t, a, p))
+        def recorded(path, grid_pass, i, a, gap_tol):
+            p = real(path, grid_pass, i, a, gap_tol)
+            calls.append((path.grid[i], a, p))
             return p
 
-        with mock.patch.object(specflow, "_projection_above", recorded):
+        with mock.patch.object(specflow, "_above", recorded):
             sf_partition(path)
         # each junction term is rel_index(P_+(S - a1), P_+(S - a0)), in that order
         assert calls and len(calls) % 2 == 0
@@ -147,9 +147,8 @@ class TestGridPass:
 
     def test_junction_inside_gap_is_not_invertible(self):
         p = constant_path(np.diag([1.0, -1.0]))
-        spectra, vectors, _ = p._grid_pass(DEFAULT_TOL)
         with pytest.raises(NotInvertible, match="t=0"):
-            specflow._projection_above(0.0, spectra[0], vectors[0], 1.0 + 1e-9, 1e-8)
+            specflow._above(p, p._grid_pass(DEFAULT_TOL), 0, 1.0 + 1e-9, 1e-8)
 
 
 class TestCrossings:
