@@ -32,7 +32,6 @@ from .errors import (
     PathTooCoarse,
     RampCrossing,
     RefineGrid,
-    ShiftFailure,
     TheoremViolation,
     TowerTooShallow,
 )
@@ -54,15 +53,11 @@ from .relindex import (
     check_additivity,
     homotopy_constancy,
     rel_index,
-    rel_index_odd_power,
     rel_index_restricted,
 )
 from .specflow import (
     PotentialPath,
     endpoint_identity,
-    ind_triple,
-    make_trivialising_endpoint,
-    make_trivialising_gapshift,
     sf_crossings,
     sf_partition,
 )

@@ -49,8 +49,8 @@ from .opcore import (
 )
 from .relindex import rel_index
 from .specflow import PotentialPath, endpoint_identity
-from .surgery import smoothstep
 from . import dirac1d
+from .dirac1d import smoothstep
 
 __all__ = [
     "Hypersurface",

@@ -76,6 +76,15 @@ _POTENTIAL_KEYS = {
     "file": {"kind", "path"},
 }
 
+# The type of every params and potential key: int, float (any number), str,
+# or a one-element list for a list of that type.
+_KEY_TYPES = {
+    "k": int, "n_samples": int, "trials": int, "dim": int, "bumps": int,
+    "pairs": int, "k_max": int, "cases": int, "fibers": int, "quad_nodes": int,
+    "seed": int, "scale": float, "kind": str, "path": str,
+    "lams": [float], "a4_eps": [float], "entries": [float], "dims": [int],
+}
+
 
 @dataclass
 class ScenarioConfig:
@@ -113,6 +122,26 @@ def _number(value, field, integer=False):
     return value if integer else float(value)
 
 
+def _typed(mapping, where):
+    """A copy of ``mapping`` with each value checked against _KEY_TYPES
+    (numbers as `_number` returns them, lists as tuples); ConfigError
+    naming ``where.key`` otherwise."""
+    out = {}
+    for key, value in mapping.items():
+        kind, name = _KEY_TYPES[key], f"{where}.{key}"
+        if kind is str:
+            if not isinstance(value, str):
+                raise ConfigError(f"expected a string, got {value!r}", field=name)
+            out[key] = value
+        elif isinstance(kind, list):
+            if not isinstance(value, list):
+                raise ConfigError(f"expected a list, got {value!r}", field=name)
+            out[key] = tuple(_number(v, name, integer=kind[0] is int) for v in value)
+        else:
+            out[key] = _number(value, name, integer=kind is int)
+    return out
+
+
 def parse_config(text: str) -> ScenarioConfig:
     """Parse and fully validate a JSON scenario configuration."""
     try:
@@ -125,7 +154,7 @@ def parse_config(text: str) -> ScenarioConfig:
                "output", "params"}
     _reject_unknown(raw, allowed, "configuration")
     scenario = raw.get("scenario")
-    if scenario not in SCENARIOS:
+    if not isinstance(scenario, str) or scenario not in SCENARIOS:
         raise ConfigError(
             f"scenario must be one of {sorted(SCENARIOS)}", field="scenario")
 
@@ -149,11 +178,14 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError("potential must be an object with a kind",
                           field="potential")
     kind = potential["kind"]
-    if kind not in _POTENTIAL_KEYS:
+    if not isinstance(kind, str) or kind not in _POTENTIAL_KEYS:
         raise ConfigError(
             f"potential kind must be one of {sorted(_POTENTIAL_KEYS)}",
             field="potential.kind")
     _reject_unknown(potential, _POTENTIAL_KEYS[kind], f"potential({kind})")
+    if kind == "file" and "path" not in potential:
+        raise ConfigError("potential(file) needs a path", field="potential.path")
+    potential = _typed(potential, "potential")
 
     coupling = raw.get("coupling", 1.0)
     if isinstance(coupling, str):
@@ -183,6 +215,7 @@ def parse_config(text: str) -> ScenarioConfig:
     if not isinstance(params, dict):
         raise ConfigError("params must be an object", field="params")
     _reject_unknown(params, _PARAM_KEYS[scenario], f"params({scenario})")
+    params = _typed(params, "params")
 
     return ScenarioConfig(scenario=scenario, seeds=seeds, potential=potential,
                           coupling=coupling, tolerances=tolerances,
@@ -224,22 +257,20 @@ def build_potential(cfg: ScenarioConfig) -> PotentialPath:
     spec = cfg.potential
     kind = spec["kind"]
     if kind == "tanh":
-        return specflow.tanh_path(k=int(spec.get("k", 1)),
-                                  scale=float(spec.get("scale", 1.0)))
+        return specflow.tanh_path(k=spec.get("k", 1), scale=spec.get("scale", 1.0))
     if kind == "linear":
-        return specflow.linear_scalar_path(int(spec.get("n_samples", 33)))
+        return specflow.linear_scalar_path(spec.get("n_samples", 33))
     if kind == "diag-list":
-        entries = [float(c) for c in spec.get("entries", [1.0, -1.0])]
+        entries = spec.get("entries", (1.0, -1.0))
         body = float(np.arctanh(0.9)) / min(abs(c) for c in entries if c != 0.0)
         funcs = [(lambda t, c=c: c * math.tanh(t)) for c in entries]
         return specflow.diagonal_path(funcs, (-10.0, 10.0),
-                                      int(spec.get("n_samples", 161)),
+                                      spec.get("n_samples", 161),
                                       support=((-body, body),),
                                       name="diag-list")
     if kind == "seeded-random":
-        return scenarios.sf_path(int(spec.get("seed", 0)),
-                                 int(spec.get("k", 2)),
-                                 int(spec.get("n_samples", 64)))
+        return scenarios.sf_path(spec.get("seed", 0), spec.get("k", 2),
+                                 spec.get("n_samples", 64))
     if kind == "file":
         return load_potential_table(spec["path"])
     raise ConfigError(f"unhandled potential kind {kind!r}", field="potential.kind")
@@ -273,8 +304,8 @@ def _guarded(name, anchor, fn):
 
 def _run_sf(cfg: ScenarioConfig):
     records = []
-    k = int(cfg.params.get("k", 4))
-    n_samples = int(cfg.params.get("n_samples", 64))
+    k = cfg.params.get("k", 4)
+    n_samples = cfg.params.get("n_samples", 64)
     for seed in cfg.seeds:
         def check(seed=seed):
             path = scenarios.sf_path(seed, 1 + (seed + k) % 8, n_samples)
@@ -302,8 +333,8 @@ def _run_sf(cfg: ScenarioConfig):
 
 
 def _run_relind(cfg: ScenarioConfig):
-    trials = int(cfg.params.get("trials", 100))
-    dim = int(cfg.params.get("dim", 8))
+    trials = cfg.params.get("trials", 100)
+    dim = cfg.params.get("dim", 8)
     rng = np.random.default_rng(cfg.seeds[0])
     records = []
 
@@ -401,7 +432,7 @@ def _run_index1d(cfg: ScenarioConfig):
                             "doubled square plus cutoff dominates the epsilon bound",
                             bound))
 
-    n_bumps = int(cfg.params.get("bumps", 10))
+    n_bumps = cfg.params.get("bumps", 10)
 
     def bumps():
         path = specflow.tanh_path()
@@ -420,8 +451,8 @@ def _run_index1d(cfg: ScenarioConfig):
 
 
 def _run_cutpaste(cfg: ScenarioConfig):
-    pairs = int(cfg.params.get("pairs", 6))
-    k_max = int(cfg.params.get("k_max", 3))
+    pairs = cfg.params.get("pairs", 6)
+    k_max = cfg.params.get("k_max", 3)
     records = []
     grid = dirac1d.GridSpec(12.0, 192)
     for seed in cfg.seeds[:pairs]:
@@ -438,7 +469,7 @@ def _run_cutpaste(cfg: ScenarioConfig):
 
 
 def _run_callias(cfg: ScenarioConfig):
-    cases = int(cfg.params.get("cases", len(cfg.seeds)))
+    cases = cfg.params.get("cases", len(cfg.seeds))
     records = []
     gridder = lambda p: dirac1d.GridSpec.auto(p, h_target=0.15, decay=1e-6)
     for seed in cfg.seeds[:cases]:
@@ -477,8 +508,8 @@ def _run_callias(cfg: ScenarioConfig):
 
 
 def _run_tower(cfg: ScenarioConfig):
-    dims = tuple(cfg.params.get("dims", (16, 32, 64)))
-    fibers = int(cfg.params.get("fibers", 2))
+    dims = cfg.params.get("dims", (16, 32, 64))
+    fibers = cfg.params.get("fibers", 2)
 
     def check():
         tower = callias.tower_scenario(cfg.seeds[0], dims, fibers)
@@ -492,10 +523,10 @@ def _run_tower(cfg: ScenarioConfig):
 
 
 def _run_appendix(cfg: ScenarioConfig):
-    trials = int(cfg.params.get("trials", 200))
-    dims = tuple(cfg.params.get("dims", (16, 32, 64)))
-    a4_eps = tuple(cfg.params.get("a4_eps", (0.01, 0.1, 0.4)))
-    quad_nodes = int(cfg.params.get("quad_nodes", 128))
+    trials = cfg.params.get("trials", 200)
+    dims = cfg.params.get("dims", (16, 32, 64))
+    a4_eps = cfg.params.get("a4_eps", (0.01, 0.1, 0.4))
+    quad_nodes = cfg.params.get("quad_nodes", 128)
     base_seed = cfg.seeds[0]
     records = []
 

@@ -36,8 +36,8 @@ Two discretizations serve two distinct purposes:
   spurious grid-oscillation branch sees the derivative with flipped sign
   and therefore reproduces exactly the adjoint problem, so the count of
   small singular values equals dim ker + dim coker of the APS problem,
-  and the doubled graded operator built from it obeys the same lower
-  bounds as the continuum operator.
+  and D*D + f^2 and DD* + f^2 built from it obey the same lower bounds
+  as the continuum operator.
 """
 
 import math
@@ -66,7 +66,6 @@ from .specflow import PotentialPath
 __all__ = [
     "GridSpec",
     "DiscretizedDiracSchroedinger",
-    "DoubledOperator",
     "IndexReport",
     "FredholmBoundReport",
     "assemble",
@@ -76,7 +75,6 @@ __all__ = [
     "kernel_vectors",
     "kernel_oracle_diagonal",
     "OracleIndex",
-    "doubled",
     "fredholm_bounds",
     "make_cutoff",
     "lambda_sweep",
@@ -84,6 +82,7 @@ __all__ = [
     "perturbation_invariance",
     "PerturbationReport",
     "quintic_plateau",
+    "smoothstep",
 ]
 
 DECAY_TARGET = 1e-8
@@ -630,39 +629,6 @@ def kernel_oracle_diagonal(path: PotentialPath,
                        index=dim_ker - dim_coker)
 
 
-@dataclass(frozen=True)
-class DoubledOperator:
-    """Graded doubling [[0, D*], [D, 0]] of a square Dirichlet assembly.
-
-    Anticommutes exactly with the grading diag(+1, -1) by block structure,
-    and its spectrum is symmetric about 0 (eigenvalues are +-singular
-    values of D).
-    """
-
-    matrix: np.ndarray
-    grading: np.ndarray
-    block_dim: int
-
-    def anticommutator_norm(self) -> float:
-        g, m = self.grading, self.matrix
-        return float(np.linalg.norm(g @ m + m @ g, 2))
-
-    def eigenvalues(self) -> np.ndarray:
-        return np.linalg.eigvalsh(self.matrix)
-
-
-def doubled(op: DiscretizedDiracSchroedinger) -> DoubledOperator:
-    if op.bc != "dirichlet":
-        raise InvalidInput("doubled() requires a square Dirichlet assembly")
-    d = op.matrix
-    m = d.shape[0]
-    mat = np.zeros((2 * m, 2 * m), dtype=np.complex128)
-    mat[:m, m:] = d.conj().T
-    mat[m:, :m] = d
-    grading = np.diag(np.concatenate([np.ones(m), -np.ones(m)])).astype(np.complex128)
-    return DoubledOperator(matrix=mat, grading=grading, block_dim=m)
-
-
 # ---------------------------------------------------------------------------
 # Quantitative Fredholm bounds.
 
@@ -732,6 +698,15 @@ def _path_derivative_norms(path: PotentialPath,
     return out, samples
 
 
+def smoothstep(u: float) -> float:
+    """Quintic smoothstep: 0 for u <= 0, 1 for u >= 1, C^2 at the joints."""
+    if u <= 0.0:
+        return 0.0
+    if u >= 1.0:
+        return 1.0
+    return u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
+
+
 def quintic_plateau(t, lo, hi, ramp):
     """1 on [lo, hi], quintic-smoothstep down to 0 over ``ramp`` outside."""
     if lo <= t <= hi:
@@ -739,8 +714,7 @@ def quintic_plateau(t, lo, hi, ramp):
     d = (lo - t) if t < lo else (t - hi)
     if d >= ramp:
         return 0.0
-    u = 1.0 - d / ramp
-    return u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
+    return smoothstep(1.0 - d / ramp)
 
 
 def make_cutoff(k_hat: Tuple[float, float], amplitude: float,

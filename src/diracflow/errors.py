@@ -68,10 +68,6 @@ class PartitionFailure(DiracflowError):
     """No invertible gap level could be found on some subinterval."""
 
 
-class ShiftFailure(DiracflowError):
-    """A spectral shift failed its a-posteriori gap check; increase delta."""
-
-
 class NotDiagonalizable(DiracflowError):
     """Samples of a path do not commute, so no shared eigenbasis exists."""
 

@@ -21,7 +21,6 @@ from .opcore import DEFAULT_TOL, Projection, Tolerances, eigh, null_space
 __all__ = [
     "rel_index",
     "rel_index_restricted",
-    "rel_index_odd_power",
     "check_additivity",
     "AdditivityReport",
     "homotopy_constancy",
@@ -72,23 +71,6 @@ def rel_index_restricted(p, q, tol: Tolerances = DEFAULT_TOL) -> int:
     ker = null_space(m, tol, want_basis=False).dim
     coker = null_space(m.conj().T, tol, want_basis=False).dim
     return ker - coker
-
-
-def rel_index_odd_power(p, q, m: int = 1, tol: Tolerances = DEFAULT_TOL) -> float:
-    """tr((P - Q)^(2m+1)).
-
-    For differences whose spectrum lies in {-1, 0, +1} the value is
-    independent of m and equals the relative index; comparing m = 0, 1, 2
-    is a cheap degradation diagnostic.
-    """
-    p, q = _pair(p, q)
-    if m < 0:
-        raise InvalidInput("m must be a nonnegative integer")
-    d = p.entries - q.entries
-    acc = d.copy()
-    for _ in range(2 * m):
-        acc = acc @ d
-    return float(np.trace(acc).real)
 
 
 @dataclass(frozen=True)

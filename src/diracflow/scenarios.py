@@ -13,11 +13,10 @@ from typing import Tuple
 
 import numpy as np
 
-from .dirac1d import quintic_plateau
+from .dirac1d import quintic_plateau, smoothstep
 from .inequalities import random_unitary
 from .opcore import HermitianOperator
 from .specflow import PotentialPath, random_smooth_path
-from .surgery import smoothstep
 
 __all__ = [
     "invertible_matrix",

@@ -3,12 +3,17 @@
 The first route (`sf_crossings`) tracks eigenvalue branches across the
 sample grid by eigenvector overlap, bisection-refines every sign change
 down to |lambda| <= crossing_tol, and sums the slope signs.  The second
-route (`sf_partition`) exercises the partition definition: it subdivides
-the parameter interval, picks per subinterval an invertible gap level
-realized by a scalar trivialising shift B = -a*1, and accumulates the
-relative indices of the shifted positive spectral projections at the
-junctions.  Both must agree with each other and with the endpoint
-relative index rel-ind(P_+(S(end)), P_+(S(start))); `endpoint_identity`
+route (`sf_partition`) exercises Phillips' partition definition (Phillips,
+"Self-adjoint Fredholm operators and spectral flow", Canad. Math. Bull.
+39, 1996): it subdivides the parameter interval, picks per subinterval an
+invertible gap level realized by a scalar trivialising shift B = -a*1, and
+sums the junction terms ind(S(t_i), -a0*1, -a1*1) =
+rel-ind(P_+(S(t_i) - a1), P_+(S(t_i) - a0)).  With scalar shifts both
+projections come from one eigenbasis, so each term is the count
+#{eigenvalues of S(t_i) above a1} - #{above a0}, read from the spectrum.
+Both routes must agree with each other and with the endpoint relative
+index rel-ind(P_+(S(end)), P_+(S(start))), which compares two different
+operators and so is taken from their projections; `endpoint_identity`
 asserts the triple equality.
 
 Both routes read one certified eigendecomposition of the grid samples
@@ -36,20 +41,16 @@ from .errors import (
     NotInvertible,
     PartitionFailure,
     RefineGrid,
-    ShiftFailure,
     TheoremViolation,
 )
 from .opcore import (
     DEFAULT_TOL,
-    HermitianOperator,
     Tolerances,
     _certify,
     _decompose,
     _projection_above,
     as_matrix,
     eigh,
-    positive_projection,
-    spectral_gap,
 )
 from .relindex import rel_index
 
@@ -57,13 +58,9 @@ __all__ = [
     "PotentialPath",
     "CrossingReport",
     "Crossing",
-    "TrivialisingFamily",
     "branch_curves",
     "sf_crossings",
     "sf_partition",
-    "make_trivialising_endpoint",
-    "make_trivialising_gapshift",
-    "ind_triple",
     "endpoint_identity",
     "EndpointIdentityReport",
     "constant_path",
@@ -437,67 +434,7 @@ def sf_crossings(path: PotentialPath, crossing_tol: float = 1e-8,
 
 
 # ---------------------------------------------------------------------------
-# Partition / trivialising-family route.
-
-@dataclass(frozen=True)
-class TrivialisingFamily:
-    """A sampled rule t -> B(t) making S(t) + B(t) invertible on an interval."""
-
-    rule: Callable[[float], np.ndarray]
-    interval: Tuple[float, float]
-
-    def validate(self, path: PotentialPath, tol: Tolerances = DEFAULT_TOL,
-                 gap: Optional[float] = None):
-        gap = tol.proj_gap_tol if gap is None else gap
-        lo, hi = self.interval
-        worst = float("inf")
-        for t in path.grid:
-            if lo <= t <= hi:
-                g = spectral_gap(path.sample(t) + np.asarray(self.rule(float(t))))
-                worst = min(worst, g)
-                if g < gap:
-                    raise NotInvertible(
-                        f"S(t)+B(t) gap {g:.3e} < {gap:.1e} at t={t}")
-        return worst
-
-
-def make_trivialising_endpoint(path: PotentialPath,
-                               tol: Tolerances = DEFAULT_TOL) -> TrivialisingFamily:
-    """The endpoint family B(t) = S(start) - S(t), so S(t) + B(t) is the
-    constant invertible operator S(start)."""
-    s0 = path.start()
-    if spectral_gap(s0) < tol.proj_gap_tol:
-        raise NotInvertible("path start point is not invertible")
-    lo, hi = path.span()
-    return TrivialisingFamily(rule=lambda t: s0 - path.sample(t),
-                              interval=(lo, hi))
-
-
-def make_trivialising_gapshift(h, delta: float,
-                               tol: Tolerances = DEFAULT_TOL) -> HermitianOperator:
-    """A spectral shift B = delta*(2P - 1), P = chi_((-delta, inf))(H),
-    pushing eigenvalues above -delta up and the rest down.  The result is
-    verified a posteriori: spec(H + B) must avoid (-delta/2, delta/2)."""
-    if not delta > 0:
-        raise InvalidInput("delta must be positive")
-    w, v = eigh(h, tol)
-    signs = np.where(w > -delta, 1.0, -1.0)
-    b = delta * ((v * signs) @ v.conj().T)
-    gap = spectral_gap(as_matrix(h) + b)
-    if gap < delta / 2.0:
-        raise ShiftFailure(
-            f"gap(H+B) = {gap:.3e} < delta/2 = {delta / 2.0:.3e}; increase delta")
-    return HermitianOperator(b)
-
-
-def ind_triple(d, b0, b1, tol: Tolerances = DEFAULT_TOL) -> int:
-    """rel-ind(P_+(D + B1), P_+(D + B0)) for Hermitian D and trivialising
-    shifts B0, B1 (both sums must be invertible)."""
-    dm = as_matrix(d)
-    p1 = positive_projection(dm + as_matrix(b1), tol.proj_gap_tol, tol)
-    p0 = positive_projection(dm + as_matrix(b0), tol.proj_gap_tol, tol)
-    return rel_index(p1, p0, tol)
-
+# Partition route.
 
 def _gap_level(eigs: np.ndarray, min_width: float) -> Tuple[Optional[float], float]:
     """(level, score): the midpoint of the widest spectral gap near zero in
@@ -553,9 +490,22 @@ def _above(path: PotentialPath, grid_pass, i: int, a: float, gap_tol: float):
         raise NotInvertible(f"S(t={path.grid[i]:g}) - {a:g}: {exc}") from exc
 
 
-def _partition(path, grid_pass, tol, n_chunks=6):
-    spectra, _, steps = grid_pass
+def _junction(path: PotentialPath, spectra, i: int, a0: float, a1: float,
+              gap_tol: float) -> int:
+    """ind(S(t_i), -a0*1, -a1*1) = #{w > a1} - #{w > a0} over the spectrum
+    w of S(t_i); NotInvertible names t_i when an eigenvalue lies within
+    gap_tol of a1 (checked first) or of a0."""
+    w = spectra[i]
+    for a in (a1, a0):
+        near = np.abs(w - a)
+        if float(near.min()) < gap_tol:
+            raise NotInvertible(
+                f"S(t={path.grid[i]:g}) - {a:g}: eigenvalue {w[near.argmin()] - a:.3e} "
+                f"inside gap (+-{gap_tol:.1e})")
+    return int(np.count_nonzero(w > a1)) - int(np.count_nonzero(w > a0))
 
+
+def _partition(path, spectra, steps, tol, n_chunks=6):
     def levels_for(i0, i1, depth=0):
         if depth > 40:
             raise PartitionFailure(
@@ -575,9 +525,7 @@ def _partition(path, grid_pass, tol, n_chunks=6):
         # level 0 (B = 0) before the first piece and after the last one
         levels = [0.0] + [a for (_, _, a) in pieces] + [0.0]
         junctions = [i0 for (i0, _, _) in pieces] + [pieces[-1][1]]
-        # ind(S(t_i), -a0*1, -a1*1) = rel-ind(P_+(S - a1), P_+(S - a0))
-        return sum(rel_index(_above(path, grid_pass, i, a1, tol.proj_gap_tol),
-                             _above(path, grid_pass, i, a0, tol.proj_gap_tol), tol)
+        return sum(_junction(path, spectra, i, a0, a1, tol.proj_gap_tol)
                    for i, a0, a1 in zip(junctions, levels, levels[1:]))
 
     n = path.grid.size - 1
@@ -602,12 +550,16 @@ def sf_partition(path: PotentialPath, tol: Tolerances = DEFAULT_TOL,
     The grid is split into contiguous chunks; per chunk a gap level ``a``
     valid for every sample of the chunk realizes the trivialising operator
     B = -a*1, and the flow is accumulated junction-by-junction as
-    ind(S(t_i), B^{i-1}, B^i) with zero shifts at the invertible endpoints.
+    ind(S(t_i), B^{i-1}, B^i) with zero shifts at the invertible endpoints
+    (Phillips, Canad. Math. Bull. 39, 1996).  With scalar shifts each
+    junction term is a count over the spectrum w of S(t_i):
+    ind(S(t_i), -a0*1, -a1*1) = #{w > a1} - #{w > a0}.
     Chunks without a usable level are split recursively; an unsplittable
     chunk without a level raises PartitionFailure.  The result is
     recomputed on a refined partition and must agree exactly.
     """
-    return _partition(path, _route_pass(path, tol), tol, n_chunks)
+    spectra, _, steps = _route_pass(path, tol)
+    return _partition(path, spectra, steps, tol, n_chunks)
 
 
 @dataclass(frozen=True)
@@ -625,7 +577,7 @@ def endpoint_identity(path: PotentialPath, crossing_tol: float = 1e-8,
     all three read from one grid pass."""
     grid_pass = _route_pass(path, tol)
     n_cross, report = _crossings(path, grid_pass, crossing_tol, tol)
-    n_part = _partition(path, grid_pass, tol)
+    n_part = _partition(path, grid_pass[0], grid_pass[2], tol)
     n_rel = rel_index(_above(path, grid_pass, -1, 0.0, tol.proj_gap_tol),
                       _above(path, grid_pass, 0, 0.0, tol.proj_gap_tol), tol)
     return EndpointIdentityReport(

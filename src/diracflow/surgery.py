@@ -22,9 +22,9 @@ from .errors import CollarMismatch, InvalidInput, RampCrossing, TheoremViolation
 from .opcore import DEFAULT_TOL, Tolerances, as_matrix, spectral_gap
 from .specflow import PotentialPath, _merged_support
 from . import dirac1d
+from .dirac1d import smoothstep
 
 __all__ = [
-    "smoothstep",
     "SurgeryProfile",
     "cut_paste",
     "verify_additivity",
@@ -33,15 +33,6 @@ __all__ = [
     "collar_flatten",
     "SurgeryReport",
 ]
-
-
-def smoothstep(u: float) -> float:
-    """Quintic smoothstep: 0 for u <= 0, 1 for u >= 1, C^2 at the joints."""
-    if u <= 0.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
-    return u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
 
 
 @dataclass(frozen=True)

@@ -58,6 +58,14 @@ class TestExitCodes:
         (dict(SMALL, seeds={"base": 1.5}), "seeds.base"),
         (dict(SMALL, tolerances={"eig_tol": "x"}), "tolerances.eig_tol"),
         (dict(SMALL, tolerances=[1e-10]), "tolerances"),
+        (dict(SMALL, params={"trials": "x"}), "params.trials"),
+        (dict(SMALL, potential={"kind": "tanh", "k": "two"}), "potential.k"),
+        ({"scenario": "tower", "params": {"dims": 16}}, "params.dims"),
+        ({"scenario": "tower", "params": {"dims": [16, 32.5]}}, "params.dims"),
+        ({"scenario": "index1d", "params": {"lams": [1.0, "a"]}}, "params.lams"),
+        (dict(SMALL, potential={"kind": "file"}), "potential.path"),
+        (dict(SMALL, potential={"kind": ["tanh"]}), "potential.kind"),
+        (dict(SMALL, scenario=["relind"]), "scenario"),
     ])
     def test_malformed_value_names_its_field(self, tmp_path, config, field, capsys):
         with pytest.raises(ConfigError) as info:
@@ -91,6 +99,17 @@ class TestExitCodes:
         monkeypatch.setitem(cli._RUNNERS, "relind", lambda cfg: ([failing], None))
         assert run_main(tmp_path, SMALL) == 1
         assert '"pass": "false"' in (tmp_path / "out" / "report.json").read_text()
+
+
+def test_params_reach_the_runners_typed():
+    cfg = cli.parse_config(json.dumps(
+        {"scenario": "all", "params": {"trials": 3, "lams": [2, 3.5], "dims": [8, 16]},
+         "potential": {"kind": "diag-list", "entries": [1, -2]}}))
+    assert cfg.params == {"trials": 3, "lams": (2.0, 3.5), "dims": (8, 16)}
+    assert cfg.potential == {"kind": "diag-list", "entries": (1.0, -2.0)}
+    assert all(type(x) is float for x in cfg.params["lams"] + cfg.potential["entries"])
+    # the digest reads the configuration as written
+    assert cfg.raw["params"]["lams"] == [2, 3.5]
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -8,7 +8,6 @@ from diracflow.dirac1d import (
     GridSpec,
     assemble,
     bound_constants,
-    doubled,
     fredholm_bounds,
     index_report,
     kernel_oracle_diagonal,
@@ -224,32 +223,29 @@ class TestDiagonalOracle:
 
 
 class TestDoubled:
-    def test_requires_dirichlet(self):
-        with pytest.raises(InvalidInput):
-            doubled(assemble(tanh_path(), GridSpec(8.0, 64), "aps"))
-
-    def test_exact_anticommutation(self):
-        op = assemble(tanh_path(), GridSpec(8.0, 64), "dirichlet")
-        dbl = doubled(op)
-        assert dbl.anticommutator_norm() == 0.0
+    """The doubled operator [[0, D*], [D, 0]] of a square Dirichlet assembly
+    D has eigenvalues +-sigma(D), so these read the singular values of D."""
 
     def test_constant_gap(self):
         p = constant_path(np.array([[1.0]]), (-8, 8))
-        dbl = doubled(assemble(p, GridSpec(8.0, 200), "dirichlet"))
-        ev = dbl.eigenvalues()
-        assert np.abs(ev).min() >= 0.9
-
-    def test_spectral_symmetry(self):
-        op = assemble(flat_tail_path(1, 2), GridSpec(6.0, 48), "dirichlet", 1.2)
-        ev = np.sort(doubled(op).eigenvalues())
-        assert np.abs(ev + ev[::-1]).max() <= 1e-10
+        op = assemble(p, GridSpec(8.0, 200), "dirichlet")
+        assert np.linalg.svd(op.matrix, compute_uv=False).min() >= 0.9
 
     def test_near_zero_mode_decays_with_length(self):
+        # On an even number of cells the odd symmetry of tanh about the
+        # grid's centre makes the mode exact (sigma at rounding level at
+        # every length); on an odd number it is a truncation effect and
+        # decays with the length.
         smallest = []
         for length in (4.0, 6.0, 8.0):
             n = int(40 * length)
-            dbl = doubled(assemble(tanh_path(), GridSpec(length, n), "dirichlet"))
-            smallest.append(np.abs(dbl.eigenvalues()).min())
+            for cells in (n, n + 1):
+                op = assemble(tanh_path(), GridSpec(length, cells), "dirichlet")
+                s = np.linalg.svd(op.matrix, compute_uv=False)
+                if cells == n:
+                    assert s[-1] <= 1e-14 * s[0]
+                else:
+                    smallest.append(s[-1])
         assert smallest[2] < smallest[1] < smallest[0]
 
     def test_dirichlet_small_singular_values_count_kernel_plus_cokernel(self):

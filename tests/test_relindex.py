@@ -8,7 +8,6 @@ from diracflow.relindex import (
     check_additivity,
     homotopy_constancy,
     rel_index,
-    rel_index_odd_power,
     rel_index_restricted,
 )
 
@@ -95,25 +94,6 @@ class TestRestrictedCrossCheck:
         p, = aligned_projections(1, 6, [4])
         q, = aligned_projections(2, 6, [2])
         assert rel_index_restricted(p, q) == rel_index(p, q) == 2
-
-
-class TestOddPowerTrace:
-    def test_equal_projections(self):
-        p, = aligned_projections(0, 3, [1])
-        for m in (0, 1, 2):
-            assert abs(rel_index_odd_power(p, p, m)) <= 1e-12
-
-    def test_cube_of_full_difference(self):
-        p = Projection(np.eye(2))
-        q = Projection.zero(2)
-        assert abs(rel_index_odd_power(p, q, 1) - 2.0) <= 1e-12
-
-    def test_m_independence_for_unit_spectrum(self):
-        # Q below P in one eigenbasis: spectrum of P - Q lies in {0, 1}
-        p, q = aligned_projections(5, 8, [6, 3])
-        vals = [rel_index_odd_power(p, q, m) for m in (0, 1, 2)]
-        assert max(vals) - min(vals) <= 1e-8
-        assert abs(vals[0] - rel_index(p, q)) <= 1e-8
 
 
 class TestAdditivity:

@@ -1,8 +1,6 @@
-from unittest import mock
-
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diracflow import specflow
@@ -10,12 +8,9 @@ from diracflow.errors import (
     InvalidInput,
     NotInvertible,
     RefineGrid,
-    ShiftFailure,
 )
-from diracflow.inequalities import random_unitary
 from diracflow.opcore import (
     DEFAULT_TOL,
-    HermitianOperator,
     Tolerances,
     eigh,
     positive_projection,
@@ -29,10 +24,7 @@ from diracflow.specflow import (
     conjugated_path,
     diagonal_path,
     endpoint_identity,
-    ind_triple,
     linear_scalar_path,
-    make_trivialising_endpoint,
-    make_trivialising_gapshift,
     path_from_samples,
     perturbed_path,
     random_smooth_path,
@@ -120,35 +112,32 @@ class TestGridPass:
         with pytest.raises(InvalidInput, match=r"t=0\.75 has non-finite"):
             p._grid_pass(DEFAULT_TOL)
 
-    @settings(max_examples=30, deadline=None, derandomize=True, database=None)
-    @given(seed=st.integers(0, 10_000), k=st.integers(1, 6))
-    def test_junctions_match_positive_projection_and_ind_triple(self, seed, k):
-        path = random_smooth_path(seed, k, n_samples=24)
-        real = specflow._above
-        calls = []
-
-        def recorded(path, grid_pass, i, a, gap_tol):
-            p = real(path, grid_pass, i, a, gap_tol)
-            calls.append((path.grid[i], a, p))
-            return p
-
-        with mock.patch.object(specflow, "_above", recorded):
-            sf_partition(path)
-        # each junction term is rel_index(P_+(S - a1), P_+(S - a0)), in that order
-        assert calls and len(calls) % 2 == 0
+    @settings(max_examples=60, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 10_000), k=st.integers(1, 6),
+           a0=st.floats(-4.0, 4.0), a1=st.floats(-4.0, 4.0))
+    def test_junction_count_is_the_shifted_relative_index(self, seed, k, a0, a1):
+        rng = np.random.default_rng(seed)
+        a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+        s = a + a.conj().T
+        pgt = DEFAULT_TOL.proj_gap_tol
+        w = np.linalg.eigvalsh(s)
+        assume(min(np.abs(w - a0).min(), np.abs(w - a1).min()) >= pgt)
+        p = constant_path(s)
+        spectra, _ = p._grid_spectra()
         eye = np.eye(k)
-        for (t, a1, p1), (t0, a0, p0) in zip(calls[::2], calls[1::2]):
-            assert t0 == t
-            s = path.sample(t)
-            for a, p in ((a1, p1), (a0, p0)):
-                np.testing.assert_allclose(p.entries, positive_projection(s - a * eye).entries,
-                                           rtol=0, atol=1e-12)
-            assert rel_index(p1, p0) == ind_triple(s, -a0 * eye, -a1 * eye)
+        # ind(S, -a0*1, -a1*1) = rel-ind(P_+(S - a1), P_+(S - a0))
+        expected = rel_index(positive_projection(s - a1 * eye),
+                             positive_projection(s - a0 * eye))
+        assert specflow._junction(p, spectra, 0, a0, a1, pgt) == expected
 
     def test_junction_inside_gap_is_not_invertible(self):
         p = constant_path(np.diag([1.0, -1.0]))
-        with pytest.raises(NotInvertible, match="t=0"):
-            specflow._above(p, p._grid_pass(DEFAULT_TOL), 0, 1.0 + 1e-9, 1e-8)
+        spectra, _ = p._grid_spectra()
+        # a1 is checked before a0
+        with pytest.raises(NotInvertible, match=r"t=0\) - -1: eigenvalue"):
+            specflow._junction(p, spectra, 0, 1.0 + 1e-9, -1.0 - 1e-9, 1e-8)
+        with pytest.raises(NotInvertible, match=r"t=0\) - 1: eigenvalue"):
+            specflow._junction(p, spectra, 0, 1.0 + 1e-9, 0.0, 1e-8)
 
 
 class TestCrossings:
@@ -231,75 +220,6 @@ class TestPartition:
     def test_refinement_invariance_explicit(self):
         p = random_smooth_path(4, 4)
         assert sf_partition(p, n_chunks=3) == sf_partition(p, n_chunks=11)
-
-
-class TestTrivialising:
-    def test_endpoint_family_constant_path(self):
-        p = constant_path(np.diag([1.0, -1.0]))
-        fam = make_trivialising_endpoint(p)
-        for t in p.grid:
-            assert np.linalg.norm(fam.rule(t), 2) <= 1e-14
-
-    def test_endpoint_family_linear(self):
-        p = linear_scalar_path()
-        fam = make_trivialising_endpoint(p)
-        assert fam.rule(0.75)[0, 0] == pytest.approx(-1.5)
-        for t in p.grid:
-            assert (p.sample(t) + fam.rule(t))[0, 0] == pytest.approx(-1.0)
-
-    def test_endpoint_family_gap_identity(self):
-        p = random_smooth_path(3, 5)
-        fam = make_trivialising_endpoint(p)
-        g0 = spectral_gap(p.start())
-        worst = fam.validate(p)
-        assert worst == pytest.approx(g0, abs=1e-12)
-
-    def test_gapshift_scalar(self):
-        b = make_trivialising_gapshift(np.array([[0.0]]), 1.0)
-        assert b.entries[0, 0] == pytest.approx(1.0)
-
-    def test_gapshift_pushes_zero_up(self):
-        b = make_trivialising_gapshift(np.diag([0.0, 3.0]), 1.0)
-        w = np.linalg.eigvalsh(np.diag([0.0, 3.0]) + b.entries)
-        assert np.allclose(w, [1.0, 4.0])
-
-    def test_gapshift_posteriori_gap(self):
-        rng = np.random.default_rng(0)
-        for seed in range(10):
-            a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
-            h = (a + a.conj().T) / 2
-            delta = 0.3
-            try:
-                b = make_trivialising_gapshift(h, delta)
-            except ShiftFailure:
-                continue
-            assert spectral_gap(HermitianOperator(h + b.entries)) >= delta / 2
-
-    def test_gapshift_failure(self):
-        with pytest.raises(ShiftFailure):
-            make_trivialising_gapshift(np.array([[-0.9]]), 1.0)
-
-
-class TestIndTriple:
-    def test_equal_shifts(self):
-        d = np.diag([1.0, -1.0])
-        b = np.eye(2) * 3.0
-        assert ind_triple(d, b, b) == 0
-
-    def test_rank_count(self):
-        d = np.zeros((2, 2))
-        assert ind_triple(d, np.diag([1.0, 1.0]), np.diag([1.0, -1.0])) == -1
-
-    def test_counts_positive_eigenvalues(self):
-        rng = np.random.default_rng(14)
-        for _ in range(10):
-            a = rng.standard_normal((4, 4))
-            d = (a + a.T) / 2
-            b0 = np.diag(rng.uniform(1, 2, 4))
-            b1 = -np.diag(rng.uniform(1, 2, 4))
-            n1 = int(np.sum(np.linalg.eigvalsh(d + b1) > 0))
-            n0 = int(np.sum(np.linalg.eigvalsh(d + b0) > 0))
-            assert ind_triple(d, b0, b1) == n1 - n0
 
 
 class TestEndpointIdentity:
