@@ -341,9 +341,11 @@ def tower_family(tower: TruncationTower, n: int) -> FiberedFamily:
 
 
 def _ramp_family(n: int, t_n, perturbations) -> FiberedFamily:
+    def ramp(r_n):
+        return lambda ts: t_n + smoothstep((ts + 1.0) / 2.0)[:, None, None] * r_n
+
     paths = tuple(
-        PotentialPath(n, np.linspace(-2.5, 2.5, 41),
-                      lambda t, r_n=r_n: t_n + smoothstep((t + 1.0) / 2.0) * r_n,
+        PotentialPath(n, np.linspace(-2.5, 2.5, 41), ramp(r_n),
                       support=((-1.0, 1.0),), name=f"tower-fiber-{i}(dim={n})")
         for i, r_n in enumerate(perturbations))
     return FiberedFamily(labels=tuple(range(len(paths))), paths=paths)

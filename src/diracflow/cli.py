@@ -76,13 +76,17 @@ _POTENTIAL_KEYS = {
     "file": {"kind", "path"},
 }
 
-# The type of every params and potential key: int, float (any number), str,
-# or a one-element list for a list of that type.
+# The type of every params and potential key, with the least value it may
+# take (None: any).  The type is int, float (any number), str, or a
+# one-element list for a non-empty list of that type, whose elements the
+# bound applies to.  A count below 1 would make its check vacuous.
 _KEY_TYPES = {
-    "k": int, "n_samples": int, "trials": int, "dim": int, "bumps": int,
-    "pairs": int, "k_max": int, "cases": int, "fibers": int, "quad_nodes": int,
-    "seed": int, "scale": float, "kind": str, "path": str,
-    "lams": [float], "a4_eps": [float], "entries": [float], "dims": [int],
+    "k": (int, 1), "n_samples": (int, 2), "trials": (int, 1), "dim": (int, 1),
+    "bumps": (int, 1), "pairs": (int, 1), "k_max": (int, 1), "cases": (int, 1),
+    "fibers": (int, 1), "quad_nodes": (int, 1), "seed": (int, None),
+    "scale": (float, None), "kind": (str, None), "path": (str, None),
+    "lams": ([float], None), "a4_eps": ([float], None), "entries": ([float], None),
+    "dims": ([int], 1),
 }
 
 
@@ -122,23 +126,30 @@ def _number(value, field, integer=False):
     return value if integer else float(value)
 
 
+def _bounded(value, low, field):
+    if low is not None and value < low:
+        raise ConfigError(f"expected at least {low}, got {value!r}", field=field)
+    return value
+
+
 def _typed(mapping, where):
-    """A copy of ``mapping`` with each value checked against _KEY_TYPES
-    (numbers as `_number` returns them, lists as tuples); ConfigError
-    naming ``where.key`` otherwise."""
+    """A copy of ``mapping`` with each value checked against its type and
+    bound in _KEY_TYPES (numbers as `_number` returns them, lists as
+    tuples); ConfigError naming ``where.key`` otherwise."""
     out = {}
     for key, value in mapping.items():
-        kind, name = _KEY_TYPES[key], f"{where}.{key}"
+        (kind, low), name = _KEY_TYPES[key], f"{where}.{key}"
         if kind is str:
             if not isinstance(value, str):
                 raise ConfigError(f"expected a string, got {value!r}", field=name)
             out[key] = value
         elif isinstance(kind, list):
-            if not isinstance(value, list):
-                raise ConfigError(f"expected a list, got {value!r}", field=name)
-            out[key] = tuple(_number(v, name, integer=kind[0] is int) for v in value)
+            if not (isinstance(value, list) and value):
+                raise ConfigError(f"expected a non-empty list, got {value!r}", field=name)
+            out[key] = tuple(_bounded(_number(v, name, integer=kind[0] is int), low, name)
+                             for v in value)
         else:
-            out[key] = _number(value, name, integer=kind is int)
+            out[key] = _bounded(_number(value, name, integer=kind is int), low, name)
     return out
 
 
@@ -186,6 +197,9 @@ def parse_config(text: str) -> ScenarioConfig:
     if kind == "file" and "path" not in potential:
         raise ConfigError("potential(file) needs a path", field="potential.path")
     potential = _typed(potential, "potential")
+    if kind == "diag-list" and not any(potential.get("entries", (1.0,))):
+        raise ConfigError("diag-list entries need a non-zero entry",
+                          field="potential.entries")
 
     coupling = raw.get("coupling", 1.0)
     if isinstance(coupling, str):

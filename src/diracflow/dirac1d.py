@@ -212,11 +212,12 @@ def _aps_operator(path, grid, lam, tol):
     k, h = path.k, grid.h
     nodes = grid.nodes()
     eye = np.eye(k, dtype=np.complex128)
-    s_mid = np.stack([path.sample(m) for m in grid.midpoints()])
-    cell_a = (1j / h) * eye - (0.5j * lam) * s_mid
-    cell_b = (-1j / h) * eye - (0.5j * lam) * s_mid
-    wl, vl = eigh(path.sample(nodes[0]), tol)
-    wr, vr = eigh(path.sample(nodes[-1]), tol)
+    # one stack: the cell midpoints, then the two end nodes
+    s = path.samples(np.concatenate([grid.midpoints(), nodes[[0, -1]]]))
+    cell_a = (1j / h) * eye - (0.5j * lam) * s[:-2]
+    cell_b = (-1j / h) * eye - (0.5j * lam) * s[:-2]
+    wl, vl = eigh(s[-2], tol)
+    wr, vr = eigh(s[-1], tol)
     for w, label in ((wl, "left"), (wr, "right")):
         if float(np.abs(w).min()) < tol.proj_gap_tol:
             raise NotInvertible(f"potential not invertible at the {label} endpoint")
@@ -234,9 +235,10 @@ def _dirichlet_matrix(path, grid, lam):
     eye = np.eye(k, dtype=np.complex128)
     m = (n - 1) * k
     a = np.zeros((m, m), dtype=np.complex128)
+    s = path.samples(nodes[1:-1])
     for j in range(1, n):
         r = (j - 1) * k
-        a[r:r + k, r:r + k] = (-1j * lam) * path.sample(nodes[j])
+        a[r:r + k, r:r + k] = (-1j * lam) * s[j - 1]
         if j + 1 <= n - 1:
             a[r:r + k, r + k:r + 2 * k] = (-1j / (2.0 * h)) * eye
         if j - 1 >= 1:
@@ -609,7 +611,7 @@ def kernel_oracle_diagonal(path: PotentialPath,
     part in V exceeds 1e-10 (Frobenius norm, relative to the largest
     sample norm) raises NotDiagonalizable.
     """
-    samples = np.stack([path.sample(t) for t in path.grid])
+    samples = path.samples(path.grid)
     scale = max(1.0, float(np.linalg.norm(samples, axis=(1, 2)).max()))
     rng = np.random.default_rng(0x5EED)
     weights = rng.uniform(0.5, 1.5, size=len(samples))
@@ -673,7 +675,7 @@ def _path_derivative_norms(path: PotentialPath,
     sample raises InvalidInput.
     """
     ts = path.grid
-    samples = [path.sample(t) for t in ts]
+    samples = path.samples(ts)
     intervals = list(path.support) + ([k_hat] if k_hat is not None else [])
     # two samples share a label iff no cut lies between them: t joins
     # [a, b] once a <= t and leaves it once b < t
@@ -698,33 +700,33 @@ def _path_derivative_norms(path: PotentialPath,
     return out, samples
 
 
-def smoothstep(u: float) -> float:
-    """Quintic smoothstep: 0 for u <= 0, 1 for u >= 1, C^2 at the joints."""
-    if u <= 0.0:
-        return 0.0
-    if u >= 1.0:
-        return 1.0
-    return u * u * u * (10.0 - 15.0 * u + 6.0 * u * u)
+def smoothstep(u):
+    """Quintic smoothstep: 0 for u <= 0, 1 for u >= 1, C^2 at the joints.
+    Elementwise on an array; a number gives a numpy float."""
+    u = np.asarray(u, dtype=float)
+    c = np.clip(u, 0.0, 1.0)   # equal to u where the polynomial is kept
+    return np.where(u <= 0.0, 0.0, np.where(
+        u >= 1.0, 1.0, c * c * c * (10.0 - 15.0 * c + 6.0 * c * c)))[()]
 
 
 def quintic_plateau(t, lo, hi, ramp):
-    """1 on [lo, hi], quintic-smoothstep down to 0 over ``ramp`` outside."""
-    if lo <= t <= hi:
-        return 1.0
-    d = (lo - t) if t < lo else (t - hi)
-    if d >= ramp:
-        return 0.0
-    return smoothstep(1.0 - d / ramp)
+    """1 on [lo, hi], quintic-smoothstep down to 0 over ``ramp`` > 0
+    outside.  Elementwise on an array; a number gives a numpy float."""
+    t = np.asarray(t, dtype=float)
+    d = np.where(t < lo, lo - t, t - hi)
+    return np.where((lo <= t) & (t <= hi), 1.0, np.where(
+        d >= ramp, 0.0, smoothstep(1.0 - d / ramp)))[()]
 
 
 def make_cutoff(k_hat: Tuple[float, float], amplitude: float,
-                ramp: float) -> Callable[[float], float]:
-    """Compactly supported cutoff: amplitude times a quintic-smoothstep
-    plateau over the compact region, falling to 0 over ``ramp``."""
+                ramp: float) -> Callable[[np.ndarray], np.ndarray]:
+    """Compactly supported cutoff, as a rule from an array of t to its
+    values: amplitude times a quintic-smoothstep plateau over the compact
+    region, falling to 0 over ``ramp``."""
     lo, hi = k_hat
 
-    def f(t: float) -> float:
-        return amplitude * quintic_plateau(t, lo, hi, ramp)
+    def f(ts):
+        return amplitude * quintic_plateau(ts, lo, hi, ramp)
 
     return f
 
@@ -768,7 +770,7 @@ class FredholmBoundReport:
 
 
 def fredholm_bounds(path: PotentialPath, lam: float,
-                    f: Optional[Callable[[float], float]] = None,
+                    f: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                     grid: Optional[GridSpec] = None,
                     k_hat: Optional[Tuple[float, float]] = None,
                     disc_slack: float = 0.2,
@@ -779,7 +781,9 @@ def fredholm_bounds(path: PotentialPath, lam: float,
     compact region, the threshold epsilon = (lam^2 c^2 - delta^2(1+1/c)^2)/2,
     and checks that the assembled doubled square plus the cutoff satisfies
     min eig >= epsilon * (1 - disc_slack).  The cutoff must dominate
-    epsilon + (lam^2 + delta_K^2)/2 pointwise on the compact region.
+    epsilon + (lam^2 + delta_K^2)/2 pointwise on the compact region.  ``f``
+    is the cutoff as a rule from the array of grid nodes to its values
+    there (None: `make_cutoff` over k_hat, or zero when k_hat is None).
     """
     if k_hat is None:
         k_hat = path.hull()
@@ -793,9 +797,10 @@ def fredholm_bounds(path: PotentialPath, lam: float,
     grid = _resolve_grid(grid, path)
     needed = epsilon + 0.5 * (lam ** 2 + delta_k ** 2)
     amplitude = math.sqrt(needed)
+    nodes = grid.nodes()
     if f is None:
         if k_hat is None:
-            f = lambda t: 0.0
+            f = np.zeros_like
             amplitude = 0.0
         else:
             ramp = min(2.0, 0.5 * (grid.length - max(abs(k_hat[0]), abs(k_hat[1]))))
@@ -803,15 +808,17 @@ def fredholm_bounds(path: PotentialPath, lam: float,
                 raise InvalidInput("grid too short for a compactly supported cutoff")
             f = make_cutoff(k_hat, amplitude, ramp)
     else:
-        amplitude = max((abs(f(t)) for t in grid.nodes()), default=0.0)
+        amplitude = float(np.abs(f(nodes)).max())
+    f_sq = np.asarray(f(nodes), dtype=float) ** 2
     if k_hat is not None:
-        for t in grid.nodes():
-            if k_hat[0] <= t <= k_hat[1] and f(t) ** 2 + 1e-12 < needed:
-                raise CutoffTooSmall(
-                    f"f({t:g})^2 = {f(t) ** 2:g} below required level {needed:g}")
+        short = (k_hat[0] <= nodes) & (nodes <= k_hat[1]) & (f_sq + 1e-12 < needed)
+        if short.any():
+            j = int(np.argmax(short))
+            raise CutoffTooSmall(
+                f"f({nodes[j]:g})^2 = {f_sq[j]:g} below required level {needed:g}")
     op = assemble(path, grid, "dirichlet", lam, tol)
     d = op.matrix
-    f_sq = np.repeat([f(t) ** 2 for t in grid.nodes()[1:-1]], path.k)
+    f_sq = np.repeat(f_sq[1:-1], path.k)
     m1 = d.conj().T @ d + np.diag(f_sq)
     m2 = d @ d.conj().T + np.diag(f_sq)
     min_eig = float(min(np.linalg.eigvalsh(m1).min(), np.linalg.eigvalsh(m2).min()))

@@ -67,16 +67,21 @@ def chain_path(seed: int, k: int, n_intervals: int = 1,
     intervals = tuple((4.0 * j, 4.0 * j + 2.0) for j in range(n_intervals))
     span = (intervals[0][0] - 2.0, intervals[-1][1] + 2.0)
 
-    def sampler(t):
+    def sampler(ts):
+        out = np.empty((ts.size, k, k), dtype=np.complex128)
+        out[:] = plateaus[-1]
+        # window j takes the t not yet taken by an earlier window: those
+        # before it sit on plateau j, those inside it interpolate
+        free = np.ones(ts.size, dtype=bool)
         for j, (lo, hi) in enumerate(intervals):
-            if t < lo:
-                return plateaus[j]
-            if t <= hi:
-                u = smoothstep((t - lo) / (hi - lo))
-                mid = math.sin(math.pi * (t - lo) / (hi - lo))
-                return (1.0 - u) * plateaus[j] + u * plateaus[j + 1] \
-                    + mid * bumps[j]
-        return plateaus[-1]
+            before, inside = free & (ts < lo), free & (lo <= ts) & (ts <= hi)
+            out[before] = plateaus[j]
+            x = ts[inside] - lo
+            u = smoothstep(x / (hi - lo))[:, None, None]
+            mid = np.sin(math.pi * x / (hi - lo))[:, None, None]
+            out[inside] = (1.0 - u) * plateaus[j] + u * plateaus[j + 1] + mid * bumps[j]
+            free &= ts > hi
+        return out
 
     grid = np.linspace(span[0], span[1], n_samples)
     return PotentialPath(k, grid, sampler, support=intervals,
@@ -102,14 +107,15 @@ def collar_pair(seed: int, k: int) -> Tuple[PotentialPath, PotentialPath, float]
         b = (b + b.conj().T) / 2.0
         b = 0.8 * b / max(1.0, float(np.linalg.norm(b, 2)))
 
-        def sampler(t, left=left, b=b):
-            if t < 0.0:
-                return left
-            if t <= 2.0:
-                u = smoothstep(t / 2.0)
-                return (1.0 - u) * left + u * shared_right \
-                    + math.sin(math.pi * t / 2.0) * b
-            return shared_right
+        def sampler(ts, left=left, b=b):
+            out = np.empty((ts.size, k, k), dtype=np.complex128)
+            out[:] = shared_right
+            out[ts < 0.0] = left
+            ramp = (0.0 <= ts) & (ts <= 2.0)
+            u = smoothstep(ts[ramp] / 2.0)[:, None, None]
+            wave = np.sin(math.pi * ts[ramp] / 2.0)[:, None, None]
+            out[ramp] = (1.0 - u) * left + u * shared_right + wave * b
+            return out
 
         grid = np.linspace(-2.0, 4.0, 49)
         out.append(PotentialPath(k, grid, sampler, support=((0.0, 2.0),),
@@ -120,7 +126,8 @@ def collar_pair(seed: int, k: int) -> Tuple[PotentialPath, PotentialPath, float]
 def bump_perturbation(seed: int, path: PotentialPath,
                       height: float = 0.4):
     """Compactly supported symmetric bump inside the path's support hull:
-    returns (bump rule, Hermitian direction) for `perturbed_path`."""
+    returns (stacked bump rule ts -> weights, Hermitian direction) for
+    `perturbed_path`."""
     hull = path.hull()
     if hull is None:
         raise ValueError("path has empty support; no room for a bump")
@@ -133,8 +140,8 @@ def bump_perturbation(seed: int, path: PotentialPath,
     width = 0.35 * (b - a)
     center = a + (b - a) * rng.uniform(0.3, 0.7)
 
-    def bump(t):
-        return height * quintic_plateau(t, center - 0.3 * width,
+    def bump(ts):
+        return height * quintic_plateau(ts, center - 0.3 * width,
                                         center + 0.3 * width, 0.7 * width)
 
     return bump, HermitianOperator(r)
@@ -157,8 +164,9 @@ def engineered_threshold_path(alpha: float = 0.4,
     step = grid[1] - grid[0]
     k_hat = (-b + 0.5 * step, b - 0.5 * step)
 
-    def sampler(t):
-        return np.array([[math.sinh(alpha * t)]])
+    def sampler(ts):
+        # math.sinh, one t at a time: np.sinh rounds differently
+        return np.array([math.sinh(alpha * t) for t in ts.tolist()])[:, None, None]
 
     path = PotentialPath(1, grid, sampler, support=((k_hat[0], k_hat[1]),),
                          name=f"sinh({alpha:g} t)")

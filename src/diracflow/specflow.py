@@ -16,6 +16,13 @@ index rel-ind(P_+(S(end)), P_+(S(start))), which compares two different
 operators and so is taken from their projections; `endpoint_identity`
 asserts the triple equality.
 
+A path's sampler is a stacked rule: it maps a 1-D array of m parameters
+to the (m, k, k) stack of their matrices, so every consumer that reads a
+set of parameters (the grid pass, the APS midpoints, the Dirichlet nodes)
+makes one rule call for all of them.  The builders below evaluate their
+formulas on the whole array with the same floating-point operations as
+one parameter at a time.
+
 Both routes read one certified eigendecomposition of the grid samples
 (`PotentialPath._grid_pass`), and `endpoint_identity` takes it once for
 all three integers.  They share that sampled LAPACK output but no logic:
@@ -111,9 +118,12 @@ class PotentialPath:
     ----------
     k : fiber dimension.
     grid : strictly increasing parameter samples t_0 < ... < t_n.
-    sampler : rule t -> (k, k) complex matrix; hermitized on evaluation.
-        Outside [t_0, t_n] the path extends constantly by its endpoint
-        values (the sampler is evaluated at the clamped parameter).
+    sampler : stacked rule ts -> S(ts): given a float array ts of shape
+        (m,), m >= 1, it returns the (m, k, k) complex stack whose matrix i
+        is S(ts[i]).  `samples` clamps ts into [t_0, t_n] before the call,
+        so outside the grid the path extends constantly by its endpoint
+        values, and checks the stack's shape and finiteness and hermitises
+        it once per call.
     support : the declared compact set K where invertibility may fail,
         as a finite union of disjoint closed intervals (or one (a, b)
         pair).  Empty means globally invertible.  The declaration is
@@ -135,13 +145,29 @@ class PotentialPath:
 
     # -- evaluation ---------------------------------------------------------
 
+    def samples(self, ts) -> np.ndarray:
+        """The (m, k, k) stack of the hermitised S(t) at the parameters of
+        the 1-D array ``ts``, each clamped into the grid span: one sampler
+        call (none for an empty ``ts``).  InvalidInput names a stack of the
+        wrong shape, or the first t whose sample has non-finite entries."""
+        ts = np.clip(np.asarray(ts, dtype=float), self.grid[0], self.grid[-1])
+        if ts.ndim != 1:
+            raise InvalidInput(f"sample parameters must be 1-D, got shape {ts.shape}")
+        if not ts.size:
+            return np.empty((0, self.k, self.k), dtype=np.complex128)
+        s = np.asarray(self.sampler(ts), dtype=np.complex128)
+        if s.shape != (ts.size, self.k, self.k):
+            raise InvalidInput(f"sampler returned shape {s.shape}, "
+                               f"expected ({ts.size}, {self.k}, {self.k})")
+        finite = np.isfinite(s).all(axis=(1, 2))
+        if not finite.all():
+            raise InvalidInput(f"path sample at t={ts[np.argmin(finite)]:g} "
+                               f"has non-finite entries")
+        return (s + s.conj().swapaxes(1, 2)) / 2.0
+
     def sample(self, t: float) -> np.ndarray:
-        tc = min(max(float(t), float(self.grid[0])), float(self.grid[-1]))
-        a = np.asarray(self.sampler(tc), dtype=np.complex128)
-        if a.shape != (self.k, self.k):
-            raise InvalidInput(
-                f"sampler returned shape {a.shape}, expected ({self.k}, {self.k})")
-        return (a + a.conj().T) / 2.0
+        """S(t) alone: the one matrix of ``samples([t])``."""
+        return self.samples([t])[0]
 
     def start(self) -> np.ndarray:
         return self.sample(self.grid[0])
@@ -158,8 +184,14 @@ class PotentialPath:
             return None
         return self.support[0][0], self.support[-1][1]
 
-    def in_support(self, t: float) -> bool:
-        return any(a <= t <= b for a, b in self.support)
+    def in_support(self, t):
+        """Whether t lies in K: a bool for a number, a boolean mask of the
+        same shape for an array."""
+        t = np.asarray(t, dtype=float)
+        mask = np.zeros(t.shape, dtype=bool)
+        for a, b in self.support:
+            mask |= (a <= t) & (t <= b)
+        return mask[()]
 
     def min_gap_outside(self) -> float:
         return self.least_gap_outside()[1]
@@ -167,7 +199,7 @@ class PotentialPath:
     def least_gap_outside(self) -> Tuple[Optional[float], float]:
         """(t, gap): the grid sample outside K with the smallest spectral
         gap, and that gap; (None, inf) when every sample lies in K."""
-        outside = np.array([not self.in_support(t) for t in self.grid])
+        outside = ~self.in_support(self.grid)
         if not outside.any():
             return None, float("inf")
         gaps = np.abs(self._grid_spectra()[0][outside]).min(axis=1)
@@ -189,9 +221,10 @@ class PotentialPath:
         its eigenvectors as columns, and steps[i] = ||S(t_{i+1}) - S(t_i)||,
         which bounds how far an eigenvalue moves between the two samples.
         The samples are taken once each, in chunks of at most _CHUNK_BYTES
-        (or one sample, if larger) with one batched eigh per chunk, which
-        is bitwise equal to one call per sample.  A non-finite sample
-        raises InvalidInput naming its t.  Each sample's certificate
+        (or one sample, if larger) with one `samples` call (so one sampler
+        call) and one batched eigh per chunk, which is bitwise equal to one
+        call per sample.  A non-finite sample raises InvalidInput naming
+        its t.  Each sample's certificate
         (`opcore._decompose`: residual and unitarity) must stay within
         tol.eig_tol; otherwise InvalidInput names the worst sample.
 
@@ -214,12 +247,7 @@ class PotentialPath:
         for i0 in range(0, n, per_chunk):
             i1 = min(i0 + per_chunk, n)
             s = buf[1:1 + i1 - i0]
-            for j, t in enumerate(self.grid[i0:i1]):
-                s[j] = self.sample(t)
-            finite = np.isfinite(s).all(axis=(1, 2))
-            if not finite.all():
-                raise InvalidInput(f"path sample at t={self.grid[i0 + np.argmin(finite)]:g} "
-                                   f"has non-finite entries")
+            s[:] = self.samples(self.grid[i0:i1])
             spectra[i0:i1], vectors[i0:i1], defects[i0:i1] = _decompose(s)
             # hermitised samples differ by an exactly Hermitian matrix, whose
             # spectral norm is its largest |eigenvalue|
@@ -592,13 +620,15 @@ def endpoint_identity(path: PotentialPath, crossing_tol: float = 1e-8,
 def constant_path(h, span=(0.0, 1.0), n_samples=9, name="constant") -> PotentialPath:
     a = as_matrix(h)
     grid = np.linspace(span[0], span[1], n_samples)
-    return PotentialPath(a.shape[0], grid, lambda t: a, support=(), name=name)
+    return PotentialPath(a.shape[0], grid,
+                         lambda ts: np.broadcast_to(a, (ts.size,) + a.shape),
+                         support=(), name=name)
 
 
 def linear_scalar_path(n_samples=33, name="linear-2t-1") -> PotentialPath:
     """The scalar path S(t) = 2t - 1 on [0, 1]; one upward crossing at 1/2."""
     grid = np.linspace(0.0, 1.0, n_samples)
-    return PotentialPath(1, grid, lambda t: np.array([[2.0 * t - 1.0]]),
+    return PotentialPath(1, grid, lambda ts: (2.0 * ts - 1.0)[:, None, None],
                          support=((0.0, 1.0),), name=name)
 
 
@@ -613,17 +643,23 @@ def tanh_path(k=1, scale=1.0, span=(-10.0, 10.0), n_samples=161,
     grid = np.linspace(span[0], span[1], n_samples)
     eye = np.eye(k, dtype=np.complex128)
     body = np.arctanh(0.9) / scale
-    return PotentialPath(k, grid, lambda t: np.tanh(scale * t) * eye,
+    return PotentialPath(k, grid, lambda ts: np.tanh(scale * ts)[:, None, None] * eye,
                          support=((-body, body),), name=name)
 
 
 def diagonal_path(funcs: Sequence[Callable[[float], float]], span, n_samples,
                   support=(), name="diagonal") -> PotentialPath:
+    """S(t) = diag(f(t) for f in funcs).  Each f is the caller's scalar
+    rule, evaluated one t at a time: a scalar rule such as math.tanh
+    need not round as its numpy array counterpart does."""
     fs = list(funcs)
     grid = np.linspace(span[0], span[1], n_samples)
+    diag = np.arange(len(fs))
 
-    def sampler(t):
-        return np.diag([f(t) for f in fs]).astype(np.complex128)
+    def sampler(ts):
+        out = np.zeros((ts.size, len(fs), len(fs)), dtype=np.complex128)
+        out[:, diag, diag] = [[f(t) for f in fs] for t in ts.tolist()]
+        return out
 
     return PotentialPath(len(fs), grid, sampler, support=support, name=name)
 
@@ -635,15 +671,14 @@ def path_from_samples(grid, matrices, support=(),
     mats = [np.asarray(m, dtype=np.complex128) for m in matrices]
     if len(mats) != grid.size:
         raise InvalidInput("need one matrix per grid point")
-    k = mats[0].shape[0]
+    mats = np.stack(mats)
 
-    def sampler(t):
-        j = int(np.searchsorted(grid, t, side="right")) - 1
-        j = min(max(j, 0), grid.size - 2)
-        u = (t - grid[j]) / (grid[j + 1] - grid[j])
+    def sampler(ts):
+        j = np.clip(np.searchsorted(grid, ts, side="right") - 1, 0, grid.size - 2)
+        u = ((ts - grid[j]) / (grid[j + 1] - grid[j]))[:, None, None]
         return (1.0 - u) * mats[j] + u * mats[j + 1]
 
-    return PotentialPath(k, grid, sampler, support=support, name=name)
+    return PotentialPath(mats.shape[1], grid, sampler, support=support, name=name)
 
 
 def _trig_coeff_matrices(rng, k, n_terms=3, decay=0.6):
@@ -668,9 +703,9 @@ def random_smooth_path(seed, k, span=(0.0, 1.0), n_samples=64,
     sin_c = _trig_coeff_matrices(rng, k)
     lo, hi = float(span[0]), float(span[1])
 
-    def raw(t):
-        u = (t - lo) / (hi - lo)
-        acc = np.zeros((k, k), dtype=np.complex128)
+    def raw(ts):
+        u = ((ts - lo) / (hi - lo))[:, None, None]
+        acc = np.zeros((ts.size, k, k), dtype=np.complex128)
         for m, c in enumerate(cos_c):
             acc += np.cos(m * np.pi * u) * c
         for m, c in enumerate(sin_c, start=1):
@@ -683,16 +718,24 @@ def random_smooth_path(seed, k, span=(0.0, 1.0), n_samples=64,
                             2.0 * min_end_gap)
         return 0.0 if lvl is None else lvl
 
-    c0 = end_shift(raw(lo))
-    c1 = end_shift(raw(hi))
+    c0, c1 = (end_shift(mat) for mat in raw(np.array([lo, hi])))
 
-    def sampler(t):
-        u = (t - lo) / (hi - lo)
-        return raw(t) - ((1.0 - u) * c0 + u * c1) * np.eye(k)
+    def sampler(ts):
+        u = ((ts - lo) / (hi - lo))[:, None, None]
+        return raw(ts) - ((1.0 - u) * c0 + u * c1) * np.eye(k)
 
     grid = np.linspace(lo, hi, n_samples)
     return PotentialPath(k, grid, sampler, support=((lo, hi),),
                          name=name or f"random-smooth(seed={seed}, k={k})")
+
+
+def _glued(first, p1: PotentialPath, ts1, p2: PotentialPath, ts2) -> np.ndarray:
+    """The stack holding p1's sample at ts1[i] where first[i] holds and
+    p2's at ts2[i] elsewhere, with one `samples` call per path."""
+    out = np.empty((first.size, p1.k, p1.k), dtype=np.complex128)
+    out[first] = p1.samples(ts1[first])
+    out[~first] = p2.samples(ts2[~first])
+    return out
 
 
 def concat_paths(p1: PotentialPath, p2: PotentialPath, name=None) -> PotentialPath:
@@ -706,41 +749,41 @@ def concat_paths(p1: PotentialPath, p2: PotentialPath, name=None) -> PotentialPa
     a2, b2 = p2.span()
     offset = b1 - a2
 
-    def sampler(t):
-        return p1.sample(t) if t <= b1 else p2.sample(t - offset)
-
     grid = np.concatenate([p1.grid, p2.grid[1:] + offset])
     support = _merged_support(
         p1.support + tuple((a + offset, b + offset) for a, b in p2.support))
-    return PotentialPath(p1.k, grid, sampler, support=support,
-                         name=name or f"{p1.name}||{p2.name}")
+    return PotentialPath(p1.k, grid, lambda ts: _glued(ts <= b1, p1, ts, p2, ts - offset),
+                         support=support, name=name or f"{p1.name}||{p2.name}")
 
 
 def reversed_path(p: PotentialPath, name=None) -> PotentialPath:
     a, b = p.span()
     grid = (a + b) - p.grid[::-1]
     support = tuple(sorted(((a + b) - hi, (a + b) - lo) for lo, hi in p.support))
-    return PotentialPath(p.k, grid, lambda t: p.sample(a + b - t),
+    return PotentialPath(p.k, grid, lambda ts: p.samples(a + b - ts),
                          support=support, name=name or f"reversed({p.name})")
 
 
 def conjugated_path(p: PotentialPath, unitary_rule, name=None) -> PotentialPath:
-    def sampler(t):
-        u = np.asarray(unitary_rule(t), dtype=np.complex128)
-        return u @ p.sample(t) @ u.conj().T
+    """U(t) p(t) U(t)* with ``unitary_rule`` a stacked rule ts -> (m, k, k)
+    unitaries."""
+    def sampler(ts):
+        u = np.asarray(unitary_rule(ts), dtype=np.complex128)
+        return u @ p.samples(ts) @ u.conj().swapaxes(1, 2)
 
     return PotentialPath(p.k, p.grid.copy(), sampler, support=p.support,
                          name=name or f"conjugated({p.name})")
 
 
-def perturbed_path(p: PotentialPath, bump: Callable[[float], float], r,
+def perturbed_path(p: PotentialPath, bump: Callable[[np.ndarray], np.ndarray], r,
                    name=None) -> PotentialPath:
-    """p(t) + bump(t) * R with a fixed Hermitian R; bump should vanish
-    outside the support set so invertibility outside K is untouched."""
+    """p(t) + bump(t) * R with a fixed Hermitian R and ``bump`` a stacked
+    rule ts -> (m,) weights; bump should vanish outside the support set so
+    invertibility outside K is untouched."""
     rm = as_matrix(r)
 
-    def sampler(t):
-        return p.sample(t) + float(bump(t)) * rm
+    def sampler(ts):
+        return p.samples(ts) + np.asarray(bump(ts), dtype=float)[:, None, None] * rm
 
     return PotentialPath(p.k, p.grid.copy(), sampler, support=p.support,
                          name=name or f"perturbed({p.name})")

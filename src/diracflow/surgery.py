@@ -20,7 +20,7 @@ import numpy as np
 
 from .errors import CollarMismatch, InvalidInput, RampCrossing, TheoremViolation
 from .opcore import DEFAULT_TOL, Tolerances, as_matrix, spectral_gap
-from .specflow import PotentialPath, _merged_support
+from .specflow import PotentialPath, _glued, _merged_support
 from . import dirac1d
 from .dirac1d import smoothstep
 
@@ -59,7 +59,7 @@ class SurgeryProfile:
 def _check_collar(m1: PotentialPath, m2: PotentialPath, t_cut, halfwidth,
                   n_check=17):
     ts = np.linspace(t_cut - halfwidth, t_cut + halfwidth, n_check)
-    dev = max(float(np.linalg.norm(m1.sample(t) - m2.sample(t), 2)) for t in ts)
+    dev = max(float(np.linalg.norm(d, 2)) for d in m1.samples(ts) - m2.samples(ts))
     if dev > 1e-12:
         raise CollarMismatch(
             f"potentials deviate by {dev:.3e} on the collar "
@@ -73,14 +73,12 @@ def _splice(left: PotentialPath, right: PotentialPath, t_cut,
     if left.k != right.k:
         raise InvalidInput("fiber dims differ")
 
-    def sampler(t):
-        return left.sample(t) if t < t_cut else right.sample(t)
-
     grid = np.unique(np.concatenate([
         left.grid[left.grid < t_cut], [t_cut], right.grid[right.grid > t_cut]]))
     support = _merged_support(tuple(iv for iv in left.support if iv[0] < t_cut)
                               + tuple(iv for iv in right.support if iv[1] > t_cut))
-    return PotentialPath(left.k, grid, sampler, support=support, name=name)
+    return PotentialPath(left.k, grid, lambda ts: _glued(ts < t_cut, left, ts, right, ts),
+                         support=support, name=name)
 
 
 def cut_paste(m1: PotentialPath, m2: PotentialPath, t_cut: float,
@@ -151,8 +149,9 @@ class SurgeryReport:
 
 def _ramp_gap_check(path, lo, hi, tol, n_check=33):
     worst = float("inf")
-    for t in np.linspace(lo, hi, n_check):
-        g = spectral_gap(path.sample(t))
+    ts = np.linspace(lo, hi, n_check)
+    for t, s in zip(ts, path.samples(ts)):
+        g = spectral_gap(s)
         worst = min(worst, g)
         if g < tol.proj_gap_tol:
             raise RampCrossing(
@@ -179,17 +178,14 @@ def cylindrical_end(path: PotentialPath, window: Tuple[float, float],
     if hull is not None and not (u_lo <= hull[0] and hull[1] <= u_hi):
         raise InvalidInput("window must contain the support set")
     profile = SurgeryProfile(ramp)
-    s_lo = path.sample(u_lo)
-    s_hi = path.sample(u_hi)
+    s_lo, s_hi = path.samples([u_lo, u_hi])
 
-    def sampler(t):
-        if u_lo <= t <= u_hi:
-            return path.sample(t)
-        if t > u_hi:
-            c = profile.chi(t - u_hi)
-            return c * path.sample(t) + (1.0 - c) * s_hi
-        c = profile.chi(u_lo - t)
-        return c * path.sample(t) + (1.0 - c) * s_lo
+    def sampler(ts):
+        out = path.samples(ts)
+        for side, r, s_end in ((ts > u_hi, ts - u_hi, s_hi), (ts < u_lo, u_lo - ts, s_lo)):
+            c = profile.chi(r[side])[:, None, None]
+            out[side] = c * out[side] + (1.0 - c) * s_end
+        return out
 
     grid_pts = np.unique(np.concatenate([
         path.grid, [u_lo - ramp, u_lo, u_hi, u_hi + ramp]]))
@@ -240,29 +236,28 @@ def collar_flatten(path: PotentialPath, reference, collar_width: float = None,
     if not (0 < 2.0 * collar_width <= (b - a)):
         raise InvalidInput("collar width must fit inside the support hull")
     profile = SurgeryProfile(collar_width)
-    s_a = path.sample(a)
-    s_b = path.sample(b)
+    s_a, s_b = path.samples([a, b])
 
-    def sampler(t):
-        if t < a or t > b:
-            return path.sample(t)
-        if t < a + collar_width:
-            r = a - t  # outward at the left boundary point
-            rho = profile.rho(r)
-            return rho * t_ref + (1.0 - rho) * s_a
-        if t > b - collar_width:
-            r = t - b
-            rho = profile.rho(r)
-            return rho * t_ref + (1.0 - rho) * s_b
-        return t_ref
+    def sampler(ts):
+        out = np.empty((ts.size, path.k, path.k), dtype=np.complex128)
+        out[:] = t_ref
+        outside = (ts < a) | (ts > b)
+        left = ~outside & (ts < a + collar_width)
+        right = ~outside & ~left & (ts > b - collar_width)
+        # r is the outward collar coordinate at each boundary point
+        for collar, r, s_end in ((left, a - ts, s_a), (right, ts - b, s_b)):
+            rho = profile.rho(r[collar])[:, None, None]
+            out[collar] = rho * t_ref + (1.0 - rho) * s_end
+        out[outside] = path.samples(ts[outside])
+        return out
 
     grid_pts = np.unique(np.concatenate([
         path.grid, [a, a + collar_width, b - collar_width, b]]))
     out = PotentialPath(path.k, grid_pts, sampler, support=path.support,
                         name=f"flattened({path.name})")
-    collar_gaps = [spectral_gap(out.sample(t)) for t in
-                   np.concatenate([np.linspace(a, a + collar_width, 17),
-                                   np.linspace(b - collar_width, b, 17)])]
+    collar_gaps = [spectral_gap(s) for s in out.samples(
+        np.concatenate([np.linspace(a, a + collar_width, 17),
+                        np.linspace(b - collar_width, b, 17)]))]
     before = dirac1d.path_index_report(path, grid, lam, tol, refine_check=False).index
     after = dirac1d.path_index_report(out, grid, lam, tol, refine_check=False).index
     report = SurgeryReport(index_before=before, index_after=after,

@@ -72,20 +72,28 @@ def test_matches_greedy_reference_on_nearby_bases(seed, k, spread):
     assert _match_columns(va, vb) == greedy_reference(va, vb)
 
 
+def recorder(rule):
+    """(recorded, sampled, calls): a stacked rule that forwards to ``rule``,
+    the count of each t it was asked for, and the size of each call."""
+    sampled, calls = Counter(), []
+
+    def recorded(ts):
+        sampled.update(ts.tolist())
+        calls.append(ts.size)
+        return rule(ts)
+
+    return recorded, sampled, calls
+
+
 def recording_path(sampler, grid, support):
-    calls = Counter()
-
-    def recorded(t):
-        calls[t] += 1
-        return sampler(t)
-
-    return PotentialPath(1, grid, recorded, support=support), calls
+    recorded, sampled, _ = recorder(sampler)
+    return PotentialPath(1, grid, recorded, support=support), sampled
 
 
 def test_bisection_starts_from_the_tracked_sample():
     # one crossing of t -> t - 0.3 inside the window [0.25, 0.375]
     grid = np.linspace(0.0, 1.0, 9)
-    path, calls = recording_path(lambda t: np.array([[t - 0.3]]), grid, ((0.0, 1.0),))
+    path, calls = recording_path(lambda ts: (ts - 0.3)[:, None, None], grid, ((0.0, 1.0),))
     flow, report = sf_crossings(path)
     assert flow == 1 and len(report.crossings) == 1
     # each interior grid sample is evaluated once, by branch tracking
@@ -94,32 +102,33 @@ def test_bisection_starts_from_the_tracked_sample():
 
 def test_least_gap_is_measured_once_per_path():
     path = tanh_path()
-    sampled = Counter()
-    sampler = path.sampler
-
-    def recorded(t):
-        sampled[t] += 1
-        return sampler(t)
-
-    path.sampler = recorded
+    path.sampler, sampled, calls = recorder(path.sampler)
     GridSpec.auto(path)
     # one pass over the grid, inside K too
     assert sampled == Counter(float(t) for t in path.grid)
     sampled.clear()
+    calls.clear()
     lambda_sweep(path, [1.0, 2.0], GridSpec(8.0, 64))
     assemble(path, GridSpec(8.0, 64), "dirichlet")
     # only the APS endpoint nodes and midpoints, no second pass over the grid
     assert sum(sampled.values()) == 2 * (64 + 2)
+    # one rule call per APS assembly for all its midpoints and both end nodes
+    assert calls == [64 + 2, 64 + 2]
+
+
+def test_grid_pass_calls_the_rule_once_per_chunk(monkeypatch):
+    # three 2 x 2 samples per chunk: 11 samples in chunks of 3, 3, 3 and 2
+    monkeypatch.setattr(specflow, "_CHUNK_BYTES", 3 * 16 * 2 * 2)
+    path = random_smooth_path(4, 2, n_samples=11)
+    path.sampler, sampled, calls = recorder(path.sampler)
+    path._grid_pass(specflow.DEFAULT_TOL)
+    assert calls == [3, 3, 3, 2]
+    assert sampled == Counter(float(t) for t in path.grid)
 
 
 def test_endpoint_identity_takes_one_pass_per_path(monkeypatch):
     path = random_smooth_path(17, 5)
-    sampled = Counter()
-    sampler = path.sampler
-
-    def recorded(t):
-        sampled[t] += 1
-        return sampler(t)
+    recorded, sampled, _ = recorder(path.sampler)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the grid pass already holds this decomposition")

@@ -59,7 +59,7 @@ def test_four_way_identity_on_sf_path(seed, k):
 def singular_at_boundary():
     """S(t) = t: invertible outside K = [0, 1] on the grid, singular at the
     boundary point 0."""
-    return PotentialPath(1, np.linspace(-2.0, 3.0, 41), lambda t: np.array([[t]]),
+    return PotentialPath(1, np.linspace(-2.0, 3.0, 41), lambda ts: ts[:, None, None],
                          support=((0.0, 1.0),), name="ramp")
 
 

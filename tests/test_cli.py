@@ -66,6 +66,13 @@ class TestExitCodes:
         (dict(SMALL, potential={"kind": "file"}), "potential.path"),
         (dict(SMALL, potential={"kind": ["tanh"]}), "potential.kind"),
         (dict(SMALL, scenario=["relind"]), "scenario"),
+        # valid types out of range
+        ({"scenario": "tower", "params": {"dims": []}}, "params.dims"),
+        ({"scenario": "sf", "potential": {"kind": "tanh", "k": 0}}, "potential.k"),
+        ({"scenario": "sf", "potential": {"kind": "diag-list", "entries": [0]}},
+         "potential.entries"),
+        ({"scenario": "relind", "params": {"trials": -1, "dim": 0}}, "params.trials"),
+        ({"scenario": "index1d", "params": {"bumps": -2}}, "params.bumps"),
     ])
     def test_malformed_value_names_its_field(self, tmp_path, config, field, capsys):
         with pytest.raises(ConfigError) as info:

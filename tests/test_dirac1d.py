@@ -61,7 +61,7 @@ class TestGridSpec:
 
     def test_auto_needs_invertible_outside(self):
         p = PotentialPath(1, np.linspace(-1, 1, 9),
-                          lambda t: np.array([[t]]), support=((-1, 1),))
+                          lambda ts: ts[:, None, None], support=((-1, 1),))
         with pytest.raises(NotInvertible):
             GridSpec.auto(p)
 
@@ -82,21 +82,21 @@ class TestAssembly:
         assert op.structural_index == 0
 
     def test_aps_requires_invertible_endpoints(self):
-        p = PotentialPath(1, np.linspace(-1, 1, 9), lambda t: np.array([[t]]))
+        p = PotentialPath(1, np.linspace(-1, 1, 9), lambda ts: ts[:, None, None])
         with pytest.raises(NotInvertible):
             assemble(p, GridSpec(1.0, 16), "aps")
 
     def test_aps_rejects_singular_endpoint(self):
         # keeps its declaration (gap >= 0.625 on the grid outside K), but the
         # left node -1 clamps to t = 0, where S = 0
-        p = PotentialPath(1, np.linspace(0, 1, 9), lambda t: np.array([[t]]),
+        p = PotentialPath(1, np.linspace(0, 1, 9), lambda ts: ts[:, None, None],
                           support=((0, 0.5),))
         with pytest.raises(NotInvertible, match="left endpoint"):
             assemble(p, GridSpec(1.0, 16), "aps")
 
     @pytest.mark.parametrize("bc", ["aps", "dirichlet"])
     def test_broken_declaration_names_sample_and_gap(self, bc):
-        p = PotentialPath(1, np.linspace(-1, 1, 9), lambda t: np.array([[t]]))
+        p = PotentialPath(1, np.linspace(-1, 1, 9), lambda ts: ts[:, None, None])
         with pytest.raises(NotInvertible) as err:
             assemble(p, GridSpec(1.0, 16), bc)
         msg = str(err.value)
@@ -108,7 +108,7 @@ class TestAssembly:
         p = flat_tail_path(3, 2)
         grid = GridSpec(6.0, 48)
         op = assemble(p, grid, "aps", 1.3)
-        rev = PotentialPath(p.k, -p.grid[::-1], lambda t: -p.sample(-t),
+        rev = PotentialPath(p.k, -p.grid[::-1], lambda ts: -p.samples(-ts),
                             support=tuple(sorted((-b, -a) for a, b in p.support)))
         op2 = assemble(rev, grid, "aps", 1.3)
         k, n = p.k, grid.n_cells
@@ -174,9 +174,9 @@ class TestIndexReport:
     def test_unitary_conjugation_invariance(self):
         p = pair_path()
 
-        def unitary(t):
-            c, s = np.cos(0.3 * t), np.sin(0.3 * t)
-            return np.array([[c, -s], [s, c]], dtype=complex)
+        def unitary(ts):
+            c, s = np.cos(0.3 * ts), np.sin(0.3 * ts)
+            return np.array([[c, -s], [s, c]], dtype=complex).transpose(2, 0, 1)
 
         rep1 = index_report(assemble(p, GridSpec(8.0, 160), "aps"),
                             refine_check=False)
@@ -203,10 +203,10 @@ class TestDiagonalOracle:
         assert (o.dim_ker, o.dim_coker, o.index) == (0, 0, 0)
 
     def test_non_commuting_rejected(self):
-        def sampler(t):
-            c, s = np.cos(t), np.sin(t)
-            u = np.array([[c, -s], [s, c]])
-            return u @ np.diag([1.0, -1.0]) @ u.T
+        def sampler(ts):
+            c, s = np.cos(ts), np.sin(ts)
+            u = np.array([[c, -s], [s, c]]).transpose(2, 0, 1)
+            return u @ np.diag([1.0, -1.0]) @ u.transpose(0, 2, 1)
 
         p = PotentialPath(2, np.linspace(0, 1, 9), sampler)
         with pytest.raises(NotDiagonalizable):
@@ -214,8 +214,9 @@ class TestDiagonalOracle:
 
     def test_rejection_names_sample_and_residual(self):
         # diagonal everywhere except one off-diagonal entry at t = 0.5
-        def sampler(t):
-            return np.array([[1.0 + t, 0.3 if t == 0.5 else 0.0], [0.0, -1.0]])
+        def sampler(ts):
+            return np.array([[1.0 + ts, np.where(ts == 0.5, 0.3, 0.0)],
+                             [0.0 * ts, -1.0 + 0.0 * ts]]).transpose(2, 0, 1)
 
         p = PotentialPath(2, np.linspace(0, 1, 5), sampler)
         with pytest.raises(NotDiagonalizable, match=r"t=0\.5 .*residual [0-9.]+e-0[12]"):
@@ -274,7 +275,7 @@ class TestFredholmBounds:
 
     def test_constant_invertible_without_cutoff(self):
         p = constant_path(np.diag([1.5, -2.0]), (-4, 4))
-        rep = fredholm_bounds(p, 1.0, f=lambda t: 0.0,
+        rep = fredholm_bounds(p, 1.0, f=np.zeros_like,
                               grid=GridSpec(4.0, 120), k_hat=None)
         gap = 1.5
         assert rep.min_eig >= (1 - rep.disc_slack) * gap ** 2
@@ -287,7 +288,7 @@ class TestFredholmBounds:
     def test_cutoff_too_small(self):
         p = tanh_path()
         with pytest.raises(CutoffTooSmall):
-            fredholm_bounds(p, 3.0, f=lambda t: 0.1,
+            fredholm_bounds(p, 3.0, f=lambda ts: np.full(ts.shape, 0.1),
                             grid=GridSpec(8.0, 100))
 
     def test_coupling_below_threshold(self):
@@ -315,8 +316,8 @@ class TestFredholmBounds:
     def test_sample_on_cut_belongs_to_interval(self):
         # S jumps at both ends of K = [0, 1], which are grid samples; the
         # closed interval takes them, so no outside stencil sees a jump
-        def sampler(t):
-            return np.array([[1.0 if t < 0 else (5.0 if t > 1 else 2.0 + t)]])
+        def sampler(ts):
+            return np.where(ts < 0, 1.0, np.where(ts > 1, 5.0, 2.0 + ts))[:, None, None]
 
         p = PotentialPath(1, np.linspace(-1, 2, 13), sampler, support=((0, 1),))
         c, dh, dk, lam0 = bound_constants(p)
@@ -326,7 +327,7 @@ class TestFredholmBounds:
     def test_single_sample_piece_rejected(self):
         # t = 0 is the only sample between the two support intervals
         p = PotentialPath(1, np.linspace(-2, 2, 41),
-                          lambda t: np.array([[1.0 + t * t]]),
+                          lambda ts: (1.0 + ts * ts)[:, None, None],
                           support=((-1.0, -0.05), (0.05, 1.0)))
         with pytest.raises(InvalidInput, match="around t=0 "):
             bound_constants(p)

@@ -50,17 +50,17 @@ class TestPotentialPath:
 
     def test_least_gap_outside_rejects_non_finite_sample(self):
         p = PotentialPath(1, np.linspace(0, 1, 5),
-                          lambda t: np.array([[np.nan if t == 0.75 else 1.0]]))
+                          lambda ts: np.where(ts == 0.75, np.nan, 1.0)[:, None, None])
         with pytest.raises(InvalidInput, match="t=0.75"):
             p.least_gap_outside()
 
     def test_least_gap_outside_empty_when_all_in_support(self):
-        p = PotentialPath(1, np.linspace(0, 1, 5), lambda t: np.array([[t]]),
+        p = PotentialPath(1, np.linspace(0, 1, 5), lambda ts: ts[:, None, None],
                           support=((0.0, 1.0),))
         assert p.least_gap_outside() == (None, float("inf"))
 
     def test_support_normalization(self):
-        p = PotentialPath(1, [0, 1], lambda t: np.array([[1.0]]),
+        p = PotentialPath(1, [0, 1], lambda ts: np.ones((ts.size, 1, 1)),
                           support=(0.2, 0.4))
         assert p.support == ((0.2, 0.4),)
         assert p.hull() == (0.2, 0.4)
@@ -99,8 +99,8 @@ class TestGridPass:
         # the second chunk) leaves a defect about 12 times smaller than the
         # dense sample at t = 0.625 (in the third)
         p = PotentialPath(16, np.linspace(0, 1, 9),
-                          lambda t: {0.25: mostly_diagonal, 0.625: dense}.get(
-                              t, np.diag(np.arange(1.0, 17.0) + t)))
+                          lambda ts: np.stack([{0.25: mostly_diagonal, 0.625: dense}.get(
+                              t, np.diag(np.arange(1.0, 17.0) + t)) for t in ts.tolist()]))
         p._grid_pass(DEFAULT_TOL)
         with pytest.raises(InvalidInput, match=r"at t=0\.625 exceed eig_tol"):
             p._grid_pass(Tolerances(eig_tol=1e-300))
@@ -108,7 +108,8 @@ class TestGridPass:
     def test_non_finite_sample_in_second_chunk_is_named(self, monkeypatch):
         monkeypatch.setattr(specflow, "_CHUNK_BYTES", 4 * 16 * 4)
         p = PotentialPath(2, np.linspace(0, 1, 9),
-                          lambda t: np.diag([np.nan if t == 0.75 else 1.0, -1.0]))
+                          lambda ts: np.stack([np.diag([np.nan if t == 0.75 else 1.0, -1.0])
+                                             for t in ts.tolist()]))
         with pytest.raises(InvalidInput, match=r"t=0\.75 has non-finite"):
             p._grid_pass(DEFAULT_TOL)
 
@@ -170,13 +171,13 @@ class TestCrossings:
             assert np.abs(w).min() <= 1e-10
 
     def test_endpoint_not_invertible(self):
-        p = PotentialPath(1, np.linspace(0, 1, 9), lambda t: np.array([[t]]))
+        p = PotentialPath(1, np.linspace(0, 1, 9), lambda ts: ts[:, None, None])
         with pytest.raises(NotInvertible):
             sf_crossings(p)
 
     def test_tangential_touch_is_no_crossing(self):
         p = PotentialPath(1, np.linspace(-1, 1, 33),
-                          lambda t: np.array([[t * t + 1e-12]]),
+                          lambda ts: (ts * ts + 1e-12)[:, None, None],
                           support=((-1, 1),))
         n, _ = sf_crossings(p)
         assert n == 0
@@ -189,7 +190,7 @@ class TestCrossings:
         jumped = rot @ base @ rot.T
 
         p = PotentialPath(2, np.linspace(0, 1, 9),
-                          lambda t: base if t < 0.437 else jumped,
+                          lambda ts: np.where((ts < 0.437)[:, None, None], base, jumped),
                           support=((0, 1),))
         with pytest.raises(RefineGrid):
             sf_crossings(p)
@@ -246,7 +247,7 @@ class TestPathAlgebra:
         # continue from +1 upward through another crossing of 3 - 2t... no:
         # use a path starting exactly at p1's endpoint value +1
         grid = np.linspace(0.0, 1.0, 33)
-        p2 = PotentialPath(1, grid, lambda t: np.array([[1.0 - 3.0 * t]]),
+        p2 = PotentialPath(1, grid, lambda ts: (1.0 - 3.0 * ts)[:, None, None],
                            support=((0.0, 1.0),))
         n1, _ = sf_crossings(p1)
         n2, _ = sf_crossings(p2)
@@ -264,10 +265,10 @@ class TestPathAlgebra:
         p = random_smooth_path(17, 5)
         n, _ = sf_crossings(p)
 
-        def unitary(t):
-            c, s = np.cos(0.4 * t), np.sin(0.4 * t)
-            u = np.eye(5, dtype=complex)
-            u[0, 0], u[0, 1], u[1, 0], u[1, 1] = c, -s, s, c
+        def unitary(ts):
+            c, s = np.cos(0.4 * ts), np.sin(0.4 * ts)
+            u = np.tile(np.eye(5, dtype=complex), (ts.size, 1, 1))
+            u[:, 0, 0], u[:, 0, 1], u[:, 1, 0], u[:, 1, 1] = c, -s, s, c
             return u
 
         nc, _ = sf_crossings(conjugated_path(p, unitary))
@@ -281,7 +282,7 @@ class TestPathAlgebra:
         a = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
         r = (a + a.conj().T) / 2
         r /= np.linalg.norm(r, 2)
-        q = perturbed_path(p, lambda t: 0.4 * gap * np.sin(np.pi * t), r)
+        q = perturbed_path(p, lambda ts: 0.4 * gap * np.sin(np.pi * ts), r)
         nq, _ = sf_crossings(q)
         assert nq == n
 

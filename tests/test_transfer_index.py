@@ -38,10 +38,10 @@ def ramp_path(seed, k, neg_left, neg_right):
     b = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     bump = 0.8 * (b + b.conj().T) / max(2.0, np.linalg.norm(b + b.conj().T, 2))
 
-    def sampler(t):
-        u = min(max(t / 2.0, 0.0), 1.0)
+    def sampler(ts):
+        u = np.clip(ts / 2.0, 0.0, 1.0)[:, None, None]
         u = u * u * (3.0 - 2.0 * u)
-        return (1.0 - u) * left + u * right + math.sin(math.pi * u) * bump
+        return (1.0 - u) * left + u * right + np.sin(math.pi * u) * bump
 
     return PotentialPath(k, np.linspace(-2.0, 4.0, 49), sampler,
                          support=((0.0, 2.0),), name=f"ramp({seed})")
@@ -298,7 +298,8 @@ class TestGrowthBoundedTransfer:
         grid = GridSpec(4.0, 40)
         c = 2.0 * (1.0 - 1e-8) / grid.h
         path = PotentialPath(2, np.linspace(-4.0, 4.0, 81),
-                             lambda t: np.diag([c, math.tanh(2.0 * t)]),
+                             lambda ts: np.stack([np.diag([c, math.tanh(2.0 * t)])
+                                                 for t in ts.tolist()]),
                              support=((-1.0, 1.0),))
         op = assemble(path, grid, "aps")
         s = np.linalg.svd(np.linalg.solve(op.cell_b, -op.cell_a), compute_uv=False)
