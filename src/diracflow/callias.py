@@ -172,21 +172,17 @@ def rhs_pairing(path_or_family, surface=None, reference=-1.0,
 
 
 def _scalar_lhs(path: PotentialPath, lam, grid, tol, method):
-    """Index of the assembled operator, cross-checked against the endpoint
-    identity of the spectral-flow module when method == "both"."""
-    if method not in ("pde", "sf", "both"):
-        raise InvalidInput(f"unknown lhs method {method!r}")
-    sf_value = None
-    if method in ("sf", "both"):
-        ident = endpoint_identity(path, tol=tol)
-        if not ident.passed:
-            raise TheoremViolation(
-                f"spectral-flow routes disagree on {path.name}: {ident}")
-        sf_value = ident.endpoint_rel_index
+    """The endpoint identity's integer (method "sf"), or with method "both"
+    the index of the assembled operator, cross-checked against it."""
+    ident = endpoint_identity(path, tol=tol)
+    if not ident.passed:
+        raise TheoremViolation(
+            f"spectral-flow routes disagree on {path.name}: {ident}")
+    sf_value = ident.endpoint_rel_index
     if method == "sf":
         return sf_value
     rep = dirac1d.path_index_report(path, grid, lam, tol, refine_check=False)
-    if sf_value is not None and sf_value != rep.index:
+    if sf_value != rep.index:
         raise TheoremViolation(
             f"assembled index {rep.index} != spectral flow {sf_value} "
             f"on {path.name}")
@@ -203,12 +199,12 @@ class CalliasReport:
 
 
 def callias_check(path_or_family, lam: float = 1.0, reference=-1.0,
-                  reference_alt=None, grid=None, lhs_method: str = "both",
+                  reference_alt=None, grid=None,
                   tol: Tolerances = DEFAULT_TOL) -> CalliasReport:
     """Assert index == hypersurface pairing, including reference independence.
 
-    The left-hand side is the index of the APS assembly, cross-checked by
-    default against the two spectral-flow computations; the right-hand
+    The left-hand side is the index of the APS assembly, cross-checked
+    against the two spectral-flow computations; the right-hand
     side is evaluated with two distinct references and must not depend on
     the choice.  Any mismatch raises TheoremViolation.
     """
@@ -216,7 +212,7 @@ def callias_check(path_or_family, lam: float = 1.0, reference=-1.0,
     paths = path_or_family.paths if fibered else (path_or_family,)
     boundaries = [_boundary(p, tol) for p in paths]
     return _pairing_report(paths, boundaries, fibered, lam, reference,
-                           reference_alt, grid, lhs_method, tol)
+                           reference_alt, grid, "both", tol)
 
 
 def _pairing_report(paths, boundaries, fibered, lam, reference, reference_alt,

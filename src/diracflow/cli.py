@@ -76,17 +76,18 @@ _POTENTIAL_KEYS = {
     "file": {"kind", "path"},
 }
 
-# The type of every params and potential key, with the least value it may
-# take (None: any).  The type is int, float (any number), str, or a
+# The type of every params and potential key, with the value it must
+# exceed (None: any).  The type is int, float (any number), str, or a
 # one-element list for a non-empty list of that type, whose elements the
-# bound applies to.  A count below 1 would make its check vacuous.
+# bound applies to.  A count below 1 would make its check vacuous; a zero
+# tanh scale, coupling or perturbation size a degenerate or vacuous one.
 _KEY_TYPES = {
-    "k": (int, 1), "n_samples": (int, 2), "trials": (int, 1), "dim": (int, 1),
-    "bumps": (int, 1), "pairs": (int, 1), "k_max": (int, 1), "cases": (int, 1),
-    "fibers": (int, 1), "quad_nodes": (int, 1), "seed": (int, None),
-    "scale": (float, None), "kind": (str, None), "path": (str, None),
-    "lams": ([float], None), "a4_eps": ([float], None), "entries": ([float], None),
-    "dims": ([int], 1),
+    "k": (int, 0), "n_samples": (int, 1), "trials": (int, 0), "dim": (int, 0),
+    "bumps": (int, 0), "pairs": (int, 0), "k_max": (int, 0), "cases": (int, 0),
+    "fibers": (int, 0), "quad_nodes": (int, 0), "seed": (int, None),
+    "scale": (float, 0.0), "kind": (str, None), "path": (str, None),
+    "lams": ([float], 0.0), "a4_eps": ([float], 0.0), "entries": ([float], None),
+    "dims": ([int], 0),
 }
 
 
@@ -127,8 +128,8 @@ def _number(value, field, integer=False):
 
 
 def _bounded(value, low, field):
-    if low is not None and value < low:
-        raise ConfigError(f"expected at least {low}, got {value!r}", field=field)
+    if low is not None and value <= low:
+        raise ConfigError(f"expected more than {low}, got {value!r}", field=field)
     return value
 
 

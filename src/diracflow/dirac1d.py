@@ -153,8 +153,6 @@ class DiscretizedDiracSchroedinger:
     lam: float
     left_basis: Optional[np.ndarray]    # negative subspace of S(-L) (APS)
     right_basis: Optional[np.ndarray]   # positive subspace of S(+L) (APS)
-    n_plus_left: int
-    n_minus_right: int
     cell_a: Optional[np.ndarray] = None   # (n_cells, k, k) blocks A_j (APS)
     cell_b: Optional[np.ndarray] = None   # (n_cells, k, k) blocks B_j (APS)
 
@@ -225,7 +223,6 @@ def _aps_operator(path, grid, lam, tol):
         bc="aps", grid=grid, path=path, lam=lam,
         left_basis=vl[:, wl < 0.0],      # P_+(S(-L)) psi(-L) = 0
         right_basis=vr[:, wr > 0.0],     # P_-(S(+L)) psi(+L) = 0
-        n_plus_left=int(np.sum(wl > 0.0)), n_minus_right=int(np.sum(wr < 0.0)),
         cell_a=cell_a, cell_b=cell_b)
 
 
@@ -273,7 +270,7 @@ def assemble(path: PotentialPath, grid: GridSpec, bc: str = "aps",
         return _aps_operator(path, grid, lam, tol)
     return DiscretizedDiracSchroedinger(
         bc=bc, grid=grid, path=path, lam=lam,
-        left_basis=None, right_basis=None, n_plus_left=0, n_minus_right=0)
+        left_basis=None, right_basis=None)
 
 
 @dataclass(frozen=True)

@@ -1,8 +1,10 @@
 """Spectral flow of paths of Hermitian matrices, computed two independent ways.
 
 The first route (`sf_crossings`) tracks eigenvalue branches across the
-sample grid by eigenvector overlap, bisection-refines every sign change
-down to |lambda| <= crossing_tol, and sums the slope signs.  The second
+sample grid by eigenvector overlap.  One refinement (`_tracked_branches`)
+splits a grid step while its matching is ambiguous or a branch changes
+sign across it, so that every sign change ends on a sample with |lambda|
+<= crossing_tol; the route sums the signs of those changes.  The second
 route (`sf_partition`) exercises Phillips' partition definition (Phillips,
 "Self-adjoint Fredholm operators and spectral flow", Canad. Math. Bull.
 39, 1996): it subdivides the parameter interval, picks per subinterval an
@@ -26,12 +28,13 @@ one parameter at a time.
 Both routes read one certified eigendecomposition of the grid samples
 (`PotentialPath._grid_pass`), and `endpoint_identity` takes it once for
 all three integers.  They share that sampled LAPACK output but no logic:
-the first matches eigenvectors, follows branches and bisects their zeros
-off the grid; the second picks Weyl-safe gap levels from the spectra and
-step bounds and counts eigenvalues above them at the junctions.  The path
-caches only the spectra and step bounds; the eigenvectors go back to the
-caller, because keeping them on every path raised the peak RSS of the
-k = 64 tower fibers' run by 5% (47.8 to 50.4 MB).
+the first matches eigenvectors and follows branches, refining the grid
+where they are ambiguous or change sign; the second picks Weyl-safe gap
+levels from the spectra and step bounds and counts eigenvalues above them
+at the junctions.  The path caches only the spectra and step bounds; the
+eigenvectors go back to the caller, because keeping them on every path
+raised the peak RSS of the k = 64 tower fibers' run by 5% (47.8 to 50.4
+MB).
 
 Branch tracking deliberately matches by eigenvector overlap instead of
 sorted order: sorted order silently swaps branches at avoided crossings.
@@ -57,7 +60,6 @@ from .opcore import (
     _decompose,
     _projection_above,
     as_matrix,
-    eigh,
 )
 from .relindex import rel_index
 
@@ -270,6 +272,11 @@ class PotentialPath:
 
 _AMBIGUITY_MARGIN = 0.1
 
+# Most splits of one grid step.  A split keeps at most 3/4 of its step and
+# (3/4)**145 < 1e-18, so on steps up to 1e5 wide the 1e-13 width guard of
+# `_tracked_branches` ends a refinement first.
+_MAX_DEPTH = 145
+
 
 def _match_columns(va: np.ndarray, vb: np.ndarray) -> Optional[List[int]]:
     """Greedy maximal-overlap matching of eigenvector columns.
@@ -299,66 +306,93 @@ def _match_columns(va: np.ndarray, vb: np.ndarray) -> Optional[List[int]]:
 
 
 class _Sample:
-    __slots__ = ("t", "w", "v")
+    """Eigenpairs (w, v) of S(t), ``depth`` splits below a grid step."""
+    __slots__ = ("t", "w", "v", "depth")
 
-    def __init__(self, t, w, v):
-        self.t, self.w, self.v = t, w, v
-
-
-def _eig_sample(path: PotentialPath, t: float, tol: Tolerances) -> _Sample:
-    w, v = eigh(path.sample(t), tol)
-    return _Sample(float(t), w, v)
+    def __init__(self, t, w, v, depth=0):
+        self.t, self.w, self.v, self.depth = t, w, v, depth
 
 
-def _refine_chain(path, a: _Sample, b: _Sample, tol, depth, max_depth):
-    """Samples and permutations connecting ``a`` to ``b``, inserting
-    midpoints until every consecutive overlap matching is decisive."""
+def _step(a: _Sample, b: _Sample, depth: int, crossing_tol: float):
+    """(b, perm, split, depth): the step from a to b, its matching, and
+    where to split it: at the midpoint while the matching is ambiguous,
+    else at the regula-falsi zero, clamped to the middle half of the step,
+    of the first branch that changes sign across it with both values beyond
+    crossing_tol; None when the step is final."""
     perm = _match_columns(a.v, b.v)
-    if perm is not None:
-        return [b], [perm]
-    if depth >= max_depth or (b.t - a.t) < 1e-13:
-        raise RefineGrid(
-            f"branch matching stayed ambiguous on [{a.t!r}, {b.t!r}] "
-            f"after {depth} refinements")
-    mid = _eig_sample(path, 0.5 * (a.t + b.t), tol)
-    s1, p1 = _refine_chain(path, a, mid, tol, depth + 1, max_depth)
-    s2, p2 = _refine_chain(path, mid, b, tol, depth + 1, max_depth)
-    return s1 + s2, p1 + p2
+    split = None
+    if perm is None:
+        split = 0.5 * (a.t + b.t)
+    else:
+        xa, xb = a.w, b.w[perm]
+        change = (xa * xb < 0) & (np.abs(xa) > crossing_tol) & (np.abs(xb) > crossing_tol)
+        if change.any():
+            i = int(change.argmax())
+            u = min(max(xa[i] / (xa[i] - xb[i]), 0.25), 0.75)
+            split = a.t + u * (b.t - a.t)
+    return b, perm, split, depth
 
 
 def _tracked_branches(path: PotentialPath, spectra, vectors, tol: Tolerances,
-                      max_depth=24):
-    """Follow the eigenpairs of the grid pass across the (refined) grid and
-    return (times, values, samples, columns): values[b][j] is the eigenvalue
-    of branch b at sample j and columns[b][j] the column of its eigenvector
-    in samples[j].v.  Branch b starts as the b-th ascending eigenvalue at t_0."""
+                      crossing_tol: float):
+    """(samples, values) of the branches followed over the grid pass:
+    values[b][j] is branch b's eigenvalue at samples[j], and branch b starts
+    as the b-th ascending eigenvalue.
+
+    Steps are split (see `_step`) until every matching is decisive and
+    every sign change of a branch passes through a sample within
+    crossing_tol of zero.  A split step's matching is replaced by those
+    through its split sample, so a step that pairs across an avoided
+    crossing is tracked again.  Both halves of a split are matched at once,
+    so only the open steps' samples keep eigenvectors.  A step still to be
+    split at width < 1e-13 or _MAX_DEPTH splits raises RefineGrid if
+    ambiguous, else DegeneratePath.
+    """
     base = [_Sample(float(t), w, v) for t, w, v in zip(path.grid, spectra, vectors)]
-    samples = [base[0]]
-    perms = []
-    for i in range(len(base) - 1):
-        seg, seg_perms = _refine_chain(path, base[i], base[i + 1], tol, 0, max_depth)
-        samples.extend(seg)
-        perms.extend(seg_perms)
-    idx = list(range(path.k))
-    columns = [idx]
-    for perm in perms:
-        idx = [perm[i] for i in idx]
-        columns.append(idx)
-    columns = [list(col) for col in zip(*columns)]
-    values = [[float(s.w[c]) for s, c in zip(samples, col)] for col in columns]
-    return [s.t for s in samples], values, samples, columns
+    a, idx = base[0], list(range(path.k))
+    samples, columns = [a], [idx]
+    # the steps right of a, nearest last
+    todo = [_step(p, q, 0, crossing_tol) for p, q in zip(base, base[1:])][::-1]
+    while todo:
+        b, perm, split, depth = todo.pop()
+        if split is None:
+            idx = [perm[i] for i in idx]
+            samples.append(b)
+            columns.append(idx)
+            a = b
+            continue
+        if depth >= _MAX_DEPTH or b.t - a.t < 1e-13:
+            what = ("branch matching stayed ambiguous" if perm is None else
+                    f"a crossing stayed beyond |lambda| <= {crossing_tol:g}")
+            raise (RefineGrid if perm is None else DegeneratePath)(
+                f"{what} on [{a.t!r}, {b.t!r}] after {depth} refinements")
+        # path samples are hermitised already, as in the grid pass
+        w, v, defects = _decompose(path.sample(split))
+        _certify(defects, tol, lambda _: f" at t={split:g}")
+        mid = _Sample(float(split), w, v, depth + 1)
+        lo, hi = _step(a, mid, depth + 1, crossing_tol), _step(mid, b, depth + 1, crossing_tol)
+        # a refined sample's eigenvectors go once no step it ends is open
+        for s, ends in ((a, [lo]), (mid, [lo, hi]), (b, [hi] + todo[-1:])):
+            if s.depth and all(split is None for _, _, split, _ in ends):
+                s.v = None
+        todo += [hi, lo]
+    values = [[float(s.w[c]) for s, c in zip(samples, col)] for col in zip(*columns)]
+    return samples, values
 
 
 def branch_curves(path: PotentialPath, tol: Tolerances = DEFAULT_TOL):
     """Eigenvalue branches tracked along the path: (times, values) with
-    values[b][j] the branch-b eigenvalue at times[j].  For plotting."""
+    values[b][j] the branch-b eigenvalue at times[j].  For plotting, so no
+    crossing is localised."""
     spectra, vectors, _ = path._grid_pass(tol)
-    times, values, _, _ = _tracked_branches(path, spectra, vectors, tol)
-    return times, values
+    samples, values = _tracked_branches(path, spectra, vectors, tol, np.inf)
+    return [s.t for s in samples], values
 
 
 @dataclass(frozen=True)
 class Crossing:
+    """A sign change of a branch, at its first sample t within crossing_tol
+    of zero, which lies ``depth`` splits below a grid step (0: on it)."""
     t: float
     branch: int
     slope_sign: int
@@ -374,40 +408,6 @@ class CrossingReport:
         return sum(c.slope_sign for c in self.crossings)
 
 
-def _bisect_branch_zero(path, t_lo, x_lo, v_lo, t_hi, x_hi, crossing_tol,
-                        tol, max_depth=60):
-    """Bisection-refine a sign change of one tracked branch.
-
-    The branch is followed through the bisection by maximal eigenvector
-    overlap with the most recently evaluated branch vector.
-    """
-    vec = v_lo
-    depth = 0
-    while depth < max_depth:
-        t_mid = 0.5 * (t_lo + t_hi)
-        w, v = eigh(path.sample(t_mid), tol)
-        overlaps = np.abs(vec.conj() @ v)
-        j = int(np.argmax(overlaps))
-        srt = np.sort(overlaps)
-        if srt.size > 1 and srt[-1] - srt[-2] < _AMBIGUITY_MARGIN:
-            # the branch hit a near-degeneracy inside the window; the window
-            # endpoint signs still bracket a zero, so keep halving blindly
-            pass
-        else:
-            vec = v[:, j]
-        x_mid = float(w[j])
-        depth += 1
-        if abs(x_mid) <= crossing_tol:
-            return t_mid, depth
-        if np.sign(x_mid) == np.sign(x_lo):
-            t_lo, x_lo = t_mid, x_mid
-        else:
-            t_hi, x_hi = t_mid, x_mid
-    raise DegeneratePath(
-        f"crossing near t={0.5 * (t_lo + t_hi)!r} not resolved to "
-        f"|lambda| <= {crossing_tol:g} after {max_depth} bisections")
-
-
 def _route_pass(path: PotentialPath, tol: Tolerances):
     """The grid pass of a path whose endpoints must be invertible (rows 0
     and -1 of its spectra); NotInvertible otherwise."""
@@ -421,32 +421,22 @@ def _route_pass(path: PotentialPath, tol: Tolerances):
 
 def _crossings(path, grid_pass, crossing_tol, tol):
     spectra, vectors, _ = grid_pass
-    times, values, samples, columns = _tracked_branches(path, spectra, vectors, tol)
-    n = len(times)
+    samples, values = _tracked_branches(path, spectra, vectors, tol, crossing_tol)
     crossings = []
-    for b in range(path.k):
-        xs = values[b]
-        signs = [0 if abs(x) <= crossing_tol else (1 if x > 0 else -1)
-                 for x in xs]
+    for b, xs in enumerate(values):
+        signs = [0 if abs(x) <= crossing_tol else (1 if x > 0 else -1) for x in xs]
         if signs[0] == 0 or signs[-1] == 0:
             raise DegeneratePath(
                 f"branch {b} starts or ends on zero within crossing_tol")
-        j = 0
-        while j < n - 1:
-            jn = j + 1
-            while jn < n and signs[jn] == 0:
-                jn += 1
-            if jn >= n:
-                break
-            if signs[j] * signs[jn] < 0:
-                t_star, depth = _bisect_branch_zero(
-                    path, times[j], xs[j], samples[j].v[:, columns[b][j]],
-                    times[jn], xs[jn], crossing_tol, tol)
-                crossings.append(Crossing(t=t_star, branch=b,
-                                          slope_sign=signs[jn], depth=depth))
-            j = jn
+        # the tracker puts a sample within crossing_tol in each sign change
+        nonzero = [j for j, s in enumerate(signs) if s]
+        for j, jn in zip(nonzero, nonzero[1:]):
+            if signs[j] != signs[jn]:
+                zero = samples[j + 1]
+                crossings.append(Crossing(t=zero.t, branch=b, slope_sign=signs[jn],
+                                          depth=zero.depth))
     report = CrossingReport(crossings=tuple(sorted(crossings, key=lambda c: (c.t, c.branch))),
-                            n_samples=n)
+                            n_samples=len(samples))
     return report.net(), report
 
 
@@ -454,9 +444,11 @@ def sf_crossings(path: PotentialPath, crossing_tol: float = 1e-8,
                  tol: Tolerances = DEFAULT_TOL):
     """Spectral flow by signed eigenvalue-crossing counting.
 
-    Returns (net flow, CrossingReport).  Requires invertible endpoints;
-    ambiguous branch matching raises RefineGrid, unresolvable tangencies
-    raise DegeneratePath.
+    Returns (net flow, CrossingReport).  Branches are tracked on samples
+    refined until each sign change passes through one within crossing_tol
+    of zero, where its Crossing lies.  Requires invertible endpoints;
+    ambiguous branch matching raises RefineGrid, an unresolved sign change
+    or a branch ending within crossing_tol of zero DegeneratePath.
     """
     return _crossings(path, _route_pass(path, tol), crossing_tol, tol)
 

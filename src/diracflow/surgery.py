@@ -121,7 +121,8 @@ def verify_additivity(m1: PotentialPath, m2: PotentialPath, t_cut: float,
     """ind(m1) + ind(m2) = ind(m3) + ind(m4), exact integers.
 
     Indices come from the APS assembly; each is cross-checked against the
-    endpoint identity of the spectral-flow module.
+    endpoint identity of the spectral-flow module, taken first, so that
+    the assembly's invertibility check reads its grid pass.
     """
     from .specflow import endpoint_identity
 
@@ -129,8 +130,8 @@ def verify_additivity(m1: PotentialPath, m2: PotentialPath, t_cut: float,
     indices = []
     sf_ok = True
     for p in (m1, m2, m3, m4):
-        rep = dirac1d.path_index_report(p, grid, lam, tol, refine_check=False)
         ident = endpoint_identity(p, tol=tol)
+        rep = dirac1d.path_index_report(p, grid, lam, tol, refine_check=False)
         sf_ok = sf_ok and ident.passed and ident.endpoint_rel_index == rep.index
         indices.append(rep.index)
     i1, i2, i3, i4 = indices

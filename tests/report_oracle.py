@@ -11,8 +11,9 @@ each from its own checkout, then compare the two trees with
     diff -r OUT_PARENT OUT_CHANGE
 
 A refactor that claims byte-identical reports leaves that diff empty.  The
-script is run by hand: it is not a test module (pytest does not collect
-it), and a full run takes about 12 s on a 2-vCPU host.
+comparison is made by hand: the script is not a test module (pytest does
+not collect it).  CI runs it once, so that every config keeps running to
+its reports; a full run takes about 12 s on a 2-vCPU host.
 
 The `file` potential reads a table that the script writes first into
 OUT/sf-file/potential.tab, from a fixed formula and seed, with every

@@ -1,14 +1,15 @@
-"""Branch matching by eigenvector overlap, and the samples and
-decompositions that branch tracking, the endpoint identity and the
-invertibility declaration take of a path."""
+"""Branch matching by eigenvector overlap, the refinement that localises
+crossings, and the samples and decompositions that branch tracking, the
+endpoint identity and the invertibility declaration take of a path."""
 
 from collections import Counter
 
 import numpy as np
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from diracflow import specflow
+from diracflow import scenarios, specflow, surgery
 from diracflow.dirac1d import GridSpec, assemble, lambda_sweep
 from diracflow.inequalities import random_unitary
 from diracflow.specflow import (
@@ -90,7 +91,7 @@ def recording_path(sampler, grid, support):
     return PotentialPath(1, grid, recorded, support=support), sampled
 
 
-def test_bisection_starts_from_the_tracked_sample():
+def test_crossing_refinement_starts_from_the_tracked_samples():
     # one crossing of t -> t - 0.3 inside the window [0.25, 0.375]
     grid = np.linspace(0.0, 1.0, 9)
     path, calls = recording_path(lambda ts: (ts - 0.3)[:, None, None], grid, ((0.0, 1.0),))
@@ -152,6 +153,82 @@ def test_endpoint_identity_takes_one_pass_per_path(monkeypatch):
     assert all(sampled[t] == 1 for t in grid)
     # 64 samples of 5 x 5 fill one chunk
     assert stacked == [(64, 5, 5)]
-    # every other eigh is a refinement midpoint or a bisection step, one
-    # per sample taken off the grid
+    # every other eigh is a refined sample, one per sample taken off the
+    # grid
     assert len(single) == sum(n for t, n in sampled.items() if t not in grid) > 0
+
+
+def collar_paths(seed, k):
+    """m1 of ``collar_pair(seed, k)`` and its cut-paste product m3."""
+    m1, m2, t_cut = scenarios.collar_pair(seed, k)
+    return m1, surgery.cut_paste(m1, m2, t_cut)[0]
+
+
+# Paths whose grid match pairs a negative with a positive eigenvalue across
+# an avoided crossing, with decisive overlaps: the refinement re-tracks the
+# step instead of looking for a zero that the adiabatic branches never reach.
+@pytest.mark.parametrize("make, expected", [
+    (lambda: collar_paths(1718458259, 5)[0], 1),
+    (lambda: collar_paths(1718458259, 5)[1], 1),
+    (lambda: collar_paths(134, 5)[0], 0),
+    (lambda: collar_paths(134, 5)[1], 0),
+    (lambda: scenarios.chain_path(41, 6, n_intervals=3), 0),
+    (lambda: scenarios.chain_path(83, 6, n_intervals=3), -1),
+], ids=["collar-1718458259-m1", "collar-1718458259-m3", "collar-134-m1",
+        "collar-134-m3", "chain-41", "chain-83"])
+def test_step_paired_across_an_avoided_crossing_is_retracked(make, expected):
+    rep = endpoint_identity(make())
+    assert (rep.sf_by_crossings, rep.sf_by_partition, rep.endpoint_rel_index) == \
+        (expected,) * 3
+
+
+def avoided_crossing_path(gap, n_samples, t0, mu, c):
+    """[[t - t0 + mu, gap], [gap, t0 - t + mu]] (+) (t - c) on [-1, 1].  The
+    2 x 2 block has the eigenvalues mu +- sqrt((t - t0)^2 + gap^2): its
+    branches avoid each other at t0 around mu, within gap of zero, and never
+    cross zero; the last entry crosses it once, upward, at c."""
+    def sampler(ts):
+        out = np.zeros((ts.size, 3, 3), dtype=np.complex128)
+        out[:, 0, 0] = ts - t0 + mu
+        out[:, 1, 1] = t0 - ts + mu
+        out[:, 0, 1] = out[:, 1, 0] = gap
+        out[:, 2, 2] = ts - c
+        return out
+
+    return PotentialPath(3, np.linspace(-1.0, 1.0, n_samples), sampler,
+                         support=((-1.0, 1.0),), name="avoided-crossing")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True, database=None)
+@given(st.floats(-7.0, -3.0), st.integers(3, 40), st.floats(-0.5, 0.5),
+       st.floats(-0.9, 0.9), st.floats(-0.5, 0.5))
+def test_avoided_crossing_near_zero_on_a_coarse_grid(log_gap, n_samples, t0, frac, c):
+    gap = 10.0 ** log_gap
+    path = avoided_crossing_path(gap, n_samples, t0, frac * gap, c)
+    # no grid sample inside the avoided crossing: the grid match pairs the
+    # diabatic states across it, a negative eigenvalue with a positive one
+    assume(np.min(np.abs(path.grid - t0)) > 10.0 * gap)
+    assume(np.min(np.abs(path.grid - c)) > 1e-6)
+    rep = endpoint_identity(path)
+    assert (rep.sf_by_crossings, rep.sf_by_partition, rep.endpoint_rel_index) == (1, 1, 1)
+    # the only crossing is the decoupled entry's, within crossing_tol of zero
+    (crossing,) = rep.crossings.crossings
+    assert crossing.slope_sign == 1 and abs(crossing.t - c) <= 1e-8
+
+
+def test_refined_samples_per_crossing_on_the_sf_scenario(monkeypatch):
+    single = []
+    real_eigh = np.linalg.eigh
+
+    def counted_eigh(a, *args, **kwargs):
+        if np.ndim(a) == 2:
+            single.append(np.shape(a))
+        return real_eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    # the paths of the sf scenario's default config (seeds 0..7, k = 4)
+    n_crossings = sum(
+        len(endpoint_identity(scenarios.sf_path(seed, 1 + (seed + 4) % 8)).crossings.crossings)
+        for seed in range(8))
+    # every eigh off the grid pass is one refined sample: 9 per crossing
+    assert (n_crossings, len(single)) == (12, 108)

@@ -73,6 +73,11 @@ class TestExitCodes:
          "potential.entries"),
         ({"scenario": "relind", "params": {"trials": -1, "dim": 0}}, "params.trials"),
         ({"scenario": "index1d", "params": {"bumps": -2}}, "params.bumps"),
+        # a float key that must be positive
+        ({"scenario": "sf", "potential": {"kind": "tanh", "scale": 0}}, "potential.scale"),
+        ({"scenario": "sf", "potential": {"kind": "tanh", "scale": -1}}, "potential.scale"),
+        ({"scenario": "index1d", "params": {"lams": [0]}}, "params.lams"),
+        ({"scenario": "appendix", "params": {"a4_eps": [0]}}, "params.a4_eps"),
     ])
     def test_malformed_value_names_its_field(self, tmp_path, config, field, capsys):
         with pytest.raises(ConfigError) as info:
@@ -117,6 +122,15 @@ def test_params_reach_the_runners_typed():
     assert all(type(x) is float for x in cfg.params["lams"] + cfg.potential["entries"])
     # the digest reads the configuration as written
     assert cfg.raw["params"]["lams"] == [2, 3.5]
+
+
+def test_cutpaste_pair_across_an_avoided_crossing_passes():
+    # collar_pair(1718458259, 5): the grid match of collar-0 and of its
+    # cut-paste product pairs eigenvalues across an avoided crossing
+    records = records_of({"scenario": "cutpaste",
+                          "seeds": {"base": 1718458259, "count": 1},
+                          "params": {"pairs": 1, "k_max": 5}})
+    assert [rec.outcome for rec in records] == ["true"] * len(records) and records
 
 
 def test_rerun_is_byte_identical(tmp_path):

@@ -1,6 +1,8 @@
 """Potential surgery: cut-and-paste collars, cylindrical ends and collar
 flattening, each of which must keep the index."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from diracflow import dirac1d, surgery
 from diracflow.errors import CollarMismatch, InvalidInput
 from diracflow.opcore import HermitianOperator
 from diracflow.scenarios import chain_path, collar_pair
-from diracflow.specflow import endpoint_identity, tanh_path
+from diracflow.specflow import PotentialPath, endpoint_identity, tanh_path
 
 GRID = dirac1d.GridSpec(8.0, 160)
 
@@ -83,3 +85,18 @@ def test_cut_paste_swaps_flanks_and_keeps_the_index_sum():
     rep = surgery.verify_additivity(m1, m2, t_cut, grid=dirac1d.GridSpec(12.0, 192))
     assert rep.passed and rep.sf_agrees
     assert rep.ind_1 + rep.ind_2 == rep.ind_3 + rep.ind_4
+
+
+def test_additivity_takes_one_grid_pass_per_path(monkeypatch):
+    passes = Counter()
+    real = PotentialPath._grid_pass
+
+    def counted(path, tol):
+        passes[path.name] += 1
+        return real(path, tol)
+
+    monkeypatch.setattr(PotentialPath, "_grid_pass", counted)
+    m1, m2, t_cut = collar_pair(3, 2)
+    assert surgery.verify_additivity(m1, m2, t_cut, grid=dirac1d.GridSpec(12.0, 192)).passed
+    # m1, m2 and the two cut-paste products, one pass each
+    assert len(passes) == 4 and set(passes.values()) == {1}
