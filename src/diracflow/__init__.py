@@ -17,7 +17,6 @@ from .errors import (
     CollarMismatch,
     CompactTemplateInvalid,
     ConfigError,
-    CutoffTooSmall,
     DegeneratePath,
     DiracflowError,
     DomainError,

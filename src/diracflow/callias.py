@@ -1,10 +1,10 @@
 """Hypersurface pairing: computing the index from boundary data alone.
 
 For a 1-D potential path invertible outside a finite union K of closed
-intervals, the boundary N = dK is a finite set of points carrying outward
-signs gamma = -1 at left interval endpoints and +1 at right ones.  The
-pairing of the boundary restriction with a fixed invertible reference
-operator T,
+intervals, the hypersurface is the boundary N = dK of its declared
+support: the interval endpoints, carrying outward signs gamma = -1 at left
+endpoints and +1 at right ones.  The pairing of the boundary restriction
+with a fixed invertible reference operator T,
 
     rhs = sum over y in N of gamma(y) * rel-ind(P_+(S(y)), P_+(T)),
 
@@ -23,7 +23,7 @@ tower and the integers must stabilize.
 """
 
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -44,7 +44,6 @@ from .opcore import (
     positive_projection,
     spectral_gap,
     spectral_norm,
-    tail_projector,
     tower_instantiate,
 )
 from .relindex import rel_index
@@ -53,8 +52,6 @@ from . import dirac1d
 from .dirac1d import smoothstep
 
 __all__ = [
-    "Hypersurface",
-    "hypersurface_of",
     "FiberedFamily",
     "CalliasReport",
     "rhs_pairing",
@@ -70,48 +67,17 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Hypersurface:
-    """Boundary points of the support set with their outward signs."""
-
-    points: Tuple[float, ...]
-    gamma: Tuple[int, ...]
-
-    def __post_init__(self):
-        if len(self.points) != len(self.gamma):
-            raise InvalidInput("points and gamma must have equal length")
-        if any(g not in (-1, 1) for g in self.gamma):
-            raise InvalidInput("gamma entries must be -1 or +1")
-
-
-def hypersurface_of(path: PotentialPath) -> Hypersurface:
-    """Boundary of the declared support set, signed by the outward normal:
-    -1 at left endpoints of the intervals of K, +1 at right endpoints.
-    Invertibility at the points is checked where their projections are
-    taken."""
-    points, gamma = [], []
-    for (a, b) in path.support:
-        points.extend((a, b))
-        gamma.extend((-1, +1))
-    return Hypersurface(points=tuple(points), gamma=tuple(gamma))
-
-
-@dataclass(frozen=True)
 class FiberedFamily:
-    """Finitely many independent potential paths, one per fiber label.
+    """Finitely many independent potential paths, one per fiber.
 
     Indices over such a family are integer vectors, one entry per fiber;
     every check factors through the fibers."""
 
-    labels: tuple
     paths: tuple
 
     def __post_init__(self):
-        if len(self.labels) != len(self.paths) or len(self.paths) == 0:
-            raise InvalidInput("need one path per fiber label")
-
-    @property
-    def size(self) -> int:
-        return len(self.paths)
+        if len(self.paths) == 0:
+            raise InvalidInput("need at least one fiber path")
 
 
 def _resolve_reference(reference, k: int) -> np.ndarray:
@@ -125,50 +91,40 @@ def _resolve_reference(reference, k: int) -> np.ndarray:
     return mat
 
 
-def _boundary(path: PotentialPath, tol: Tolerances, surface=None):
-    """(surface, projections): ``surface`` (by default the boundary of the
-    support set) and P_+(S(y)) at each of its points y, each taken once."""
-    if surface is None:
-        surface = hypersurface_of(path)
-    projections = []
-    for y in surface.points:
-        try:
-            projections.append(
-                positive_projection(path.sample(y), tol.proj_gap_tol, tol))
-        except NotInvertible as exc:
-            raise NotInvertible(
-                f"potential not invertible at boundary point {y:g}") from exc
-    return surface, tuple(projections)
+def _boundary(path: PotentialPath, tol: Tolerances) -> tuple:
+    """(y, gamma(y), P_+(S(y))) for each point y of N = dK, in order: the
+    endpoints of the intervals of the declared support K, signed by the
+    outward normal (-1 at a left endpoint, +1 at a right one).  Each
+    projection is taken once; NotInvertible names a singular point."""
+    boundary = []
+    for interval in path.support:
+        for y, gamma in zip(interval, (-1, 1)):
+            try:
+                boundary.append((y, gamma, positive_projection(path.sample(y), tol)))
+            except NotInvertible as exc:
+                raise NotInvertible(
+                    f"potential not invertible at boundary point {y:g}") from exc
+    return tuple(boundary)
 
 
-def _pairing_terms(path: PotentialPath, surface: Hypersurface, projections,
-                   reference, tol: Tolerances) -> tuple:
+def _pairing_terms(path: PotentialPath, boundary, reference,
+                   tol: Tolerances) -> tuple:
     """gamma(y) * rel-ind(P_+(S(y)), P_+(T)) for each boundary point y."""
-    if not projections:
+    if not boundary:
         return ()
     try:
-        p_ref = positive_projection(_resolve_reference(reference, path.k),
-                                    tol.proj_gap_tol, tol)
+        p_ref = positive_projection(_resolve_reference(reference, path.k), tol)
     except NotInvertible as exc:
         raise NotInvertible("reference operator is not invertible") from exc
-    return tuple(g * rel_index(p_y, p_ref, tol)
-                 for p_y, g in zip(projections, surface.gamma))
+    return tuple(g * rel_index(p_y, p_ref, tol) for _, g, p_y in boundary)
 
 
-def rhs_pairing(path_or_family, surface=None, reference=-1.0,
-                tol: Tolerances = DEFAULT_TOL):
-    """Signed sum of per-point relative indices against a reference.
-
-    For a plain path returns an integer; for a FiberedFamily a tuple with
-    one integer per fiber (each fiber uses its own boundary points).
-    ``surface`` defaults to the boundary of the declared support set.
-    """
-    if isinstance(path_or_family, FiberedFamily):
-        return tuple(rhs_pairing(p, surface, reference, tol)
-                     for p in path_or_family.paths)
-    path = path_or_family
-    surface, projections = _boundary(path, tol, surface)
-    return sum(_pairing_terms(path, surface, projections, reference, tol))
+def rhs_pairing(path: PotentialPath, reference=-1.0,
+                tol: Tolerances = DEFAULT_TOL) -> int:
+    """Signed sum over N = dK of the relative indices of P_+(S(y)) against
+    P_+(T) for a reference T (a scalar multiple of the identity or a
+    matrix)."""
+    return sum(_pairing_terms(path, _boundary(path, tol), reference, tol))
 
 
 def _scalar_lhs(path: PotentialPath, lam, grid, tol, method):
@@ -219,14 +175,14 @@ def _pairing_report(paths, boundaries, fibered, lam, reference, reference_alt,
                     grid, lhs_method, tol) -> CalliasReport:
     """The CalliasReport of ``paths`` from their boundary projections."""
     lhs, rhs, rhs2, per_point = [], [], [], []
-    for p, (surface, projections) in zip(paths, boundaries):
+    for p, boundary in zip(paths, boundaries):
         lhs.append(_scalar_lhs(p, lam, grid, tol, lhs_method))
         alt = reference_alt if reference_alt is not None \
             else -_resolve_reference(reference, p.k)
-        terms = _pairing_terms(p, surface, projections, reference, tol)
+        terms = _pairing_terms(p, boundary, reference, tol)
         per_point.append(terms)
         rhs.append(sum(terms))
-        rhs2.append(sum(_pairing_terms(p, surface, projections, alt, tol)))
+        rhs2.append(sum(_pairing_terms(p, boundary, alt, tol)))
     pick = tuple if fibered else (lambda values: values[0])
     lhs, rhs, rhs2 = pick(lhs), pick(rhs), pick(rhs2)
     report = CalliasReport(lhs=lhs, rhs=rhs, rhs_alt=rhs2,
@@ -240,8 +196,8 @@ def _pairing_report(paths, boundaries, fibered, lam, reference, reference_alt,
     return report
 
 
-def ran_projection_pairing(path_or_family, surface=None,
-                           tol: Tolerances = DEFAULT_TOL):
+def ran_projection_pairing(path: PotentialPath,
+                           tol: Tolerances = DEFAULT_TOL) -> int:
     """Signed sum of positive-subspace ranks at the boundary points.
 
     This is the unital/finitely-generated specialization: with the
@@ -249,13 +205,9 @@ def ran_projection_pairing(path_or_family, surface=None,
     so the value must agree with rhs_pairing(..., reference=-1); the
     equality is asserted.
     """
-    if isinstance(path_or_family, FiberedFamily):
-        return tuple(ran_projection_pairing(p, None, tol)
-                     for p in path_or_family.paths)
-    path = path_or_family
-    surface, projections = _boundary(path, tol, surface)
-    total = sum(g * p_y.rank() for p_y, g in zip(projections, surface.gamma))
-    against_minus_one = sum(_pairing_terms(path, surface, projections, -1.0, tol))
+    boundary = _boundary(path, tol)
+    total = sum(g * p_y.rank() for _, g, p_y in boundary)
+    against_minus_one = sum(_pairing_terms(path, boundary, -1.0, tol))
     if total != against_minus_one:
         raise TheoremViolation(
             f"rank pairing {total} != relative-index pairing {against_minus_one}")
@@ -271,14 +223,13 @@ class FourWayReport:
     passed: bool
 
 
-def four_way_identity(path: PotentialPath, reference=-1.0,
-                      crossing_tol: float = 1e-8,
+def four_way_identity(path: PotentialPath,
                       tol: Tolerances = DEFAULT_TOL) -> FourWayReport:
     """The interval special case: spectral flow (both routes), endpoint
-    relative index, and the hypersurface pairing over N = dK must produce
-    one and the same integer."""
-    ident = endpoint_identity(path, crossing_tol, tol)
-    pairing = rhs_pairing(path, None, reference, tol)
+    relative index, and the hypersurface pairing over N = dK against the
+    reference -1 must produce one and the same integer."""
+    ident = endpoint_identity(path, tol)
+    pairing = rhs_pairing(path, tol=tol)
     passed = ident.passed and ident.endpoint_rel_index == pairing
     return FourWayReport(sf_by_crossings=ident.sf_by_crossings,
                          sf_by_partition=ident.sf_by_partition,
@@ -344,7 +295,7 @@ def _ramp_family(n: int, t_n, perturbations) -> FiberedFamily:
         PotentialPath(n, np.linspace(-2.5, 2.5, 41), ramp(r_n),
                       support=((-1.0, 1.0),), name=f"tower-fiber-{i}(dim={n})")
         for i, r_n in enumerate(perturbations))
-    return FiberedFamily(labels=tuple(range(len(paths))), paths=paths)
+    return FiberedFamily(paths=paths)
 
 
 @dataclass(frozen=True)
@@ -390,23 +341,24 @@ def tower_callias(tower: TruncationTower,
     for pos, (n, t_n, perturbations) in enumerate(levels):
         family = _ramp_family(n, t_n, perturbations)
         eye = np.eye(n, dtype=np.complex128)
-        pi_fixed = tail_projector(n, _TAIL_CUTOFF)
-        pi_scaled = tail_projector(n, n // 2)
-        # (T_n +- i)^(-1) Pi_tail depends on n and the sign only
-        resolvents = [np.linalg.solve((t_n + sign * eye).conj().T, pi_fixed).conj().T
+        # (T_n +- i)^(-1) Pi_tail, kept as its columns past the first
+        # _TAIL_CUTOFF (Pi_tail zeroes the others); it depends on n and the
+        # sign only
+        resolvents = [np.linalg.solve(t_n + sign * eye, eye[:, _TAIL_CUTOFF:])
                       for sign in (1j, -1j)]
         worst_pre, worst_tail = 0.0, 0.0
-        p_ref = positive_projection(t_n, tol.proj_gap_tol, tol)
+        p_ref = positive_projection(t_n, tol)
         boundaries = []
         for p in family.paths:
-            surface, projections = _boundary(p, tol)
-            boundaries.append((surface, projections))
-            for y, p_y in zip(surface.points, projections):
+            boundary = _boundary(p, tol)
+            boundaries.append(boundary)
+            for y, _, p_y in boundary:
                 diff = p.sample(y) - t_n
                 for resolvent in resolvents:
                     worst_pre = max(worst_pre, spectral_norm(diff @ resolvent))
+                # the tail past the first n/2 coordinates
                 worst_tail = max(worst_tail, spectral_norm(
-                    (p_y.entries - p_ref.entries) @ pi_scaled))
+                    (p_y.entries - p_ref.entries)[:, n // 2:]))
         if worst_pre > _TAIL_BOUND:
             raise HypothesisUnmet(
                 f"tail precondition fails at dim {n}: resolvent tail "

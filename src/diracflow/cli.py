@@ -76,18 +76,20 @@ _POTENTIAL_KEYS = {
     "file": {"kind", "path"},
 }
 
-# The type of every params and potential key, with the value it must
-# exceed (None: any).  The type is int, float (any number), str, or a
-# one-element list for a non-empty list of that type, whose elements the
-# bound applies to.  A count below 1 would make its check vacuous; a zero
-# tanh scale, coupling or perturbation size a degenerate or vacuous one.
+# The type of every params, potential and output key, with the value it
+# must exceed (None: any).  The type is int, float (any finite number),
+# str, bool, or a one-element list for a non-empty list of that type, whose
+# elements the bound applies to.  A count below 1 would make its check
+# vacuous; a zero tanh scale, coupling or perturbation size a degenerate or
+# vacuous one.  A seed (also each of "seeds") is a non-negative integer, as
+# numpy's generators take.
 _KEY_TYPES = {
     "k": (int, 0), "n_samples": (int, 1), "trials": (int, 0), "dim": (int, 0),
     "bumps": (int, 0), "pairs": (int, 0), "k_max": (int, 0), "cases": (int, 0),
-    "fibers": (int, 0), "quad_nodes": (int, 0), "seed": (int, None),
+    "fibers": (int, 0), "quad_nodes": (int, 0), "seed": (int, -1),
     "scale": (float, 0.0), "kind": (str, None), "path": (str, None),
     "lams": ([float], 0.0), "a4_eps": ([float], 0.0), "entries": ([float], None),
-    "dims": ([int], 0),
+    "dims": ([int], 0), "dir": (str, None), "emit_timings": (bool, None),
 }
 
 
@@ -119,10 +121,12 @@ def _reject_unknown(mapping, allowed, where):
 
 
 def _number(value, field, integer=False):
-    """A JSON integer, or with ``integer`` off any JSON number as a float;
-    ConfigError naming ``field`` for anything else."""
-    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
-        raise ConfigError(f"expected {'an integer' if integer else 'a number'}, "
+    """A JSON integer, or with ``integer`` off any finite JSON number as a
+    float; ConfigError naming ``field`` for anything else, NaN and
+    Infinity included."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)) \
+            or not (integer or abs(value) <= sys.float_info.max):
+        raise ConfigError(f"expected {'an integer' if integer else 'a finite number'}, "
                           f"got {value!r}", field=field)
     return value if integer else float(value)
 
@@ -133,6 +137,12 @@ def _bounded(value, low, field):
     return value
 
 
+def _seed(value, field):
+    """A seed as `_typed` checks the "seed" key; ConfigError naming
+    ``field`` otherwise."""
+    return _bounded(_number(value, field, integer=True), _KEY_TYPES["seed"][1], field)
+
+
 def _typed(mapping, where):
     """A copy of ``mapping`` with each value checked against its type and
     bound in _KEY_TYPES (numbers as `_number` returns them, lists as
@@ -140,9 +150,10 @@ def _typed(mapping, where):
     out = {}
     for key, value in mapping.items():
         (kind, low), name = _KEY_TYPES[key], f"{where}.{key}"
-        if kind is str:
-            if not isinstance(value, str):
-                raise ConfigError(f"expected a string, got {value!r}", field=name)
+        if kind in (str, bool):
+            if not isinstance(value, kind):
+                raise ConfigError(f"expected {'a string' if kind is str else 'true or false'}, "
+                                  f"got {value!r}", field=name)
             out[key] = value
         elif isinstance(kind, list):
             if not (isinstance(value, list) and value):
@@ -174,10 +185,10 @@ def parse_config(text: str) -> ScenarioConfig:
     if isinstance(seeds_raw, list):
         if not seeds_raw:
             raise ConfigError("seeds must not be empty", field="seeds")
-        seeds = [_number(s, "seeds", integer=True) for s in seeds_raw]
+        seeds = [_seed(s, "seeds") for s in seeds_raw]
     elif isinstance(seeds_raw, dict):
         _reject_unknown(seeds_raw, {"base", "count"}, "seeds")
-        base = _number(seeds_raw.get("base", 0), "seeds.base", integer=True)
+        base = _seed(seeds_raw.get("base", 0), "seeds.base")
         count = _number(seeds_raw.get("count", 8), "seeds.count", integer=True)
         if count <= 0:
             raise ConfigError("seed count must be positive", field="seeds.count")
@@ -208,8 +219,8 @@ def parse_config(text: str) -> ScenarioConfig:
             raise ConfigError("coupling must be a positive number or "
                               "\"auto-lambda0\"", field="coupling")
         coupling = "auto-lambda0"
-    elif not (isinstance(coupling, (int, float)) and coupling > 0):
-        raise ConfigError("coupling must be a positive number", field="coupling")
+    else:
+        coupling = _bounded(_number(coupling, "coupling"), 0.0, "coupling")
 
     tol_raw = raw.get("tolerances", {})
     tol_fields = set(Tolerances.__dataclass_fields__)
@@ -223,8 +234,9 @@ def parse_config(text: str) -> ScenarioConfig:
 
     output = raw.get("output", {})
     _reject_unknown(output, {"dir", "emit_timings"}, "output")
-    out_dir = str(output.get("dir", "out"))
-    emit_timings = bool(output.get("emit_timings", False))
+    output = _typed(output, "output")
+    out_dir = output.get("dir", "out")
+    emit_timings = output.get("emit_timings", False)
 
     params = raw.get("params", {})
     if not isinstance(params, dict):
@@ -598,7 +610,7 @@ def _run_appendix(cfg: ScenarioConfig):
     conjugated_norms = functools.cache(lambda: trial_suites(
         9,
         lambda dim, idx: inequalities.positive_decomposition(
-            draw(idx, 0, dim, (0.05, 3.0)), cfg.tolerances, trials=idx),
+            draw(idx, 0, dim, (0.05, 3.0)), idx, cfg.tolerances),
         [lambda pos, dim, idx: inequalities.check_interpolation_stack(
             pos, draw(idx, 10 ** 6, dim, (-2.0, 2.0))),
          lambda pos, dim, idx: inequalities.check_conjugation_stack(
@@ -620,9 +632,9 @@ def _run_appendix(cfg: ScenarioConfig):
     def stability(eps):
         def check(base, dim, idx):
             t, raw, res, f_t = base
-            r = inequalities.scale_perturbation_stack(t, raw, eps, res=res)
+            r = inequalities.scale_perturbation_stack(t, raw, eps, res)
             return inequalities.check_stability_stack(
-                t, t + r, eps, cfg.tolerances, res=res, f_t=f_t, trials=idx)
+                t, t + r, eps, res, f_t, idx, cfg.tolerances)
         return check
 
     stabilities = functools.cache(lambda: trial_suites(
@@ -748,6 +760,7 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             cfg = parse_config(fh.read())
         if args.seed is not None:
+            _seed(args.seed, "--seed")
             cfg.seeds = list(range(args.seed, args.seed + len(cfg.seeds)))
             cfg.raw = dict(cfg.raw, seeds={"base": args.seed,
                                            "count": len(cfg.seeds)})

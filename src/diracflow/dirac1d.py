@@ -43,12 +43,11 @@ Two discretizations serve two distinct purposes:
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import (
-    CutoffTooSmall,
     HypothesisUnmet,
     InvalidInput,
     NotDiagonalizable,
@@ -76,7 +75,6 @@ __all__ = [
     "kernel_oracle_diagonal",
     "OracleIndex",
     "fredholm_bounds",
-    "make_cutoff",
     "lambda_sweep",
     "SweepReport",
     "perturbation_invariance",
@@ -715,19 +713,6 @@ def quintic_plateau(t, lo, hi, ramp):
         d >= ramp, 0.0, smoothstep(1.0 - d / ramp)))[()]
 
 
-def make_cutoff(k_hat: Tuple[float, float], amplitude: float,
-                ramp: float) -> Callable[[np.ndarray], np.ndarray]:
-    """Compactly supported cutoff, as a rule from an array of t to its
-    values: amplitude times a quintic-smoothstep plateau over the compact
-    region, falling to 0 over ``ramp``."""
-    lo, hi = k_hat
-
-    def f(ts):
-        return amplitude * quintic_plateau(ts, lo, hi, ramp)
-
-    return f
-
-
 def bound_constants(path: PotentialPath, k_hat: Optional[Tuple[float, float]] = None,
                     tol: Tolerances = DEFAULT_TOL):
     """(c, delta_out, delta_K, lambda0): the uniform invertibility bound and
@@ -761,26 +746,33 @@ class FredholmBoundReport:
     epsilon: float          # 0.5*(lam^2 c^2 - delta_hat^2 (1 + 1/c)^2)
     min_eig: float          # smallest eigenvalue of the doubled square + f^2
     f_amplitude: float
-    disc_slack: float
+    disc_slack: float       # the discretisation slack _DISC_SLACK
     second_statement: bool  # delta_hat < c^2/(c+1), so lambda0 = 1 suffices
     passed: bool
 
 
+# The assembled bound may fall short of epsilon by this share: the
+# Dirichlet matrix is a discretisation of the doubled operator.
+_DISC_SLACK = 0.2
+
+
 def fredholm_bounds(path: PotentialPath, lam: float,
-                    f: Optional[Callable[[np.ndarray], np.ndarray]] = None,
                     grid: Optional[GridSpec] = None,
                     k_hat: Optional[Tuple[float, float]] = None,
-                    disc_slack: float = 0.2,
                     tol: Tolerances = DEFAULT_TOL) -> FredholmBoundReport:
     """Verify the quantitative lower bound on the doubled operator.
 
     Computes c = inf gap(S) and delta = sup ||S'(S +- i)^{-1}|| outside the
-    compact region, the threshold epsilon = (lam^2 c^2 - delta^2(1+1/c)^2)/2,
-    and checks that the assembled doubled square plus the cutoff satisfies
-    min eig >= epsilon * (1 - disc_slack).  The cutoff must dominate
-    epsilon + (lam^2 + delta_K^2)/2 pointwise on the compact region.  ``f``
-    is the cutoff as a rule from the array of grid nodes to its values
-    there (None: `make_cutoff` over k_hat, or zero when k_hat is None).
+    compact region k_hat (default: the support hull), the threshold
+    epsilon = (lam^2 c^2 - delta^2(1+1/c)^2)/2, and checks that the
+    assembled doubled square plus the cutoff satisfies
+    min eig >= epsilon * (1 - _DISC_SLACK).
+
+    The cutoff f is sqrt(epsilon + (lam^2 + delta_K^2)/2) times a
+    quintic-smoothstep plateau that is 1 on k_hat and falls to 0 over
+    min(2, half the room between k_hat and the grid's end), so f^2 equals
+    the level the bound requires on k_hat; without a compact region
+    (k_hat None) f is zero.
     """
     if k_hat is None:
         k_hat = path.hull()
@@ -792,38 +784,27 @@ def fredholm_bounds(path: PotentialPath, lam: float,
             f"lambda0={lambda0:g}")
     second = delta_hat < c_hat ** 2 / (c_hat + 1.0)
     grid = _resolve_grid(grid, path)
-    needed = epsilon + 0.5 * (lam ** 2 + delta_k ** 2)
-    amplitude = math.sqrt(needed)
     nodes = grid.nodes()
-    if f is None:
-        if k_hat is None:
-            f = np.zeros_like
-            amplitude = 0.0
-        else:
-            ramp = min(2.0, 0.5 * (grid.length - max(abs(k_hat[0]), abs(k_hat[1]))))
-            if ramp <= 0:
-                raise InvalidInput("grid too short for a compactly supported cutoff")
-            f = make_cutoff(k_hat, amplitude, ramp)
+    if k_hat is None:
+        amplitude = 0.0
+        f_sq = np.zeros_like(nodes)
     else:
-        amplitude = float(np.abs(f(nodes)).max())
-    f_sq = np.asarray(f(nodes), dtype=float) ** 2
-    if k_hat is not None:
-        short = (k_hat[0] <= nodes) & (nodes <= k_hat[1]) & (f_sq + 1e-12 < needed)
-        if short.any():
-            j = int(np.argmax(short))
-            raise CutoffTooSmall(
-                f"f({nodes[j]:g})^2 = {f_sq[j]:g} below required level {needed:g}")
+        amplitude = math.sqrt(epsilon + 0.5 * (lam ** 2 + delta_k ** 2))
+        ramp = min(2.0, 0.5 * (grid.length - max(abs(k_hat[0]), abs(k_hat[1]))))
+        if ramp <= 0:
+            raise InvalidInput("grid too short for a compactly supported cutoff")
+        f_sq = (amplitude * quintic_plateau(nodes, k_hat[0], k_hat[1], ramp)) ** 2
     op = assemble(path, grid, "dirichlet", lam, tol)
     d = op.matrix
     f_sq = np.repeat(f_sq[1:-1], path.k)
     m1 = d.conj().T @ d + np.diag(f_sq)
     m2 = d @ d.conj().T + np.diag(f_sq)
     min_eig = float(min(np.linalg.eigvalsh(m1).min(), np.linalg.eigvalsh(m2).min()))
-    passed = min_eig >= epsilon * (1.0 - disc_slack)
+    passed = min_eig >= epsilon * (1.0 - _DISC_SLACK)
     return FredholmBoundReport(
         c_hat=c_hat, delta_hat=delta_hat, delta_k=delta_k, lambda0=lambda0,
         epsilon=epsilon, min_eig=min_eig, f_amplitude=amplitude,
-        disc_slack=disc_slack, second_statement=second, passed=passed)
+        disc_slack=_DISC_SLACK, second_statement=second, passed=passed)
 
 
 @dataclass(frozen=True)

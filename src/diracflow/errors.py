@@ -100,9 +100,5 @@ class NotRelativelyCompact(DiracflowError):
     """No resolvent scale makes the perturbation small; compactness proxy fails."""
 
 
-class CutoffTooSmall(DiracflowError):
-    """The cutoff function is below the required pointwise level on K."""
-
-
 class TheoremViolation(DiracflowError):
     """An exact integer identity failed.  Always a reportable failure."""

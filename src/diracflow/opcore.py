@@ -13,7 +13,7 @@ repeated runs in one process are bitwise reproducible.
 """
 
 from dataclasses import dataclass
-from typing import Callable, NamedTuple, Optional
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -42,7 +42,6 @@ __all__ = [
     "inv_sqrt_via_quadrature",
     "QuadratureResult",
     "tower_instantiate",
-    "tail_projector",
     "spectral_norm",
     "spectral_gap",
     "alternating_diag_template",
@@ -254,16 +253,14 @@ def _projection_above(w: np.ndarray, v: np.ndarray, level: float,
     return Projection((v * (w > level)) @ v.conj().T)
 
 
-def positive_projection(h, gap_tol: Optional[float] = None,
-                        tol: Tolerances = DEFAULT_TOL) -> Projection:
+def positive_projection(h, tol: Tolerances = DEFAULT_TOL) -> Projection:
     """Hard spectral projection onto (0, inf).
 
-    Requires a spectral gap: no eigenvalue may lie in (-gap_tol, gap_tol),
-    otherwise NotInvertible is raised.  The hard step at 0 is legitimate
-    exactly because every caller guarantees such a gap.
+    Requires a spectral gap: no eigenvalue may lie in (-tol.proj_gap_tol,
+    tol.proj_gap_tol), otherwise NotInvertible is raised.  The hard step at
+    0 is legitimate exactly because every caller guarantees such a gap.
     """
-    return _projection_above(*eigh(h, tol), 0.0,
-                             tol.proj_gap_tol if gap_tol is None else gap_tol)
+    return _projection_above(*eigh(h, tol), 0.0, tol.proj_gap_tol)
 
 
 class NullSpaceResult(NamedTuple):
@@ -445,13 +442,6 @@ def tower_instantiate(tower: TruncationTower, n: int):
                 f"template at dim {n} differs from its dim-{m} value")
         out.append(a)
     return out[0], tuple(out[1:])
-
-
-def tail_projector(n: int, start: int) -> np.ndarray:
-    """The real n x n coordinate projection onto e_start, ..., e_(n-1)."""
-    p = np.zeros((n, n))
-    p[start:, start:] = np.eye(n - start)
-    return p
 
 
 def spectral_norm(m):

@@ -96,17 +96,17 @@ def check_formats(formats) -> tuple:
 
 
 def emit(report: RunReport, out_dir, formats=("csv", "json"),
-         emit_timings: bool = False, stem: str = "report"):
-    """Write the requested formats into ``out_dir``, after checking them
-    all (`check_formats`), so an unknown one writes nothing; returns the
-    paths."""
+         emit_timings: bool = False):
+    """Write the requested formats into ``out_dir`` as report.csv,
+    report.json and report.dat, after checking them all (`check_formats`),
+    so an unknown one writes nothing; returns the paths."""
     formats = check_formats(formats)
     os.makedirs(out_dir, exist_ok=True)
     written = []
     rows = [_record_row(r, emit_timings) for r in report.records]
     for fmt in formats:
         if fmt == "csv":
-            path = os.path.join(out_dir, f"{stem}.csv")
+            path = os.path.join(out_dir, "report.csv")
             lines = [",".join(CSV_COLUMNS)]
             for row in rows:
                 lines.append(",".join(
@@ -115,14 +115,14 @@ def emit(report: RunReport, out_dir, formats=("csv", "json"),
             with open(path, "w") as fh:
                 fh.write("\n".join(lines) + "\n")
         elif fmt == "json":
-            path = os.path.join(out_dir, f"{stem}.json")
+            path = os.path.join(out_dir, "report.json")
             payload = [dict(row, inputs_digest=report.inputs_digest)
                        for row in rows]
             with open(path, "w") as fh:
                 json.dump(payload, fh, indent=1, sort_keys=True)
                 fh.write("\n")
         else:
-            path = os.path.join(out_dir, f"{stem}.dat")
+            path = os.path.join(out_dir, "report.dat")
             with open(path, "w") as fh:
                 if report.branch_data:
                     ts = report.branch_data["t"]

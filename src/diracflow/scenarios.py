@@ -30,11 +30,10 @@ __all__ = [
 ]
 
 
-def invertible_matrix(rng: np.random.Generator, k: int,
-                      gap: float = 1.0, spread: float = 1.5) -> np.ndarray:
-    """Random Hermitian matrix with |spectrum| in [gap, gap + spread]."""
+def invertible_matrix(rng: np.random.Generator, k: int) -> np.ndarray:
+    """Random Hermitian matrix with |spectrum| in [1, 2.5]."""
     u = random_unitary(rng, k)
-    mags = rng.uniform(gap, gap + spread, size=k)
+    mags = rng.uniform(1.0, 2.5, size=k)
     signs = np.where(rng.uniform(size=k) < 0.5, -1.0, 1.0)
     return (u * (mags * signs)) @ u.conj().T
 
@@ -46,23 +45,23 @@ def sf_path(seed: int, k: int, n_samples: int = 64) -> PotentialPath:
 
 
 def chain_path(seed: int, k: int, n_intervals: int = 1,
-               gap: float = 1.0, bump_amp: float = 0.8,
                n_samples: int = 65) -> PotentialPath:
-    """Piecewise scenario: constant invertible plateaus separated by
-    n_intervals transition windows where the potential interpolates
-    between consecutive plateaus and picks up a smooth bump.
+    """Piecewise scenario: constant invertible plateaus (`invertible_matrix`)
+    separated by n_intervals transition windows where the potential
+    interpolates between consecutive plateaus and picks up a smooth bump
+    of norm at most 0.8.
 
     The support set is the union of the transition windows; outside them
     the potential equals one of the plateau matrices exactly, so the
-    invertibility margin is the smallest plateau gap.
+    invertibility margin is the smallest plateau gap, at least 1.
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, k, n_intervals]))
-    plateaus = [invertible_matrix(rng, k, gap) for _ in range(n_intervals + 1)]
+    plateaus = [invertible_matrix(rng, k) for _ in range(n_intervals + 1)]
     bumps = []
     for _ in range(n_intervals):
         b = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
         b = (b + b.conj().T) / 2.0
-        bumps.append(bump_amp * b / max(1.0, float(np.linalg.norm(b, 2))))
+        bumps.append(0.8 * b / max(1.0, float(np.linalg.norm(b, 2))))
     # transition window j occupies [4j, 4j + 2], centered plateaus between
     intervals = tuple((4.0 * j, 4.0 * j + 2.0) for j in range(n_intervals))
     span = (intervals[0][0] - 2.0, intervals[-1][1] + 2.0)
@@ -88,9 +87,9 @@ def chain_path(seed: int, k: int, n_intervals: int = 1,
                          name=f"chain(seed={seed}, k={k}, m={n_intervals})")
 
 
-def flat_tail_path(seed: int, k: int, **kw) -> PotentialPath:
+def flat_tail_path(seed: int, k: int) -> PotentialPath:
     """Single-transition special case of `chain_path`."""
-    return chain_path(seed, k, n_intervals=1, **kw)
+    return chain_path(seed, k, n_intervals=1)
 
 
 def collar_pair(seed: int, k: int) -> Tuple[PotentialPath, PotentialPath, float]:
@@ -123,11 +122,10 @@ def collar_pair(seed: int, k: int) -> Tuple[PotentialPath, PotentialPath, float]
     return out[0], out[1], 3.0
 
 
-def bump_perturbation(seed: int, path: PotentialPath,
-                      height: float = 0.4):
-    """Compactly supported symmetric bump inside the path's support hull:
-    returns (stacked bump rule ts -> weights, Hermitian direction) for
-    `perturbed_path`."""
+def bump_perturbation(seed: int, path: PotentialPath):
+    """Compactly supported symmetric bump of height 0.4 inside the path's
+    support hull: returns (stacked bump rule ts -> weights, Hermitian
+    direction of norm at most 1) for `perturbed_path`."""
     hull = path.hull()
     if hull is None:
         raise ValueError("path has empty support; no room for a bump")
@@ -141,8 +139,8 @@ def bump_perturbation(seed: int, path: PotentialPath,
     center = a + (b - a) * rng.uniform(0.3, 0.7)
 
     def bump(ts):
-        return height * quintic_plateau(ts, center - 0.3 * width,
-                                        center + 0.3 * width, 0.7 * width)
+        return 0.4 * quintic_plateau(ts, center - 0.3 * width,
+                                     center + 0.3 * width, 0.7 * width)
 
     return bump, HermitianOperator(r)
 
@@ -198,7 +196,7 @@ def callias_case(seed: int):
         m = 2 + seed % 3
         paths = tuple(flat_tail_path(seed * 31 + i, 1 + (seed + i) % 3)
                       for i in range(m))
-        case = FiberedFamily(labels=tuple(range(m)), paths=paths)
+        case = FiberedFamily(paths=paths)
         k = None
     ref_scale = float(rng.uniform(1.0, 2.0))
     reference = -ref_scale           # scalar multiples of the identity

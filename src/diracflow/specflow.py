@@ -4,7 +4,7 @@ The first route (`sf_crossings`) tracks eigenvalue branches across the
 sample grid by eigenvector overlap.  One refinement (`_tracked_branches`)
 splits a grid step while its matching is ambiguous or a branch changes
 sign across it, so that every sign change ends on a sample with |lambda|
-<= crossing_tol; the route sums the signs of those changes.  The second
+<= _CROSSING_TOL; the route sums the signs of those changes.  The second
 route (`sf_partition`) exercises Phillips' partition definition (Phillips,
 "Self-adjoint Fredholm operators and spectral flow", Canad. Math. Bull.
 39, 1996): it subdivides the parameter interval, picks per subinterval an
@@ -272,6 +272,10 @@ class PotentialPath:
 
 _AMBIGUITY_MARGIN = 0.1
 
+# A branch value within this distance of zero counts as zero: every sign
+# change of a branch is localised on a sample this close to it.
+_CROSSING_TOL = 1e-8
+
 # Most splits of one grid step.  A split keeps at most 3/4 of its step and
 # (3/4)**145 < 1e-18, so on steps up to 1e5 wide the 1e-13 width guard of
 # `_tracked_branches` ends a refinement first.
@@ -391,7 +395,7 @@ def branch_curves(path: PotentialPath, tol: Tolerances = DEFAULT_TOL):
 
 @dataclass(frozen=True)
 class Crossing:
-    """A sign change of a branch, at its first sample t within crossing_tol
+    """A sign change of a branch, at its first sample t within _CROSSING_TOL
     of zero, which lies ``depth`` splits below a grid step (0: on it)."""
     t: float
     branch: int
@@ -419,16 +423,16 @@ def _route_pass(path: PotentialPath, tol: Tolerances):
     return grid_pass
 
 
-def _crossings(path, grid_pass, crossing_tol, tol):
+def _crossings(path, grid_pass, tol):
     spectra, vectors, _ = grid_pass
-    samples, values = _tracked_branches(path, spectra, vectors, tol, crossing_tol)
+    samples, values = _tracked_branches(path, spectra, vectors, tol, _CROSSING_TOL)
     crossings = []
     for b, xs in enumerate(values):
-        signs = [0 if abs(x) <= crossing_tol else (1 if x > 0 else -1) for x in xs]
+        signs = [0 if abs(x) <= _CROSSING_TOL else (1 if x > 0 else -1) for x in xs]
         if signs[0] == 0 or signs[-1] == 0:
             raise DegeneratePath(
-                f"branch {b} starts or ends on zero within crossing_tol")
-        # the tracker puts a sample within crossing_tol in each sign change
+                f"branch {b} starts or ends on zero within {_CROSSING_TOL:g}")
+        # the tracker puts a sample within _CROSSING_TOL in each sign change
         nonzero = [j for j, s in enumerate(signs) if s]
         for j, jn in zip(nonzero, nonzero[1:]):
             if signs[j] != signs[jn]:
@@ -440,17 +444,17 @@ def _crossings(path, grid_pass, crossing_tol, tol):
     return report.net(), report
 
 
-def sf_crossings(path: PotentialPath, crossing_tol: float = 1e-8,
-                 tol: Tolerances = DEFAULT_TOL):
+def sf_crossings(path: PotentialPath, tol: Tolerances = DEFAULT_TOL):
     """Spectral flow by signed eigenvalue-crossing counting.
 
     Returns (net flow, CrossingReport).  Branches are tracked on samples
-    refined until each sign change passes through one within crossing_tol
-    of zero, where its Crossing lies.  Requires invertible endpoints;
-    ambiguous branch matching raises RefineGrid, an unresolved sign change
-    or a branch ending within crossing_tol of zero DegeneratePath.
+    refined until each sign change passes through one within _CROSSING_TOL
+    (1e-8) of zero, where its Crossing lies.  Requires invertible
+    endpoints; ambiguous branch matching raises RefineGrid, an unresolved
+    sign change or a branch ending within _CROSSING_TOL of zero
+    DegeneratePath.
     """
-    return _crossings(path, _route_pass(path, tol), crossing_tol, tol)
+    return _crossings(path, _route_pass(path, tol), tol)
 
 
 # ---------------------------------------------------------------------------
@@ -591,12 +595,12 @@ class EndpointIdentityReport:
     crossings: CrossingReport
 
 
-def endpoint_identity(path: PotentialPath, crossing_tol: float = 1e-8,
+def endpoint_identity(path: PotentialPath,
                       tol: Tolerances = DEFAULT_TOL) -> EndpointIdentityReport:
     """Assert sf_crossings = sf_partition = rel-ind(P_+(S(end)), P_+(S(start))),
     all three read from one grid pass."""
     grid_pass = _route_pass(path, tol)
-    n_cross, report = _crossings(path, grid_pass, crossing_tol, tol)
+    n_cross, report = _crossings(path, grid_pass, tol)
     n_part = _partition(path, grid_pass[0], grid_pass[2], tol)
     n_rel = rel_index(_above(path, grid_pass, -1, 0.0, tol.proj_gap_tol),
                       _above(path, grid_pass, 0, 0.0, tol.proj_gap_tol), tol)
@@ -609,23 +613,22 @@ def endpoint_identity(path: PotentialPath, crossing_tol: float = 1e-8,
 # ---------------------------------------------------------------------------
 # Path builders.
 
-def constant_path(h, span=(0.0, 1.0), n_samples=9, name="constant") -> PotentialPath:
+def constant_path(h, span=(0.0, 1.0), n_samples=9) -> PotentialPath:
     a = as_matrix(h)
     grid = np.linspace(span[0], span[1], n_samples)
     return PotentialPath(a.shape[0], grid,
                          lambda ts: np.broadcast_to(a, (ts.size,) + a.shape),
-                         support=(), name=name)
+                         support=(), name="constant")
 
 
-def linear_scalar_path(n_samples=33, name="linear-2t-1") -> PotentialPath:
+def linear_scalar_path(n_samples=33) -> PotentialPath:
     """The scalar path S(t) = 2t - 1 on [0, 1]; one upward crossing at 1/2."""
     grid = np.linspace(0.0, 1.0, n_samples)
     return PotentialPath(1, grid, lambda ts: (2.0 * ts - 1.0)[:, None, None],
-                         support=((0.0, 1.0),), name=name)
+                         support=((0.0, 1.0),), name="linear-2t-1")
 
 
-def tanh_path(k=1, scale=1.0, span=(-10.0, 10.0), n_samples=161,
-              name="tanh") -> PotentialPath:
+def tanh_path(k=1, scale=1.0, span=(-10.0, 10.0), n_samples=161) -> PotentialPath:
     """S(t) = tanh(scale*t) * I_k: the canonical sign-changing potential.
 
     The support set is declared wide enough (|tanh| >= 0.9 outside) that
@@ -636,7 +639,7 @@ def tanh_path(k=1, scale=1.0, span=(-10.0, 10.0), n_samples=161,
     eye = np.eye(k, dtype=np.complex128)
     body = np.arctanh(0.9) / scale
     return PotentialPath(k, grid, lambda ts: np.tanh(scale * ts)[:, None, None] * eye,
-                         support=((-body, body),), name=name)
+                         support=((-body, body),), name="tanh")
 
 
 def diagonal_path(funcs: Sequence[Callable[[float], float]], span, n_samples,
@@ -673,22 +676,21 @@ def path_from_samples(grid, matrices, support=(),
     return PotentialPath(mats.shape[1], grid, sampler, support=support, name=name)
 
 
-def _trig_coeff_matrices(rng, k, n_terms=3, decay=0.6):
+def _trig_coeff_matrices(rng, k):
+    """Three Hermitian coefficients, the m-th scaled by 0.6^m."""
     out = []
-    for m in range(n_terms):
+    for m in range(3):
         a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        out.append((decay ** m) * (a + a.conj().T) / 2.0)
+        out.append((0.6 ** m) * (a + a.conj().T) / 2.0)
     return out
 
 
-def random_smooth_path(seed, k, span=(0.0, 1.0), n_samples=64,
-                       min_end_gap=0.05, amplitude=1.0,
-                       name=None) -> PotentialPath:
+def random_smooth_path(seed, k, span=(0.0, 1.0), n_samples=64) -> PotentialPath:
     """Seeded smooth random path with endpoints shifted into invertibility.
 
     A short random trigonometric series in the normalized parameter is
     shifted by a linear-in-t multiple of the identity so that both
-    endpoints have a spectral gap of at least ``min_end_gap``.
+    endpoints have a spectral gap of at least 0.05.
     """
     rng = np.random.default_rng(seed)
     cos_c = _trig_coeff_matrices(rng, k)
@@ -702,12 +704,11 @@ def random_smooth_path(seed, k, span=(0.0, 1.0), n_samples=64,
             acc += np.cos(m * np.pi * u) * c
         for m, c in enumerate(sin_c, start=1):
             acc += np.sin(m * np.pi * u) * c
-        return amplitude * acc
+        return acc
 
     def end_shift(mat):
         w = np.linalg.eigvalsh(mat)
-        lvl, _ = _gap_level(np.concatenate([w, [w.min() - 2.0, w.max() + 2.0]]),
-                            2.0 * min_end_gap)
+        lvl, _ = _gap_level(np.concatenate([w, [w.min() - 2.0, w.max() + 2.0]]), 0.1)
         return 0.0 if lvl is None else lvl
 
     c0, c1 = (end_shift(mat) for mat in raw(np.array([lo, hi])))
@@ -718,7 +719,7 @@ def random_smooth_path(seed, k, span=(0.0, 1.0), n_samples=64,
 
     grid = np.linspace(lo, hi, n_samples)
     return PotentialPath(k, grid, sampler, support=((lo, hi),),
-                         name=name or f"random-smooth(seed={seed}, k={k})")
+                         name=f"random-smooth(seed={seed}, k={k})")
 
 
 def _glued(first, p1: PotentialPath, ts1, p2: PotentialPath, ts2) -> np.ndarray:
@@ -730,7 +731,7 @@ def _glued(first, p1: PotentialPath, ts1, p2: PotentialPath, ts2) -> np.ndarray:
     return out
 
 
-def concat_paths(p1: PotentialPath, p2: PotentialPath, name=None) -> PotentialPath:
+def concat_paths(p1: PotentialPath, p2: PotentialPath) -> PotentialPath:
     """Concatenate two paths sharing p1.end == p2.start (checked) by shifting
     p2's parameter to start where p1 ends."""
     if p1.k != p2.k:
@@ -745,18 +746,18 @@ def concat_paths(p1: PotentialPath, p2: PotentialPath, name=None) -> PotentialPa
     support = _merged_support(
         p1.support + tuple((a + offset, b + offset) for a, b in p2.support))
     return PotentialPath(p1.k, grid, lambda ts: _glued(ts <= b1, p1, ts, p2, ts - offset),
-                         support=support, name=name or f"{p1.name}||{p2.name}")
+                         support=support, name=f"{p1.name}||{p2.name}")
 
 
-def reversed_path(p: PotentialPath, name=None) -> PotentialPath:
+def reversed_path(p: PotentialPath) -> PotentialPath:
     a, b = p.span()
     grid = (a + b) - p.grid[::-1]
     support = tuple(sorted(((a + b) - hi, (a + b) - lo) for lo, hi in p.support))
     return PotentialPath(p.k, grid, lambda ts: p.samples(a + b - ts),
-                         support=support, name=name or f"reversed({p.name})")
+                         support=support, name=f"reversed({p.name})")
 
 
-def conjugated_path(p: PotentialPath, unitary_rule, name=None) -> PotentialPath:
+def conjugated_path(p: PotentialPath, unitary_rule) -> PotentialPath:
     """U(t) p(t) U(t)* with ``unitary_rule`` a stacked rule ts -> (m, k, k)
     unitaries."""
     def sampler(ts):
@@ -764,11 +765,11 @@ def conjugated_path(p: PotentialPath, unitary_rule, name=None) -> PotentialPath:
         return u @ p.samples(ts) @ u.conj().swapaxes(1, 2)
 
     return PotentialPath(p.k, p.grid.copy(), sampler, support=p.support,
-                         name=name or f"conjugated({p.name})")
+                         name=f"conjugated({p.name})")
 
 
-def perturbed_path(p: PotentialPath, bump: Callable[[np.ndarray], np.ndarray], r,
-                   name=None) -> PotentialPath:
+def perturbed_path(p: PotentialPath, bump: Callable[[np.ndarray], np.ndarray],
+                   r) -> PotentialPath:
     """p(t) + bump(t) * R with a fixed Hermitian R and ``bump`` a stacked
     rule ts -> (m,) weights; bump should vanish outside the support set so
     invertibility outside K is untouched."""
@@ -778,4 +779,4 @@ def perturbed_path(p: PotentialPath, bump: Callable[[np.ndarray], np.ndarray], r
         return p.samples(ts) + np.asarray(bump(ts), dtype=float)[:, None, None] * rm
 
     return PotentialPath(p.k, p.grid.copy(), sampler, support=p.support,
-                         name=name or f"perturbed({p.name})")
+                         name=f"perturbed({p.name})")

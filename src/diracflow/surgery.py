@@ -56,9 +56,8 @@ class SurgeryProfile:
         return 1.0 - smoothstep(r / self.ramp)
 
 
-def _check_collar(m1: PotentialPath, m2: PotentialPath, t_cut, halfwidth,
-                  n_check=17):
-    ts = np.linspace(t_cut - halfwidth, t_cut + halfwidth, n_check)
+def _check_collar(m1: PotentialPath, m2: PotentialPath, t_cut, halfwidth):
+    ts = np.linspace(t_cut - halfwidth, t_cut + halfwidth, 17)
     dev = max(float(np.linalg.norm(d, 2)) for d in m1.samples(ts) - m2.samples(ts))
     if dev > 1e-12:
         raise CollarMismatch(
@@ -82,19 +81,15 @@ def _splice(left: PotentialPath, right: PotentialPath, t_cut,
 
 
 def cut_paste(m1: PotentialPath, m2: PotentialPath, t_cut: float,
-              collar_halfwidth: Optional[float] = None,
               tol: Tolerances = DEFAULT_TOL):
     """Swap the flanks of two potentials along a shared collar at t_cut.
 
     Returns (m3, m4) with m3 = left(m1) || right(m2) and
     m4 = left(m2) || right(m1).  The two inputs must agree to 1e-12 on the
-    collar (CollarMismatch otherwise) and all four endpoint regions must
-    be invertible.
+    collar, of half-width twice m1's smallest grid step (CollarMismatch
+    otherwise), and all four endpoint regions must be invertible.
     """
-    if collar_halfwidth is None:
-        steps = np.diff(m1.grid)
-        collar_halfwidth = 2.0 * float(steps.min())
-    _check_collar(m1, m2, t_cut, collar_halfwidth)
+    _check_collar(m1, m2, t_cut, 2.0 * float(np.diff(m1.grid).min()))
     for p, label in ((m1, "m1"), (m2, "m2")):
         for s, side in ((p.start(), "start"), (p.end(), "end")):
             if spectral_gap(s) < tol.proj_gap_tol:
@@ -115,8 +110,7 @@ class AdditivityIndexReport:
 
 
 def verify_additivity(m1: PotentialPath, m2: PotentialPath, t_cut: float,
-                      lam: float = 1.0, collar_halfwidth: Optional[float] = None,
-                      grid: Optional[dirac1d.GridSpec] = None,
+                      lam: float = 1.0, grid: Optional[dirac1d.GridSpec] = None,
                       tol: Tolerances = DEFAULT_TOL) -> AdditivityIndexReport:
     """ind(m1) + ind(m2) = ind(m3) + ind(m4), exact integers.
 
@@ -126,7 +120,7 @@ def verify_additivity(m1: PotentialPath, m2: PotentialPath, t_cut: float,
     """
     from .specflow import endpoint_identity
 
-    m3, m4 = cut_paste(m1, m2, t_cut, collar_halfwidth, tol)
+    m3, m4 = cut_paste(m1, m2, t_cut, tol)
     indices = []
     sf_ok = True
     for p in (m1, m2, m3, m4):
@@ -148,9 +142,9 @@ class SurgeryReport:
     passed: bool
 
 
-def _ramp_gap_check(path, lo, hi, tol, n_check=33):
+def _ramp_gap_check(path, lo, hi, tol):
     worst = float("inf")
-    ts = np.linspace(lo, hi, n_check)
+    ts = np.linspace(lo, hi, 33)
     for t, s in zip(ts, path.samples(ts)):
         g = spectral_gap(s)
         worst = min(worst, g)

@@ -12,8 +12,10 @@ each from its own checkout, then compare the two trees with
 
 A refactor that claims byte-identical reports leaves that diff empty.  The
 comparison is made by hand: the script is not a test module (pytest does
-not collect it).  CI runs it once, so that every config keeps running to
-its reports; a full run takes about 12 s on a 2-vCPU host.
+not collect it).  CI runs it twice, into two directories, and compares
+the two trees with `diff -r`: every config keeps running to its reports,
+and the reports are byte-stable from run to run, as `cli` promises.  A
+full run takes about 12 s on a 2-vCPU host.
 
 The `file` potential reads a table that the script writes first into
 OUT/sf-file/potential.tab, from a fixed formula and seed, with every

@@ -158,9 +158,9 @@ def perturbed_path(p, bump, r):
 
 # -- scenarios --------------------------------------------------------------
 
-def chain_path(seed, k, n_intervals=1, gap=1.0, bump_amp=0.8, n_samples=65):
+def chain_path(seed, k, n_intervals=1, bump_amp=0.8, n_samples=65):
     rng = np.random.default_rng(np.random.SeedSequence([seed, k, n_intervals]))
-    plateaus = [invertible_matrix(rng, k, gap) for _ in range(n_intervals + 1)]
+    plateaus = [invertible_matrix(rng, k) for _ in range(n_intervals + 1)]
     bumps = []
     for _ in range(n_intervals):
         b = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))

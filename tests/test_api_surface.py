@@ -1,5 +1,7 @@
 """Each module's ``__all__`` lists exactly its public top-level functions
-and classes, plus public constants it chooses to export."""
+and classes, plus public constants it chooses to export; src/ calls every
+public function, and sets every defaulted parameter of one, unless an
+allowlist below gives the reason it stays."""
 
 import ast
 import importlib
@@ -61,24 +63,32 @@ UNREFERENCED_ALLOWED = {
 }
 
 
+def _source_trees():
+    """The parsed modules of src/, by module name."""
+    return {path.stem: ast.parse(path.read_text())
+            for path in sorted(pathlib.Path(diracflow.__file__).parent.glob("*.py"))}
+
+
+def _public_functions(trees):
+    """(module, f) -> the definition of each function in a module's __all__."""
+    return {(name, fn.name): fn for name in WITH_ALL for fn in trees[name].body
+            if isinstance(fn, ast.FunctionDef)
+            and fn.name in importlib.import_module(f"diracflow.{name}").__all__}
+
+
 def _unreferenced_public_functions():
     """Names module.f of the functions in a module's __all__ that no
     Name or attribute in src/ refers to outside f's own definition;
     imports and __all__ entries do not count as references."""
-    trees = {path.stem: ast.parse(path.read_text())
-             for path in sorted(pathlib.Path(diracflow.__file__).parent.glob("*.py"))}
+    trees = _source_trees()
     nodes = [node for tree in trees.values() for node in ast.walk(tree)]
     unreferenced = set()
-    for name in WITH_ALL:
-        mod = importlib.import_module(f"diracflow.{name}")
-        for fn in trees[name].body:
-            if not (isinstance(fn, ast.FunctionDef) and fn.name in mod.__all__):
-                continue
-            own = {id(node) for node in ast.walk(fn)}
-            if not any(id(node) not in own
-                       and fn.name in (getattr(node, "id", None), getattr(node, "attr", None))
-                       for node in nodes):
-                unreferenced.add(f"{name}.{fn.name}")
+    for (name, _), fn in _public_functions(trees).items():
+        own = {id(node) for node in ast.walk(fn)}
+        if not any(id(node) not in own
+                   and fn.name in (getattr(node, "id", None), getattr(node, "attr", None))
+                   for node in nodes):
+            unreferenced.add(f"{name}.{fn.name}")
     return unreferenced
 
 
@@ -89,3 +99,92 @@ def test_every_public_function_is_used_in_src_or_allowed():
     # an allowlist entry whose function gained a caller or went away is stale
     assert set(UNREFERENCED_ALLOWED) <= unreferenced, sorted(
         set(UNREFERENCED_ALLOWED) - unreferenced)
+
+
+_BUILDER_DATA = "data of a path builder, which tests choose"
+_AWAITING_SCENARIO = "paper surgery awaiting a scenario check"
+
+# Defaulted parameters of public functions that no call in src/ sets, each
+# with the reason it stays a parameter rather than a constant.
+UNSET_PARAMETERS_ALLOWED = {
+    "dirac1d.fredholm_bounds.k_hat": "tests place the paper's compact region between samples",
+    "dirac1d.kernel_vectors.tol": "test instrument (see UNREFERENCED_ALLOWED)",
+    "scenarios.chain_path.n_samples": _BUILDER_DATA,
+    "scenarios.engineered_threshold_path.alpha": "test instrument: the threshold it engineers",
+    "scenarios.engineered_threshold_path.n_samples": _BUILDER_DATA,
+    "specflow.constant_path.span": _BUILDER_DATA,
+    "specflow.constant_path.n_samples": _BUILDER_DATA,
+    "specflow.tanh_path.span": _BUILDER_DATA,
+    "specflow.tanh_path.n_samples": _BUILDER_DATA,
+    "specflow.sf_partition.tol": "public route (see UNREFERENCED_ALLOWED)",
+    "specflow.sf_partition.n_chunks": "tests check that the flow does not depend on the partition",
+    "surgery.cylindrical_end.ramp": _AWAITING_SCENARIO,
+    "surgery.cylindrical_end.lam": _AWAITING_SCENARIO,
+    "surgery.cylindrical_end.grid": _AWAITING_SCENARIO,
+    "surgery.cylindrical_end.tol": _AWAITING_SCENARIO,
+    "surgery.collar_flatten.collar_width": _AWAITING_SCENARIO,
+    "surgery.collar_flatten.lam": _AWAITING_SCENARIO,
+    "surgery.collar_flatten.grid": _AWAITING_SCENARIO,
+    "surgery.collar_flatten.tol": _AWAITING_SCENARIO,
+}
+
+
+def _callee(module, local, func):
+    """(module, name) of the function a call in ``module`` names, by a bare
+    name or as module.name; None when it names neither.  ``local`` maps
+    the module's imported names to (module, name), or (module, None) for
+    an imported module."""
+    if isinstance(func, ast.Name):
+        return local.get(func.id, (module, func.id))
+    if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name):
+        target, name = local.get(func.value.id, (None, ""))
+        if target is not None and name is None:
+            return target, func.attr
+    return None
+
+
+def _unset_defaulted_parameters():
+    """Names module.f.p of the defaulted parameters p of the functions f in
+    a module's __all__ that no call in src/ outside f's own definition
+    sets, by position or by keyword; a call with *args or **kwargs sets
+    every parameter."""
+    trees = _source_trees()
+    public = _public_functions(trees)
+    given = {key: set() for key in public}
+    for module, tree in trees.items():
+        local = {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                local.update((alias.asname or alias.name,
+                              (node.module, alias.name) if node.module else (alias.name, None))
+                             for alias in node.names)
+        for top in tree.body:
+            for node in ast.walk(top):
+                key = _callee(module, local, node.func) if isinstance(node, ast.Call) else None
+                if key not in public or public[key] is top:
+                    continue
+                fn = public[key].args
+                names = [a.arg for a in fn.posonlyargs + fn.args + fn.kwonlyargs]
+                if any(isinstance(a, ast.Starred) for a in node.args) \
+                        or any(kw.arg is None for kw in node.keywords):
+                    given[key].update(names)
+                given[key].update(names[:len(node.args)])
+                given[key].update(kw.arg for kw in node.keywords)
+    unset = set()
+    for (module, name), fn in public.items():
+        args = fn.args
+        positional = args.posonlyargs + args.args
+        defaulted = positional[len(positional) - len(args.defaults):] + [
+            a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+        unset.update(f"{module}.{name}.{a.arg}" for a in defaulted
+                     if a.arg not in given[(module, name)])
+    return unset
+
+
+def test_every_defaulted_parameter_is_set_in_src_or_allowed():
+    unset = _unset_defaulted_parameters()
+    assert unset <= set(UNSET_PARAMETERS_ALLOWED), sorted(
+        unset - set(UNSET_PARAMETERS_ALLOWED))
+    # an entry whose parameter gained a caller or went away is stale
+    assert set(UNSET_PARAMETERS_ALLOWED) <= unset, sorted(
+        set(UNSET_PARAMETERS_ALLOWED) - unset)

@@ -211,7 +211,7 @@ def test_avoided_crossing_near_zero_on_a_coarse_grid(log_gap, n_samples, t0, fra
     assume(np.min(np.abs(path.grid - c)) > 1e-6)
     rep = endpoint_identity(path)
     assert (rep.sf_by_crossings, rep.sf_by_partition, rep.endpoint_rel_index) == (1, 1, 1)
-    # the only crossing is the decoupled entry's, within crossing_tol of zero
+    # the only crossing is the decoupled entry's, within _CROSSING_TOL of zero
     (crossing,) = rep.crossings.crossings
     assert crossing.slope_sign == 1 and abs(crossing.t - c) <= 1e-8
 

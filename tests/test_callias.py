@@ -4,6 +4,8 @@ identity, boundary-point errors and a deliberately wrong sign."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracflow import callias, dirac1d, scenarios
 from diracflow.errors import NotInvertible, TheoremViolation
@@ -36,16 +38,23 @@ def test_callias_case_values(seed):
     assert rep.passed
 
 
+def fibers(case):
+    """The paths of a case: its fibers, or the case itself."""
+    return case.paths if isinstance(case, callias.FiberedFamily) else (case,)
+
+
 @pytest.mark.parametrize("seed", [1, 3, 6])
 def test_rank_pairing_equals_pairing_against_minus_one(seed):
     case, *_ = scenarios.callias_case(seed)
-    assert callias.ran_projection_pairing(case) \
-        == callias.rhs_pairing(case, reference=-1)
+    for path in fibers(case):
+        assert callias.ran_projection_pairing(path) \
+            == callias.rhs_pairing(path, reference=-1)
 
 
 def test_rhs_pairing_of_a_family_has_one_integer_per_fiber():
     case, _, ref, _ = scenarios.callias_case(3)
-    assert callias.rhs_pairing(case, reference=ref) == (1, -2)
+    assert tuple(callias.rhs_pairing(path, reference=ref) for path in fibers(case)) \
+        == PINNED[3][1] == (1, -2)
 
 
 @pytest.mark.parametrize("seed, k", [(0, 1), (5, 3), (11, 4)])
@@ -54,6 +63,13 @@ def test_four_way_identity_on_sf_path(seed, k):
     assert rep.passed
     assert rep.sf_by_crossings == rep.sf_by_partition == rep.endpoint_rel_index \
         == rep.pairing
+
+
+@settings(max_examples=20, deadline=None, derandomize=True, database=None)
+@given(seed=st.integers(0, 10_000), k=st.integers(1, 8))
+def test_four_way_identity_over_seeded_sf_paths(seed, k):
+    rep = callias.four_way_identity(scenarios.sf_path(seed, k))
+    assert rep.passed
 
 
 def singular_at_boundary():
@@ -77,14 +93,13 @@ def test_singular_reference_is_named():
 
 
 def test_flipped_sign_is_a_violation(monkeypatch):
-    original = callias.hypersurface_of
+    original = callias._boundary
 
-    def flipped(*args, **kwargs):
-        surface = original(*args, **kwargs)
-        return callias.Hypersurface(points=surface.points,
-                                    gamma=(-surface.gamma[0],) + surface.gamma[1:])
+    def flipped(path, tol):
+        (y, gamma, p_y), *rest = original(path, tol)
+        return ((y, -gamma, p_y), *rest)
 
-    monkeypatch.setattr(callias, "hypersurface_of", flipped)
+    monkeypatch.setattr(callias, "_boundary", flipped)
     with pytest.raises(TheoremViolation, match="pairing mismatch"):
         check_case(1)
 

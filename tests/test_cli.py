@@ -2,6 +2,7 @@
 that keep their name and anchor when a check is skipped or fails."""
 
 import json
+import math
 
 import pytest
 
@@ -78,6 +79,18 @@ class TestExitCodes:
         ({"scenario": "sf", "potential": {"kind": "tanh", "scale": -1}}, "potential.scale"),
         ({"scenario": "index1d", "params": {"lams": [0]}}, "params.lams"),
         ({"scenario": "appendix", "params": {"a4_eps": [0]}}, "params.a4_eps"),
+        # seeds below numpy's range, NaN and Infinity (which Python's json
+        # reads), and output values of the wrong type
+        ({"scenario": "sf", "seeds": [-1]}, "seeds"),
+        ({"scenario": "sf", "seeds": {"base": -5, "count": 1}}, "seeds.base"),
+        ({"scenario": "sf", "potential": {"kind": "seeded-random", "seed": -1}},
+         "potential.seed"),
+        (dict(SMALL, tolerances={"eig_tol": math.inf}), "tolerances.eig_tol"),
+        ({"scenario": "sf", "potential": {"kind": "tanh", "scale": math.nan}},
+         "potential.scale"),
+        (dict(SMALL, coupling=math.inf), "coupling"),
+        (dict(SMALL, output={"emit_timings": "false"}), "output.emit_timings"),
+        (dict(SMALL, output={"dir": ["x"]}), "output.dir"),
     ])
     def test_malformed_value_names_its_field(self, tmp_path, config, field, capsys):
         with pytest.raises(ConfigError) as info:
@@ -85,6 +98,14 @@ class TestExitCodes:
         assert info.value.field == field
         assert run_main(tmp_path, config) == 2
         assert f"(field: {field})" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_negative_seed_option_exits_2(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(SMALL))
+        assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out"),
+                         "--seed", "-1"]) == 2
+        assert "(field: --seed)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("formats", ["xml", "csv,xml"])

@@ -13,11 +13,9 @@ from diracflow.dirac1d import (
     kernel_oracle_diagonal,
     kernel_vectors,
     lambda_sweep,
-    make_cutoff,
     perturbation_invariance,
 )
 from diracflow.errors import (
-    CutoffTooSmall,
     HypothesisUnmet,
     InvalidInput,
     NotDiagonalizable,
@@ -275,8 +273,8 @@ class TestFredholmBounds:
 
     def test_constant_invertible_without_cutoff(self):
         p = constant_path(np.diag([1.5, -2.0]), (-4, 4))
-        rep = fredholm_bounds(p, 1.0, f=np.zeros_like,
-                              grid=GridSpec(4.0, 120), k_hat=None)
+        rep = fredholm_bounds(p, 1.0, grid=GridSpec(4.0, 120), k_hat=None)
+        assert rep.f_amplitude == 0.0
         gap = 1.5
         assert rep.min_eig >= (1 - rep.disc_slack) * gap ** 2
 
@@ -284,12 +282,9 @@ class TestFredholmBounds:
         rep = fredholm_bounds(tanh_path(), 3.0, grid=GridSpec(8.0, 200))
         assert rep.passed
         assert rep.min_eig >= 0.8 * rep.epsilon
-
-    def test_cutoff_too_small(self):
-        p = tanh_path()
-        with pytest.raises(CutoffTooSmall):
-            fredholm_bounds(p, 3.0, f=lambda ts: np.full(ts.shape, 0.1),
-                            grid=GridSpec(8.0, 100))
+        # the cutoff's plateau is the level the bound needs on K
+        assert rep.f_amplitude ** 2 == pytest.approx(
+            rep.epsilon + 0.5 * (3.0 ** 2 + rep.delta_k ** 2), rel=1e-15)
 
     def test_coupling_below_threshold(self):
         path, k_hat = engineered_threshold_path(alpha=0.4)
@@ -363,7 +358,7 @@ class TestSweepAndPerturbation:
         from diracflow.specflow import perturbed_path
 
         p = tanh_path()
-        bump, r = bump_perturbation(0, p, height=0.4)
+        bump, r = bump_perturbation(0, p)
         rep = perturbation_invariance(p, perturbed_path(p, bump, r), 1.0,
                                       GridSpec(8.0, 200))
         assert rep.passed and rep.base_index == 1

@@ -18,11 +18,11 @@ from diracflow.errors import (
 )
 from diracflow.opcore import (
     TruncationTower,
+    bounded_transform,
     alternating_diag_template,
     decaying_rank_template,
     exp_decay_template,
     rank_one_template,
-    tail_projector,
     tower_instantiate,
 )
 
@@ -47,12 +47,6 @@ def appendix_tails_tower(seed, dims):
     scale = 3.0 / float(np.linalg.norm(raw(dims[0]), 2))
     return TruncationTower(dims, alternating_diag_template,
                            (lambda n: scale * raw(n),))
-
-
-def test_tail_projector():
-    p = tail_projector(5, 2)
-    assert np.array_equal(p, np.diag([0.0, 0.0, 1.0, 1.0, 1.0]))
-    assert p.dtype == np.float64
 
 
 class TestNesting:
@@ -94,7 +88,7 @@ class TestTowerScenario:
         tower = callias.tower_scenario(3, (16, 32), n_fibers=2)
         family = callias.tower_family(tower, 32)
         t_32, perturbations = tower_instantiate(tower, 32)
-        assert family.labels == (0, 1)
+        assert len(family.paths) == 2
         for path, r in zip(family.paths, perturbations):
             assert path.k == 32 and path.support == ((-1.0, 1.0),)
             end = t_32 + r
@@ -153,7 +147,7 @@ class TestFunctionalCalculusTails:
         tower = TruncationTower((16, 32), alternating_diag_template,
                                 (lambda n: -(1.0 - 1e-4) * rank_one_template(n),))
         with pytest.raises(NotInvertible, match=r"T\+R at dim 16 has gap below 0\.001"):
-            inequalities.check_functional_calculus_tails(tower, gap_floor=1e-3)
+            inequalities.check_functional_calculus_tails(tower)
 
     def test_half_identity_fails(self):
         tower = TruncationTower((16, 32, 64), alternating_diag_template,
@@ -177,10 +171,11 @@ class TestOtherChecks:
     def test_stability_hypotheses_are_preconditions(self):
         t = inequalities.random_hermitian_stack([inequalities.RandomSpec(1, 6, (-6.0, 6.0))])
         raw = inequalities.random_hermitian_stack([inequalities.RandomSpec(2, 6, (-1.0, 1.0))])
-        r = inequalities.scale_perturbation_stack(t, raw, 0.1)
-        rep = inequalities.check_stability_stack(t, t + r, 0.1)
+        res, f_t = inequalities.resolvent_at_i(t), bounded_transform(t)
+        r = inequalities.scale_perturbation_stack(t, raw, 0.1, res)
+        rep = inequalities.check_stability_stack(t, t + r, 0.1, res, f_t, [0])
         assert rep.passed.all() and np.max(rep.hypothesis_norms) <= 0.1
         with pytest.raises(HypothesisUnmet):
-            inequalities.check_stability_stack(t, t + 2.0 * r, 0.1)
+            inequalities.check_stability_stack(t, t + 2.0 * r, 0.1, res, f_t, [0])
         with pytest.raises(HypothesisUnmet):
-            inequalities.check_stability_stack(t, t, 0.5)
+            inequalities.check_stability_stack(t, t, 0.5, res, f_t, [0])

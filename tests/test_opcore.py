@@ -187,7 +187,7 @@ class TestPositiveProjection:
 
     def test_gap_violation(self):
         with pytest.raises(NotInvertible):
-            positive_projection(np.diag([1e-12, 1.0]), gap_tol=1e-8)
+            positive_projection(np.diag([1e-12, 1.0]))
 
     def test_complement_identity(self):
         for seed in range(10):

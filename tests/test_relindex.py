@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from diracflow.errors import NonIntegerTrace, PathTooCoarse
 from diracflow.inequalities import random_unitary
@@ -108,13 +110,17 @@ class TestAdditivity:
         assert rep.passed
         assert rep.direct == 3 and rep.terms == (2, 1)
 
-    def test_seeded_triples(self):
-        for seed in range(200):
-            dim = 2 + seed % 9
-            rng = np.random.default_rng(seed)
-            ranks = rng.integers(0, dim + 1, 3)
-            p, q, r = aligned_projections(seed, dim, ranks)
-            assert check_additivity(p, q, r).passed
+    @settings(max_examples=100, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), dim=st.integers(1, 10))
+    def test_seeded_triples(self, seed, dim):
+        # three projections of seeded ranks, each in its own seeded basis
+        rng = np.random.default_rng(seed)
+        ranks = rng.integers(0, dim + 1, 3)
+        (p,), (q,), (r,) = (aligned_projections(s, dim, [rank])
+                            for s, rank in zip(rng.integers(0, 2 ** 32, 3), ranks))
+        rep = check_additivity(p, q, r)
+        assert rep.passed
+        assert rep.terms == (ranks[0] - ranks[1], ranks[1] - ranks[2])
 
 
 class TestHomotopy:
