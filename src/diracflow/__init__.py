@@ -27,7 +27,6 @@ from .errors import (
     NotDiagonalizable,
     NotInvertible,
     NotRelativelyCompact,
-    PartitionFailure,
     PathTooCoarse,
     RampCrossing,
     RefineGrid,

@@ -58,7 +58,6 @@ from .opcore import (
     Tolerances,
     eigh,
     null_space,
-    spectral_gap,
 )
 from .specflow import PotentialPath
 
@@ -278,11 +277,13 @@ class IndexReport:
     ``route`` names what decided (dim ker, dim coker):
 
     * ``"transfer"``: the Cayley transfer kernel, certified by Sturm counts
-      of the singular values of D.  ``threshold`` is svd_gap_cap times a
-      lower bound of sigma_max: exactly dim ker - (cols - min(rows, cols))
-      singular values lie below it.  ``sigma_next`` is svd_gap_cap times
-      an upper bound of sigma_max, a lower bound of every other singular
-      value.  ``gap_ratio`` is the ratio, in the transfer test matrix, of
+      of the singular values of D.  ``threshold`` is svd_gap_cap times the
+      Rayleigh lower bound of sigma_max (the root of DD*'s largest
+      diagonal entry): exactly dim ker - (cols - min(rows, cols)) singular
+      values lie below it.  ``sigma_next`` is svd_gap_cap times the
+      Gershgorin upper bound of sigma_max (the root of DD*'s largest
+      absolute row sum), a lower bound of every other singular value.
+      ``gap_ratio`` is the ratio, in the transfer test matrix, of
       the smallest principal-angle cosine kept to the largest one counted
       as zero (inf when either side is empty).  No singular value is
       computed, so ``sigma_kernel`` is empty.
@@ -326,8 +327,10 @@ def _dims_from_svd(matrix, tol):
 # On the k = 16 tower fibers and the tunnelling chain(3866) the counts are
 # still right at tau^2 = 0.45 eps * sigma_max^2 and wrong below 0.05.  The
 # default svd_gap_cap 1e-6 clears the floor whenever the sigma_max bracket
-# has lo >= 0.47 hi; a smaller configured cap leaves the count to the
-# dense SVD.
+# has lo >= 0.47 hi; over the 2498 index decisions of the `all` config and
+# the benchmark workloads at all pool seeds (tests/index_decisions.py) the
+# smallest lo / hi is 0.601, and 0.627 on k = 32 and 64 tower fibers.  A
+# smaller configured cap leaves the count to the dense SVD.
 _LEVEL_FLOOR = math.sqrt(1e3 * np.finfo(float).eps)
 
 
@@ -375,107 +378,84 @@ def _transfer_kernel(op, tol):
     return left.shape[1] - rank, ratio
 
 
-def _sigma_max_bracket(op):
-    """(lo, hi) with lo <= sigma_max(D) <= hi.
+def _dd_star(cell_a, cell_b, left, right):
+    """(gram, coupling): the blocks of DD* for the block-bidiagonal D whose
+    row block j holds cell_a[j] in column block j and cell_b[j] in column
+    block j + 1, with column block 0 restricted by ``left`` and column
+    block n by ``right``: D's first block is cell_a[0] @ left and its last
+    cell_b[-1] @ right.
 
-    hi is the Schur test sqrt(max row sum * max column sum) on the moduli
-    of the unreduced block matrix, whose norm bounds D's (D restricts its
-    columns by the isometry diag(L, 1, ..., 1, R)).  lo is the largest
-    ||D x|| / ||x|| met by eight power steps on D*D from the alternating
-    node vector, which lies near the top singular vector.  The iterate is
-    normalised before D and again before D*, so it grows as sigma_max, not
-    sigma_max^2, and stays finite wherever D's entries are.
+    DD* is block tridiagonal.  gram[j] = a_j a_j* + b_j b_j* is its
+    diagonal block j, with the end blocks restricted by left and right,
+    and coupling[j] = b_j a_{j+1}* its block (j, j + 1).  Entries past the
+    floating-point range come out non-finite, without a warning.
     """
-    a, b, left, right = op.cell_a, op.cell_b, op.left_basis, op.right_basis
-    n, k = a.shape[0], a.shape[1]
-    row = np.abs(a).sum(axis=2) + np.abs(b).sum(axis=2)
-    col = np.zeros((n + 1, k))
-    col[:-1] += np.abs(a).sum(axis=1)
-    col[1:] += np.abs(b).sum(axis=1)
-    hi = math.sqrt(float(row.max()) * float(col.max()))
-
-    def restrict(psi):
-        psi[0] = left @ (left.conj().T @ psi[0])
-        psi[-1] = right @ (right.conj().T @ psi[-1])
-        return psi
-
-    psi = restrict(np.outer((-1.0) ** np.arange(n + 1), np.ones(k)).astype(np.complex128))
-    lo = 0.0
-    for _ in range(8):
-        norm = float(np.linalg.norm(psi))
-        if norm == 0.0:
-            break
-        psi /= norm
-        y = np.einsum("jab,jb->ja", a, psi[:-1]) + np.einsum("jab,jb->ja", b, psi[1:])
-        norm = float(np.linalg.norm(y))
-        if norm == 0.0:
-            break
-        lo = max(lo, norm)
-        y /= norm
-        psi = np.zeros((n + 1, k), dtype=np.complex128)
-        psi[:-1] += np.einsum("jba,jb->ja", a.conj(), y)
-        psi[1:] += np.einsum("jba,jb->ja", b.conj(), y)
-        restrict(psi)
-    return lo, hi
+    with np.errstate(over="ignore", invalid="ignore"):
+        first, last = cell_a[0] @ left, cell_b[-1] @ right
+        gram = cell_a @ cell_a.conj().swapaxes(1, 2)
+        coupling = cell_b[:-1] @ cell_a[1:].conj().swapaxes(1, 2)
+        gram[0] = first @ first.conj().T
+        end = gram[-1] + last @ last.conj().T
+        gram += cell_b @ cell_b.conj().swapaxes(1, 2)
+        gram[-1] = end
+    return gram, coupling
 
 
-def _sturm_counts(cell_a, cell_b, left, right, levels):
-    """Number of singular values below each of ``levels`` (all > 0) of the
-    block-bidiagonal D whose row block j holds cell_a[j] in column block j
-    and cell_b[j] in column block j + 1, with column block 0 restricted by
-    ``left`` and column block n by ``right``: D's first block is
-    cell_a[0] @ left and its last cell_b[-1] @ right.
+def _sigma_max_bracket(gram, coupling):
+    """(lo, hi) with lo <= sigma_max(D) <= hi, from the blocks of DD*.
 
-    The Golub-Kahan matrix K = [[0, D], [D*, 0]] has eigenvalues +-sigma
-    and max(rows, cols) - min(rows, cols) zeros, and #(sigma < tau) is its
-    count nu(K - tau) of negative eigenvalues minus max(rows, cols).  The
-    count follows from odd-even block reduction (Buzbee, Golub and Nielson
-    1970): eliminating every other block of a block tridiagonal matrix is a
-    congruence, so by Sylvester's law nu is the count over the eliminated
-    pivots plus that of the Schur complement, which is again block
-    tridiagonal.
+    lo^2 is DD*'s largest diagonal entry, the Rayleigh quotient ||D* e||^2
+    of a unit vector e.  hi^2 is DD*'s largest absolute row sum, which
+    bounds its spectrum (Gershgorin); block row j sums |gram[j]|,
+    |coupling[j]| and |coupling[j - 1]|^T.  A non-finite DD* gives a
+    non-finite or nan bracket.
+    """
+    lo2 = float(np.abs(np.einsum("jaa->ja", gram)).max(initial=0.0))
+    with np.errstate(over="ignore"):
+        row = np.abs(gram).sum(axis=2)
+        moduli = np.abs(coupling)
+        row[:-1] += moduli.sum(axis=2)
+        row[1:] += moduli.sum(axis=1)
+        return math.sqrt(lo2), math.sqrt(float(row.max(initial=0.0)))
 
-    * Round 1 eliminates every column block of K, whose pivots are all
-      -tau; that accounts for cols negative eigenvalues and leaves
-      (DD* - tau^2) / tau on the row blocks.  Scaled by tau > 0 this is
-      T = DD* - tau^2, block tridiagonal with diagonal blocks
-      a_j a_j* + b_j b_j* (the end blocks restricted by left and right)
-      and couplings b_j a_{j+1}*, so #(sigma < tau) = nu(T) -
-      max(0, rows - cols).  It is built once for all levels.
-    * Each later round eliminates the blocks 0, 2, 4, ... of T with one
-      batched eigh P = U diag(w) U* and applies each pivot inverse as
-      x = U* F and x / w to the couplings F of its two neighbours.  The
-      kept blocks 1, 3, 5, ... and their new couplings form the next T.
-      With an even block count the last block is kept with no pivot to
-      its right, which is what padding with a decoupled -1 block would
-      give after subtracting that block's k negative eigenvalues.  One
-      block is left at the end, and its eigenvalues are counted directly.
+
+def _sturm_counts(gram, coupling, levels, scale):
+    """Number of eigenvalues of the block tridiagonal DD* (blocks from
+    ``_dd_star``) below tau^2 for each tau in ``levels`` (all > 0).
+    ``scale`` is DD*'s largest diagonal entry.
+
+    DD*'s eigenvalues are the squares of D's singular values and
+    rows - min(rows, cols) zeros, so a count at tau is #(sigma < tau) +
+    max(0, rows - cols).  The count nu(T) of negative eigenvalues of
+    T = DD* - tau^2 follows from odd-even block reduction (Buzbee, Golub
+    and Nielson 1970): eliminating every other block of a block tridiagonal
+    matrix is a congruence, so by Sylvester's law nu is the count over the
+    eliminated pivots plus that of the Schur complement, which is again
+    block tridiagonal.  Each round eliminates the blocks 0, 2, 4, ... of T
+    with one batched eigh P = U diag(w) U* and applies each pivot inverse
+    as x = U* F and x / w to the couplings F of its two neighbours.  The
+    kept blocks 1, 3, 5, ... and their new couplings form the next T.  With
+    an even block count the last block is kept with no pivot to its right,
+    which is what padding with a decoupled -1 block would give after
+    subtracting that block's k negative eigenvalues.  One block is left at
+    the end, and its eigenvalues are counted directly.
 
     The levels are reduced one after another, each on its own copy of
     DD* - tau^2 updated in place, so memory stays at a few copies of the
     blocks.  A pivot eigenvalue of modulus below pivmin is set to -pivmin
     and counts as negative, as in LAPACK's bisection (dstebz).  As there,
     pivmin is the smallest normal number times the square of the largest
-    entry, which for the positive semidefinite DD* is its largest diagonal
-    entry.  When that square overflows, LinAlgError is raised.
+    entry, which for the positive semidefinite DD* is ``scale``.  When that
+    square is not finite, LinAlgError is raised.
     """
-    n, k = cell_a.shape[0], cell_a.shape[1]
-    rows, cols = n * k, left.shape[1] + (n - 1) * k + right.shape[1]
-    first, last = cell_a[0] @ left, cell_b[-1] @ right
-    gram = cell_a @ cell_a.conj().swapaxes(1, 2)                # diagonal blocks of DD*
-    coupling = cell_b[:-1] @ cell_a[1:].conj().swapaxes(1, 2)   # block (j, j + 1)
-    gram[0] = first @ first.conj().T
-    end = gram[-1] + last @ last.conj().T
-    gram += cell_b @ cell_b.conj().swapaxes(1, 2)
-    gram[-1] = end
-    scale = float(np.abs(np.einsum("jaa->ja", gram)).max(initial=0.0))
     if not scale * scale < np.inf:
         raise np.linalg.LinAlgError("Sturm pivots out of floating-point range")
     pivmin = np.finfo(float).tiny * max(1.0, scale * scale)
+    k = gram.shape[1]
     counts = []
     for tau in np.asarray(levels, dtype=float):
         diag, upper = gram - tau * tau * np.eye(k), coupling
-        negative = -max(0, rows - cols)
+        negative = 0
         while diag.shape[0] > 1:
             w, u = np.linalg.eigh(diag[0::2])
             w = np.where(np.abs(w) < pivmin, -pivmin, w)
@@ -499,25 +479,29 @@ def _sturm_counts(cell_a, cell_b, left, right, levels):
 
 def _transfer_dims(op, tol):
     """Index dimensions by the transfer route, or None when it cannot
-    certify them: the lower level svd_gap_cap * lo lies below the floor
-    _LEVEL_FLOOR * hi where Sturm counts are reliable, some B_j is
-    singular, or the Sturm counts at both ends of the svd_gap_cap *
-    sigma_max bracket differ from the number of exact zero singular values
-    that the transfer kernel implies."""
+    certify them.  The blocks of DD* are built once; they give the bracket
+    lo <= sigma_max <= hi (``_sigma_max_bracket``) and the Sturm counts at
+    the two levels svd_gap_cap * lo and svd_gap_cap * hi.  None when the
+    lower level lies below the floor _LEVEL_FLOOR * hi where Sturm counts
+    are reliable, when DD* or the square of its largest diagonal entry is
+    out of floating-point range, when some B_j is singular, or when a count
+    differs from dim coker, the number of DD*'s eigenvalues that the
+    transfer kernel implies are zero."""
     rows, cols = op.shape
-    lo, hi = _sigma_max_bracket(op)
+    gram, coupling = _dd_star(op.cell_a, op.cell_b, op.left_basis, op.right_basis)
+    lo, hi = _sigma_max_bracket(gram, coupling)
     levels = (tol.svd_gap_cap * lo, tol.svd_gap_cap * hi)
     if not levels[0] >= _LEVEL_FLOOR * hi:
         return None
     try:
         dim_ker, ratio = _transfer_kernel(op, tol)
-        counts = _sturm_counts(op.cell_a, op.cell_b, op.left_basis,
-                               op.right_basis, levels)
+        counts = _sturm_counts(gram, coupling, levels, lo * lo)
     except np.linalg.LinAlgError:
         return None
-    if np.any(counts != dim_ker - (cols - min(rows, cols))):
+    dim_coker = rows - cols + dim_ker
+    if np.any(counts != dim_coker):
         return None
-    return dim_ker, rows - cols + dim_ker, (), levels[1], ratio, levels[0], "transfer"
+    return dim_ker, dim_coker, (), levels[1], ratio, levels[0], "transfer"
 
 
 def _index_dims(op, tol):
@@ -692,7 +676,7 @@ def _path_derivative_norms(path: PotentialPath,
         d_minus = float(np.linalg.norm(
             np.linalg.solve((s - 1j * eye).conj().T, ds.conj().T).conj().T, 2))
         out.append((float(t), max(d_plus, d_minus)))
-    return out, samples
+    return out
 
 
 def smoothstep(u):
@@ -717,15 +701,17 @@ def bound_constants(path: PotentialPath, k_hat: Optional[Tuple[float, float]] = 
                     tol: Tolerances = DEFAULT_TOL):
     """(c, delta_out, delta_K, lambda0): the uniform invertibility bound and
     derivative-resolvent sups outside/inside the compact region, and the
-    minimal coupling making the lower-bound threshold positive."""
+    minimal coupling making the lower-bound threshold positive.  The gaps
+    are read from the path's certified grid spectra."""
     if k_hat is None:
         k_hat = path.hull()
-    deltas, samples = _path_derivative_norms(path, k_hat)
+    deltas = _path_derivative_norms(path, k_hat)
 
     def outside(t):
         return k_hat is None or not (k_hat[0] <= t <= k_hat[1])
 
-    gaps_out = [spectral_gap(s) for (t, _), s in zip(deltas, samples) if outside(t)]
+    gaps = np.abs(path._grid_spectra()[0]).min(axis=1)
+    gaps_out = [float(g) for (t, _), g in zip(deltas, gaps) if outside(t)]
     if not gaps_out:
         raise InvalidInput("no sample lies outside the compact region")
     c_hat = min(gaps_out)

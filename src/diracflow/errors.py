@@ -64,10 +64,6 @@ class DegeneratePath(DiracflowError):
     """A zero crossing could not be resolved as transversal or absent."""
 
 
-class PartitionFailure(DiracflowError):
-    """No invertible gap level could be found on some subinterval."""
-
-
 class NotDiagonalizable(DiracflowError):
     """Samples of a path do not commute, so no shared eigenbasis exists."""
 

@@ -49,7 +49,6 @@ from .errors import (
     DegeneratePath,
     InvalidInput,
     NotInvertible,
-    PartitionFailure,
     RefineGrid,
     TheoremViolation,
 )
@@ -118,7 +117,7 @@ class PotentialPath:
 
     Parameters
     ----------
-    k : fiber dimension.
+    k : fiber dimension, at least 1.
     grid : strictly increasing parameter samples t_0 < ... < t_n.
     sampler : stacked rule ts -> S(ts): given a float array ts of shape
         (m,), m >= 1, it returns the (m, k, k) complex stack whose matrix i
@@ -135,6 +134,8 @@ class PotentialPath:
 
     def __init__(self, k, grid, sampler, support=(), name=""):
         self.k = int(k)
+        if self.k < 1:
+            raise InvalidInput(f"fiber dimension must be at least 1, got {self.k}")
         self.grid = np.asarray(grid, dtype=float)
         if self.grid.ndim != 1 or self.grid.size < 2:
             raise InvalidInput("grid must contain at least two samples")
@@ -481,7 +482,7 @@ def _gap_level(eigs: np.ndarray, min_width: float) -> Tuple[Optional[float], flo
     return best, best_score
 
 
-def _piece_level(spectra, steps, pgt: float) -> Optional[float]:
+def _piece_level(spectra, steps, pgt: float) -> float:
     """Gap level for one partition piece, valid at every sample AND safe
     against motion between samples.
 
@@ -490,7 +491,8 @@ def _piece_level(spectra, steps, pgt: float) -> Optional[float]:
     motion is bounded by ||S(t_{j+1}) - S(t_j)||, so candidate gaps must be
     wider than the largest step in the piece.  Two sentinel levels beyond
     the pooled spectrum (which no branch can reach) act as fallbacks, with
-    a low score so interior gaps near zero win whenever they exist.
+    a low score so interior gaps near zero win whenever they exist; so
+    every piece has a level.
     """
     pooled = np.concatenate(spectra)
     max_step = float(max(steps)) if len(steps) else 0.0
@@ -530,22 +532,10 @@ def _junction(path: PotentialPath, spectra, i: int, a0: float, a1: float,
 
 
 def _partition(path, spectra, steps, tol, n_chunks=6):
-    def levels_for(i0, i1, depth=0):
-        if depth > 40:
-            raise PartitionFailure(
-                f"no invertible gap level on grid cells [{i0}, {i1}] "
-                f"after maximal refinement")
-        a = _piece_level(spectra[i0:i1 + 1], steps[i0:i1], tol.proj_gap_tol)
-        if a is not None:
-            return [(i0, i1, a)]
-        if i1 - i0 <= 1:
-            raise PartitionFailure(
-                f"no invertible gap level on grid cells [{i0}, {i1}]")
-        mid = (i0 + i1) // 2
-        return levels_for(i0, mid, depth + 1) + levels_for(mid, i1, depth + 1)
-
     def compute(chunks):
-        pieces = [piece for (i0, i1) in chunks for piece in levels_for(i0, i1)]
+        pieces = [(i0, i1, _piece_level(spectra[i0:i1 + 1], steps[i0:i1],
+                                        tol.proj_gap_tol))
+                  for (i0, i1) in chunks]
         # level 0 (B = 0) before the first piece and after the last one
         levels = [0.0] + [a for (_, _, a) in pieces] + [0.0]
         junctions = [i0 for (i0, _, _) in pieces] + [pieces[-1][1]]
@@ -578,9 +568,9 @@ def sf_partition(path: PotentialPath, tol: Tolerances = DEFAULT_TOL,
     (Phillips, Canad. Math. Bull. 39, 1996).  With scalar shifts each
     junction term is a count over the spectrum w of S(t_i):
     ind(S(t_i), -a0*1, -a1*1) = #{w > a1} - #{w > a0}.
-    Chunks without a usable level are split recursively; an unsplittable
-    chunk without a level raises PartitionFailure.  The result is
-    recomputed on a refined partition and must agree exactly.
+    Every chunk has a level: without an interior gap wide enough, one
+    beyond the chunk's pooled spectrum.  The result is recomputed on a
+    refined partition and must agree exactly.
     """
     spectra, _, steps = _route_pass(path, tol)
     return _partition(path, spectra, steps, tol, n_chunks)

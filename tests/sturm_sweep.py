@@ -50,7 +50,7 @@ def sweep_counts(diag, upper, levels):
 
 
 def as_cells(diag, upper):
-    """The blocks of ``sweep_counts`` in the form ``_sturm_counts`` takes:
+    """The blocks of ``sweep_counts`` in the form ``_dd_star`` takes:
     (cell_a, cell_b, left, right) with cell_a[0] @ left = diag[0] and
     cell_b[-1] @ right = upper[-1].  The end blocks are zero-padded to
     k x k and restricted by the first columns of the identity."""

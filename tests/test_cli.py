@@ -108,6 +108,17 @@ class TestExitCodes:
         assert "(field: --seed)" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_table_of_fiber_dimension_0_exits_2(self, tmp_path, capsys):
+        # the header "0 3": three samples of 0 x 0 matrices
+        (tmp_path / "zero.tab").write_text("0 3\n-1.0\n0.0\n1.0\n")
+        config = {"scenario": "sf", "seeds": [0],
+                  "potential": {"kind": "file", "path": str(tmp_path / "zero.tab")}}
+        with pytest.raises(InvalidInput, match="fiber dimension"):
+            cli.build_potential(cli.parse_config(json.dumps(config)))
+        assert run_main(tmp_path, config) == 2
+        assert "error: fiber dimension must be at least 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("formats", ["xml", "csv,xml"])
     def test_unknown_format_exits_2_and_writes_nothing(self, tmp_path, formats, capsys,
                                                        monkeypatch):

@@ -163,6 +163,35 @@ def block_bidiagonal(rng, row_sizes, col_sizes):
     return diag, upper, dense
 
 
+def rough_blocks(rng, n, k, ends, zero_rows, scaled):
+    """block_bidiagonal with n row blocks of k rows and end column blocks
+    restricted to min(ends, k) columns, ``zero_rows`` of its block rows
+    zero and, when ``scaled``, the others scaled over 1e-3 .. 1e3."""
+    col_sizes = [min(ends[0], k)] + [k] * (n - 1) + [min(ends[1], k)]
+    diag, upper, dense = block_bidiagonal(rng, [k] * n, col_sizes)
+    if scaled:
+        for j, f in enumerate(10.0 ** rng.uniform(-3.0, 3.0, size=n)):
+            diag[j] *= f
+            upper[j] *= f
+            dense[j * k:(j + 1) * k] *= f
+    for j in rng.choice(n, size=min(zero_rows, n), replace=False):
+        diag[j][:] = 0.0
+        upper[j][:] = 0.0
+        dense[j * k:(j + 1) * k] = 0.0
+    return diag, upper, dense
+
+
+def sturm_counts(diag, upper, levels):
+    """dirac1d._sturm_counts on the blocks of ``sweep_counts`` as
+    #(sigma < tau): DD*'s counts less its max(0, rows - cols) zero
+    eigenvalues beyond D's singular values."""
+    gram, coupling = dirac1d._dd_star(*as_cells(diag, upper))
+    lo, _ = dirac1d._sigma_max_bracket(gram, coupling)
+    rows = sum(a.shape[0] for a in diag)
+    cols = diag[0].shape[1] + sum(b.shape[1] for b in upper)
+    return dirac1d._sturm_counts(gram, coupling, levels, lo * lo) - max(0, rows - cols)
+
+
 class TestSturmCounts:
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 6), k=st.integers(1, 4),
@@ -176,7 +205,7 @@ class TestSturmCounts:
         # keep clear of the singular values, where rounding decides
         levels = levels[np.abs(levels[:, None] - s[None, :]).min(axis=1, initial=np.inf)
                         > 1e-8 * max(1.0, float(s.max(initial=0.0)))]
-        counts = dirac1d._sturm_counts(*as_cells(diag, upper), levels)
+        counts = sturm_counts(diag, upper, levels)
         assert list(counts) == [int(np.sum(s < lv)) for lv in levels]
 
     def test_rank_deficient_blocks(self):
@@ -188,8 +217,7 @@ class TestSturmCounts:
         dense[2:4] = 0.0
         s = np.linalg.svd(dense, compute_uv=False)
         assert int(np.sum(s < 1e-12)) == 2
-        counts = dirac1d._sturm_counts(*as_cells(diag, upper),
-                                       [1e-6, 0.5 * s[s > 1e-12].min()])
+        counts = sturm_counts(diag, upper, [1e-6, 0.5 * s[s > 1e-12].min()])
         assert list(counts) == [2, 2]
 
 
@@ -202,18 +230,7 @@ class TestCyclicReduction:
            zero_rows=st.integers(0, 3), scaled=st.booleans())
     def test_counts_match_sweep_and_svd(self, seed, n, k, ends, zero_rows, scaled):
         rng = np.random.default_rng(seed)
-        col_sizes = [min(ends[0], k)] + [k] * (n - 1) + [min(ends[1], k)]
-        diag, upper, dense = block_bidiagonal(rng, [k] * n, col_sizes)
-        if scaled:
-            # block rows scaled over 1e-3 .. 1e3
-            for j, f in enumerate(10.0 ** rng.uniform(-3.0, 3.0, size=n)):
-                diag[j] *= f
-                upper[j] *= f
-                dense[j * k:(j + 1) * k] *= f
-        for j in rng.choice(n, size=min(zero_rows, n), replace=False):
-            diag[j][:] = 0.0
-            upper[j][:] = 0.0
-            dense[j * k:(j + 1) * k] = 0.0
+        diag, upper, dense = rough_blocks(rng, n, k, ends, zero_rows, scaled)
         s = np.linalg.svd(dense, compute_uv=False)
         smax = float(s.max(initial=0.0))
         if smax == 0.0:
@@ -222,7 +239,7 @@ class TestCyclicReduction:
         # keep clear of the singular values, where rounding decides
         levels = levels[np.abs(levels[:, None] - s[None, :]).min(axis=1, initial=np.inf)
                         > 1e-6 * smax]
-        counts = dirac1d._sturm_counts(*as_cells(diag, upper), levels)
+        counts = sturm_counts(diag, upper, levels)
         assert list(counts) == list(sweep_counts(diag, upper, levels))
         assert list(counts) == [int(np.sum(s < lv)) for lv in levels]
 
@@ -235,7 +252,7 @@ class TestCyclicReduction:
                 rng, [2] * n, [ends[0]] + [2] * (n - 1) + [ends[1]])
             s = np.linalg.svd(dense, compute_uv=False)
             levels = 0.5 * (np.sort(s)[:-1] + np.sort(s)[1:])
-            counts = dirac1d._sturm_counts(*as_cells(diag, upper), levels)
+            counts = sturm_counts(diag, upper, levels)
             assert list(counts) == list(sweep_counts(diag, upper, levels))
             assert list(counts) == [int(np.sum(s < lv)) for lv in levels]
 
@@ -248,9 +265,18 @@ class TestCyclicReduction:
         for kl, kr in ((1, 1), (0, 1), (1, 0)):
             diag = [np.zeros((1, kl if j == 0 else 1)) for j in range(n)]
             upper = [np.full((1, kr if j == n - 1 else 1), 2.0) for j in range(n)]
-            counts = dirac1d._sturm_counts(*as_cells(diag, upper), [2.0, 1.0])
+            counts = sturm_counts(diag, upper, [2.0, 1.0])
             assert list(counts) == list(sweep_counts(diag, upper, [2.0, 1.0]))
             assert list(counts) == [n, 0 if kr else 1]
+
+
+def dd_star(op):
+    return dirac1d._dd_star(op.cell_a, op.cell_b, op.left_basis, op.right_basis)
+
+
+def magnified(op, factor):
+    """op with D multiplied by ``factor``."""
+    return dataclasses.replace(op, cell_a=factor * op.cell_a, cell_b=factor * op.cell_b)
 
 
 def counting(monkeypatch, *names):
@@ -274,8 +300,9 @@ class TestCallCounts:
         n = 640
         op = assemble(tanh_path(), GridSpec(8.0, n), "aps")
         calls = counting(monkeypatch, "eigh", "eigvalsh")
-        counts = dirac1d._sturm_counts(op.cell_a, op.cell_b, op.left_basis,
-                                       op.right_basis, [1e-5, 2e-5])
+        gram, coupling = dd_star(op)
+        lo, _ = dirac1d._sigma_max_bracket(gram, coupling)
+        counts = dirac1d._sturm_counts(gram, coupling, [1e-5, 2e-5], lo * lo)
         assert list(counts) == [0, 0]
         assert calls["eigh"] + calls["eigvalsh"] <= 2 * (math.ceil(math.log2(n)) + 2)
 
@@ -348,15 +375,24 @@ class TestCountFloor:
         assert rep.route == "svd"
         assert (rep.dim_ker, rep.dim_coker) == dirac1d._dims_from_svd(op.matrix, tol)[:2]
 
-    # no step of the bracket, the counts or the SVD may overflow on the way
-    # (pyproject.toml turns every RuntimeWarning into an error)
+    # no step of DD*, the bracket, the counts or the SVD may overflow on the
+    # way (pyproject.toml turns every RuntimeWarning into an error)
     def test_huge_entries_take_the_dense_route(self):
         # sigma_max ~ 1e81: the square in pivmin overflows, the dense SVD decides
-        op = assemble(tanh_path(), GridSpec(8.0, 160), "aps")
-        big = dataclasses.replace(op, cell_a=1e80 * op.cell_a, cell_b=1e80 * op.cell_b)
+        big = magnified(assemble(tanh_path(), GridSpec(8.0, 160), "aps"), 1e80)
+        gram, coupling = dd_star(big)
+        lo, _ = dirac1d._sigma_max_bracket(gram, coupling)
         with pytest.raises(np.linalg.LinAlgError):
-            dirac1d._sturm_counts(big.cell_a, big.cell_b, big.left_basis,
-                                  big.right_basis, [1e75])
+            dirac1d._sturm_counts(gram, coupling, [1e75], lo * lo)
+        assert dirac1d._transfer_dims(big, DEFAULT_TOL) is None
+        rep = index_report(big, refine_check=False)
+        assert rep.route == "svd" and (rep.dim_ker, rep.dim_coker) == (1, 0)
+
+    def test_overflowing_dd_star_takes_the_dense_route(self):
+        # entries ~1e161: DD*'s entries ~1e322 overflow, the dense SVD decides
+        big = magnified(assemble(tanh_path(), GridSpec(8.0, 160), "aps"), 1e160)
+        gram, _ = dd_star(big)
+        assert not np.all(np.isfinite(gram))
         assert dirac1d._transfer_dims(big, DEFAULT_TOL) is None
         rep = index_report(big, refine_check=False)
         assert rep.route == "svd" and (rep.dim_ker, rep.dim_coker) == (1, 0)
@@ -367,17 +403,28 @@ class TestSigmaMaxBracket:
     def test_brackets_sigma_max(self, k, seed):
         path = chain_path(seed, k, n_intervals=2)
         op = assemble(path, GridSpec(8.0, 80), "aps", 1.7)
-        lo, hi = dirac1d._sigma_max_bracket(op)
+        lo, hi = dirac1d._sigma_max_bracket(*dd_star(op))
         smax = np.linalg.svd(op.matrix, compute_uv=False)[0]
         assert lo <= smax * (1 + 1e-12) and smax <= hi * (1 + 1e-12)
         assert hi / lo < 1.5
 
+    @settings(max_examples=80, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24), k=st.integers(1, 4),
+           ends=st.tuples(st.integers(0, 4), st.integers(0, 4)),
+           zero_rows=st.integers(0, 3), scaled=st.booleans())
+    def test_brackets_sigma_max_of_random_blocks(self, seed, n, k, ends, zero_rows,
+                                                 scaled):
+        rng = np.random.default_rng(seed)
+        diag, upper, dense = rough_blocks(rng, n, k, ends, zero_rows, scaled)
+        lo, hi = dirac1d._sigma_max_bracket(*dirac1d._dd_star(*as_cells(diag, upper)))
+        smax = float(np.linalg.svd(dense, compute_uv=False).max(initial=0.0))
+        assert lo <= smax * (1 + 1e-12) and smax <= hi * (1 + 1e-12)
+
     def test_huge_entries_keep_the_bracket(self):
-        # sigma_max ~ 1e81: unnormalised power steps on D*D overflowed here
+        # sigma_max ~ 1e81: DD*'s entries ~1e162 stay in range
         op = assemble(tanh_path(), GridSpec(8.0, 160), "aps")
-        big = dataclasses.replace(op, cell_a=1e80 * op.cell_a, cell_b=1e80 * op.cell_b)
-        lo, hi = dirac1d._sigma_max_bracket(op)
-        big_lo, big_hi = dirac1d._sigma_max_bracket(big)
+        lo, hi = dirac1d._sigma_max_bracket(*dd_star(op))
+        big_lo, big_hi = dirac1d._sigma_max_bracket(*dd_star(magnified(op, 1e80)))
         assert big_lo / 1e80 == pytest.approx(lo, rel=1e-12)
         assert big_hi / 1e80 == pytest.approx(hi, rel=1e-12)
 
