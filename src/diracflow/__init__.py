@@ -7,9 +7,9 @@ fibers, the identity chain
     =  relative index of the endpoint spectral projections
     =  signed hypersurface pairing over the boundary of the support set,
 
-together with cut-and-paste additivity, surgery invariance, quantitative
-Fredholm lower bounds, and a suite of operator inequalities exercised on
-seeded random matrices and truncation towers.
+together with cut-and-paste additivity, quantitative Fredholm lower
+bounds, and a suite of operator inequalities exercised on seeded random
+matrices and truncation towers.
 """
 
 from .errors import (
@@ -28,7 +28,6 @@ from .errors import (
     NotInvertible,
     NotRelativelyCompact,
     PathTooCoarse,
-    RampCrossing,
     RefineGrid,
     TheoremViolation,
     TowerTooShallow,

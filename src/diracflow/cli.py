@@ -243,6 +243,12 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError("params must be an object", field="params")
     _reject_unknown(params, _PARAM_KEYS[scenario], f"params({scenario})")
     params = _typed(params, "params")
+    # each pair or case takes its own seed, so a larger count would run
+    # fewer checks than it names
+    for key in ("pairs", "cases"):
+        if params.get(key, 0) > len(seeds):
+            raise ConfigError(f"{key} {params[key]} exceeds the {len(seeds)} seeds",
+                              field=f"params.{key}")
 
     return ScenarioConfig(scenario=scenario, seeds=seeds, potential=potential,
                           coupling=coupling, tolerances=tolerances,

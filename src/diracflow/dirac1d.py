@@ -58,6 +58,7 @@ from .opcore import (
     Tolerances,
     eigh,
     null_space,
+    spectral_norm,
 )
 from .specflow import PotentialPath
 
@@ -669,14 +670,13 @@ def _path_derivative_norms(path: PotentialPath,
                 f"holds a single sample; S' there would need samples across a cut")
         slopes += _piece_slopes(ts[piece], samples[piece[0]:piece[-1] + 1])
     eye = np.eye(path.k, dtype=np.complex128)
-    out = []
-    for t, s, ds in zip(ts, samples, slopes):
-        d_plus = float(np.linalg.norm(
-            np.linalg.solve((s + 1j * eye).conj().T, ds.conj().T).conj().T, 2))
-        d_minus = float(np.linalg.norm(
-            np.linalg.solve((s - 1j * eye).conj().T, ds.conj().T).conj().T, 2))
-        out.append((float(t), max(d_plus, d_minus)))
-    return out
+    # S' (S +- i)^{-1} of every sample, as the adjoint of a solve against (S +- i)^*
+    slopes_h = np.stack(slopes).conj().swapaxes(1, 2)
+    delta = np.maximum(*(
+        spectral_norm(np.linalg.solve((samples + z * eye).conj().swapaxes(1, 2), slopes_h)
+                      .conj().swapaxes(1, 2))
+        for z in (1j, -1j)))
+    return [(float(t), float(d)) for t, d in zip(ts, delta)]
 
 
 def smoothstep(u):

@@ -76,10 +76,6 @@ class CollarMismatch(DiracflowError):
         self.max_deviation = max_deviation
 
 
-class RampCrossing(DiracflowError):
-    """An interpolated potential loses invertibility on a surgery ramp."""
-
-
 class TowerTooShallow(DiracflowError):
     """Tower integers did not stabilize at the top dimensions."""
 

@@ -7,12 +7,15 @@ clamp t into the grid span, call the rule, check the shape, hermitise).
 They stay here as the oracle for the stacked rules, whose samples must
 equal these bitwise.  The random draws of each builder are repeated here
 in the same order, so a builder and its loop make the same matrices.
+The per-sample loop of the derivative-resolvent norms is kept here too,
+as the oracle for the stacked solve and norm.
 """
 
 import math
 
 import numpy as np
 
+from diracflow.dirac1d import _piece_slopes
 from diracflow.opcore import as_matrix
 from diracflow.scenarios import invertible_matrix
 from diracflow.specflow import _gap_level, _trig_coeff_matrices
@@ -247,51 +250,28 @@ def splice(left, right, t_cut):
     return ScalarPath(left.k, grid, sampler)
 
 
-def cylindrical_end(path, window, ramp):
-    u_lo, u_hi = float(window[0]), float(window[1])
-    s_lo = path.sample(u_lo)
-    s_hi = path.sample(u_hi)
+# -- dirac1d ----------------------------------------------------------------
 
-    def chi(r):
-        return 1.0 - smoothstep(r / ramp)
-
-    def sampler(t):
-        if u_lo <= t <= u_hi:
-            return path.sample(t)
-        if t > u_hi:
-            c = chi(t - u_hi)
-            return c * path.sample(t) + (1.0 - c) * s_hi
-        c = chi(u_lo - t)
-        return c * path.sample(t) + (1.0 - c) * s_lo
-
-    grid_pts = np.unique(np.concatenate([
-        path.grid, [u_lo - ramp, u_lo, u_hi, u_hi + ramp]]))
-    return ScalarPath(path.k, grid_pts, sampler)
-
-
-def collar_flatten(path, hull, reference, collar_width):
-    a, b = hull
-    t_ref = as_matrix(reference)
-    s_a = path.sample(a)
-    s_b = path.sample(b)
-
-    def rho(r):
-        return 1.0 - smoothstep(r / collar_width + 1.0)
-
-    def sampler(t):
-        if t < a or t > b:
-            return path.sample(t)
-        if t < a + collar_width:
-            w = rho(a - t)
-            return w * t_ref + (1.0 - w) * s_a
-        if t > b - collar_width:
-            w = rho(t - b)
-            return w * t_ref + (1.0 - w) * s_b
-        return t_ref
-
-    grid_pts = np.unique(np.concatenate([
-        path.grid, [a, a + collar_width, b - collar_width, b]]))
-    return ScalarPath(path.k, grid_pts, sampler)
+def path_derivative_norms(path, k_hat):
+    """(t, delta_t) on the grid, with the two resolvent solves and the two
+    norms of each sample taken one sample at a time."""
+    ts = path.grid
+    samples = path.samples(ts)
+    intervals = list(path.support) + ([k_hat] if k_hat is not None else [])
+    label = sum(((ts >= a).astype(int) + (ts > b).astype(int) for a, b in intervals),
+                np.zeros(ts.size, dtype=int))
+    slopes = []
+    for piece in np.split(np.arange(ts.size), np.flatnonzero(np.diff(label)) + 1):
+        slopes += _piece_slopes(ts[piece], samples[piece[0]:piece[-1] + 1])
+    eye = np.eye(path.k, dtype=np.complex128)
+    out = []
+    for t, s, ds in zip(ts, samples, slopes):
+        d_plus = float(np.linalg.norm(
+            np.linalg.solve((s + 1j * eye).conj().T, ds.conj().T).conj().T, 2))
+        d_minus = float(np.linalg.norm(
+            np.linalg.solve((s - 1j * eye).conj().T, ds.conj().T).conj().T, 2))
+        out.append((float(t), max(d_plus, d_minus)))
+    return out
 
 
 # -- callias ----------------------------------------------------------------

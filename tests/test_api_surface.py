@@ -58,8 +58,6 @@ UNREFERENCED_ALLOWED = {
     "scenarios.engineered_threshold_path": "test instrument: an index change at a known coupling",
     "opcore.banded_shift_template": "test instrument: a nesting-violating tower template",
     "callias.tower_family": "test instrument: the tower scenario's fibres at one dimension",
-    "surgery.cylindrical_end": "paper surgery awaiting a scenario check",
-    "surgery.collar_flatten": "paper surgery awaiting a scenario check",
 }
 
 
@@ -102,7 +100,6 @@ def test_every_public_function_is_used_in_src_or_allowed():
 
 
 _BUILDER_DATA = "data of a path builder, which tests choose"
-_AWAITING_SCENARIO = "paper surgery awaiting a scenario check"
 
 # Defaulted parameters of public functions that no call in src/ sets, each
 # with the reason it stays a parameter rather than a constant.
@@ -118,14 +115,6 @@ UNSET_PARAMETERS_ALLOWED = {
     "specflow.tanh_path.n_samples": _BUILDER_DATA,
     "specflow.sf_partition.tol": "public route (see UNREFERENCED_ALLOWED)",
     "specflow.sf_partition.n_chunks": "tests check that the flow does not depend on the partition",
-    "surgery.cylindrical_end.ramp": _AWAITING_SCENARIO,
-    "surgery.cylindrical_end.lam": _AWAITING_SCENARIO,
-    "surgery.cylindrical_end.grid": _AWAITING_SCENARIO,
-    "surgery.cylindrical_end.tol": _AWAITING_SCENARIO,
-    "surgery.collar_flatten.collar_width": _AWAITING_SCENARIO,
-    "surgery.collar_flatten.lam": _AWAITING_SCENARIO,
-    "surgery.collar_flatten.grid": _AWAITING_SCENARIO,
-    "surgery.collar_flatten.tol": _AWAITING_SCENARIO,
 }
 
 

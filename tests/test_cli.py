@@ -91,6 +91,10 @@ class TestExitCodes:
         (dict(SMALL, coupling=math.inf), "coupling"),
         (dict(SMALL, output={"emit_timings": "false"}), "output.emit_timings"),
         (dict(SMALL, output={"dir": ["x"]}), "output.dir"),
+        # a pair or case count above the seed count (8 by default)
+        ({"scenario": "cutpaste", "params": {"pairs": 12}}, "params.pairs"),
+        ({"scenario": "callias", "params": {"cases": 10}}, "params.cases"),
+        ({"scenario": "all", "seeds": [0, 1], "params": {"cases": 3}}, "params.cases"),
     ])
     def test_malformed_value_names_its_field(self, tmp_path, config, field, capsys):
         with pytest.raises(ConfigError) as info:

@@ -1,7 +1,8 @@
 """Stacked path rules: `PotentialPath.samples(ts)` of every builder equals,
 bitwise, the stack of the per-t samples of the scalar rule it replaced
 (``sampler_loops``), at seeded parameters and at parameters drawn from the
-span, beyond it (clamped) and on every breakpoint of the rule."""
+span, beyond it (clamped) and on every breakpoint of the rule; and the
+stacked derivative-resolvent norms equal their per-sample loop."""
 
 import functools
 import math
@@ -14,7 +15,6 @@ from hypothesis import strategies as st
 import sampler_loops as loops
 from diracflow import callias, dirac1d, scenarios, specflow, surgery
 from diracflow.errors import InvalidInput
-from diracflow.opcore import HermitianOperator
 from diracflow.specflow import PotentialPath
 
 SETTINGS = settings(max_examples=40, deadline=None, derandomize=True, database=None)
@@ -130,24 +130,6 @@ def _splice():
     return m3, loops.splice(o1, o2, t_cut), [t_cut, 0.0, 2.0]
 
 
-def _cylindrical():
-    window = (-3.0, 3.0)
-    new, _ = surgery.cylindrical_end(specflow.tanh_path(), window, ramp=1.0,
-                                     grid=dirac1d.GridSpec(8.0, 64))
-    return (new, loops.cylindrical_end(loops.tanh_path(), window, 1.0),
-            [-4.0, -3.0, 3.0, 4.0])
-
-
-def _collar_flatten():
-    path = specflow.tanh_path()
-    reference = HermitianOperator(np.array([[1.5]]))
-    new, _ = surgery.collar_flatten(path, reference, grid=dirac1d.GridSpec(8.0, 64))
-    a, b = path.hull()
-    width = 0.25 * (b - a)
-    return (new, loops.collar_flatten(loops.tanh_path(), (a, b), reference, width),
-            [a, a + width, b - width, b, 0.0])
-
-
 def _ramp_family():
     t_n = np.diag([1.0, -1.0, 2.0, -2.0])
     perturbations = [hermitian(20, 4), hermitian(21, 4)]
@@ -160,7 +142,6 @@ CASES = {
     "from-samples": _from_samples, "random-smooth": _random_smooth, "concat": _concat,
     "reversed": _reversed, "conjugated": _conjugated, "perturbed": _perturbed,
     "chain": _chain, "collar": _collar, "engineered": _engineered, "splice": _splice,
-    "cylindrical": _cylindrical, "collar-flatten": _collar_flatten,
     "ramp-family": _ramp_family,
 }
 
@@ -195,6 +176,25 @@ def test_stacked_rule_equals_scalar_rule(name, data):
     lo, hi = old.span()
     t = st.one_of(st.floats(lo - 2.0, hi + 2.0), st.sampled_from(marks))
     assert_bitwise(new, old, data.draw(st.lists(t, min_size=1, max_size=12)))
+
+
+DERIVATIVE_NORM_PATHS = {
+    "tanh": lambda: (specflow.tanh_path(), None),
+    "tanh-k3": lambda: (specflow.tanh_path(k=3, scale=2), None),
+    "chain": lambda: (scenarios.chain_path(3, 4, 2), None),
+    "sf": lambda: (scenarios.sf_path(5, 6), None),
+    "engineered": scenarios.engineered_threshold_path,
+}
+
+
+@pytest.mark.parametrize("name", sorted(DERIVATIVE_NORM_PATHS))
+def test_stacked_derivative_norms_equal_the_loop(name):
+    path, k_hat = DERIVATIVE_NORM_PATHS[name]()
+    k_hat = path.hull() if k_hat is None else k_hat
+    got = dirac1d._path_derivative_norms(path, k_hat)
+    want = loops.path_derivative_norms(path, k_hat)
+    np.testing.assert_array_equal(np.array(got).view(np.uint64),
+                                  np.array(want).view(np.uint64))
 
 
 @SETTINGS
