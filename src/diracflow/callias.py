@@ -18,8 +18,9 @@ relatively-compact-perturbation hypothesis.  A tower is an
 template R_i per fiber, whose nesting `opcore.tower_instantiate` verifies
 at every dimension n.  `tower_family` turns it into the fibered family
 T_n + smoothstep((t + 1)/2) R_i,n, and `tower_callias` pairs that family
-against T_n: the difference-of-projection tails must decay along the
-tower and the integers must stabilize.
+against T_n: the perturbations must pass the relative-compactness test
+`opcore.resolvent_tails`, the difference-of-projection tails must decay
+along the tower and the integers must stabilize.
 """
 
 from dataclasses import dataclass
@@ -28,7 +29,6 @@ from typing import Optional, Union
 import numpy as np
 
 from .errors import (
-    HypothesisUnmet,
     InvalidInput,
     NotInvertible,
     TheoremViolation,
@@ -42,6 +42,7 @@ from .opcore import (
     alternating_diag_template,
     decaying_rank_template,
     positive_projection,
+    resolvent_tails,
     spectral_gap,
     spectral_norm,
     tower_instantiate,
@@ -234,11 +235,6 @@ def four_way_identity(path: PotentialPath,
 # ---------------------------------------------------------------------------
 # Truncation-tower version.
 
-# `tower_callias`'s precondition: resolvent tails beyond the first 12
-# coordinates stay below 1e-6 at every boundary point.
-_TAIL_CUTOFF = 12
-_TAIL_BOUND = 1e-6
-
 
 def _fibre_scales(start: float):
     """start * 1.13^j for j = 0..63, then start / 1.13^j for j = 1..64."""
@@ -297,7 +293,7 @@ class TowerCalliasReport:
     dims: tuple
     integers: tuple          # per dim: tuple of per-fiber integers
     tail_norms: tuple        # per dim: max over fibers/points of the projection tail
-    precondition_norms: tuple
+    resolvent_tails: tuple   # per dim: `opcore.resolvent_tails` of the tower
     stabilized: bool
     tails_decay: bool
     passed: bool
@@ -310,15 +306,15 @@ def tower_callias(tower: TruncationTower,
 
     At every tower dimension n the fibers are `tower_family(tower, n)`'s,
     the reference is T_n, the tower's operator, and the coupling is 1.
-    Every level is instantiated, and so checked for nesting, before the
-    first is paired.
 
-    Preconditions: at every boundary point y, the perturbation against the
-    reference must have a small resolvent tail beyond the first 12
-    coordinates (||(S(y) - T_n)(T_n +- i)^(-1) Pi_tail|| <= 1e-6).  The
-    full assembled-operator check runs at the base dimension; larger
-    dimensions use the (already cross-validated) spectral-flow route for
-    the left-hand side; ``base_grid`` is that check's grid (None:
+    Precondition: each perturbation is relatively compact against T, as
+    `opcore.resolvent_tails` tests it (the tails ||R_n (T_n - i)^(-1)
+    Pi_tail|| past n/2 decay along the tower; NotRelativelyCompact
+    otherwise).  It runs first, so every level is instantiated, and so
+    checked for nesting, before the first is paired.  The full
+    assembled-operator check runs at the base dimension; larger dimensions
+    use the (already cross-validated) spectral-flow route for the
+    left-hand side; ``base_grid`` is that check's grid (None:
     ``GridSpec.auto``).  The per-fiber integers must agree at the top two
     dimensions and the difference-of-projection tail norms must decay
     monotonically (within factor 2) along the tower.
@@ -326,43 +322,20 @@ def tower_callias(tower: TruncationTower,
     dims = tower.dims
     if len(dims) < 2:
         raise InvalidInput("need at least two tower dims")
-    if _TAIL_CUTOFF >= dims[0]:
-        raise InvalidInput(f"the smallest tower dim must exceed {_TAIL_CUTOFF}")
-    # every level first, so that a nesting violation stops the check before
-    # any spectral work
-    levels = [(n,) + tower_instantiate(tower, n) for n in dims]
-    integers, tails, pre_norms = [], [], []
-    for pos, (n, t_n, perturbations) in enumerate(levels):
+    res_tails = resolvent_tails(tower)
+    integers, tails = [], []
+    for pos, n in enumerate(dims):
+        t_n, perturbations = tower_instantiate(tower, n)
         family = _ramp_family(n, t_n, perturbations)
-        eye = np.eye(n, dtype=np.complex128)
-        # (T_n +- i)^(-1) Pi_tail, kept as its columns past the first
-        # _TAIL_CUTOFF (Pi_tail zeroes the others); it depends on n and the
-        # sign only
-        resolvents = [np.linalg.solve(t_n + sign * eye, eye[:, _TAIL_CUTOFF:])
-                      for sign in (1j, -1j)]
-        worst_pre, worst_tail = 0.0, 0.0
         p_ref = positive_projection(t_n, tol)
-        boundaries = []
-        for p in family.paths:
-            boundary = _boundary(p, tol)
-            boundaries.append(boundary)
-            for y, _, p_y in boundary:
-                diff = p.sample(y) - t_n
-                for resolvent in resolvents:
-                    worst_pre = max(worst_pre, spectral_norm(diff @ resolvent))
-                # the tail past the first n/2 coordinates
-                worst_tail = max(worst_tail, spectral_norm(
-                    (p_y.entries - p_ref.entries)[:, n // 2:]))
-        if worst_pre > _TAIL_BOUND:
-            raise HypothesisUnmet(
-                f"tail precondition fails at dim {n}: resolvent tail "
-                f"{worst_pre:.3e} > {_TAIL_BOUND:.1e}")
+        boundaries = [_boundary(p, tol) for p in family.paths]
+        # the tail past the first n/2 coordinates
+        tails.append(max(spectral_norm((p_y.entries - p_ref.entries)[:, n // 2:])
+                         for boundary in boundaries for _, _, p_y in boundary))
         method = "both" if pos == 0 else "sf"
         rep = _pairing_report(family.paths, boundaries, True, 1.0, t_n, None,
                               base_grid if pos == 0 else None, method, tol)
         integers.append(rep.lhs)
-        tails.append(worst_tail)
-        pre_norms.append(worst_pre)
     stabilized = integers[-1] == integers[-2]
     tails_decay = all(b <= 2.0 * a + 1e-12 for a, b in zip(tails, tails[1:]))
     if not stabilized:
@@ -370,7 +343,6 @@ def tower_callias(tower: TruncationTower,
             f"integers did not stabilize: {integers[-2]} vs {integers[-1]} "
             f"at dims {dims[-2:]}" )
     return TowerCalliasReport(dims=dims, integers=tuple(integers),
-                              tail_norms=tuple(tails),
-                              precondition_norms=tuple(pre_norms),
+                              tail_norms=tuple(tails), resolvent_tails=res_tails,
                               stabilized=stabilized, tails_decay=tails_decay,
                               passed=stabilized and tails_decay)

@@ -107,7 +107,7 @@ class ScenarioConfig:
 
     def coupling_for(self, path) -> float:
         if isinstance(self.coupling, str):
-            c, dh, dk, lam0 = dirac1d.bound_constants(path)
+            c, dh, dk, lam0 = dirac1d.bound_constants(path, tol=self.tolerances)
             return max(1.0, 1.25 * lam0)
         return float(self.coupling)
 
@@ -267,7 +267,7 @@ def load_potential_table(filename: str) -> PotentialPath:
         head = lines[0].split()
         k, n = int(head[0]), int(head[1])
         grid, mats = [], []
-        for ln in lines[1:1 + n]:
+        for ln in lines[1:]:
             tokens = ln.split()
             if len(tokens) != 1 + k * k:
                 raise ValueError(f"expected {1 + k * k} tokens, got {len(tokens)}")
@@ -302,8 +302,8 @@ def build_potential(cfg: ScenarioConfig) -> PotentialPath:
                                       support=((-body, body),),
                                       name="diag-list")
     if kind == "seeded-random":
-        return scenarios.sf_path(spec.get("seed", 0), spec.get("k", 2),
-                                 spec.get("n_samples", 64))
+        return specflow.random_smooth_path(spec.get("seed", 0), spec.get("k", 2),
+                                           n_samples=spec.get("n_samples", 64))
     if kind == "file":
         return load_potential_table(spec["path"])
     raise ConfigError(f"unhandled potential kind {kind!r}", field="potential.kind")
@@ -341,7 +341,7 @@ def _run_sf(cfg: ScenarioConfig):
     n_samples = cfg.params.get("n_samples", 64)
     for seed in cfg.seeds:
         def check(seed=seed):
-            path = scenarios.sf_path(seed, 1 + (seed + k) % 8, n_samples)
+            path = specflow.random_smooth_path(seed, 1 + (seed + k) % 8, n_samples=n_samples)
             r = specflow.endpoint_identity(path, tol=cfg.tolerances)
             return dict(lhs=(r.sf_by_crossings, r.sf_by_partition),
                         rhs=r.endpoint_rel_index, passed=r.passed)
@@ -350,7 +350,7 @@ def _run_sf(cfg: ScenarioConfig):
                                 check))
 
     def reversal():
-        path = scenarios.sf_path(cfg.seeds[0], 3, n_samples)
+        path = specflow.random_smooth_path(cfg.seeds[0], 3, n_samples=n_samples)
         fwd, _ = specflow.sf_crossings(path, tol=cfg.tolerances)
         rev, _ = specflow.sf_crossings(specflow.reversed_path(path),
                                        tol=cfg.tolerances)
@@ -522,7 +522,7 @@ def _run_callias(cfg: ScenarioConfig):
         good = 0
         for seed in cfg.seeds:
             rep = callias.four_way_identity(
-                scenarios.sf_path(seed, 1 + seed % 8), tol=cfg.tolerances)
+                specflow.random_smooth_path(seed, 1 + seed % 8), tol=cfg.tolerances)
             good += rep.passed
         return dict(lhs=good, rhs=len(cfg.seeds), passed=good == len(cfg.seeds))
     records.append(_guarded(f"four-way[{len(cfg.seeds)}]",
@@ -530,7 +530,7 @@ def _run_callias(cfg: ScenarioConfig):
                             four_way))
 
     def rank_pairing():
-        path = scenarios.flat_tail_path(cfg.seeds[0], 2)
+        path = scenarios.chain_path(cfg.seeds[0], 2)
         val = callias.ran_projection_pairing(path, tol=cfg.tolerances)
         rhs = callias.rhs_pairing(path, reference=-1.0, tol=cfg.tolerances)
         return dict(lhs=val, rhs=rhs, passed=val == rhs)

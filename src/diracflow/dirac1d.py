@@ -117,7 +117,7 @@ class GridSpec:
         where c is the smallest invertibility margin outside the support
         hull [a, b] and the interval is symmetric about 0."""
         hull = path.hull()
-        c = path.min_gap_outside()
+        c = path.least_gap_outside()[1]
         if not np.isfinite(c) or c <= 0.0:
             raise NotInvertible(
                 "path has no invertible region outside its support")
@@ -258,7 +258,7 @@ def assemble(path: PotentialPath, grid: GridSpec, bc: str = "aps",
         raise InvalidInput(f"unknown boundary condition {bc!r}")
     if not lam > 0:
         raise InvalidInput("coupling lam must be positive")
-    t_worst, gap = path.least_gap_outside()
+    t_worst, gap = path.least_gap_outside(tol)
     if gap < tol.proj_gap_tol:
         raise NotInvertible(
             f"path declared invertible outside its support {path.support} "
@@ -710,7 +710,7 @@ def bound_constants(path: PotentialPath, k_hat: Optional[Tuple[float, float]] = 
     def outside(t):
         return k_hat is None or not (k_hat[0] <= t <= k_hat[1])
 
-    gaps = np.abs(path._grid_spectra()[0]).min(axis=1)
+    gaps = np.abs(path._grid_spectra(tol)[0]).min(axis=1)
     gaps_out = [float(g) for (t, _), g in zip(deltas, gaps) if outside(t)]
     if not gaps_out:
         raise InvalidInput("no sample lies outside the compact region")

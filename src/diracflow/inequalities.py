@@ -37,6 +37,7 @@ from .opcore import (
     as_matrix,
     bounded_transform,
     eigh,
+    resolvent_tails,
     spectral_norm,
     tower_instantiate,
 )
@@ -388,7 +389,7 @@ _SHIFT_CAP = 10 ** 6
 @dataclass(frozen=True)
 class ScheduleReport:
     entries: tuple          # per eps: (eps, n, C = eps*n, worst slack)
-    tail_norms: tuple       # dim-scaling stage: resolvent tails along dims
+    tail_norms: tuple       # per tower dim: `resolvent_tails`, at the shift i
     passed: bool
 
 
@@ -400,26 +401,24 @@ def check_relative_bound_schedule(tower: TruncationTower,
 
     T and R are the operator and the one perturbation of ``tower``.  The
     schedule runs at the base tower dimension on 100 test vectors per eps,
-    drawn from ``seed``.  A dim-scaling stage then checks that the
-    resolvent tails ||R (T - i n)^(-1) Pi_tail||, Pi_tail the projection
-    onto the coordinates past n/2, keep decaying along the tower:
-    templates whose tails stagnate are rejected as NotRelativelyCompact
-    (the finite-section stand-in for failure of relative compactness).
+    drawn from ``seed``.  The tower first has to pass
+    `opcore.resolvent_tails`, the relative-compactness test at the shift i:
+    the tails ||R (T - i)^(-1) Pi_tail|| past n/2 must decay along the
+    tower, otherwise NotRelativelyCompact is raised.
     """
     base = tower.dims[0]
     tm, rm = _one_perturbation(tower, base)
+    tails = resolvent_tails(tower)
 
-    def res_norm(n_shift, tmat, rmat, tail=0):
-        """||R (T - i n)^(-1)||, on the columns from ``tail`` on."""
-        m = np.linalg.inv(tmat - 1j * n_shift * np.eye(tmat.shape[0]))
-        return spectral_norm(rmat @ m[:, tail:])
+    def res_norm(n_shift):
+        """||R (T - i n)^(-1)|| at the base dimension."""
+        return spectral_norm(rm @ np.linalg.inv(tm - 1j * n_shift * np.eye(base)))
 
     rng = np.random.default_rng(seed)
     entries = []
-    n_probe = 1
     for eps in eps_list:
         n_hi = 1
-        while res_norm(n_hi, tm, rm) >= eps:
+        while res_norm(n_hi) >= eps:
             n_hi *= 2
             if n_hi > _SHIFT_CAP:
                 raise NotRelativelyCompact(
@@ -427,12 +426,11 @@ def check_relative_bound_schedule(tower: TruncationTower,
         n_lo = n_hi // 2 if n_hi > 1 else 1
         while n_lo < n_hi:
             mid = (n_lo + n_hi) // 2
-            if res_norm(mid, tm, rm) < eps:
+            if res_norm(mid) < eps:
                 n_hi = mid
             else:
                 n_lo = mid + 1
         n_min = n_hi
-        n_probe = max(n_probe, n_min)
         c_eps = eps * n_min
         worst = -np.inf
         for _ in range(_N_VECTORS):
@@ -442,19 +440,8 @@ def check_relative_bound_schedule(tower: TruncationTower,
                 + c_eps * float(np.linalg.norm(psi))
             worst = max(worst, lhs - rhs)
         entries.append((float(eps), n_min, c_eps, worst))
-    tails = []
-    for n in tower.dims:
-        tn, rn = _one_perturbation(tower, n)
-        tails.append(res_norm(n_probe, tn, rn, n // 2))
-    stagnant = all(b > 0.75 * a for a, b in zip(tails, tails[1:])) \
-        and tails[-1] > 1e-8
-    if stagnant:
-        raise NotRelativelyCompact(
-            f"resolvent tails do not decay along the tower: "
-            f"{['%.3e' % x for x in tails]}")
     passed = all(worst <= 1e-10 for (_, _, _, worst) in entries)
-    return ScheduleReport(entries=tuple(entries), tail_norms=tuple(tails),
-                          passed=passed)
+    return ScheduleReport(entries=tuple(entries), tail_norms=tails, passed=passed)
 
 
 # ---------------------------------------------------------------------------

@@ -23,6 +23,7 @@ from .errors import (
     GeneratorError,
     InvalidInput,
     NotInvertible,
+    NotRelativelyCompact,
 )
 
 __all__ = [
@@ -42,6 +43,7 @@ __all__ = [
     "inv_sqrt_via_quadrature",
     "QuadratureResult",
     "tower_instantiate",
+    "resolvent_tails",
     "spectral_norm",
     "spectral_gap",
     "alternating_diag_template",
@@ -442,6 +444,31 @@ def tower_instantiate(tower: TruncationTower, n: int):
                 f"template at dim {n} differs from its dim-{m} value")
         out.append(a)
     return out[0], tuple(out[1:])
+
+
+def resolvent_tails(tower: TruncationTower) -> tuple:
+    """Per tower dimension n, the largest over the perturbations of
+    ||R_n (T_n - i)^(-1) Pi_tail||, Pi_tail the projection onto the
+    coordinates past n/2.
+
+    R is relatively compact against T exactly when R (T - i)^(-1) is
+    compact, and on nested truncations that shows as these tails going to
+    0 along the tower.  Tails that stagnate (every one above 3/4 of the one
+    before, and the last above 1e-8) raise NotRelativelyCompact.  Every
+    level is instantiated, and so checked for nesting, on the way.
+    """
+    tails = []
+    for n in tower.dims:
+        t_n, perturbations = tower_instantiate(tower, n)
+        eye = np.eye(n, dtype=np.complex128)
+        resolvent_tail = np.linalg.solve(t_n - 1j * eye, eye[:, n // 2:])
+        tails.append(max((spectral_norm(r_n @ resolvent_tail) for r_n in perturbations),
+                         default=0.0))
+    if all(b > 0.75 * a for a, b in zip(tails, tails[1:])) and tails[-1] > 1e-8:
+        raise NotRelativelyCompact(
+            f"resolvent tails do not decay along the tower: "
+            f"{['%.3e' % x for x in tails]}")
+    return tuple(tails)
 
 
 def spectral_norm(m):

@@ -16,13 +16,11 @@ import numpy as np
 from .dirac1d import quintic_plateau, smoothstep
 from .inequalities import random_unitary
 from .opcore import HermitianOperator
-from .specflow import PotentialPath, random_smooth_path
+from .specflow import PotentialPath
 
 __all__ = [
     "invertible_matrix",
-    "sf_path",
     "chain_path",
-    "flat_tail_path",
     "collar_pair",
     "bump_perturbation",
     "engineered_threshold_path",
@@ -36,12 +34,6 @@ def invertible_matrix(rng: np.random.Generator, k: int) -> np.ndarray:
     mags = rng.uniform(1.0, 2.5, size=k)
     signs = np.where(rng.uniform(size=k) < 0.5, -1.0, 1.0)
     return (u * (mags * signs)) @ u.conj().T
-
-
-def sf_path(seed: int, k: int, n_samples: int = 64) -> PotentialPath:
-    """Random smooth path on [0, 1] with invertibility-shifted endpoints,
-    declared support K = [0, 1] (so N consists of the two endpoints)."""
-    return random_smooth_path(seed, k, span=(0.0, 1.0), n_samples=n_samples)
 
 
 def chain_path(seed: int, k: int, n_intervals: int = 1,
@@ -85,11 +77,6 @@ def chain_path(seed: int, k: int, n_intervals: int = 1,
     grid = np.linspace(span[0], span[1], n_samples)
     return PotentialPath(k, grid, sampler, support=intervals,
                          name=f"chain(seed={seed}, k={k}, m={n_intervals})")
-
-
-def flat_tail_path(seed: int, k: int) -> PotentialPath:
-    """Single-transition special case of `chain_path`."""
-    return chain_path(seed, k, n_intervals=1)
 
 
 def collar_pair(seed: int, k: int) -> Tuple[PotentialPath, PotentialPath, float]:
@@ -184,17 +171,17 @@ def callias_case(seed: int):
     kind = seed % 4
     lam = float(rng.uniform(1.0, 2.0))
     if kind == 0:
-        case = flat_tail_path(seed, 1)
+        case = chain_path(seed, 1)
         k = 1
     elif kind == 1:
         k = 2 + seed % 7
-        case = flat_tail_path(seed, k)
+        case = chain_path(seed, k)
     elif kind == 2:
         k = 1 + seed % 4
         case = chain_path(seed, k, n_intervals=2 + (seed // 4) % 2)
     else:
         m = 2 + seed % 3
-        paths = tuple(flat_tail_path(seed * 31 + i, 1 + (seed + i) % 3)
+        paths = tuple(chain_path(seed * 31 + i, 1 + (seed + i) % 3)
                       for i in range(m))
         case = FiberedFamily(paths=paths)
         k = None

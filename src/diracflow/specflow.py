@@ -196,25 +196,30 @@ class PotentialPath:
             mask |= (a <= t) & (t <= b)
         return mask[()]
 
-    def min_gap_outside(self) -> float:
-        return self.least_gap_outside()[1]
-
-    def least_gap_outside(self) -> Tuple[Optional[float], float]:
+    def least_gap_outside(self, tol: Tolerances = DEFAULT_TOL
+                          ) -> Tuple[Optional[float], float]:
         """(t, gap): the grid sample outside K with the smallest spectral
         gap, and that gap; (None, inf) when every sample lies in K."""
         outside = ~self.in_support(self.grid)
         if not outside.any():
             return None, float("inf")
-        gaps = np.abs(self._grid_spectra()[0][outside]).min(axis=1)
+        gaps = np.abs(self._grid_spectra(tol)[0][outside]).min(axis=1)
         worst = int(np.argmin(gaps))
         return float(self.grid[outside][worst]), float(gaps[worst])
 
-    def _grid_spectra(self) -> Tuple[np.ndarray, np.ndarray]:
+    def _grid_spectra(self, tol: Tolerances = DEFAULT_TOL
+                      ) -> Tuple[np.ndarray, np.ndarray]:
         """(spectra, steps) of the grid pass, taken on the first call only
-        (grid and sampler are fixed) and certified against DEFAULT_TOL."""
+        (grid and sampler are fixed); the pass's certificate is checked
+        against ``tol`` on every call."""
         if self._spectra is None:
-            self._grid_pass(DEFAULT_TOL)
-        return self._spectra
+            self._grid_pass(tol)
+        spectra, steps, defects = self._spectra
+        _certify(defects, tol, self._at_sample)
+        return spectra, steps
+
+    def _at_sample(self, i: int) -> str:
+        return f" at t={self.grid[i]:g}"
 
     def _grid_pass(self, tol: Tolerances):
         """(spectra, vectors, steps): one certified eigendecomposition of
@@ -231,8 +236,9 @@ class PotentialPath:
         (`opcore._decompose`: residual and unitarity) must stay within
         tol.eig_tol; otherwise InvalidInput names the worst sample.
 
-        The path keeps (spectra, steps) for `least_gap_outside`; the
-        vectors go back to the caller only.  Both limits are measured: on
+        The path keeps (spectra, steps) with the certificates for
+        `_grid_spectra`, which checks them against its caller's ``tol``;
+        the vectors go back to the caller only.  Both limits are measured: on
         the benchmark's index-large workload (k = 64 tower fibers, 41
         samples) the peak RSS is 47.8 MB, against 50.4 MB with the vectors
         kept on the path, 48.6 MB with 256 KiB chunks and 57.8 MB with the
@@ -258,8 +264,8 @@ class PotentialPath:
             steps[i0 + first - 1:i1 - 1] = np.abs(np.linalg.eigvalsh(
                 buf[first + 1:1 + i1 - i0] - buf[first:i1 - i0])).max(axis=1)
             buf[0] = s[-1]
-        _certify(defects, tol, lambda i: f" at t={self.grid[i]:g}")
-        self._spectra = (spectra, steps)
+        self._spectra = (spectra, steps, defects)
+        _certify(defects, tol, self._at_sample)
         return spectra, vectors, steps
 
     def __repr__(self):

@@ -56,7 +56,7 @@ UNREFERENCED_ALLOWED = {
     "specflow.sf_partition": "public route; endpoint_identity runs its body directly",
     "dirac1d.kernel_vectors": "test instrument: the kernel basis behind the index",
     "scenarios.engineered_threshold_path": "test instrument: an index change at a known coupling",
-    "opcore.banded_shift_template": "test instrument: a nesting-violating tower template",
+    "opcore.banded_shift_template": "test instrument: a bounded, nested tower perturbation",
     "callias.tower_family": "test instrument: the tower scenario's fibres at one dimension",
 }
 
@@ -113,6 +113,7 @@ UNSET_PARAMETERS_ALLOWED = {
     "specflow.constant_path.n_samples": _BUILDER_DATA,
     "specflow.tanh_path.span": _BUILDER_DATA,
     "specflow.tanh_path.n_samples": _BUILDER_DATA,
+    "specflow.random_smooth_path.span": _BUILDER_DATA,
     "specflow.sf_partition.tol": "public route (see UNREFERENCED_ALLOWED)",
     "specflow.sf_partition.n_chunks": "tests check that the flow does not depend on the partition",
 }

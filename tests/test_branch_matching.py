@@ -228,7 +228,7 @@ def test_refined_samples_per_crossing_on_the_sf_scenario(monkeypatch):
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
     # the paths of the sf scenario's default config (seeds 0..7, k = 4)
     n_crossings = sum(
-        len(endpoint_identity(scenarios.sf_path(seed, 1 + (seed + 4) % 8)).crossings.crossings)
+        len(endpoint_identity(random_smooth_path(seed, 1 + (seed + 4) % 8)).crossings.crossings)
         for seed in range(8))
     # every eigh off the grid pass is one refined sample: 9 per crossing
     assert (n_crossings, len(single)) == (12, 108)

@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 
 from diracflow import callias, dirac1d, scenarios
 from diracflow.errors import NotInvertible, TheoremViolation
-from diracflow.specflow import PotentialPath
+from diracflow.opcore import TruncationTower
+from diracflow.specflow import PotentialPath, random_smooth_path
 
 
 def auto_grid(path):
@@ -59,7 +60,7 @@ def test_rhs_pairing_of_a_family_has_one_integer_per_fiber():
 
 @pytest.mark.parametrize("seed, k", [(0, 1), (5, 3), (11, 4)])
 def test_four_way_identity_on_sf_path(seed, k):
-    rep = callias.four_way_identity(scenarios.sf_path(seed, k))
+    rep = callias.four_way_identity(random_smooth_path(seed, k))
     assert rep.passed
     assert rep.sf_by_crossings == rep.sf_by_partition == rep.endpoint_rel_index \
         == rep.pairing
@@ -68,7 +69,7 @@ def test_four_way_identity_on_sf_path(seed, k):
 @settings(max_examples=20, deadline=None, derandomize=True, database=None)
 @given(seed=st.integers(0, 10_000), k=st.integers(1, 8))
 def test_four_way_identity_over_seeded_sf_paths(seed, k):
-    rep = callias.four_way_identity(scenarios.sf_path(seed, k))
+    rep = callias.four_way_identity(random_smooth_path(seed, k))
     assert rep.passed
 
 
@@ -111,4 +112,36 @@ def test_tower_integers_and_tails():
     assert rep.integers == ((0, -1), (0, -1))
     assert len(rep.tail_norms) == 2
     assert rep.tail_norms[1] <= 2.0 * rep.tail_norms[0]
-    assert all(x <= 1e-6 for x in rep.precondition_norms)
+    assert len(rep.resolvent_tails) == 2
+    assert rep.resolvent_tails[1] < 0.75 * rep.resolvent_tails[0]
+
+
+def circle_modes(n):
+    """The Fourier modes 0, 1, -1, 2, -2, ... of the first n coordinates,
+    in an order that makes every truncation nest."""
+    j = np.arange(n)
+    return np.where(j % 2 == 1, (j + 1) // 2, -(j // 2)).astype(float)
+
+
+def circle_dirac(n):
+    """-i d/dtheta - 1/2 on the circle, in its first n modes."""
+    return np.diag(circle_modes(n) - 0.5).astype(np.complex128)
+
+
+def circle_potential(n):
+    """3 + 0.3 cos(theta), bounded and so relatively compact against the
+    circle Dirac operator; cos(theta) couples mode m to m +- 1."""
+    m = circle_modes(n)
+    cos = 0.5 * (np.abs(m[:, None] - m[None, :]) == 1)
+    return (3.0 * np.eye(n) + 0.3 * cos).astype(np.complex128)
+
+
+def test_circle_dirac_tower():
+    # the ramp moves diag(m - 0.5) to about diag(m + 2.5): the three modes
+    # m = -2, -1, 0 change sign, at every dimension
+    tower = TruncationTower((17, 33, 65), circle_dirac, (circle_potential,))
+    rep = callias.tower_callias(tower, base_grid=dirac1d.GridSpec(9.0, 120))
+    assert rep.passed
+    assert rep.integers == ((3,), (3,), (3,))
+    # the tails of a bounded perturbation fall like 1/n, not below a fixed bound
+    assert rep.resolvent_tails == pytest.approx((0.659, 0.358, 0.187), abs=1e-3)

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from diracflow import cli, relindex, reporting
+from diracflow import cli, relindex, reporting, scenarios
 from diracflow.errors import ConfigError, HypothesisUnmet, InvalidInput, TheoremViolation
 from diracflow.reporting import CheckRecord
 
@@ -123,6 +123,18 @@ class TestExitCodes:
         assert "error: fiber dimension must be at least 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_table_with_extra_samples_exits_2(self, tmp_path, capsys):
+        # the header "1 3" and five sample lines
+        (tmp_path / "long.tab").write_text(
+            "1 3\n" + "".join(f"{t:.1f} {t:.1f},0\n" for t in (-1.0, -0.5, 0.0, 0.5, 1.0)))
+        config = {"scenario": "sf", "seeds": [0],
+                  "potential": {"kind": "file", "path": str(tmp_path / "long.tab")}}
+        with pytest.raises(InvalidInput, match="expected 3 samples, found 5"):
+            cli.build_potential(cli.parse_config(json.dumps(config)))
+        assert run_main(tmp_path, config) == 2
+        assert "expected 3 samples, found 5" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("formats", ["xml", "csv,xml"])
     def test_unknown_format_exits_2_and_writes_nothing(self, tmp_path, formats, capsys,
                                                        monkeypatch):
@@ -147,6 +159,14 @@ class TestExitCodes:
         monkeypatch.setitem(cli._RUNNERS, "relind", lambda cfg: ([failing], None))
         assert run_main(tmp_path, SMALL) == 1
         assert '"pass": "false"' in (tmp_path / "out" / "report.json").read_text()
+
+
+def test_auto_coupling_certifies_against_the_configured_eig_tol():
+    cfg = cli.parse_config(json.dumps({"scenario": "index1d", "seeds": [0],
+                                       "coupling": "auto-lambda0",
+                                       "tolerances": {"eig_tol": 1e-20}}))
+    with pytest.raises(InvalidInput, match="exceed eig_tol=1.0e-20"):
+        cfg.coupling_for(scenarios.chain_path(3, 4))
 
 
 def test_params_reach_the_runners_typed():

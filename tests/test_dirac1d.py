@@ -21,12 +21,14 @@ from diracflow.errors import (
     NotDiagonalizable,
     NotInvertible,
 )
-from diracflow.scenarios import chain_path, engineered_threshold_path, flat_tail_path
+from diracflow.opcore import Tolerances
+from diracflow.scenarios import chain_path, engineered_threshold_path
 from diracflow.specflow import (
     PotentialPath,
     constant_path,
     conjugated_path,
     diagonal_path,
+    endpoint_identity,
     tanh_path,
 )
 
@@ -53,7 +55,7 @@ class TestGridSpec:
     def test_auto_obeys_decay_rule(self):
         p = tanh_path()
         g = GridSpec.auto(p, decay=1e-8)
-        c = p.min_gap_outside()
+        c = p.least_gap_outside()[1]
         b = max(abs(x) for x in p.hull())
         assert math.exp(-c * (g.length - b)) <= 1e-8 * (1 + 1e-9)
 
@@ -103,7 +105,7 @@ class TestAssembly:
 
     def test_adjoint_is_reverse_negated_assembly(self):
         # D* equals the assembly of t -> -S(-t) up to index reversal
-        p = flat_tail_path(3, 2)
+        p = chain_path(3, 2)
         grid = GridSpec(6.0, 48)
         op = assemble(p, grid, "aps", 1.3)
         rev = PotentialPath(p.k, -p.grid[::-1], lambda ts: -p.samples(-ts),
@@ -291,8 +293,19 @@ class TestFredholmBounds:
         with pytest.raises(HypothesisUnmet):
             fredholm_bounds(path, 0.1, k_hat=k_hat)
 
+    def test_bounds_certify_against_the_callers_eig_tol(self):
+        # the grid pass of chain(3, 4) has defects near 1e-15; a pass already
+        # taken at the default tolerances is checked again at the caller's
+        tight = Tolerances(eig_tol=1e-20)
+        with pytest.raises(InvalidInput, match="exceed eig_tol=1.0e-20"):
+            bound_constants(chain_path(3, 4), tol=tight)
+        p = chain_path(3, 4)
+        assert endpoint_identity(p).passed
+        with pytest.raises(InvalidInput, match="exceed eig_tol=1.0e-20"):
+            fredholm_bounds(p, 3.0, GridSpec(8.0, 200), tol=tight)
+
     def test_bound_constants_zero_derivative_outside(self):
-        p = flat_tail_path(2, 2)
+        p = chain_path(2, 2)
         c, dh, dk, lam0 = bound_constants(p)
         assert dh <= 0.05  # constant plateaus: derivative vanishes outside K
         assert c >= 0.9

@@ -2,6 +2,7 @@
 consumer, non-compact perturbations are rejected or fail, and tails at the
 rounding floor do not."""
 
+import pathlib
 from collections import Counter
 
 import numpy as np
@@ -20,9 +21,11 @@ from diracflow.opcore import (
     TruncationTower,
     bounded_transform,
     alternating_diag_template,
+    banded_shift_template,
     decaying_rank_template,
     exp_decay_template,
     rank_one_template,
+    resolvent_tails,
     tower_instantiate,
 )
 
@@ -37,7 +40,8 @@ def last_coordinate(n):
 
 
 def half_identity(n):
-    """0.5 I: nested, but not relatively compact."""
+    """0.5 I: nested and bounded, so relatively compact against an operator
+    with compact resolvent, but not compact itself."""
     return 0.5 * np.eye(n, dtype=np.complex128)
 
 
@@ -99,7 +103,7 @@ class TestTowerScenario:
         # at seed 35 growing fiber 0's scale never reaches the end gap 0.8
         tower = callias.tower_scenario(35, (16, 32), n_fibers=2)
         for path in callias.tower_family(tower, 16).paths:
-            assert path.min_gap_outside() >= 0.8
+            assert path.least_gap_outside()[1] >= 0.8
 
 
 class TestRelativeBoundSchedule:
@@ -112,12 +116,41 @@ class TestRelativeBoundSchedule:
         assert all(worst < 0.0 for (_, _, _, worst) in rep.entries)
         assert rep.tail_norms == (0.0, 0.0, 0.0)
 
-    def test_half_identity_is_not_relatively_compact(self):
+    @pytest.mark.parametrize("perturbation, tails", [
+        (banded_shift_template, (0.321, 0.189, 0.104)),
+        (half_identity, (0.098, 0.055, 0.029)),
+    ])
+    def test_bounded_perturbations_pass(self, perturbation, tails):
+        # bounded against the compact resolvent of T: the tails at the
+        # shift i about halve with each doubling of the dimension
         tower = TruncationTower((16, 32, 64), alternating_diag_template,
-                                (half_identity,))
-        with pytest.raises(NotRelativelyCompact,
-                           match=r"1\.961e-02', '1\.882e-02', '1\.654e-02"):
+                                (perturbation,))
+        rep = inequalities.check_relative_bound_schedule(tower, EPS_LIST)
+        assert rep.passed
+        assert rep.tail_norms == pytest.approx(tails, abs=1e-3)
+
+    def test_unbounded_perturbation_is_rejected_by_both_consumers(self):
+        tower = TruncationTower((16, 32, 64), alternating_diag_template,
+                                (alternating_diag_template,))
+        stagnant = r"9\.923e-01', '9\.981e-01', '9\.995e-01"
+        with pytest.raises(NotRelativelyCompact, match=stagnant):
             inequalities.check_relative_bound_schedule(tower, EPS_LIST)
+        with pytest.raises(NotRelativelyCompact, match=stagnant):
+            callias.tower_callias(tower, dirac1d.GridSpec(9.0, 120))
+
+
+def test_every_benchmark_tower_passes_the_tail_test(monkeypatch):
+    # the tower scenario at each benchmark pool seed (and at 57, which the
+    # report oracle runs), and the appendix scenario's schedule tower: a
+    # rejection here would turn the benchmark's checks into skips
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
+    from workloads import POOL
+
+    dims = (16, 32, 64)
+    towers = [callias.tower_scenario(seed, dims) for seed in POOL + (57,)]
+    towers.append(TruncationTower(dims, alternating_diag_template, (rank_one_template,)))
+    for tower in towers:
+        assert len(resolvent_tails(tower)) == len(dims)
 
 
 class TestFunctionalCalculusTails:

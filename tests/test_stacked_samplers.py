@@ -182,7 +182,7 @@ DERIVATIVE_NORM_PATHS = {
     "tanh": lambda: (specflow.tanh_path(), None),
     "tanh-k3": lambda: (specflow.tanh_path(k=3, scale=2), None),
     "chain": lambda: (scenarios.chain_path(3, 4, 2), None),
-    "sf": lambda: (scenarios.sf_path(5, 6), None),
+    "sf": lambda: (specflow.random_smooth_path(5, 6), None),
     "engineered": scenarios.engineered_threshold_path,
 }
 

@@ -14,8 +14,8 @@ from diracflow.callias import tower_family, tower_scenario
 from diracflow.dirac1d import GridSpec, assemble, index_report
 from diracflow.errors import AmbiguousRank
 from diracflow.opcore import DEFAULT_TOL, Tolerances
-from diracflow.scenarios import callias_case, chain_path, sf_path
-from diracflow.specflow import PotentialPath, constant_path, tanh_path
+from diracflow.scenarios import callias_case, chain_path
+from diracflow.specflow import PotentialPath, constant_path, random_smooth_path, tanh_path
 from sturm_sweep import as_cells, sweep_counts
 
 SETTINGS = settings(max_examples=25, deadline=None, derandomize=True, database=None,
@@ -100,7 +100,7 @@ class TestRoutesAgree:
     @SETTINGS
     @given(seed=st.integers(0, 100_000), k=st.integers(1, 5))
     def test_sf_paths(self, seed, k):
-        routes_agree(assemble(sf_path(seed, k), GridSpec(3.0, 64), "aps"))
+        routes_agree(assemble(random_smooth_path(seed, k), GridSpec(3.0, 64), "aps"))
 
     @settings(max_examples=4, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 40))
