@@ -15,7 +15,6 @@ matrices and truncation towers.
 from .errors import (
     AmbiguousRank,
     CollarMismatch,
-    CompactTemplateInvalid,
     ConfigError,
     DegeneratePath,
     DiracflowError,

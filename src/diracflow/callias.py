@@ -19,8 +19,8 @@ template R_i per fiber, whose nesting `opcore.tower_instantiate` verifies
 at every dimension n.  `tower_family` turns it into the fibered family
 T_n + smoothstep((t + 1)/2) R_i,n, and `tower_callias` pairs that family
 against T_n: the perturbations must pass the relative-compactness test
-`opcore.resolvent_tails`, the difference-of-projection tails must decay
-along the tower and the integers must stabilize.
+`opcore.resolvent_tails`, the difference-of-projection tails must pass
+`opcore.tails_vanish` and the integers must stabilize.
 """
 
 from dataclasses import dataclass
@@ -45,6 +45,7 @@ from .opcore import (
     resolvent_tails,
     spectral_gap,
     spectral_norm,
+    tails_vanish,
     tower_instantiate,
 )
 from .relindex import rel_index
@@ -294,7 +295,6 @@ class TowerCalliasReport:
     integers: tuple          # per dim: tuple of per-fiber integers
     tail_norms: tuple        # per dim: max over fibers/points of the projection tail
     resolvent_tails: tuple   # per dim: `opcore.resolvent_tails` of the tower
-    stabilized: bool
     tails_decay: bool
     passed: bool
 
@@ -309,19 +309,17 @@ def tower_callias(tower: TruncationTower,
 
     Precondition: each perturbation is relatively compact against T, as
     `opcore.resolvent_tails` tests it (the tails ||R_n (T_n - i)^(-1)
-    Pi_tail|| past n/2 decay along the tower; NotRelativelyCompact
+    Pi_tail|| past n/2 pass `opcore.tails_vanish`; NotRelativelyCompact
     otherwise).  It runs first, so every level is instantiated, and so
     checked for nesting, before the first is paired.  The full
     assembled-operator check runs at the base dimension; larger dimensions
     use the (already cross-validated) spectral-flow route for the
     left-hand side; ``base_grid`` is that check's grid (None:
     ``GridSpec.auto``).  The per-fiber integers must agree at the top two
-    dimensions and the difference-of-projection tail norms must decay
-    monotonically (within factor 2) along the tower.
+    dimensions (TowerTooShallow otherwise), and the report passes when the
+    difference-of-projection tail norms pass `opcore.tails_vanish`.
     """
     dims = tower.dims
-    if len(dims) < 2:
-        raise InvalidInput("need at least two tower dims")
     res_tails = resolvent_tails(tower)
     integers, tails = [], []
     for pos, n in enumerate(dims):
@@ -336,13 +334,11 @@ def tower_callias(tower: TruncationTower,
         rep = _pairing_report(family.paths, boundaries, True, 1.0, t_n, None,
                               base_grid if pos == 0 else None, method, tol)
         integers.append(rep.lhs)
-    stabilized = integers[-1] == integers[-2]
-    tails_decay = all(b <= 2.0 * a + 1e-12 for a, b in zip(tails, tails[1:]))
-    if not stabilized:
+    if integers[-1] != integers[-2]:
         raise TowerTooShallow(
             f"integers did not stabilize: {integers[-2]} vs {integers[-1]} "
-            f"at dims {dims[-2:]}" )
+            f"at dims {dims[-2:]}")
+    tails_decay = tails_vanish(tails)
     return TowerCalliasReport(dims=dims, integers=tuple(integers),
                               tail_norms=tuple(tails), resolvent_tails=res_tails,
-                              stabilized=stabilized, tails_decay=tails_decay,
-                              passed=stabilized and tails_decay)
+                              tails_decay=tails_decay, passed=tails_decay)

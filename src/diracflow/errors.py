@@ -80,10 +80,6 @@ class TowerTooShallow(DiracflowError):
     """Tower integers did not stabilize at the top dimensions."""
 
 
-class CompactTemplateInvalid(DiracflowError):
-    """A template claimed compact shows no tail decay along the tower."""
-
-
 class HypothesisUnmet(DiracflowError):
     """An inequality's hypothesis failed; this is a skip, not a violation."""
 

@@ -37,6 +37,7 @@ CONFIGS = {
     "all-base3": {"scenario": "all", "seeds": {"base": 3, "count": 8}},
     "all-base57-bumps30": {"scenario": "all", "seeds": {"base": 57, "count": 8},
                            "params": {"bumps": 30}},
+    "all-dims-8-16": {"scenario": "all", "params": {"dims": [8, 16], "trials": 20}},
     "callias-24": {"scenario": "callias", "seeds": {"base": 0, "count": 24}},
     "cutpaste-12-k5": {"scenario": "cutpaste", "seeds": {"base": 0, "count": 12},
                        "params": {"pairs": 12, "k_max": 5}},

@@ -95,6 +95,10 @@ class TestExitCodes:
         ({"scenario": "cutpaste", "params": {"pairs": 12}}, "params.pairs"),
         ({"scenario": "callias", "params": {"cases": 10}}, "params.cases"),
         ({"scenario": "all", "seeds": [0, 1], "params": {"cases": 3}}, "params.cases"),
+        # tower dims that show no decay: fewer than two, or not increasing
+        ({"scenario": "all", "params": {"dims": [32, 16]}}, "params.dims"),
+        ({"scenario": "tower", "params": {"dims": [16]}}, "params.dims"),
+        ({"scenario": "appendix", "params": {"dims": [16, 16]}}, "params.dims"),
     ])
     def test_malformed_value_names_its_field(self, tmp_path, config, field, capsys):
         with pytest.raises(ConfigError) as info:
@@ -178,6 +182,16 @@ def test_params_reach_the_runners_typed():
     assert all(type(x) is float for x in cfg.params["lams"] + cfg.potential["entries"])
     # the digest reads the configuration as written
     assert cfg.raw["params"]["lams"] == [2, 3.5]
+
+
+def test_small_tower_dims_pass_every_check(tmp_path):
+    # the dims that test_params_reach_the_runners_typed parses: every tower
+    # consumer judges tail decay, not a bound the top dimension must reach
+    config = {"scenario": "all", "params": {"dims": [8, 16], "trials": 5}}
+    assert run_main(tmp_path, config) == 0
+    checks = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert len(checks) == 44
+    assert {check["pass"] for check in checks} == {"true"}
 
 
 def test_cutpaste_pair_across_an_avoided_crossing_passes():

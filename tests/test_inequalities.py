@@ -10,7 +10,6 @@ import pytest
 
 from diracflow import callias, dirac1d, inequalities
 from diracflow.errors import (
-    CompactTemplateInvalid,
     GeneratorError,
     HypothesisUnmet,
     InvalidInput,
@@ -142,7 +141,9 @@ class TestRelativeBoundSchedule:
 def test_every_benchmark_tower_passes_the_tail_test(monkeypatch):
     # the tower scenario at each benchmark pool seed (and at 57, which the
     # report oracle runs), and the appendix scenario's schedule tower: a
-    # rejection here would turn the benchmark's checks into skips
+    # rejection here would turn the benchmark's checks into skips.  The
+    # appendix scenario's functional-calculus tower at the same seeds: a
+    # flipped verdict would turn a benchmark check false
     monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent.parent / "bench"))
     from workloads import POOL
 
@@ -151,6 +152,9 @@ def test_every_benchmark_tower_passes_the_tail_test(monkeypatch):
     towers.append(TruncationTower(dims, alternating_diag_template, (rank_one_template,)))
     for tower in towers:
         assert len(resolvent_tails(tower)) == len(dims)
+    for seed in POOL + (57,):
+        assert inequalities.check_functional_calculus_tails(
+            appendix_tails_tower(seed, dims)).passed
 
 
 class TestFunctionalCalculusTails:
@@ -182,13 +186,28 @@ class TestFunctionalCalculusTails:
         with pytest.raises(NotInvertible, match=r"T\+R at dim 16 has gap below 0\.001"):
             inequalities.check_functional_calculus_tails(tower)
 
-    def test_half_identity_fails(self):
+    def test_half_identity_passes(self):
+        # 0.5 I is not compact, but f(T + 0.5) - f(T) is, for T with compact
+        # resolvent: its tails decay, if not below a fixed bound by n = 64
         tower = TruncationTower((16, 32, 64), alternating_diag_template,
                                 (half_identity,))
         rep = inequalities.check_functional_calculus_tails(tower)
-        assert not rep.passed
-        assert rep.tail_norms["bounded-transform"][-1] == pytest.approx(1.06e-4, rel=0.01)
+        assert rep.passed
+        assert rep.tail_norms["bounded-transform"] == pytest.approx(
+            (4.39e-3, 7.33e-4, 1.06e-4), rel=0.01)
         assert rep.tail_norms["resolvent"][-1] == pytest.approx(1.78e-3, rel=0.01)
+        assert rep.resolvent_residual <= 1e-12
+
+    def test_minus_twice_t_fails(self):
+        # T + R = -T: F_(-T) - F_T = -2 F_T and the step difference are not
+        # compact, and their tails stagnate
+        tower = TruncationTower((16, 32, 64), alternating_diag_template,
+                                (lambda n: -2.0 * alternating_diag_template(n),))
+        rep = inequalities.check_functional_calculus_tails(tower)
+        assert not rep.passed
+        assert rep.tail_norms["bounded-transform"] == pytest.approx(
+            (1.98, 2.00, 2.00), abs=0.01)
+        assert rep.tail_norms["step"] == (1.0, 1.0, 1.0)
         assert rep.resolvent_residual <= 1e-12
 
 
@@ -197,7 +216,7 @@ class TestOtherChecks:
         rep = inequalities.check_compact_strong_convergence((16, 32, 64),
                                                             exp_decay_template(0.5))
         assert rep.passed and rep.right_norms[-1] <= 1e-6
-        with pytest.raises(CompactTemplateInvalid):
+        with pytest.raises(HypothesisUnmet, match="template is not compact"):
             inequalities.check_compact_strong_convergence(
                 (16, 32, 64), lambda n: np.eye(n, dtype=np.complex128))
 

@@ -346,6 +346,25 @@ class TestTowers:
         with pytest.raises(InvalidInput, match="4096 coordinates, got n = 4100"):
             template(4100)
 
+    @pytest.mark.parametrize("tails", [
+        (0.659, 0.358, 0.187),          # circle tower, resolvent tails
+        (1.12e-2, 1.58e-8, 3.8e-15),    # circle tower, projection tails
+        (1.60e-6, 1.41e-12, 2.77e-15),  # tower scenario at seed 3, projection tails
+        (0.0, 0.0, 0.0),
+    ])
+    def test_decaying_tails_vanish(self, tails):
+        assert opcore.tails_vanish(tails)
+
+    def test_stagnant_tails_do_not_vanish(self):
+        # R = T against the alternating diagonal: the resolvent tails stay near 1
+        assert not opcore.tails_vanish((0.9923, 0.9981, 0.9995))
+        # one stagnant step above rounding is enough
+        assert not opcore.tails_vanish((0.5, 0.1, 0.09))
+
+    def test_one_tail_shows_no_decay(self):
+        with pytest.raises(InvalidInput, match="at least two tails"):
+            opcore.tails_vanish((1e-3,))
+
 
 class TestTolerances:
     def test_defaults(self):
