@@ -58,6 +58,7 @@ __all__ = [
     "CalliasReport",
     "rhs_pairing",
     "callias_check",
+    "index_identity",
     "ran_projection_pairing",
     "four_way_identity",
     "FourWayReport",
@@ -82,17 +83,6 @@ class FiberedFamily:
             raise InvalidInput("need at least one fiber path")
 
 
-def _resolve_reference(reference, k: int) -> np.ndarray:
-    """Accept a scalar (multiple of the identity) or a matrix as the
-    reference operator."""
-    if np.isscalar(reference):
-        reference = complex(reference) * np.eye(k, dtype=np.complex128)
-    mat = _hermitised(reference)
-    if mat.shape != (k, k):
-        raise InvalidInput(f"reference has shape {mat.shape}, expected ({k}, {k})")
-    return mat
-
-
 def _boundary(path: PotentialPath, tol: Tolerances) -> tuple:
     """(y, gamma(y), P_+(S(y))) for each point y of N = dK, in order: the
     endpoints of the intervals of the declared support K, signed by the
@@ -111,11 +101,19 @@ def _boundary(path: PotentialPath, tol: Tolerances) -> tuple:
 
 def _pairing_terms(path: PotentialPath, boundary, reference,
                    tol: Tolerances) -> tuple:
-    """gamma(y) * rel-ind(P_+(S(y)), P_+(T)) for each boundary point y."""
+    """gamma(y) * rel-ind(P_+(S(y)), P_+(T)) for each boundary point y,
+    with the reference T a scalar (a multiple of the identity) or a
+    matrix.  Without boundary points no reference is resolved."""
     if not boundary:
         return ()
+    k = path.k
+    if np.isscalar(reference):
+        reference = complex(reference) * np.eye(k, dtype=np.complex128)
+    reference = _hermitised(reference)
+    if reference.shape != (k, k):
+        raise InvalidInput(f"reference has shape {reference.shape}, expected ({k}, {k})")
     try:
-        p_ref = positive_projection(_resolve_reference(reference, path.k), tol)
+        p_ref = positive_projection(reference, tol)
     except NotInvertible as exc:
         raise NotInvertible("reference operator is not invertible") from exc
     return tuple(g * rel_index(p_y, p_ref, tol) for _, g, p_y in boundary)
@@ -129,22 +127,28 @@ def rhs_pairing(path: PotentialPath, reference=-1.0,
     return sum(_pairing_terms(path, _boundary(path, tol), reference, tol))
 
 
-def _scalar_lhs(path: PotentialPath, lam, grid, tol, method):
-    """The endpoint identity's integer (method "sf"), or with method "both"
-    the index of the assembled operator, cross-checked against it."""
+def _flow(path: PotentialPath, tol: Tolerances) -> int:
+    """The endpoint identity's integer; its three routes must agree
+    (TheoremViolation otherwise)."""
     ident = endpoint_identity(path, tol=tol)
     if not ident.passed:
         raise TheoremViolation(
             f"spectral-flow routes disagree on {path.name}: {ident}")
-    sf_value = ident.endpoint_rel_index
-    if method == "sf":
-        return sf_value
-    rep = dirac1d.path_index_report(path, grid, lam, tol, refine_check=False)
-    if sf_value != rep.index:
+    return ident.endpoint_rel_index
+
+
+def index_identity(path: PotentialPath, lam: float = 1.0, grid=None,
+                   tol: Tolerances = DEFAULT_TOL) -> int:
+    """The index of the APS assembly of ``path`` (``grid`` as in
+    `dirac1d.path_index_report`), which must equal the spectral flow of
+    `_flow`; TheoremViolation otherwise.  The endpoint identity runs
+    first, so the assembly's invertibility check reads its grid pass."""
+    flow = _flow(path, tol)
+    index = dirac1d.path_index_report(path, grid, lam, tol, refine_check=False).index
+    if index != flow:
         raise TheoremViolation(
-            f"assembled index {rep.index} != spectral flow {sf_value} "
-            f"on {path.name}")
-    return rep.index
+            f"assembled index {index} != spectral flow {flow} on {path.name}")
+    return index
 
 
 @dataclass(frozen=True)
@@ -157,44 +161,43 @@ class CalliasReport:
 
 
 def callias_check(path_or_family, lam: float = 1.0, reference=-1.0,
-                  reference_alt=None, grid=None,
+                  reference_alt=1.0, grid=None,
                   tol: Tolerances = DEFAULT_TOL) -> CalliasReport:
     """Assert index == hypersurface pairing, including reference independence.
 
-    The left-hand side is the index of the APS assembly, cross-checked
-    against the two spectral-flow computations; the right-hand
+    The left-hand side is `index_identity`'s: the index of the APS
+    assembly, cross-checked against the spectral flow; the right-hand
     side is evaluated with two distinct references and must not depend on
     the choice.  Any mismatch raises TheoremViolation.
     """
     fibered = isinstance(path_or_family, FiberedFamily)
     paths = path_or_family.paths if fibered else (path_or_family,)
     boundaries = [_boundary(p, tol) for p in paths]
-    return _pairing_report(paths, boundaries, fibered, lam, reference,
-                           reference_alt, grid, "both", tol)
+    return _pairing_report(paths, boundaries, fibered,
+                           lambda p: index_identity(p, lam, grid, tol),
+                           reference, reference_alt, tol)
 
 
-def _pairing_report(paths, boundaries, fibered, lam, reference, reference_alt,
-                    grid, lhs_method, tol) -> CalliasReport:
-    """The CalliasReport of ``paths`` from their boundary projections."""
-    lhs, rhs, rhs2, per_point = [], [], [], []
+def _pairing_report(paths, boundaries, fibered, lhs, reference, reference_alt,
+                    tol) -> CalliasReport:
+    """The CalliasReport of ``paths`` from their boundary projections; per
+    fiber, ``lhs(path)`` is taken first, then the pairing against each
+    reference."""
+    values, rhs, rhs2, per_point = [], [], [], []
     for p, boundary in zip(paths, boundaries):
-        lhs.append(_scalar_lhs(p, lam, grid, tol, lhs_method))
-        alt = reference_alt if reference_alt is not None \
-            else -_resolve_reference(reference, p.k)
+        values.append(lhs(p))
         terms = _pairing_terms(p, boundary, reference, tol)
         per_point.append(terms)
         rhs.append(sum(terms))
-        rhs2.append(sum(_pairing_terms(p, boundary, alt, tol)))
-    pick = tuple if fibered else (lambda values: values[0])
-    lhs, rhs, rhs2 = pick(lhs), pick(rhs), pick(rhs2)
-    report = CalliasReport(lhs=lhs, rhs=rhs, rhs_alt=rhs2,
-                           per_point=pick(per_point), passed=lhs == rhs == rhs2)
+        rhs2.append(sum(_pairing_terms(p, boundary, reference_alt, tol)))
+    pick = tuple if fibered else (lambda v: v[0])
+    report = CalliasReport(lhs=pick(values), rhs=pick(rhs), rhs_alt=pick(rhs2),
+                           per_point=pick(per_point),
+                           passed=values == rhs == rhs2)
     if not report.passed:
-        exc = TheoremViolation(
+        raise TheoremViolation(
             f"hypersurface pairing mismatch: lhs={report.lhs} rhs={report.rhs} "
             f"rhs_alt={report.rhs_alt}")
-        exc.report = report
-        raise exc
     return report
 
 
@@ -295,7 +298,6 @@ class TowerCalliasReport:
     integers: tuple          # per dim: tuple of per-fiber integers
     tail_norms: tuple        # per dim: max over fibers/points of the projection tail
     resolvent_tails: tuple   # per dim: `opcore.resolvent_tails` of the tower
-    tails_decay: bool
     passed: bool
 
 
@@ -311,11 +313,10 @@ def tower_callias(tower: TruncationTower,
     `opcore.resolvent_tails` tests it (the tails ||R_n (T_n - i)^(-1)
     Pi_tail|| past n/2 pass `opcore.tails_vanish`; NotRelativelyCompact
     otherwise).  It runs first, so every level is instantiated, and so
-    checked for nesting, before the first is paired.  The full
-    assembled-operator check runs at the base dimension; larger dimensions
-    use the (already cross-validated) spectral-flow route for the
-    left-hand side; ``base_grid`` is that check's grid (None:
-    ``GridSpec.auto``).  The per-fiber integers must agree at the top two
+    checked for nesting, before the first is paired.  The left-hand side
+    is `index_identity`'s at the base dimension, on ``base_grid`` (None:
+    ``GridSpec.auto``), and the already cross-validated spectral flow of
+    `_flow` above it.  The per-fiber integers must agree at the top two
     dimensions (TowerTooShallow otherwise), and the report passes when the
     difference-of-projection tail norms pass `opcore.tails_vanish`.
     """
@@ -330,15 +331,14 @@ def tower_callias(tower: TruncationTower,
         # the tail past the first n/2 coordinates
         tails.append(max(spectral_norm((p_y.entries - p_ref.entries)[:, n // 2:])
                          for boundary in boundaries for _, _, p_y in boundary))
-        method = "both" if pos == 0 else "sf"
-        rep = _pairing_report(family.paths, boundaries, True, 1.0, t_n, None,
-                              base_grid if pos == 0 else None, method, tol)
+        lhs = (lambda p: index_identity(p, 1.0, base_grid, tol)) if pos == 0 \
+            else (lambda p: _flow(p, tol))
+        rep = _pairing_report(family.paths, boundaries, True, lhs, t_n, -t_n, tol)
         integers.append(rep.lhs)
     if integers[-1] != integers[-2]:
         raise TowerTooShallow(
             f"integers did not stabilize: {integers[-2]} vs {integers[-1]} "
             f"at dims {dims[-2:]}")
-    tails_decay = tails_vanish(tails)
     return TowerCalliasReport(dims=dims, integers=tuple(integers),
                               tail_norms=tuple(tails), resolvent_tails=res_tails,
-                              tails_decay=tails_decay, passed=tails_decay)
+                              passed=tails_vanish(tails))

@@ -75,10 +75,6 @@ __all__ = [
     "kernel_oracle_diagonal",
     "OracleIndex",
     "fredholm_bounds",
-    "lambda_sweep",
-    "SweepReport",
-    "perturbation_invariance",
-    "PerturbationReport",
     "quintic_plateau",
     "smoothstep",
 ]
@@ -274,6 +270,13 @@ def assemble(path: PotentialPath, grid: GridSpec, bc: str = "aps",
 @dataclass(frozen=True)
 class IndexReport:
     """Index of an APS assembly with the certificate of its dimensions.
+
+    ``index`` = ``structural_index`` = cols - rows on both routes: the
+    transfer route sets dim coker = rows - cols + dim ker, and the SVD
+    route counts the cokernel by rank-nullity.  So ``structural_agrees``
+    always holds, and any check that compares ``index`` compares an
+    integer fixed by the endpoint signatures.  The measured content is
+    ``dim_ker`` (and the refinement agreement).
 
     ``route`` names what decided (dim ker, dim coker):
 
@@ -791,42 +794,3 @@ def fredholm_bounds(path: PotentialPath, lam: float,
         c_hat=c_hat, delta_hat=delta_hat, delta_k=delta_k, lambda0=lambda0,
         epsilon=epsilon, min_eig=min_eig, f_amplitude=amplitude,
         disc_slack=_DISC_SLACK, second_statement=second, passed=passed)
-
-
-@dataclass(frozen=True)
-class SweepReport:
-    lams: tuple
-    indices: tuple
-    passed: bool
-
-
-def lambda_sweep(path: PotentialPath, lams, grid: Optional[GridSpec] = None,
-                 tol: Tolerances = DEFAULT_TOL) -> SweepReport:
-    """Index of the APS assembly across a list of couplings; the integers
-    must all coincide."""
-    grid = _resolve_grid(grid, path)
-    indices = [path_index_report(path, grid, float(lam), tol, refine_check=False).index
-               for lam in lams]
-    return SweepReport(lams=tuple(float(x) for x in lams),
-                       indices=tuple(indices),
-                       passed=len(set(indices)) == 1)
-
-
-@dataclass(frozen=True)
-class PerturbationReport:
-    base_index: int
-    perturbed_index: int
-    passed: bool
-
-
-def perturbation_invariance(path: PotentialPath, perturbed: PotentialPath,
-                            lam: float = 1.0, grid: Optional[GridSpec] = None,
-                            tol: Tolerances = DEFAULT_TOL) -> PerturbationReport:
-    """Exact index equality between a path and a compactly supported
-    symmetric perturbation of it (the perturbation must vanish outside the
-    support set, which the caller guarantees by construction)."""
-    grid = _resolve_grid(grid, path)
-    base = path_index_report(path, grid, lam, tol, refine_check=False)
-    pert = path_index_report(perturbed, grid, lam, tol, refine_check=False)
-    return PerturbationReport(base_index=base.index, perturbed_index=pert.index,
-                              passed=base.index == pert.index)

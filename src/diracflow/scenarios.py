@@ -36,26 +36,21 @@ def invertible_matrix(rng: np.random.Generator, k: int) -> np.ndarray:
     return (u * (mags * signs)) @ u.conj().T
 
 
-def chain_path(seed: int, k: int, n_intervals: int = 1,
-               n_samples: int = 65) -> PotentialPath:
-    """Piecewise scenario: constant invertible plateaus (`invertible_matrix`)
-    separated by n_intervals transition windows where the potential
-    interpolates between consecutive plateaus and picks up a smooth bump
-    of norm at most 0.8.
+def _bounded_hermitian(rng: np.random.Generator, k: int, bound: float) -> np.ndarray:
+    """Random Hermitian k x k matrix, scaled to spectral norm at most
+    ``bound``."""
+    b = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
+    b = (b + b.conj().T) / 2.0
+    return bound * b / max(1.0, float(np.linalg.norm(b, 2)))
 
-    The support set is the union of the transition windows; outside them
-    the potential equals one of the plateau matrices exactly, so the
-    invertibility margin is the smallest plateau gap, at least 1.
-    """
-    rng = np.random.default_rng(np.random.SeedSequence([seed, k, n_intervals]))
-    plateaus = [invertible_matrix(rng, k) for _ in range(n_intervals + 1)]
-    bumps = []
-    for _ in range(n_intervals):
-        b = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
-        b = (b + b.conj().T) / 2.0
-        bumps.append(0.8 * b / max(1.0, float(np.linalg.norm(b, 2))))
-    # transition window j occupies [4j, 4j + 2], centered plateaus between
-    intervals = tuple((4.0 * j, 4.0 * j + 2.0) for j in range(n_intervals))
+
+def _plateau_chain(plateaus, bumps, n_samples: int, name: str) -> PotentialPath:
+    """Constant plateaus separated by transition windows [4j, 4j + 2],
+    where the potential interpolates between consecutive plateaus and
+    picks up the bump sin(pi x / 2) * bumps[j].  The support set is the
+    union of the windows, the grid spans 2 beyond them on both sides."""
+    k = plateaus[0].shape[0]
+    intervals = tuple((4.0 * j, 4.0 * j + 2.0) for j in range(len(bumps)))
     span = (intervals[0][0] - 2.0, intervals[-1][1] + 2.0)
 
     def sampler(ts):
@@ -75,37 +70,40 @@ def chain_path(seed: int, k: int, n_intervals: int = 1,
         return out
 
     grid = np.linspace(span[0], span[1], n_samples)
-    return PotentialPath(k, grid, sampler, support=intervals,
-                         name=f"chain(seed={seed}, k={k}, m={n_intervals})")
+    return PotentialPath(k, grid, sampler, support=intervals, name=name)
+
+
+def chain_path(seed: int, k: int, n_intervals: int = 1,
+               n_samples: int = 65) -> PotentialPath:
+    """Piecewise scenario: constant invertible plateaus (`invertible_matrix`)
+    separated by n_intervals transition windows where the potential
+    interpolates between consecutive plateaus and picks up a smooth bump
+    of norm at most 0.8 (`_plateau_chain`).
+
+    The support set is the union of the transition windows; outside them
+    the potential equals one of the plateau matrices exactly, so the
+    invertibility margin is the smallest plateau gap, at least 1.
+    """
+    rng = np.random.default_rng(np.random.SeedSequence([seed, k, n_intervals]))
+    plateaus = [invertible_matrix(rng, k) for _ in range(n_intervals + 1)]
+    bumps = [_bounded_hermitian(rng, k, 0.8) for _ in range(n_intervals)]
+    return _plateau_chain(plateaus, bumps, n_samples,
+                          f"chain(seed={seed}, k={k}, m={n_intervals})")
 
 
 def collar_pair(seed: int, k: int) -> Tuple[PotentialPath, PotentialPath, float]:
-    """Two paths sharing their right flank exactly (both constant equal to
-    the same plateau beyond the cut), so any collar at the cut matches to
-    machine zero.  Returns (m1, m2, t_cut)."""
+    """Two one-window plateau chains sharing their right plateau exactly
+    (both constant equal to it beyond the window [0, 2]), so any collar at
+    the cut matches to machine zero.  Returns (m1, m2, t_cut)."""
     rng = np.random.default_rng(np.random.SeedSequence([seed, k, 77]))
     shared_right = invertible_matrix(rng, k)
     out = []
     for variant in (0, 1):
         sub = np.random.default_rng(np.random.SeedSequence([seed, k, variant]))
         left = invertible_matrix(sub, k)
-        b = sub.standard_normal((k, k)) + 1j * sub.standard_normal((k, k))
-        b = (b + b.conj().T) / 2.0
-        b = 0.8 * b / max(1.0, float(np.linalg.norm(b, 2)))
-
-        def sampler(ts, left=left, b=b):
-            out = np.empty((ts.size, k, k), dtype=np.complex128)
-            out[:] = shared_right
-            out[ts < 0.0] = left
-            ramp = (0.0 <= ts) & (ts <= 2.0)
-            u = smoothstep(ts[ramp] / 2.0)[:, None, None]
-            wave = np.sin(math.pi * ts[ramp] / 2.0)[:, None, None]
-            out[ramp] = (1.0 - u) * left + u * shared_right + wave * b
-            return out
-
-        grid = np.linspace(-2.0, 4.0, 49)
-        out.append(PotentialPath(k, grid, sampler, support=((0.0, 2.0),),
-                                 name=f"collar-{variant}(seed={seed}, k={k})"))
+        bump = _bounded_hermitian(sub, k, 0.8)
+        out.append(_plateau_chain([left, shared_right], [bump], 49,
+                                  f"collar-{variant}(seed={seed}, k={k})"))
     return out[0], out[1], 3.0
 
 
@@ -118,10 +116,7 @@ def bump_perturbation(seed: int, path: PotentialPath):
         raise ValueError("path has empty support; no room for a bump")
     a, b = hull
     rng = np.random.default_rng(np.random.SeedSequence([seed, path.k, 13]))
-    r = rng.standard_normal((path.k, path.k)) \
-        + 1j * rng.standard_normal((path.k, path.k))
-    r = (r + r.conj().T) / 2.0
-    r = r / max(1.0, float(np.linalg.norm(r, 2)))
+    r = _bounded_hermitian(rng, path.k, 1.0)
     width = 0.35 * (b - a)
     center = a + (b - a) * rng.uniform(0.3, 0.7)
 

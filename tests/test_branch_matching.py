@@ -10,7 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from diracflow import scenarios, specflow, surgery
-from diracflow.dirac1d import GridSpec, assemble, lambda_sweep
+from diracflow.dirac1d import GridSpec, assemble, path_index_report
 from diracflow.inequalities import random_unitary
 from diracflow.specflow import (
     PotentialPath,
@@ -109,7 +109,8 @@ def test_least_gap_is_measured_once_per_path():
     assert sampled == Counter(float(t) for t in path.grid)
     sampled.clear()
     calls.clear()
-    lambda_sweep(path, [1.0, 2.0], GridSpec(8.0, 64))
+    for lam in (1.0, 2.0):
+        path_index_report(path, GridSpec(8.0, 64), lam, refine_check=False)
     assemble(path, GridSpec(8.0, 64), "dirichlet")
     # only the APS endpoint nodes and midpoints, no second pass over the grid
     assert sum(sampled.values()) == 2 * (64 + 2)

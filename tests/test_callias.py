@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diracflow import callias, dirac1d, scenarios
+from diracflow import callias, dirac1d, scenarios, surgery
 from diracflow.errors import NotInvertible, TheoremViolation
 from diracflow.opcore import TruncationTower, tails_vanish
 from diracflow.specflow import PotentialPath, random_smooth_path
@@ -103,6 +103,21 @@ def test_flipped_sign_is_a_violation(monkeypatch):
     monkeypatch.setattr(callias, "_boundary", flipped)
     with pytest.raises(TheoremViolation, match="pairing mismatch"):
         check_case(1)
+
+
+def test_assembled_index_off_the_flow_is_a_violation(monkeypatch):
+    index_dims = dirac1d._index_dims
+
+    def one_more_kernel_vector(op, tol):
+        dim_ker, *rest = index_dims(op, tol)
+        return (dim_ker + 1, *rest)
+
+    monkeypatch.setattr(dirac1d, "_index_dims", one_more_kernel_vector)
+    with pytest.raises(TheoremViolation, match="assembled index .* != spectral flow"):
+        check_case(1)
+    m1, m2, t_cut = scenarios.collar_pair(3, 2)
+    with pytest.raises(TheoremViolation, match="assembled index .* != spectral flow"):
+        surgery.verify_additivity(m1, m2, t_cut, grid=dirac1d.GridSpec(12.0, 192))
 
 
 def test_tower_integers_and_tails():

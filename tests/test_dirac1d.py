@@ -12,8 +12,7 @@ from diracflow.dirac1d import (
     index_report,
     kernel_oracle_diagonal,
     kernel_vectors,
-    lambda_sweep,
-    perturbation_invariance,
+    path_index_report,
 )
 from diracflow.errors import (
     HypothesisUnmet,
@@ -350,21 +349,23 @@ class TestFredholmBounds:
             assert ds[0, 0] == pytest.approx(2.0 * t, abs=1e-12)
 
 
+def index_at(path, lam, grid):
+    return path_index_report(path, grid, lam, refine_check=False).index
+
+
 class TestSweepAndPerturbation:
     def test_tanh_sweep(self):
-        rep = lambda_sweep(tanh_path(), [1.0, 2.0, 5.0, 10.0],
-                           GridSpec(8.0, 200))
-        assert rep.passed and rep.indices[0] == 1
+        indices = [index_at(tanh_path(), lam, GridSpec(8.0, 200))
+                   for lam in (1.0, 2.0, 5.0, 10.0)]
+        assert indices == [1] * 4
 
     def test_constant_sweep(self):
         p = constant_path(np.array([[1.0]]), (-8, 8))
-        rep = lambda_sweep(p, [1.0, 10.0], GridSpec(8.0, 160))
-        assert rep.passed and rep.indices[0] == 0
+        assert [index_at(p, lam, GridSpec(8.0, 160)) for lam in (1.0, 10.0)] == [0, 0]
 
     def test_zero_perturbation(self):
         p = tanh_path()
-        rep = perturbation_invariance(p, p, 1.0, GridSpec(8.0, 160))
-        assert rep.passed
+        assert index_at(p, 1.0, GridSpec(8.0, 160)) == index_at(p, 1.0, GridSpec(8.0, 160)) == 1
 
     def test_interior_bump(self):
         from diracflow.scenarios import bump_perturbation
@@ -372,6 +373,5 @@ class TestSweepAndPerturbation:
 
         p = tanh_path()
         bump, r = bump_perturbation(0, p)
-        rep = perturbation_invariance(p, perturbed_path(p, bump, r), 1.0,
-                                      GridSpec(8.0, 200))
-        assert rep.passed and rep.base_index == 1
+        grid = GridSpec(8.0, 200)
+        assert index_at(p, 1.0, grid) == index_at(perturbed_path(p, bump, r), 1.0, grid) == 1

@@ -220,6 +220,13 @@ class TestOtherChecks:
             inequalities.check_compact_strong_convergence(
                 (16, 32, 64), lambda n: np.eye(n, dtype=np.complex128))
 
+    def test_compact_template_must_be_hermitian(self):
+        def upper_shift(n):
+            return np.diag(np.exp(-0.5 * np.arange(1.0, n)), 1).astype(np.complex128)
+
+        with pytest.raises(InvalidInput, match="template is not Hermitian"):
+            inequalities.check_compact_strong_convergence((16, 32, 64), upper_shift)
+
     def test_stability_hypotheses_are_preconditions(self):
         t = inequalities.random_hermitian_stack([inequalities.RandomSpec(1, 6, (-6.0, 6.0))])
         raw = inequalities.random_hermitian_stack([inequalities.RandomSpec(2, 6, (-1.0, 1.0))])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from diracflow import dirac1d, surgery
-from diracflow.errors import CollarMismatch
+from diracflow.errors import CollarMismatch, NotInvertible
 from diracflow.scenarios import collar_pair
 from diracflow.specflow import PotentialPath
 
@@ -26,7 +26,7 @@ def test_cut_paste_swaps_flanks_and_keeps_the_index_sum():
     assert np.array_equal(m3.sample(-1.0), m1.sample(-1.0))
     assert np.array_equal(m4.sample(-1.0), m2.sample(-1.0))
     rep = surgery.verify_additivity(m1, m2, t_cut, grid=dirac1d.GridSpec(12.0, 192))
-    assert rep.passed and rep.sf_agrees
+    assert rep.passed
     assert rep.ind_1 + rep.ind_2 == rep.ind_3 + rep.ind_4
 
 
@@ -43,3 +43,14 @@ def test_additivity_takes_one_grid_pass_per_path(monkeypatch):
     assert surgery.verify_additivity(m1, m2, t_cut, grid=dirac1d.GridSpec(12.0, 192)).passed
     # m1, m2 and the two cut-paste products, one pass each
     assert len(passes) == 4 and set(passes.values()) == {1}
+
+
+def test_singular_endpoint_is_not_invertible():
+    m1, m2, t_cut = collar_pair(3, 2)
+    # m1 set to 0 before t = -1.5: its start point is singular
+    singular = PotentialPath(
+        m1.k, m1.grid, lambda ts: np.where((ts < -1.5)[:, None, None], 0.0, m1.samples(ts)),
+        support=m1.support, name="collar-0-zeroed")
+    with pytest.raises(NotInvertible, match="start point is not invertible"):
+        surgery.verify_additivity(singular, m2, t_cut, grid=dirac1d.GridSpec(12.0, 192))
+
