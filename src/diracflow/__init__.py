@@ -18,7 +18,6 @@ from .errors import (
     ConfigError,
     DegeneratePath,
     DiracflowError,
-    DomainError,
     GeneratorError,
     HypothesisUnmet,
     InvalidInput,
@@ -37,7 +36,6 @@ from .opcore import (
     Projection,
     Tolerances,
     TruncationTower,
-    apply_function,
     bounded_transform,
     eigh,
     inv_sqrt_via_quadrature,

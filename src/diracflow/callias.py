@@ -144,7 +144,7 @@ def index_identity(path: PotentialPath, lam: float = 1.0, grid=None,
     `_flow`; TheoremViolation otherwise.  The endpoint identity runs
     first, so the assembly's invertibility check reads its grid pass."""
     flow = _flow(path, tol)
-    index = dirac1d.path_index_report(path, grid, lam, tol, refine_check=False).index
+    index = dirac1d.path_index_report(path, grid, lam, tol).index
     if index != flow:
         raise TheoremViolation(
             f"assembled index {index} != spectral flow {flow} on {path.name}")
@@ -157,7 +157,6 @@ class CalliasReport:
     rhs: Union[int, tuple]
     rhs_alt: Union[int, tuple]      # with the second, independent reference
     per_point: tuple                # per boundary point (or per fiber: tuple of tuples)
-    passed: bool
 
 
 def callias_check(path_or_family, lam: float = 1.0, reference=-1.0,
@@ -192,9 +191,8 @@ def _pairing_report(paths, boundaries, fibered, lhs, reference, reference_alt,
         rhs2.append(sum(_pairing_terms(p, boundary, reference_alt, tol)))
     pick = tuple if fibered else (lambda v: v[0])
     report = CalliasReport(lhs=pick(values), rhs=pick(rhs), rhs_alt=pick(rhs2),
-                           per_point=pick(per_point),
-                           passed=values == rhs == rhs2)
-    if not report.passed:
+                           per_point=pick(per_point))
+    if not values == rhs == rhs2:
         raise TheoremViolation(
             f"hypersurface pairing mismatch: lhs={report.lhs} rhs={report.rhs} "
             f"rhs_alt={report.rhs_alt}")

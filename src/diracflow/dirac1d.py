@@ -559,12 +559,12 @@ def _resolve_grid(grid, path: PotentialPath) -> GridSpec:
 
 
 def path_index_report(path: PotentialPath, grid=None, lam: float = 1.0,
-                      tol: Tolerances = DEFAULT_TOL,
-                      refine_check: bool = True) -> IndexReport:
-    """``index_report`` of the APS assembly of ``path``.  ``grid`` is a
-    GridSpec, a rule path -> GridSpec, or None for ``GridSpec.auto``."""
+                      tol: Tolerances = DEFAULT_TOL) -> IndexReport:
+    """``index_report`` of the APS assembly of ``path``, without the h/2
+    refinement rerun.  ``grid`` is a GridSpec, a rule path -> GridSpec, or
+    None for ``GridSpec.auto``."""
     return index_report(assemble(path, _resolve_grid(grid, path), "aps", lam, tol),
-                        tol, refine_check=refine_check)
+                        tol, refine_check=False)
 
 
 def kernel_vectors(op: DiscretizedDiracSchroedinger,

@@ -25,10 +25,6 @@ class ConfigError(InvalidInput):
         super().__init__(message)
 
 
-class DomainError(DiracflowError):
-    """A scalar function was evaluated outside its domain (at an eigenvalue)."""
-
-
 class NotInvertible(DiracflowError):
     """An operator required to have a spectral gap at 0 does not have one."""
 

@@ -45,7 +45,6 @@ from .opcore import (
 )
 
 __all__ = [
-    "RandomSpec",
     "random_hermitian_stack",
     "random_unitary",
     "check_compact_strong_convergence",
@@ -67,25 +66,6 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class RandomSpec:
-    """Deterministic recipe for a dense random Hermitian operator.
-
-    Identical seed and spec reproduce the operator bitwise within one
-    process (plain numpy reductions, fixed call order).
-    """
-
-    seed: int
-    dim: int
-    envelope: Tuple[float, float] = (-1.0, 1.0)
-
-    def __post_init__(self):
-        if self.dim <= 0:
-            raise InvalidInput("dim must be positive")
-        if not self.envelope[0] <= self.envelope[1]:
-            raise InvalidInput("envelope must be ordered (lo, hi)")
-
-
 def _phase_fixed_q(a: np.ndarray) -> np.ndarray:
     """Q of the QR decomposition of a matrix, or of each matrix of a stack,
     with the phase convention that makes the factorization unique."""
@@ -100,26 +80,27 @@ def random_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
                           + 1j * rng.standard_normal((dim, dim)))
 
 
-def random_hermitian_stack(specs: Sequence[RandomSpec]) -> np.ndarray:
-    """Seeded random Hermitian operators with eigenvalues in their specs'
-    envelopes, for several specs of one dim, as a hermitised stack
-    (m, dim, dim).
+def random_hermitian_stack(seeds: Sequence[int], dim: int,
+                           envelope: Tuple[float, float] = (-1.0, 1.0)) -> np.ndarray:
+    """Seeded random Hermitian dim x dim operators with eigenvalues in
+    ``envelope`` = (lo, hi), one per seed, as a hermitised stack
+    (m, dim, dim).  Identical seeds reproduce the operators bitwise.
 
-    Each spec draws from its own generator: a complex Gaussian matrix, whose
+    Each seed draws from its own generator: a complex Gaussian matrix, whose
     phase-fixed QR factor is U, then the eigenvalues w.  The QR, the phase
     fix and the product U diag(w) U* run once for the stack, matrix by
     matrix bitwise equal to a stack of one.
     """
-    dims = {spec.dim for spec in specs}
-    if len(dims) != 1:
-        raise InvalidInput(f"need specs of one dim, got dims {sorted(dims)}")
-    n = dims.pop()
-    gauss = np.empty((len(specs), n, n), dtype=np.complex128)
-    w = np.empty((len(specs), n))
-    for j, spec in enumerate(specs):
-        rng = np.random.default_rng(spec.seed)
-        gauss[j] = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        w[j] = rng.uniform(*spec.envelope, size=n)
+    if dim <= 0:
+        raise InvalidInput("dim must be positive")
+    if not envelope[0] <= envelope[1]:
+        raise InvalidInput("envelope must be ordered (lo, hi)")
+    gauss = np.empty((len(seeds), dim, dim), dtype=np.complex128)
+    w = np.empty((len(seeds), dim))
+    for j, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed)
+        gauss[j] = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        w[j] = rng.uniform(*envelope, size=dim)
     u = _phase_fixed_q(gauss)
     return _hermitised((u * w[:, None, :]) @ u.conj().swapaxes(-1, -2), stack=True)
 
@@ -145,7 +126,6 @@ _AMBIENT_FACTOR = 2
 class CompactConvergenceReport:
     dims: tuple
     right_norms: tuple      # ||K (1 - Pi_n)||
-    passed: bool
 
 
 def check_compact_strong_convergence(dims: Sequence[int],
@@ -171,7 +151,7 @@ def check_compact_strong_convergence(dims: Sequence[int],
     if not tails_vanish(right):
         raise HypothesisUnmet(f"template is not compact: tail norms "
                               f"{['%.3e' % x for x in right]}")
-    return CompactConvergenceReport(dims=dims, right_norms=tuple(right), passed=True)
+    return CompactConvergenceReport(dims=dims, right_norms=tuple(right))
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Everything downstream (spectral flow, index extraction, hypersurface
 pairings) reduces to a handful of primitives implemented here: Hermitian
-eigendecomposition, functional calculus f(H) = V f(L) V*, the bounded
-transform H(1+H^2)^(-1/2), hard spectral projections, SVD-based numerical
+eigendecomposition, the bounded transform H(1+H^2)^(-1/2) and other
+functions f(H) = V f(L) V*, hard spectral projections, SVD-based numerical
 rank with gap detection, a quadrature route to (1+H^2)^(-1/2), and nested
 truncation towers that give finite-dimensional meaning to compactness.
 
@@ -19,7 +19,6 @@ import numpy as np
 
 from .errors import (
     AmbiguousRank,
-    DomainError,
     GeneratorError,
     InvalidInput,
     NotInvertible,
@@ -32,10 +31,8 @@ __all__ = [
     "HermitianOperator",
     "Projection",
     "TruncationTower",
-    "as_hermitian",
     "as_matrix",
     "eigh",
-    "apply_function",
     "bounded_transform",
     "positive_projection",
     "null_space",
@@ -169,10 +166,6 @@ class Projection:
         return f"Projection(dim={self.dim}, rank={self.rank()})"
 
 
-def as_hermitian(x) -> HermitianOperator:
-    return x if isinstance(x, HermitianOperator) else HermitianOperator(as_matrix(x))
-
-
 def _decompose(a: np.ndarray):
     """One `np.linalg.eigh` of a hermitised matrix, or of each matrix of a
     stack (m, n, n), with its certificate: (w, v, defects), where
@@ -211,23 +204,6 @@ def eigh(h, tol: Tolerances = DEFAULT_TOL):
     w, v, defects = _decompose(a)
     _certify(defects, tol, lambda i: f" at matrix {i} of the stack" if a.ndim == 3 else "")
     return w, v
-
-
-def apply_function(h, f: Callable[[float], float], tol: Tolerances = DEFAULT_TOL):
-    """Continuous functional calculus: f(H) = V f(diag) V*.
-
-    ``f`` is a real scalar rule sampled at the eigenvalues; a non-finite
-    value at any eigenvalue raises DomainError.
-    """
-    w, v = eigh(h, tol)
-    try:
-        fw = np.array([float(f(x)) for x in w], dtype=float)
-    except (ArithmeticError, ValueError) as exc:
-        raise DomainError(f"function undefined at an eigenvalue: {exc}") from exc
-    if not np.all(np.isfinite(fw)):
-        bad = w[~np.isfinite(fw)]
-        raise DomainError(f"function non-finite at eigenvalues {bad}")
-    return HermitianOperator((v * fw) @ v.conj().T)
 
 
 def _transform_of(w: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -359,9 +335,8 @@ def null_space(m, tol: Tolerances = DEFAULT_TOL, want_basis=True) -> NullSpaceRe
 
 
 class QuadratureResult(NamedTuple):
-    operator: HermitianOperator
-    error: float        # spectral-norm distance to the eigh-based exact value
-    n_nodes: int
+    operator: np.ndarray  # the quadrature value, hermitised
+    error: float          # spectral-norm distance to the eigh-based exact value
 
 
 def inv_sqrt_via_quadrature(h, n_nodes: int, tol: Tolerances = DEFAULT_TOL) -> QuadratureResult:
@@ -380,9 +355,8 @@ def inv_sqrt_via_quadrature(h, n_nodes: int, tol: Tolerances = DEFAULT_TOL) -> Q
     """
     if n_nodes < 8:
         raise InvalidInput("n_nodes must be >= 8")
-    hop = as_hermitian(h)
-    a = hop.entries
-    n = hop.dim
+    a = _hermitised(h)
+    n = a.shape[0]
     h2 = a @ a
     step = (np.pi / 2.0) / n_nodes
     acc = np.zeros_like(a)
@@ -392,9 +366,10 @@ def inv_sqrt_via_quadrature(h, n_nodes: int, tol: Tolerances = DEFAULT_TOL) -> Q
         sec2 = 1.0 / np.cos(theta) ** 2
         acc += sec2 * np.linalg.solve(sec2 * eye + h2, eye)
     approx = (2.0 / np.pi) * step * acc
-    exact = apply_function(hop, lambda x: 1.0 / np.sqrt(1.0 + x * x), tol)
-    err = float(np.linalg.norm(approx - exact.entries, 2))
-    return QuadratureResult(HermitianOperator(approx), err, n_nodes)
+    w, v = eigh(a, tol)
+    exact = _hermitised((v * (1.0 / np.sqrt(1.0 + w * w))) @ v.conj().T)
+    err = float(np.linalg.norm(approx - exact, 2))
+    return QuadratureResult(_hermitised(approx), err)
 
 
 @dataclass(frozen=True)

@@ -69,8 +69,9 @@ def rel_index_restricted(p, q, tol: Tolerances = DEFAULT_TOL) -> int:
     # matrix of psi -> Q psi in the orthonormal bases of Ran P and Ran Q
     m = bq.conj().T @ (q.entries @ bp)
     ker = null_space(m, tol, want_basis=False).dim
-    coker = null_space(m.conj().T, tol, want_basis=False).dim
-    return ker - coker
+    rank = m.shape[1] - ker
+    # m and m* share their singular values, so one SVD gives dim coker
+    return ker - (m.shape[0] - rank)
 
 
 @dataclass(frozen=True)

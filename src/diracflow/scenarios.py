@@ -13,9 +13,9 @@ from typing import Tuple
 
 import numpy as np
 
+from .callias import FiberedFamily
 from .dirac1d import quintic_plateau, smoothstep
 from .inequalities import random_unitary
-from .opcore import HermitianOperator
 from .specflow import PotentialPath
 
 __all__ = [
@@ -124,7 +124,7 @@ def bump_perturbation(seed: int, path: PotentialPath):
         return 0.4 * quintic_plateau(ts, center - 0.3 * width,
                                      center + 0.3 * width, 0.7 * width)
 
-    return bump, HermitianOperator(r)
+    return bump, r
 
 
 def engineered_threshold_path(alpha: float = 0.4,
@@ -160,8 +160,6 @@ def callias_case(seed: int):
 
     Returns (path_or_family, lam, reference, reference_alt).
     """
-    from .callias import FiberedFamily
-
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xCA11]))
     kind = seed % 4
     lam = float(rng.uniform(1.0, 2.0))

@@ -512,16 +512,6 @@ def _piece_level(spectra, steps, pgt: float) -> float:
     return best
 
 
-def _above(path: PotentialPath, grid_pass, i: int, a: float, gap_tol: float):
-    """P_+(S(t_i) - a) from the eigenpairs of S(t_i) in the grid pass;
-    NotInvertible names t_i when an eigenvalue lies within gap_tol of a."""
-    spectra, vectors, _ = grid_pass
-    try:
-        return _projection_above(spectra[i], vectors[i], a, gap_tol)
-    except NotInvertible as exc:
-        raise NotInvertible(f"S(t={path.grid[i]:g}) - {a:g}: {exc}") from exc
-
-
 def _junction(path: PotentialPath, spectra, i: int, a0: float, a1: float,
               gap_tol: float) -> int:
     """ind(S(t_i), -a0*1, -a1*1) = #{w > a1} - #{w > a0} over the spectrum
@@ -596,10 +586,13 @@ def endpoint_identity(path: PotentialPath,
     """Assert sf_crossings = sf_partition = rel-ind(P_+(S(end)), P_+(S(start))),
     all three read from one grid pass."""
     grid_pass = _route_pass(path, tol)
+    spectra, vectors, steps = grid_pass
     n_cross, report = _crossings(path, grid_pass, tol)
-    n_part = _partition(path, grid_pass[0], grid_pass[2], tol)
-    n_rel = rel_index(_above(path, grid_pass, -1, 0.0, tol.proj_gap_tol),
-                      _above(path, grid_pass, 0, 0.0, tol.proj_gap_tol), tol)
+    n_part = _partition(path, spectra, steps, tol)
+    # _route_pass has checked the gap at 0 of both endpoints
+    end, start = (_projection_above(spectra[i], vectors[i], 0.0, tol.proj_gap_tol)
+                  for i in (-1, 0))
+    n_rel = rel_index(end, start, tol)
     return EndpointIdentityReport(
         sf_by_crossings=n_cross, sf_by_partition=n_part,
         endpoint_rel_index=n_rel,

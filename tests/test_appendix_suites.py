@@ -16,7 +16,6 @@ import pytest
 import appendix_loops as loops
 from diracflow import cli, inequalities, opcore, reporting
 from diracflow.errors import HypothesisUnmet, InvalidInput
-from diracflow.inequalities import RandomSpec
 
 POOL_SEEDS = range(32)
 SUITES = ("interpolation", "conjugation", "transform-stability[eps=0.01]",
@@ -24,7 +23,7 @@ SUITES = ("interpolation", "conjugation", "transform-stability[eps=0.01]",
 
 
 def stack_of(seeds, dim, envelope):
-    return inequalities.random_hermitian_stack([RandomSpec(s, dim, envelope) for s in seeds])
+    return inequalities.random_hermitian_stack(seeds, dim, envelope)
 
 
 def per_trial(report):
@@ -131,11 +130,18 @@ class TestStackOfOne:
 
     @pytest.mark.parametrize("dim", [1, 4, 15])
     def test_generation(self, dim):
-        specs = [RandomSpec(seed, dim, (-2.0, 3.0)) for seed in range(5)]
-        stack = inequalities.random_hermitian_stack(specs)
-        for j, spec in enumerate(specs):
-            assert np.array_equal(stack[j], inequalities.random_hermitian_stack([spec])[0])
-            assert np.array_equal(stack[j], loops.random_hermitian(spec.seed, dim, spec.envelope))
+        stack = stack_of(range(5), dim, (-2.0, 3.0))
+        for seed in range(5):
+            assert np.array_equal(stack[seed], stack_of([seed], dim, (-2.0, 3.0))[0])
+            assert np.array_equal(stack[seed], loops.random_hermitian(seed, dim, (-2.0, 3.0)))
+
+    def test_generation_keeps_each_seeds_draws(self):
+        # one generator per seed, in seed order: repeats and gaps included
+        seeds = [7, 3, 1000, 3, 0]
+        stack = inequalities.random_hermitian_stack(seeds, 6)
+        assert stack.shape == (5, 6, 6)
+        for j, seed in enumerate(seeds):
+            assert np.array_equal(stack[j], loops.random_hermitian(seed, 6, (-1.0, 1.0)))
 
     @pytest.mark.parametrize("dim", [1, 4, 15])
     def test_checks(self, dim):
@@ -258,8 +264,12 @@ class TestMutations:
         with pytest.raises(InvalidInput, match="S has shape"):
             inequalities.check_interpolation_stack(
                 inequalities.positive_decomposition(t, range(3)), t[:2])
-        with pytest.raises(InvalidInput, match="one dim"):
-            inequalities.random_hermitian_stack([RandomSpec(0, 4), RandomSpec(1, 5)])
+
+    def test_generation_rejects_bad_dim_and_envelope(self):
+        with pytest.raises(InvalidInput, match="dim must be positive"):
+            inequalities.random_hermitian_stack([0, 1], 0)
+        with pytest.raises(InvalidInput, match="envelope must be ordered"):
+            inequalities.random_hermitian_stack([0, 1], 3, (1.0, -1.0))
 
 
 def count_linalg_per_record(monkeypatch, trials):

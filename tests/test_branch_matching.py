@@ -110,7 +110,7 @@ def test_least_gap_is_measured_once_per_path():
     sampled.clear()
     calls.clear()
     for lam in (1.0, 2.0):
-        path_index_report(path, GridSpec(8.0, 64), lam, refine_check=False)
+        path_index_report(path, GridSpec(8.0, 64), lam)
     assemble(path, GridSpec(8.0, 64), "dirichlet")
     # only the APS endpoint nodes and midpoints, no second pass over the grid
     assert sum(sampled.values()) == 2 * (64 + 2)

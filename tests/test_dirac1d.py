@@ -350,7 +350,7 @@ class TestFredholmBounds:
 
 
 def index_at(path, lam, grid):
-    return path_index_report(path, grid, lam, refine_check=False).index
+    return path_index_report(path, grid, lam).index
 
 
 class TestSweepAndPerturbation:

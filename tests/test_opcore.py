@@ -4,7 +4,6 @@ import pytest
 from diracflow import opcore
 from diracflow.errors import (
     AmbiguousRank,
-    DomainError,
     GeneratorError,
     InvalidInput,
     NotInvertible,
@@ -13,7 +12,6 @@ from diracflow.opcore import (
     HermitianOperator,
     Projection,
     TruncationTower,
-    apply_function,
     bounded_transform,
     eigh,
     inv_sqrt_via_quadrature,
@@ -104,43 +102,6 @@ class TestEigh:
             HermitianOperator(np.zeros((2, 3, 3)))
 
 
-class TestApplyFunction:
-    def test_identity(self):
-        h = random_hermitian(1, 4)
-        out = apply_function(h, lambda x: x)
-        assert np.allclose(out.entries, h, atol=1e-12)
-
-    def test_square(self):
-        out = apply_function(np.diag([1.0, -2.0]), lambda x: x * x)
-        assert np.allclose(out.entries, np.diag([1.0, 4.0]))
-
-    def test_contraction_rule(self):
-        h = random_hermitian(2, 6, scale=3.0)
-        out = apply_function(h, lambda x: x / np.sqrt(1 + x * x))
-        assert np.linalg.norm(out.entries, 2) < 1.0
-
-    @pytest.mark.filterwarnings("ignore:invalid value encountered")
-    def test_undefined_at_eigenvalue(self):
-        with pytest.raises(DomainError):
-            apply_function(np.diag([1.0, -1.0]), np.sqrt)
-
-    def test_polynomial_homomorphism(self):
-        # functional calculus agrees with direct matrix arithmetic
-        for seed in range(20):
-            dim = 2 + seed % 15
-            h = random_hermitian(seed, dim)
-            coeffs = np.random.default_rng(seed + 100).uniform(-1, 1, 4)
-
-            def poly(x):
-                return coeffs[0] + coeffs[1] * x + coeffs[2] * x**2 + coeffs[3] * x**3
-
-            direct = (coeffs[0] * np.eye(dim) + coeffs[1] * h
-                      + coeffs[2] * h @ h + coeffs[3] * h @ h @ h)
-            fh = apply_function(h, poly)
-            bound = 1e-9 * (1 + np.linalg.norm(h, 2)) ** 3
-            assert np.linalg.norm(fh.entries - direct, 2) <= bound
-
-
 class TestBoundedTransform:
     def test_zero(self):
         out = bounded_transform(np.zeros((3, 3)))
@@ -207,7 +168,7 @@ class TestSpectralGap:
         rng = np.random.default_rng(dim)
         a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
         for x in (a, HermitianOperator(a), positive_projection(a + a.conj().T)):
-            entries = opcore.as_hermitian(x).entries
+            entries = opcore._hermitised(x)
             assert opcore.spectral_gap(x) == float(np.abs(np.linalg.eigvalsh(entries)).min())
 
     def test_rejects_non_finite(self):
@@ -260,14 +221,34 @@ class TestNullSpace:
         assert np.linalg.norm(m @ res.basis, 2) <= 1e-10
 
 
+def quadrature_oracle(h, n_nodes):
+    """(operator, error) of `inv_sqrt_via_quadrature`, with the exact value
+    f(H) = V diag(f(w)) V* sampled one eigenvalue at a time."""
+    hop = HermitianOperator(h)
+    a = hop.entries
+    h2 = a @ a
+    step = (np.pi / 2.0) / n_nodes
+    acc = np.zeros_like(a)
+    eye = np.eye(hop.dim, dtype=np.complex128)
+    for i in range(n_nodes):
+        theta = (i + 0.5) * step
+        sec2 = 1.0 / np.cos(theta) ** 2
+        acc += sec2 * np.linalg.solve(sec2 * eye + h2, eye)
+    approx = (2.0 / np.pi) * step * acc
+    w, v = eigh(hop)
+    fw = np.array([float(1.0 / np.sqrt(1.0 + x * x)) for x in w], dtype=float)
+    exact = HermitianOperator((v * fw) @ v.conj().T)
+    return HermitianOperator(approx).entries, float(np.linalg.norm(approx - exact.entries, 2))
+
+
 class TestQuadrature:
     def test_zero_gives_identity(self):
         rep = inv_sqrt_via_quadrature(np.zeros((3, 3)), 16)
-        assert np.linalg.norm(rep.operator.entries - np.eye(3), 2) <= 1e-8
+        assert np.linalg.norm(rep.operator - np.eye(3), 2) <= 1e-8
 
     def test_scalar_closed_form(self):
         rep = inv_sqrt_via_quadrature(np.diag([1.0]), 64)
-        assert abs(rep.operator.entries[0, 0] - 1 / np.sqrt(2)) <= 1e-8
+        assert abs(rep.operator[0, 0] - 1 / np.sqrt(2)) <= 1e-8
 
     def test_random_matches_eigh(self):
         h = random_hermitian(9, 6, scale=2.0)
@@ -283,6 +264,19 @@ class TestQuadrature:
     def test_too_few_nodes(self):
         with pytest.raises(InvalidInput):
             inv_sqrt_via_quadrature(np.eye(2), 4)
+
+    @pytest.mark.parametrize("seed", [0, 9, 10])
+    def test_matches_per_eigenvalue_route(self, seed):
+        # operator and error bitwise equal to the route through the
+        # per-eigenvalue functional calculus and HermitianOperator, on
+        # Hermitian and on non-Hermitian (hermitised) input
+        rng = np.random.default_rng(seed)
+        for dim, n_nodes in ((1, 8), (6, 128), (9, 33)):
+            for h in (random_hermitian(seed, dim, scale=3.0), rng.standard_normal((dim, dim))):
+                rep = inv_sqrt_via_quadrature(h, n_nodes)
+                operator, error = quadrature_oracle(h, n_nodes)
+                assert np.array_equal(rep.operator, operator)
+                assert rep.error == error
 
 
 class TestTowers:

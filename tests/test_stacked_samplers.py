@@ -100,7 +100,7 @@ def _perturbed():
     path = specflow.tanh_path(k=2)
     bump, r = scenarios.bump_perturbation(4, path)
     old_bump, old_r, (lo, hi, ramp) = loops.bump_perturbation(4, 2, path.hull())
-    assert np.array_equal(r.entries, old_r)
+    assert np.array_equal(r, old_r)
     return (specflow.perturbed_path(path, bump, r),
             loops.perturbed_path(loops.tanh_path(k=2), old_bump, r),
             [lo, hi, lo - ramp, hi + ramp, 0.5 * (lo + hi)])
