@@ -315,8 +315,7 @@ def build_potential(cfg: ScenarioConfig) -> PotentialPath:
 
 
 # ---------------------------------------------------------------------------
-# Scenario runners.  Each returns a list of CheckRecord (and may attach
-# branch data for the gnuplot emitter).
+# Scenario runners.  Each returns a list of CheckRecord.
 
 def _guarded(name, anchor, fn):
     """Run one check and record it under ``name`` and ``anchor``.
@@ -363,11 +362,7 @@ def _run_sf(cfg: ScenarioConfig):
     records.append(_guarded("reversal-antisymmetry",
                             "spectral flow reverses sign with the path",
                             reversal))
-
-    path = build_potential(cfg)
-    times, values = specflow.branch_curves(path, cfg.tolerances)
-    branch_data = {"t": times, "branches": values}
-    return records, branch_data
+    return records
 
 
 def _run_relind(cfg: ScenarioConfig):
@@ -420,7 +415,7 @@ def _run_relind(cfg: ScenarioConfig):
     records.append(_guarded(f"trace-vs-restricted[{trials}]",
                             "trace formula equals the restricted-operator index",
                             cross_check))
-    return records, None
+    return records
 
 
 def _run_index1d(cfg: ScenarioConfig):
@@ -486,7 +481,7 @@ def _run_index1d(cfg: ScenarioConfig):
     records.append(_guarded(f"bump-invariance[{n_bumps}]",
                             "compactly supported perturbations preserve the index",
                             bumps))
-    return records, None
+    return records
 
 
 def _run_cutpaste(cfg: ScenarioConfig):
@@ -504,7 +499,7 @@ def _run_cutpaste(cfg: ScenarioConfig):
                         details={"indices": (rep.ind_1, rep.ind_2, rep.ind_3, rep.ind_4)})
         records.append(_guarded(f"cutpaste[seed={seed}]",
                                 "recombined problems preserve the index sum", check))
-    return records, None
+    return records
 
 
 def _run_callias(cfg: ScenarioConfig):
@@ -543,7 +538,7 @@ def _run_callias(cfg: ScenarioConfig):
     records.append(_guarded("rank-pairing",
                             "signed rank sum realizes the pairing against -1",
                             rank_pairing))
-    return records, None
+    return records
 
 
 def _run_tower(cfg: ScenarioConfig):
@@ -558,7 +553,7 @@ def _run_tower(cfg: ScenarioConfig):
                     passed=rep.passed, details={"tails": rep.tail_norms})
     return [_guarded(f"tower{dims}",
                      "pairing integers stabilize and projection tails decay",
-                     check)], None
+                     check)]
 
 
 def _run_appendix(cfg: ScenarioConfig):
@@ -696,7 +691,7 @@ def _run_appendix(cfg: ScenarioConfig):
     records.append(_guarded(f"quadrature[{quad_nodes}]",
                             "resolvent quadrature reproduces the inverse square root",
                             quadrature))
-    return records, None
+    return records
 
 
 _RUNNERS = {
@@ -713,18 +708,20 @@ _RUNNERS = {
 def run(cfg: ScenarioConfig, jobs: int = 1) -> RunReport:
     """Execute the configured scenario(s) deterministically."""
     names = list(_RUNNERS) if cfg.scenario == "all" else [cfg.scenario]
-    branch_data = None
+    # the configured potential, for the gnuplot emitter's branch table: built
+    # first, so that a bad potential fails before any check runs
+    path = build_potential(cfg) if "sf" in names else None
     if jobs > 1 and len(names) > 1:
         with concurrent.futures.ThreadPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_RUNNERS[n], cfg) for n in names]
             outputs = [f.result() for f in futures]
     else:
         outputs = [_RUNNERS[n](cfg) for n in names]
-    records = []
-    for recs, bdata in outputs:
-        records.extend(recs)
-        if bdata is not None and branch_data is None:
-            branch_data = bdata
+    records = [rec for recs in outputs for rec in recs]
+    branch_data = None
+    if path is not None:
+        times, branches = specflow.branch_curves(path, cfg.tolerances)
+        branch_data = {"t": times, "branches": branches}
     digest = digest_of({"config": cfg.raw, "seeds": cfg.seeds})
     return RunReport(records=records, inputs_digest=digest,
                      branch_data=branch_data)

@@ -95,9 +95,7 @@ def check_additivity(p, q, r, tol: Tolerances = DEFAULT_TOL) -> AdditivityReport
 @dataclass(frozen=True)
 class HomotopyReport:
     values: tuple           # rel_index along the sampled paths
-    constant: bool
     max_step: float         # largest consecutive jump over both paths
-    start_values: tuple     # rel_index(P_0, P_i), when Q_path is constant P_0
     passed: bool
 
 
@@ -108,8 +106,8 @@ def homotopy_constancy(p_path: Sequence, q_path: Sequence,
     Both paths must be sampled on a common grid with consecutive jumps
     ||P_{i+1} - P_i|| < 1 (the sampled stand-in for strong continuity with
     compact differences); a jump >= 1 raises PathTooCoarse.  When
-    ``q_path`` is constantly equal to P_0, the vanishing of
-    rel_index(P_0, P_i) is verified as well.
+    ``q_path`` is constantly P_0, values[0] = rel_index(P_0, P_0) = 0, so
+    constancy is the vanishing of every rel_index(P_i, P_0).
     """
     ps = [_projection(x) for x in p_path]
     qs = [_projection(x) for x in q_path]
@@ -125,14 +123,5 @@ def homotopy_constancy(p_path: Sequence, q_path: Sequence,
                     f"{label}-path jump ||{label}_{i + 1} - {label}_{i}|| = "
                     f"{step:.3f} >= 1")
     values = tuple(rel_index(pi, qi, tol) for pi, qi in zip(ps, qs))
-    constant = len(set(values)) == 1
-    q_is_constant_p0 = all(
-        float(np.linalg.norm(qi.entries - ps[0].entries, 2)) < 1e-12 for qi in qs)
-    if q_is_constant_p0:
-        start_values = tuple(rel_index(ps[0], pi, tol) for pi in ps)
-        passed = constant and all(v == 0 for v in start_values)
-    else:
-        start_values = ()
-        passed = constant
-    return HomotopyReport(values=values, constant=constant, max_step=max_step,
-                          start_values=start_values, passed=passed)
+    return HomotopyReport(values=values, max_step=max_step,
+                          passed=len(set(values)) == 1)

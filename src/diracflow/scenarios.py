@@ -15,6 +15,7 @@ import numpy as np
 
 from .callias import FiberedFamily
 from .dirac1d import quintic_plateau, smoothstep
+from .errors import InvalidInput
 from .inequalities import random_unitary
 from .specflow import PotentialPath
 
@@ -113,7 +114,7 @@ def bump_perturbation(seed: int, path: PotentialPath):
     direction of norm at most 1) for `perturbed_path`."""
     hull = path.hull()
     if hull is None:
-        raise ValueError("path has empty support; no room for a bump")
+        raise InvalidInput("path has empty support; no room for a bump")
     a, b = hull
     rng = np.random.default_rng(np.random.SeedSequence([seed, path.k, 13]))
     r = _bounded_hermitian(rng, path.k, 1.0)

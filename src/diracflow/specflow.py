@@ -290,29 +290,24 @@ _MAX_DEPTH = 145
 
 
 def _match_columns(va: np.ndarray, vb: np.ndarray) -> Optional[List[int]]:
-    """Greedy maximal-overlap matching of eigenvector columns.
+    """Row-argmax matching of eigenvector columns by overlap |va* vb|.
 
     Returns perm with perm[i] = column of ``vb`` continuing column i of
-    ``va``, or None when some assignment is ambiguous (two candidate
-    overlaps within 0.1 of each other).  Each step takes the largest
-    overlap among unmatched rows and columns, the first in row-major order
-    on a tie, and compares it with the rest of its row.
+    ``va``: the column of row i's largest overlap.  Returns None when the
+    matching is ambiguous: some row's largest overlap beats the rest of its
+    row by less than _AMBIGUITY_MARGIN, or two rows pick the same column.
+    Wherever it returns perm, greedy elimination by largest overlap
+    returns the same perm.
     """
-    free = np.abs(va.conj().T @ vb)
-    kk = free.shape[0]
-    perm = [-1] * kk
-    for _ in range(kk):
-        i, j = divmod(int(free.argmax()), kk)
-        row = free[i]
-        val = row[j]
-        row[j] = -1.0
-        # matched rows and columns read -1 (overlaps are >= 0), so a row
-        # with no other unmatched column is never ambiguous
-        if val - row.max() < _AMBIGUITY_MARGIN:
-            return None
-        perm[i] = j
-        row.fill(-1.0)
-        free[:, j] = -1.0
+    o = np.abs(va.conj().T @ vb)
+    rows = np.arange(o.shape[0])
+    perm = o.argmax(axis=1)
+    best = o[rows, perm]
+    # overlaps are >= 0, so a one-column row is never ambiguous
+    o[rows, perm] = -1.0
+    perm = perm.tolist()
+    if (best - o.max(axis=1)).min() < _AMBIGUITY_MARGIN or len(set(perm)) < len(perm):
+        return None
     return perm
 
 

@@ -160,7 +160,7 @@ class TestExitCodes:
     def test_failing_record_exits_1(self, tmp_path, monkeypatch):
         failing = CheckRecord(name="forced", anchor="a failing record",
                               lhs=1, rhs=2, passed=False)
-        monkeypatch.setitem(cli._RUNNERS, "relind", lambda cfg: ([failing], None))
+        monkeypatch.setitem(cli._RUNNERS, "relind", lambda cfg: [failing])
         assert run_main(tmp_path, SMALL) == 1
         assert '"pass": "false"' in (tmp_path / "out" / "report.json").read_text()
 

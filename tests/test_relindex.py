@@ -143,7 +143,6 @@ class TestHomotopy:
         rep = homotopy_constancy(ps, qs)
         assert rep.passed
         assert set(rep.values) == {0}
-        assert set(rep.start_values) == {0}
 
     def test_rank_jump_rejected(self):
         ps = [Projection(np.diag([1.0, 0.0]))] * 4 + [Projection(np.eye(2))] * 4

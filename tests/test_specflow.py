@@ -298,6 +298,10 @@ class TestPathAlgebra:
         nq, _ = sf_crossings(perturbed_path(p, bump, r))
         assert nq == n
 
+    def test_bump_needs_a_support(self):
+        with pytest.raises(InvalidInput, match="empty support"):
+            scenarios.bump_perturbation(0, constant_path(np.eye(2)))
+
     def test_path_from_samples_interpolates(self):
         grid = np.linspace(0, 1, 9)
         mats = [np.array([[2.0 * t - 1.0]]) for t in grid]
