@@ -9,14 +9,15 @@ with a fixed invertible reference operator T,
     rhs = sum over y in N of gamma(y) * rel-ind(P_+(S(y)), P_+(T)),
 
 must equal the index of the assembled 1-D operator, independently of the
-choice of T (the signed sum telescopes).  Fibered inputs (one independent
-path per point of a finite fiber set Y) produce one integer per fiber.
+choice of T (the signed sum telescopes).  A family is a tuple of
+independent paths, one per point of a finite fiber set Y, and produces one
+integer per fiber.
 
 Truncation towers give the finite-dimensional meaning of the
 relatively-compact-perturbation hypothesis.  A tower is an
 `opcore.TruncationTower`: a reference template T and one perturbation
 template R_i per fiber, whose nesting `opcore.tower_instantiate` verifies
-at every dimension n.  `tower_family` turns it into the fibered family
+at every dimension n.  `tower_family` turns it into the family
 T_n + smoothstep((t + 1)/2) R_i,n, and `tower_callias` pairs that family
 against T_n: the perturbations must pass the relative-compactness test
 `opcore.resolvent_tails`, the difference-of-projection tails must pass
@@ -24,7 +25,6 @@ against T_n: the perturbations must pass the relative-compactness test
 """
 
 from dataclasses import dataclass
-from typing import Optional, Union
 
 import numpy as np
 
@@ -54,7 +54,6 @@ from . import dirac1d
 from .dirac1d import smoothstep
 
 __all__ = [
-    "FiberedFamily",
     "CalliasReport",
     "rhs_pairing",
     "callias_check",
@@ -67,20 +66,6 @@ __all__ = [
     "tower_callias",
     "TowerCalliasReport",
 ]
-
-
-@dataclass(frozen=True)
-class FiberedFamily:
-    """Finitely many independent potential paths, one per fiber.
-
-    Indices over such a family are integer vectors, one entry per fiber;
-    every check factors through the fibers."""
-
-    paths: tuple
-
-    def __post_init__(self):
-        if len(self.paths) == 0:
-            raise InvalidInput("need at least one fiber path")
 
 
 def _boundary(path: PotentialPath, tol: Tolerances) -> tuple:
@@ -153,31 +138,34 @@ def index_identity(path: PotentialPath, lam: float = 1.0, grid=None,
 
 @dataclass(frozen=True)
 class CalliasReport:
-    lhs: Union[int, tuple]
-    rhs: Union[int, tuple]
-    rhs_alt: Union[int, tuple]      # with the second, independent reference
-    per_point: tuple                # per boundary point (or per fiber: tuple of tuples)
+    """One entry per fiber in each field."""
+
+    lhs: tuple
+    rhs: tuple
+    rhs_alt: tuple      # with the second, independent reference
+    per_point: tuple    # per fiber: the pairing's term at each boundary point
 
 
-def callias_check(path_or_family, lam: float = 1.0, reference=-1.0,
-                  reference_alt=1.0, grid=None,
-                  tol: Tolerances = DEFAULT_TOL) -> CalliasReport:
-    """Assert index == hypersurface pairing, including reference independence.
+def callias_check(paths: tuple, lam: float = 1.0, reference=-1.0,
+                  reference_alt=1.0, tol: Tolerances = DEFAULT_TOL) -> CalliasReport:
+    """Assert index == hypersurface pairing on every fiber of the family
+    ``paths``, including reference independence.
 
-    The left-hand side is `index_identity`'s: the index of the APS
-    assembly, cross-checked against the spectral flow; the right-hand
-    side is evaluated with two distinct references and must not depend on
-    the choice.  Any mismatch raises TheoremViolation.
+    The left-hand side is `index_identity`'s on ``GridSpec.auto(path)``:
+    the index of the APS assembly, cross-checked against the spectral
+    flow; the right-hand side is evaluated with two distinct references
+    and must not depend on the choice.  Any mismatch raises
+    TheoremViolation; an empty family raises InvalidInput.
     """
-    fibered = isinstance(path_or_family, FiberedFamily)
-    paths = path_or_family.paths if fibered else (path_or_family,)
+    if not paths:
+        raise InvalidInput("need at least one fiber path")
     boundaries = [_boundary(p, tol) for p in paths]
-    return _pairing_report(paths, boundaries, fibered,
-                           lambda p: index_identity(p, lam, grid, tol),
+    return _pairing_report(paths, boundaries,
+                           lambda p: index_identity(p, lam, tol=tol),
                            reference, reference_alt, tol)
 
 
-def _pairing_report(paths, boundaries, fibered, lhs, reference, reference_alt,
+def _pairing_report(paths, boundaries, lhs, reference, reference_alt,
                     tol) -> CalliasReport:
     """The CalliasReport of ``paths`` from their boundary projections; per
     fiber, ``lhs(path)`` is taken first, then the pairing against each
@@ -189,9 +177,8 @@ def _pairing_report(paths, boundaries, fibered, lhs, reference, reference_alt,
         per_point.append(terms)
         rhs.append(sum(terms))
         rhs2.append(sum(_pairing_terms(p, boundary, reference_alt, tol)))
-    pick = tuple if fibered else (lambda v: v[0])
-    report = CalliasReport(lhs=pick(values), rhs=pick(rhs), rhs_alt=pick(rhs2),
-                           per_point=pick(per_point))
+    report = CalliasReport(lhs=tuple(values), rhs=tuple(rhs), rhs_alt=tuple(rhs2),
+                           per_point=tuple(per_point))
     if not values == rhs == rhs2:
         raise TheoremViolation(
             f"hypersurface pairing mismatch: lhs={report.lhs} rhs={report.rhs} "
@@ -272,22 +259,29 @@ def tower_scenario(seed: int, dims, n_fibers: int = 2) -> TruncationTower:
     return TruncationTower(dims, alternating_diag_template, perturbations)
 
 
-def tower_family(tower: TruncationTower, n: int) -> FiberedFamily:
-    """The fibered family at tower dimension n: fiber i is the path
+def tower_family(tower: TruncationTower, n: int) -> tuple:
+    """The family at tower dimension n: fiber i is the path
     T_n + smoothstep((t + 1)/2) R_i,n on [-2.5, 2.5], which ramps the i-th
     perturbation onto the reference across the support set [-1, 1]."""
     return _ramp_family(n, *tower_instantiate(tower, n))
 
 
-def _ramp_family(n: int, t_n, perturbations) -> FiberedFamily:
+def _ramp_family(n: int, t_n, perturbations) -> tuple:
+    if not perturbations:
+        raise InvalidInput("need at least one fiber path")
+
     def ramp(r_n):
         return lambda ts: t_n + smoothstep((ts + 1.0) / 2.0)[:, None, None] * r_n
 
-    paths = tuple(
+    return tuple(
         PotentialPath(n, np.linspace(-2.5, 2.5, 41), ramp(r_n),
                       support=((-1.0, 1.0),), name=f"tower-fiber-{i}(dim={n})")
         for i, r_n in enumerate(perturbations))
-    return FiberedFamily(paths=paths)
+
+
+# The base dimension's index grid: [-9, 9] in cells of width 0.15, which
+# holds `_ramp_family`'s paths on [-2.5, 2.5].
+_TOWER_GRID = dirac1d.GridSpec(9.0, 120)
 
 
 @dataclass(frozen=True)
@@ -300,7 +294,6 @@ class TowerCalliasReport:
 
 
 def tower_callias(tower: TruncationTower,
-                  base_grid: Optional[dirac1d.GridSpec] = None,
                   tol: Tolerances = DEFAULT_TOL) -> TowerCalliasReport:
     """Hypersurface pairing along a truncation tower.
 
@@ -312,10 +305,10 @@ def tower_callias(tower: TruncationTower,
     Pi_tail|| past n/2 pass `opcore.tails_vanish`; NotRelativelyCompact
     otherwise).  It runs first, so every level is instantiated, and so
     checked for nesting, before the first is paired.  The left-hand side
-    is `index_identity`'s at the base dimension, on ``base_grid`` (None:
-    ``GridSpec.auto``), and the already cross-validated spectral flow of
-    `_flow` above it.  The per-fiber integers must agree at the top two
-    dimensions (TowerTooShallow otherwise), and the report passes when the
+    is `index_identity`'s at the base dimension, on `_TOWER_GRID`, and the
+    already cross-validated spectral flow of `_flow` above it.  The
+    per-fiber integers must agree at the top two dimensions
+    (TowerTooShallow otherwise), and the report passes when the
     difference-of-projection tail norms pass `opcore.tails_vanish`.
     """
     dims = tower.dims
@@ -325,13 +318,13 @@ def tower_callias(tower: TruncationTower,
         t_n, perturbations = tower_instantiate(tower, n)
         family = _ramp_family(n, t_n, perturbations)
         p_ref = positive_projection(t_n, tol)
-        boundaries = [_boundary(p, tol) for p in family.paths]
+        boundaries = [_boundary(p, tol) for p in family]
         # the tail past the first n/2 coordinates
         tails.append(max(spectral_norm((p_y.entries - p_ref.entries)[:, n // 2:])
                          for boundary in boundaries for _, _, p_y in boundary))
-        lhs = (lambda p: index_identity(p, 1.0, base_grid, tol)) if pos == 0 \
+        lhs = (lambda p: index_identity(p, 1.0, _TOWER_GRID, tol)) if pos == 0 \
             else (lambda p: _flow(p, tol))
-        rep = _pairing_report(family.paths, boundaries, True, lhs, t_n, -t_n, tol)
+        rep = _pairing_report(family, boundaries, lhs, t_n, -t_n, tol)
         integers.append(rep.lhs)
     if integers[-1] != integers[-2]:
         raise TowerTooShallow(

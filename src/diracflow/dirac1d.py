@@ -79,9 +79,6 @@ __all__ = [
     "smoothstep",
 ]
 
-DECAY_TARGET = 1e-8
-
-
 @dataclass(frozen=True)
 class GridSpec:
     """Uniform grid on the symmetric interval [-L, L] with n_cells cells."""
@@ -107,23 +104,22 @@ class GridSpec:
         return GridSpec(self.length, 2 * self.n_cells)
 
     @classmethod
-    def auto(cls, path: PotentialPath, h_target: float = 0.1,
-             decay: float = DECAY_TARGET) -> "GridSpec":
-        """Truncation length from the decay rule exp(-c*(L - b)) <= decay,
-        where c is the smallest invertibility margin outside the support
-        hull [a, b] and the interval is symmetric about 0."""
+    def auto(cls, path: PotentialPath) -> "GridSpec":
+        """Cells of width at most 0.15 on [-L, L], with L from the decay
+        rule exp(-c*(L - b)) <= 1e-6, where c is the smallest invertibility
+        margin outside the support hull [a, b]."""
         hull = path.hull()
         c = path.least_gap_outside()[1]
         if not np.isfinite(c) or c <= 0.0:
             raise NotInvertible(
                 "path has no invertible region outside its support")
-        reach = math.log(1.0 / decay) / c
+        reach = math.log(1e6) / c
         if hull is None:
             lo, hi = path.span()
             length = max(abs(lo), abs(hi), 1.0) + 1.0
         else:
             length = max(abs(hull[0]), abs(hull[1])) + reach
-        n_cells = max(16, int(math.ceil(2.0 * length / h_target)))
+        n_cells = max(16, int(math.ceil(2.0 * length / 0.15)))
         n_cells += n_cells % 2
         return cls(length, n_cells)
 
@@ -550,19 +546,16 @@ def index_report(op: DiscretizedDiracSchroedinger, tol: Tolerances = DEFAULT_TOL
                        shape=op.shape, lam=op.lam, route=route)
 
 
-def _resolve_grid(grid, path: PotentialPath) -> GridSpec:
-    """The grid for ``path``: ``grid`` itself, ``grid(path)`` when it is a
-    rule, or ``GridSpec.auto(path)`` when it is None."""
-    if grid is None:
-        return GridSpec.auto(path)
-    return grid(path) if callable(grid) else grid
+def _resolve_grid(grid: Optional[GridSpec], path: PotentialPath) -> GridSpec:
+    """``grid``, or ``GridSpec.auto(path)`` when it is None."""
+    return GridSpec.auto(path) if grid is None else grid
 
 
 def path_index_report(path: PotentialPath, grid=None, lam: float = 1.0,
                       tol: Tolerances = DEFAULT_TOL) -> IndexReport:
     """``index_report`` of the APS assembly of ``path``, without the h/2
-    refinement rerun.  ``grid`` is a GridSpec, a rule path -> GridSpec, or
-    None for ``GridSpec.auto``."""
+    refinement rerun.  ``grid`` is a GridSpec, or None for
+    ``GridSpec.auto``."""
     return index_report(assemble(path, _resolve_grid(grid, path), "aps", lam, tol),
                         tol, refine_check=False)
 

@@ -32,12 +32,10 @@ class NotInvertible(DiracflowError):
 class AmbiguousRank(DiracflowError):
     """No decisive singular-value gap; both candidate kernel dimensions kept."""
 
-    def __init__(self, message, candidates=(), gap_ratio=float("nan"),
-                 singular_values=None):
+    def __init__(self, message, candidates=(), gap_ratio=float("nan")):
         super().__init__(message)
         self.candidates = tuple(candidates)
         self.gap_ratio = gap_ratio
-        self.singular_values = singular_values
 
 
 class GeneratorError(DiracflowError):

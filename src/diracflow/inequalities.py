@@ -192,7 +192,6 @@ class InterpolationReport:
     rhs: np.ndarray         # ||S T^(-1)||
     conj_equal_residual: np.ndarray  # | ||T S T^(-1)|| - ||T^(-1) S T|| | (relative)
     adjoint_residual: np.ndarray     # ||(T^(-1) S T)* - T S T^(-1)|| (relative)
-    normalized: np.ndarray
     passed: np.ndarray
 
     @property
@@ -217,8 +216,7 @@ def check_interpolation_stack(pos: PositiveDecomposition, s) -> InterpolationRep
     in finite dimensions.
 
     The inequality is scale-invariant in T (both sides pick up the same
-    1/c under T -> cT), so no normalization ||T^(-1)|| <= 1 is needed;
-    the report still records whether the input happened to be normalized.
+    1/c under T -> cT), so no normalization ||T^(-1)|| <= 1 is needed.
     """
     w, v, tm = pos.w, pos.v, pos.t
     sm = _stack(s, tm, "S")
@@ -232,8 +230,7 @@ def check_interpolation_stack(pos: PositiveDecomposition, s) -> InterpolationRep
     adj_resid = spectral_norm(tst_rev.conj().swapaxes(-1, -2) - tst) / scale
     passed = (lhs <= rhs + _SLACK * scale) & (conj_resid <= 1e-9) & (adj_resid <= 1e-10)
     return InterpolationReport(lhs=lhs, rhs=rhs, conj_equal_residual=conj_resid,
-                               adjoint_residual=adj_resid,
-                               normalized=w.min(axis=1) >= 1.0, passed=passed)
+                               adjoint_residual=adj_resid, passed=passed)
 
 
 @dataclass(frozen=True)

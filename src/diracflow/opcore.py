@@ -155,10 +155,6 @@ class Projection:
         self.entries = _hermitised(p)
         self.dim = p.shape[0]
 
-    @classmethod
-    def zero(cls, dim):
-        return cls(np.zeros((dim, dim), dtype=np.complex128))
-
     def rank(self) -> int:
         return int(round(float(np.trace(self.entries).real)))
 
@@ -322,7 +318,7 @@ def null_space(m, tol: Tolerances = DEFAULT_TOL, want_basis=True) -> NullSpaceRe
             f"no decisive singular-value gap (ratio {ratio:.2f} < 10); "
             f"candidate kernel dims {tuple(c + ncols - s.size for c in candidates)}",
             candidates=tuple(c + ncols - s.size for c in candidates),
-            gap_ratio=ratio, singular_values=s)
+            gap_ratio=ratio)
     # a wide matrix has ncols - len(s) exact kernel directions beyond the
     # singular-value list
     dim = small + (ncols - s.size)

@@ -77,8 +77,7 @@ def rel_index_restricted(p, q, tol: Tolerances = DEFAULT_TOL) -> int:
 @dataclass(frozen=True)
 class AdditivityReport:
     direct: int        # rel_index(P, R)
-    via_middle: int    # rel_index(P, Q) + rel_index(Q, R)
-    terms: tuple
+    terms: tuple       # (rel_index(P, Q), rel_index(Q, R))
     passed: bool
 
 
@@ -88,14 +87,13 @@ def check_additivity(p, q, r, tol: Tolerances = DEFAULT_TOL) -> AdditivityReport
     i_pr = rel_index(p, r, tol)
     i_pq = rel_index(p, q, tol)
     i_qr = rel_index(q, r, tol)
-    return AdditivityReport(direct=i_pr, via_middle=i_pq + i_qr,
-                            terms=(i_pq, i_qr), passed=i_pr == i_pq + i_qr)
+    return AdditivityReport(direct=i_pr, terms=(i_pq, i_qr),
+                            passed=i_pr == i_pq + i_qr)
 
 
 @dataclass(frozen=True)
 class HomotopyReport:
     values: tuple           # rel_index along the sampled paths
-    max_step: float         # largest consecutive jump over both paths
     passed: bool
 
 
@@ -113,15 +111,12 @@ def homotopy_constancy(p_path: Sequence, q_path: Sequence,
     qs = [_projection(x) for x in q_path]
     if len(ps) != len(qs) or len(ps) == 0:
         raise InvalidInput("paths must be nonempty and sampled on a common grid")
-    max_step = 0.0
     for seq, label in ((ps, "P"), (qs, "Q")):
         for i in range(len(seq) - 1):
             step = float(np.linalg.norm(seq[i + 1].entries - seq[i].entries, 2))
-            max_step = max(max_step, step)
             if step >= 1.0:
                 raise PathTooCoarse(
                     f"{label}-path jump ||{label}_{i + 1} - {label}_{i}|| = "
                     f"{step:.3f} >= 1")
     values = tuple(rel_index(pi, qi, tol) for pi, qi in zip(ps, qs))
-    return HomotopyReport(values=values, max_step=max_step,
-                          passed=len(set(values)) == 1)
+    return HomotopyReport(values=values, passed=len(set(values)) == 1)

@@ -13,7 +13,6 @@ from typing import Tuple
 
 import numpy as np
 
-from .callias import FiberedFamily
 from .dirac1d import quintic_plateau, smoothstep
 from .errors import InvalidInput
 from .inequalities import random_unitary
@@ -157,29 +156,24 @@ def engineered_threshold_path(alpha: float = 0.4,
 def callias_case(seed: int):
     """One seeded hypersurface-pairing case, cycling through the scenario
     classes: scalar, matrix fiber (k up to 8), multi-interval support
-    (up to 3 intervals), and fibered families (up to 4 fibers).
+    (up to 3 intervals), and families of up to 4 fibers.  The first three
+    classes are one-fiber families.
 
-    Returns (path_or_family, lam, reference, reference_alt).
+    Returns (paths, lam, reference, reference_alt).
     """
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xCA11]))
     kind = seed % 4
     lam = float(rng.uniform(1.0, 2.0))
     if kind == 0:
-        case = chain_path(seed, 1)
-        k = 1
+        paths = (chain_path(seed, 1),)
     elif kind == 1:
-        k = 2 + seed % 7
-        case = chain_path(seed, k)
+        paths = (chain_path(seed, 2 + seed % 7),)
     elif kind == 2:
-        k = 1 + seed % 4
-        case = chain_path(seed, k, n_intervals=2 + (seed // 4) % 2)
+        paths = (chain_path(seed, 1 + seed % 4, n_intervals=2 + (seed // 4) % 2),)
     else:
-        m = 2 + seed % 3
         paths = tuple(chain_path(seed * 31 + i, 1 + (seed + i) % 3)
-                      for i in range(m))
-        case = FiberedFamily(paths=paths)
-        k = None
+                      for i in range(2 + seed % 3))
     ref_scale = float(rng.uniform(1.0, 2.0))
     reference = -ref_scale           # scalar multiples of the identity
     reference_alt = ref_scale * 0.5  # opposite-sign second reference
-    return case, lam, reference, reference_alt
+    return paths, lam, reference, reference_alt

@@ -73,15 +73,15 @@ class AdditivityIndexReport:
 
 
 def verify_additivity(m1: PotentialPath, m2: PotentialPath, t_cut: float,
-                      lam: float = 1.0, grid: Optional[dirac1d.GridSpec] = None,
+                      grid: Optional[dirac1d.GridSpec] = None,
                       tol: Tolerances = DEFAULT_TOL) -> AdditivityIndexReport:
     """ind(m1) + ind(m2) = ind(m3) + ind(m4), exact integers.
 
-    Each index is `callias.index_identity`'s: the index of the APS
-    assembly, which must equal the path's spectral flow (TheoremViolation
-    otherwise; NotInvertible names a singular endpoint).
+    Each index is `callias.index_identity`'s at coupling 1: the index of
+    the APS assembly, which must equal the path's spectral flow
+    (TheoremViolation otherwise; NotInvertible names a singular endpoint).
     """
     m3, m4 = cut_paste(m1, m2, t_cut)
-    i1, i2, i3, i4 = (index_identity(p, lam, grid, tol) for p in (m1, m2, m3, m4))
+    i1, i2, i3, i4 = (index_identity(p, 1.0, grid, tol) for p in (m1, m2, m3, m4))
     return AdditivityIndexReport(ind_1=i1, ind_2=i2, ind_3=i3, ind_4=i4,
                                  passed=i1 + i2 == i3 + i4)

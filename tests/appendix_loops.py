@@ -53,8 +53,7 @@ def interpolation(tm, sm, slack=1e-10):
     passed = (lhs <= rhs + slack * scale) and conj_resid <= 1e-9 \
         and adj_resid <= 1e-10
     return dict(lhs=lhs, rhs=rhs, conj_equal_residual=conj_resid,
-                adjoint_residual=adj_resid, normalized=bool(w.min() >= 1.0),
-                passed=passed)
+                adjoint_residual=adj_resid, passed=passed)
 
 
 def conjugation(tm, fm, slack=1e-10):

@@ -104,6 +104,8 @@ _BUILDER_DATA = "data of a path builder, which tests choose"
 # Defaulted parameters of public functions that no call in src/ sets, each
 # with the reason it stays a parameter rather than a constant.
 UNSET_PARAMETERS_ALLOWED = {
+    "callias.rhs_pairing.reference": "tests vary it: the pairing's independence of the "
+                                     "reference and the error for a singular one",
     "dirac1d.fredholm_bounds.k_hat": "tests place the paper's compact region between samples",
     "dirac1d.kernel_vectors.tol": "test instrument (see UNREFERENCED_ALLOWED)",
     "scenarios.chain_path.n_samples": _BUILDER_DATA,
@@ -133,13 +135,24 @@ def _callee(module, local, func):
     return None
 
 
+def _defaults(fn):
+    """Parameter name -> default expression of a function definition."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    pairs = list(zip(positional[len(positional) - len(args.defaults):], args.defaults))
+    pairs += [(a, d) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+    return {a.arg: d for a, d in pairs}
+
+
 def _unset_defaulted_parameters():
     """Names module.f.p of the defaulted parameters p of the functions f in
     a module's __all__ that no call in src/ outside f's own definition
     sets, by position or by keyword; a call with *args or **kwargs sets
-    every parameter."""
+    every parameter, and passing p its own default expression does not
+    set it."""
     trees = _source_trees()
     public = _public_functions(trees)
+    defaults = {key: _defaults(fn) for key, fn in public.items()}
     given = {key: set() for key in public}
     for module, tree in trees.items():
         local = {}
@@ -158,17 +171,14 @@ def _unset_defaulted_parameters():
                 if any(isinstance(a, ast.Starred) for a in node.args) \
                         or any(kw.arg is None for kw in node.keywords):
                     given[key].update(names)
-                given[key].update(names[:len(node.args)])
-                given[key].update(kw.arg for kw in node.keywords)
-    unset = set()
-    for (module, name), fn in public.items():
-        args = fn.args
-        positional = args.posonlyargs + args.args
-        defaulted = positional[len(positional) - len(args.defaults):] + [
-            a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
-        unset.update(f"{module}.{name}.{a.arg}" for a in defaulted
-                     if a.arg not in given[(module, name)])
-    return unset
+                passed = list(zip(names, node.args)) + [(kw.arg, kw.value)
+                                                        for kw in node.keywords]
+                default = defaults[key]
+                given[key].update(name for name, value in passed
+                                  if name not in default
+                                  or ast.dump(value) != ast.dump(default[name]))
+    return {f"{module}.{name}.{param}" for (module, name), default in defaults.items()
+            for param in default if param not in given[(module, name)]}
 
 
 def test_every_defaulted_parameter_is_set_in_src_or_allowed():

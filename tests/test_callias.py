@@ -8,26 +8,21 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracflow import callias, dirac1d, scenarios, surgery
-from diracflow.errors import NotInvertible, TheoremViolation
-from diracflow.opcore import TruncationTower, tails_vanish
+from diracflow.errors import InvalidInput, NotInvertible, TheoremViolation
+from diracflow.opcore import TruncationTower, alternating_diag_template, tails_vanish
 from diracflow.specflow import PotentialPath, random_smooth_path
-
-
-def auto_grid(path):
-    return dirac1d.GridSpec.auto(path, h_target=0.15, decay=1e-6)
 
 
 def check_case(seed):
     case, lam, ref, ref2 = scenarios.callias_case(seed)
-    return callias.callias_check(case, lam=lam, reference=ref, reference_alt=ref2,
-                                 grid=auto_grid)
+    return callias.callias_check(case, lam=lam, reference=ref, reference_alt=ref2)
 
 
 # callias_case cycles scalar, matrix fiber, two intervals, fibered family
 PINNED = {
-    0: (0, 0, 0, (-1, 1)),
-    1: (-2, -2, -2, (-2, 0)),
-    2: (0, 0, 0, (-2, 2, -2, 2)),
+    0: ((0,), (0,), (0,), ((-1, 1),)),
+    1: ((-2,), (-2,), (-2,), ((-2, 0),)),
+    2: ((0,), (0,), (0,), ((-2, 2, -2, 2),)),
     3: ((1, -2), (1, -2), (1, -2), ((0, 1), (-2, 0))),
 }
 
@@ -38,22 +33,17 @@ def test_callias_case_values(seed):
     assert (rep.lhs, rep.rhs, rep.rhs_alt, rep.per_point) == PINNED[seed]
 
 
-def fibers(case):
-    """The paths of a case: its fibers, or the case itself."""
-    return case.paths if isinstance(case, callias.FiberedFamily) else (case,)
-
-
 @pytest.mark.parametrize("seed", [1, 3, 6])
 def test_rank_pairing_equals_pairing_against_minus_one(seed):
     case, *_ = scenarios.callias_case(seed)
-    for path in fibers(case):
+    for path in case:
         assert callias.ran_projection_pairing(path) \
             == callias.rhs_pairing(path, reference=-1)
 
 
 def test_rhs_pairing_of_a_family_has_one_integer_per_fiber():
     case, _, ref, _ = scenarios.callias_case(3)
-    assert tuple(callias.rhs_pairing(path, reference=ref) for path in fibers(case)) \
+    assert tuple(callias.rhs_pairing(path, reference=ref) for path in case) \
         == PINNED[3][1] == (1, -2)
 
 
@@ -81,15 +71,26 @@ def singular_at_boundary():
 
 def test_singular_boundary_point_is_named():
     with pytest.raises(NotInvertible, match="boundary point 0"):
-        callias.callias_check(singular_at_boundary(), grid=auto_grid)
+        callias.callias_check((singular_at_boundary(),))
     with pytest.raises(NotInvertible, match="boundary point 0"):
         callias.rhs_pairing(singular_at_boundary())
 
 
+def test_empty_family_is_invalid_input():
+    with pytest.raises(InvalidInput, match="need at least one fiber path"):
+        callias.callias_check(())
+
+
+def test_tower_without_perturbations_is_invalid_input():
+    tower = TruncationTower((16, 32), alternating_diag_template)
+    with pytest.raises(InvalidInput, match="need at least one fiber path"):
+        callias.tower_callias(tower)
+
+
 def test_singular_reference_is_named():
-    case, *_ = scenarios.callias_case(1)
+    (path,), *_ = scenarios.callias_case(1)
     with pytest.raises(NotInvertible, match="reference operator"):
-        callias.rhs_pairing(case, reference=0.0)
+        callias.rhs_pairing(path, reference=0.0)
 
 
 def test_flipped_sign_is_a_violation(monkeypatch):
@@ -121,7 +122,7 @@ def test_assembled_index_off_the_flow_is_a_violation(monkeypatch):
 
 def test_tower_integers_and_tails():
     tower = callias.tower_scenario(3, (16, 32), n_fibers=2)
-    rep = callias.tower_callias(tower, base_grid=dirac1d.GridSpec(9.0, 120))
+    rep = callias.tower_callias(tower)
     assert rep.passed
     assert rep.integers == ((0, -1), (0, -1))
     assert len(rep.tail_norms) == 2
@@ -154,7 +155,7 @@ def test_circle_dirac_tower():
     # the ramp moves diag(m - 0.5) to about diag(m + 2.5): the three modes
     # m = -2, -1, 0 change sign, at every dimension
     tower = TruncationTower((17, 33, 65), circle_dirac, (circle_potential,))
-    rep = callias.tower_callias(tower, base_grid=dirac1d.GridSpec(9.0, 120))
+    rep = callias.tower_callias(tower)
     assert rep.passed
     assert rep.integers == ((3,), (3,), (3,))
     # the tails of a bounded perturbation fall like 1/n, not below a fixed bound

@@ -8,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from diracflow import callias, dirac1d, inequalities
+from diracflow import callias, inequalities
 from diracflow.errors import (
     GeneratorError,
     HypothesisUnmet,
@@ -63,7 +63,7 @@ class TestNesting:
         tower = TruncationTower((16, 32), alternating_diag_template,
                                 (last_coordinate,))
         with pytest.raises(GeneratorError, match="nesting violated"):
-            callias.tower_callias(tower, dirac1d.GridSpec(9.0, 120))
+            callias.tower_callias(tower)
 
     def test_relative_bound_schedule(self):
         tower = TruncationTower((16, 32, 64), alternating_diag_template,
@@ -91,8 +91,8 @@ class TestTowerScenario:
         tower = callias.tower_scenario(3, (16, 32), n_fibers=2)
         family = callias.tower_family(tower, 32)
         t_32, perturbations = tower_instantiate(tower, 32)
-        assert len(family.paths) == 2
-        for path, r in zip(family.paths, perturbations):
+        assert len(family) == 2
+        for path, r in zip(family, perturbations):
             assert path.k == 32 and path.support == ((-1.0, 1.0),)
             end = t_32 + r
             assert np.array_equal(path.start(), t_32)
@@ -101,7 +101,7 @@ class TestTowerScenario:
     def test_every_seed_builds(self):
         # at seed 35 growing fiber 0's scale never reaches the end gap 0.8
         tower = callias.tower_scenario(35, (16, 32), n_fibers=2)
-        for path in callias.tower_family(tower, 16).paths:
+        for path in callias.tower_family(tower, 16):
             assert path.least_gap_outside()[1] >= 0.8
 
 
@@ -135,7 +135,7 @@ class TestRelativeBoundSchedule:
         with pytest.raises(NotRelativelyCompact, match=stagnant):
             inequalities.check_relative_bound_schedule(tower, EPS_LIST)
         with pytest.raises(NotRelativelyCompact, match=stagnant):
-            callias.tower_callias(tower, dirac1d.GridSpec(9.0, 120))
+            callias.tower_callias(tower)
 
 
 def test_every_benchmark_tower_passes_the_tail_test(monkeypatch):

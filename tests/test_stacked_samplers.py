@@ -133,7 +133,7 @@ def _splice():
 def _ramp_family():
     t_n = np.diag([1.0, -1.0, 2.0, -2.0])
     perturbations = [hermitian(20, 4), hermitian(21, 4)]
-    new = callias._ramp_family(4, t_n, perturbations).paths[1]
+    new = callias._ramp_family(4, t_n, perturbations)[1]
     return new, loops.ramp_family(4, t_n, perturbations)[1], [-1.0, 1.0, 0.0]
 
 

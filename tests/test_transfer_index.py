@@ -95,7 +95,7 @@ class TestRoutesAgree:
            m=st.integers(1, 3), lam=st.floats(0.5, 2.5))
     def test_chain_paths(self, seed, k, m, lam):
         path = chain_path(seed, k, n_intervals=m)
-        routes_agree(assemble(path, GridSpec.auto(path, 0.25, 1e-4), "aps", lam))
+        routes_agree(assemble(path, GridSpec(20.0, 160), "aps", lam))
 
     @SETTINGS
     @given(seed=st.integers(0, 100_000), k=st.integers(1, 5))
@@ -105,7 +105,7 @@ class TestRoutesAgree:
     @settings(max_examples=4, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 40))
     def test_tower_fibers(self, seed):
-        for path in tower_family(tower_scenario(seed, (16,), n_fibers=2), 16).paths:
+        for path in tower_family(tower_scenario(seed, (16,), n_fibers=2), 16):
             routes_agree(assemble(path, GridSpec(9.0, 30), "aps"))
 
     def test_reports_name_the_route(self):
@@ -125,8 +125,8 @@ class TestFallback:
         # a branch crosses down and back up; tunnelling between the two
         # crossings leaves sigma = 8.3e-6, below the cut 1.35e-5, while the
         # exact discrete kernel is {0}
-        path, lam, _, _ = callias_case(3866)
-        grid = GridSpec.auto(path, h_target=0.15, decay=1e-6)
+        (path,), lam, _, _ = callias_case(3866)
+        grid = GridSpec.auto(path)
         op = assemble(path, grid, "aps", lam)
         assert dirac1d._transfer_dims(op, DEFAULT_TOL) is None
         rep = index_report(op, refine_check=False)
@@ -349,7 +349,7 @@ class TestGrowthBoundedTransfer:
         assert qrs[1] > qrs[0]
 
     def test_tower_fiber_k16_matches_dense(self):
-        for path in tower_family(tower_scenario(3, (16,), n_fibers=2), 16).paths:
+        for path in tower_family(tower_scenario(3, (16,), n_fibers=2), 16):
             op = assemble(path, GridSpec(9.0, 64), "aps")
             assert op.k == 16
             fast = dirac1d._transfer_dims(op, DEFAULT_TOL)
@@ -363,7 +363,7 @@ class TestCountFloor:
     @pytest.mark.parametrize("make", [
         lambda: assemble(tanh_path(), GridSpec(8.0, 160), "aps"),
         lambda: assemble(ramp_path(7, 3, 1, 2), GridSpec(5.0, 60), "aps", 1.3),
-        lambda: assemble(tower_family(tower_scenario(3, (16,), n_fibers=2), 16).paths[1],
+        lambda: assemble(tower_family(tower_scenario(3, (16,), n_fibers=2), 16)[1],
                          GridSpec(9.0, 30), "aps"),
     ])
     def test_cap_below_the_floor_takes_the_dense_route(self, make):
