@@ -35,8 +35,6 @@ from .errors import (
     TowerTooShallow,
 )
 from .opcore import (
-    DEFAULT_TOL,
-    Tolerances,
     TruncationTower,
     _hermitised,
     alternating_diag_template,
@@ -68,7 +66,7 @@ __all__ = [
 ]
 
 
-def _boundary(path: PotentialPath, tol: Tolerances) -> tuple:
+def _boundary(path: PotentialPath) -> tuple:
     """(y, gamma(y), P_+(S(y))) for each point y of N = dK, in order: the
     endpoints of the intervals of the declared support K, signed by the
     outward normal (-1 at a left endpoint, +1 at a right one).  Each
@@ -77,15 +75,14 @@ def _boundary(path: PotentialPath, tol: Tolerances) -> tuple:
     for interval in path.support:
         for y, gamma in zip(interval, (-1, 1)):
             try:
-                boundary.append((y, gamma, positive_projection(path.sample(y), tol)))
+                boundary.append((y, gamma, positive_projection(path.sample(y))))
             except NotInvertible as exc:
                 raise NotInvertible(
                     f"potential not invertible at boundary point {y:g}") from exc
     return tuple(boundary)
 
 
-def _pairing_terms(path: PotentialPath, boundary, reference,
-                   tol: Tolerances) -> tuple:
+def _pairing_terms(path: PotentialPath, boundary, reference) -> tuple:
     """gamma(y) * rel-ind(P_+(S(y)), P_+(T)) for each boundary point y,
     with the reference T a scalar (a multiple of the identity) or a
     matrix.  Without boundary points no reference is resolved."""
@@ -98,38 +95,36 @@ def _pairing_terms(path: PotentialPath, boundary, reference,
     if reference.shape != (k, k):
         raise InvalidInput(f"reference has shape {reference.shape}, expected ({k}, {k})")
     try:
-        p_ref = positive_projection(reference, tol)
+        p_ref = positive_projection(reference)
     except NotInvertible as exc:
         raise NotInvertible("reference operator is not invertible") from exc
-    return tuple(g * rel_index(p_y, p_ref, tol) for _, g, p_y in boundary)
+    return tuple(g * rel_index(p_y, p_ref) for _, g, p_y in boundary)
 
 
-def rhs_pairing(path: PotentialPath, reference=-1.0,
-                tol: Tolerances = DEFAULT_TOL) -> int:
+def rhs_pairing(path: PotentialPath, reference=-1.0) -> int:
     """Signed sum over N = dK of the relative indices of P_+(S(y)) against
     P_+(T) for a reference T (a scalar multiple of the identity or a
     matrix)."""
-    return sum(_pairing_terms(path, _boundary(path, tol), reference, tol))
+    return sum(_pairing_terms(path, _boundary(path), reference))
 
 
-def _flow(path: PotentialPath, tol: Tolerances) -> int:
+def _flow(path: PotentialPath) -> int:
     """The endpoint identity's integer; its three routes must agree
     (TheoremViolation otherwise)."""
-    ident = endpoint_identity(path, tol=tol)
+    ident = endpoint_identity(path)
     if not ident.passed:
         raise TheoremViolation(
             f"spectral-flow routes disagree on {path.name}: {ident}")
     return ident.endpoint_rel_index
 
 
-def index_identity(path: PotentialPath, lam: float = 1.0, grid=None,
-                   tol: Tolerances = DEFAULT_TOL) -> int:
+def index_identity(path: PotentialPath, lam: float = 1.0, grid=None) -> int:
     """The index of the APS assembly of ``path`` (``grid`` as in
     `dirac1d.path_index_report`), which must equal the spectral flow of
     `_flow`; TheoremViolation otherwise.  The endpoint identity runs
     first, so the assembly's invertibility check reads its grid pass."""
-    flow = _flow(path, tol)
-    index = dirac1d.path_index_report(path, grid, lam, tol).index
+    flow = _flow(path)
+    index = dirac1d.path_index_report(path, grid, lam).index
     if index != flow:
         raise TheoremViolation(
             f"assembled index {index} != spectral flow {flow} on {path.name}")
@@ -147,7 +142,7 @@ class CalliasReport:
 
 
 def callias_check(paths: tuple, lam: float = 1.0, reference=-1.0,
-                  reference_alt=1.0, tol: Tolerances = DEFAULT_TOL) -> CalliasReport:
+                  reference_alt=1.0) -> CalliasReport:
     """Assert index == hypersurface pairing on every fiber of the family
     ``paths``, including reference independence.
 
@@ -159,24 +154,22 @@ def callias_check(paths: tuple, lam: float = 1.0, reference=-1.0,
     """
     if not paths:
         raise InvalidInput("need at least one fiber path")
-    boundaries = [_boundary(p, tol) for p in paths]
-    return _pairing_report(paths, boundaries,
-                           lambda p: index_identity(p, lam, tol=tol),
-                           reference, reference_alt, tol)
+    boundaries = [_boundary(p) for p in paths]
+    return _pairing_report(paths, boundaries, lambda p: index_identity(p, lam),
+                           reference, reference_alt)
 
 
-def _pairing_report(paths, boundaries, lhs, reference, reference_alt,
-                    tol) -> CalliasReport:
+def _pairing_report(paths, boundaries, lhs, reference, reference_alt) -> CalliasReport:
     """The CalliasReport of ``paths`` from their boundary projections; per
     fiber, ``lhs(path)`` is taken first, then the pairing against each
     reference."""
     values, rhs, rhs2, per_point = [], [], [], []
     for p, boundary in zip(paths, boundaries):
         values.append(lhs(p))
-        terms = _pairing_terms(p, boundary, reference, tol)
+        terms = _pairing_terms(p, boundary, reference)
         per_point.append(terms)
         rhs.append(sum(terms))
-        rhs2.append(sum(_pairing_terms(p, boundary, reference_alt, tol)))
+        rhs2.append(sum(_pairing_terms(p, boundary, reference_alt)))
     report = CalliasReport(lhs=tuple(values), rhs=tuple(rhs), rhs_alt=tuple(rhs2),
                            per_point=tuple(per_point))
     if not values == rhs == rhs2:
@@ -186,16 +179,17 @@ def _pairing_report(paths, boundaries, lhs, reference, reference_alt,
     return report
 
 
-def ran_projection_pairing(path: PotentialPath,
-                           tol: Tolerances = DEFAULT_TOL) -> int:
+def ran_projection_pairing(path: PotentialPath) -> int:
     """Signed sum of positive-subspace ranks at the boundary points.
 
     This is the unital/finitely-generated specialization: with the
-    reference -1 the relative index against P_+(-1) = 0 is just the rank,
-    so the value must agree with rhs_pairing(..., reference=-1).  The
-    comparison is left to the caller.
+    reference -1 the relative index against P_+(-1) = 0 is just the rank.
+    It is the same arithmetic as rhs_pairing(path, reference=-1), which
+    sums round(tr P_y) over the same projections, so comparing the two
+    tests only rel_index's integer-residual check, not a second route
+    (ROADMAP item 8).
     """
-    return sum(g * p_y.rank() for _, g, p_y in _boundary(path, tol))
+    return sum(g * p_y.rank() for _, g, p_y in _boundary(path))
 
 
 @dataclass(frozen=True)
@@ -207,13 +201,12 @@ class FourWayReport:
     passed: bool
 
 
-def four_way_identity(path: PotentialPath,
-                      tol: Tolerances = DEFAULT_TOL) -> FourWayReport:
+def four_way_identity(path: PotentialPath) -> FourWayReport:
     """The interval special case: spectral flow (both routes), endpoint
     relative index, and the hypersurface pairing over N = dK against the
     reference -1 must produce one and the same integer."""
-    ident = endpoint_identity(path, tol)
-    pairing = rhs_pairing(path, tol=tol)
+    ident = endpoint_identity(path)
+    pairing = rhs_pairing(path)
     passed = ident.passed and ident.endpoint_rel_index == pairing
     return FourWayReport(sf_by_crossings=ident.sf_by_crossings,
                          sf_by_partition=ident.sf_by_partition,
@@ -293,8 +286,7 @@ class TowerCalliasReport:
     passed: bool
 
 
-def tower_callias(tower: TruncationTower,
-                  tol: Tolerances = DEFAULT_TOL) -> TowerCalliasReport:
+def tower_callias(tower: TruncationTower) -> TowerCalliasReport:
     """Hypersurface pairing along a truncation tower.
 
     At every tower dimension n the fibers are `tower_family(tower, n)`'s,
@@ -317,14 +309,13 @@ def tower_callias(tower: TruncationTower,
     for pos, n in enumerate(dims):
         t_n, perturbations = tower_instantiate(tower, n)
         family = _ramp_family(n, t_n, perturbations)
-        p_ref = positive_projection(t_n, tol)
-        boundaries = [_boundary(p, tol) for p in family]
+        p_ref = positive_projection(t_n)
+        boundaries = [_boundary(p) for p in family]
         # the tail past the first n/2 coordinates
         tails.append(max(spectral_norm((p_y.entries - p_ref.entries)[:, n // 2:])
                          for boundary in boundaries for _, _, p_y in boundary))
-        lhs = (lambda p: index_identity(p, 1.0, _TOWER_GRID, tol)) if pos == 0 \
-            else (lambda p: _flow(p, tol))
-        rep = _pairing_report(family, boundaries, lhs, t_n, -t_n, tol)
+        lhs = (lambda p: index_identity(p, 1.0, _TOWER_GRID)) if pos == 0 else _flow
+        rep = _pairing_report(family, boundaries, lhs, t_n, -t_n)
         integers.append(rep.lhs)
     if integers[-1] != integers[-2]:
         raise TowerTooShallow(

@@ -33,8 +33,6 @@ from .errors import (
     TowerTooShallow,
 )
 from .opcore import (
-    DEFAULT_TOL,
-    Tolerances,
     TruncationTower,
     alternating_diag_template,
     bounded_transform,
@@ -99,7 +97,6 @@ class ScenarioConfig:
     seeds: list
     potential: dict
     coupling: object              # float or "auto-lambda0"
-    tolerances: Tolerances
     out_dir: str
     emit_timings: bool
     params: dict
@@ -107,7 +104,7 @@ class ScenarioConfig:
 
     def coupling_for(self, path) -> float:
         if isinstance(self.coupling, str):
-            c, dh, dk, lam0 = dirac1d.bound_constants(path, tol=self.tolerances)
+            c, dh, dk, lam0 = dirac1d.bound_constants(path)
             return max(1.0, 1.25 * lam0)
         return float(self.coupling)
 
@@ -173,8 +170,7 @@ def parse_config(text: str) -> ScenarioConfig:
         raise ConfigError(f"not valid JSON: {exc.msg} at line {exc.lineno}")
     if not isinstance(raw, dict):
         raise ConfigError("configuration must be a JSON object")
-    allowed = {"scenario", "seeds", "potential", "coupling", "tolerances",
-               "output", "params"}
+    allowed = {"scenario", "seeds", "potential", "coupling", "output", "params"}
     _reject_unknown(raw, allowed, "configuration")
     scenario = raw.get("scenario")
     if not isinstance(scenario, str) or scenario not in SCENARIOS:
@@ -222,16 +218,6 @@ def parse_config(text: str) -> ScenarioConfig:
     else:
         coupling = _bounded(_number(coupling, "coupling"), 0.0, "coupling")
 
-    tol_raw = raw.get("tolerances", {})
-    tol_fields = set(Tolerances.__dataclass_fields__)
-    _reject_unknown(tol_raw, tol_fields, "tolerances")
-    tol_values = {f: getattr(DEFAULT_TOL, f) for f in tol_fields}
-    tol_values.update((k, _number(v, f"tolerances.{k}")) for k, v in tol_raw.items())
-    try:
-        tolerances = Tolerances(**tol_values)
-    except InvalidInput as exc:
-        raise ConfigError(str(exc), field="tolerances")
-
     output = raw.get("output", {})
     _reject_unknown(output, {"dir", "emit_timings"}, "output")
     output = _typed(output, "output")
@@ -256,7 +242,7 @@ def parse_config(text: str) -> ScenarioConfig:
                           f"got {list(dims)}", field="params.dims")
 
     return ScenarioConfig(scenario=scenario, seeds=seeds, potential=potential,
-                          coupling=coupling, tolerances=tolerances,
+                          coupling=coupling,
                           out_dir=out_dir, emit_timings=emit_timings,
                           params=params, raw=raw)
 
@@ -284,6 +270,8 @@ def load_potential_table(filename: str) -> PotentialPath:
             mats.append(np.array(entries, dtype=np.complex128).reshape(k, k))
         if len(grid) != n:
             raise ValueError(f"expected {n} samples, found {len(grid)}")
+        if not grid:
+            raise ValueError("no samples")
     except (OSError, ValueError, IndexError) as exc:
         raise InvalidInput(f"corrupted potential table {filename!r}: {exc}")
     span = (grid[0], grid[-1])
@@ -346,7 +334,7 @@ def _run_sf(cfg: ScenarioConfig):
     for seed in cfg.seeds:
         def check(seed=seed):
             path = specflow.random_smooth_path(seed, 1 + (seed + k) % 8, n_samples=n_samples)
-            r = specflow.endpoint_identity(path, tol=cfg.tolerances)
+            r = specflow.endpoint_identity(path)
             return dict(lhs=(r.sf_by_crossings, r.sf_by_partition),
                         rhs=r.endpoint_rel_index, passed=r.passed)
         records.append(_guarded(f"endpoint-identity[seed={seed}]",
@@ -355,9 +343,8 @@ def _run_sf(cfg: ScenarioConfig):
 
     def reversal():
         path = specflow.random_smooth_path(cfg.seeds[0], 3, n_samples=n_samples)
-        fwd, _ = specflow.sf_crossings(path, tol=cfg.tolerances)
-        rev, _ = specflow.sf_crossings(specflow.reversed_path(path),
-                                       tol=cfg.tolerances)
+        fwd, _ = specflow.sf_crossings(path)
+        rev, _ = specflow.sf_crossings(specflow.reversed_path(path))
         return dict(lhs=fwd, rhs=-rev, passed=fwd == -rev)
     records.append(_guarded("reversal-antisymmetry",
                             "spectral flow reverses sign with the path",
@@ -381,7 +368,7 @@ def _run_relind(cfg: ScenarioConfig):
                 w = np.zeros(dim)
                 w[:r] = 1.0
                 projs.append((u * w) @ u.conj().T)
-            rep = relindex.check_additivity(*projs, tol=cfg.tolerances)
+            rep = relindex.check_additivity(*projs)
             good += rep.passed
         return dict(lhs=good, rhs=trials, passed=good == trials)
     records.append(_guarded(f"additivity[{trials}]",
@@ -393,7 +380,7 @@ def _run_relind(cfg: ScenarioConfig):
         p_path = [np.outer([np.cos(a), np.sin(a)], [np.cos(a), np.sin(a)])
                   for a in thetas]
         q_path = [p_path[0]] * len(p_path)
-        rep = relindex.homotopy_constancy(p_path, q_path, cfg.tolerances)
+        rep = relindex.homotopy_constancy(p_path, q_path)
         return dict(lhs=rep.values[0], rhs=rep.values[-1], passed=rep.passed)
     records.append(_guarded("homotopy-rotation",
                             "relative index is constant along norm-continuous paths",
@@ -409,8 +396,7 @@ def _run_relind(cfg: ScenarioConfig):
             w2[:r2] = 1.0
             p = (u * w1) @ u.conj().T
             q = (u * w2) @ u.conj().T
-            good += (relindex.rel_index(p, q, cfg.tolerances)
-                     == relindex.rel_index_restricted(p, q, cfg.tolerances))
+            good += relindex.rel_index(p, q) == relindex.rel_index_restricted(p, q)
         return dict(lhs=good, rhs=trials, passed=good == trials)
     records.append(_guarded(f"trace-vs-restricted[{trials}]",
                             "trace formula equals the restricted-operator index",
@@ -433,11 +419,9 @@ def _run_index1d(cfg: ScenarioConfig):
     ]
     for label, path, expected in oracle_cases:
         def check(path=path, expected=expected):
-            rep = dirac1d.index_report(
-                dirac1d.assemble(path, grid, "aps", 1.0, cfg.tolerances),
-                cfg.tolerances)
+            rep = dirac1d.index_report(dirac1d.assemble(path, grid, "aps", 1.0))
             got = (rep.index, rep.dim_ker, rep.dim_coker)
-            oracle = dirac1d.kernel_oracle_diagonal(path, cfg.tolerances)
+            oracle = dirac1d.kernel_oracle_diagonal(path)
             ok = got == expected == (oracle.index, oracle.dim_ker, oracle.dim_coker)
             return dict(lhs=got, rhs=expected, passed=ok and rep.refined_agrees)
         records.append(_guarded(f"oracle[{label}]",
@@ -445,7 +429,7 @@ def _run_index1d(cfg: ScenarioConfig):
                                 check))
 
     def index(path, lam):
-        return dirac1d.path_index_report(path, grid, lam, cfg.tolerances).index
+        return dirac1d.path_index_report(path, grid, lam).index
 
     def sweep():
         path = specflow.tanh_path()
@@ -459,8 +443,7 @@ def _run_index1d(cfg: ScenarioConfig):
 
     def bound():
         path = specflow.tanh_path()
-        rep = dirac1d.fredholm_bounds(path, 3.0, grid=dirac1d.GridSpec(8.0, 200),
-                                      tol=cfg.tolerances)
+        rep = dirac1d.fredholm_bounds(path, 3.0, grid=dirac1d.GridSpec(8.0, 200))
         return dict(lhs=rep.min_eig, rhs=rep.epsilon * (1 - rep.disc_slack),
                     passed=rep.passed,
                     residual=max(0.0, rep.epsilon - rep.min_eig))
@@ -492,8 +475,7 @@ def _run_cutpaste(cfg: ScenarioConfig):
     for seed in cfg.seeds[:pairs]:
         def check(seed=seed):
             m1, m2, t_cut = scenarios.collar_pair(seed, 1 + seed % k_max)
-            rep = surgery.verify_additivity(m1, m2, t_cut, grid=grid,
-                                            tol=cfg.tolerances)
+            rep = surgery.verify_additivity(m1, m2, t_cut, grid=grid)
             return dict(lhs=rep.ind_1 + rep.ind_2, rhs=rep.ind_3 + rep.ind_4,
                         passed=rep.passed,
                         details={"indices": (rep.ind_1, rep.ind_2, rep.ind_3, rep.ind_4)})
@@ -509,7 +491,7 @@ def _run_callias(cfg: ScenarioConfig):
         def check(seed=seed):
             paths, lam, ref, ref2 = scenarios.callias_case(seed)
             rep = callias.callias_check(paths, lam=lam, reference=ref,
-                                        reference_alt=ref2, tol=cfg.tolerances)
+                                        reference_alt=ref2)
             # a one-fiber case reports its integers bare: 0, not (0,)
             lhs, rhs, rhs_alt = (v[0] if len(paths) == 1 else v
                                  for v in (rep.lhs, rep.rhs, rep.rhs_alt))
@@ -523,7 +505,7 @@ def _run_callias(cfg: ScenarioConfig):
         good = 0
         for seed in cfg.seeds:
             rep = callias.four_way_identity(
-                specflow.random_smooth_path(seed, 1 + seed % 8), tol=cfg.tolerances)
+                specflow.random_smooth_path(seed, 1 + seed % 8))
             good += rep.passed
         return dict(lhs=good, rhs=len(cfg.seeds), passed=good == len(cfg.seeds))
     records.append(_guarded(f"four-way[{len(cfg.seeds)}]",
@@ -532,8 +514,8 @@ def _run_callias(cfg: ScenarioConfig):
 
     def rank_pairing():
         path = scenarios.chain_path(cfg.seeds[0], 2)
-        val = callias.ran_projection_pairing(path, tol=cfg.tolerances)
-        rhs = callias.rhs_pairing(path, reference=-1.0, tol=cfg.tolerances)
+        val = callias.ran_projection_pairing(path)
+        rhs = callias.rhs_pairing(path, reference=-1.0)
         return dict(lhs=val, rhs=rhs, passed=val == rhs)
     records.append(_guarded("rank-pairing",
                             "signed rank sum realizes the pairing against -1",
@@ -547,7 +529,7 @@ def _run_tower(cfg: ScenarioConfig):
 
     def check():
         tower = callias.tower_scenario(cfg.seeds[0], dims, fibers)
-        rep = callias.tower_callias(tower, cfg.tolerances)
+        rep = callias.tower_callias(tower)
         return dict(lhs=rep.integers[-1], rhs=rep.integers[-2],
                     passed=rep.passed, details={"tails": rep.tail_norms})
     return [_guarded(f"tower{dims}",
@@ -615,7 +597,7 @@ def _run_appendix(cfg: ScenarioConfig):
     conjugated_norms = functools.cache(lambda: trial_suites(
         9,
         lambda dim, idx: inequalities.positive_decomposition(
-            draw(idx, 0, dim, (0.05, 3.0)), idx, cfg.tolerances),
+            draw(idx, 0, dim, (0.05, 3.0)), idx),
         [lambda pos, dim, idx: inequalities.check_interpolation_stack(
             pos, draw(idx, 10 ** 6, dim, (-2.0, 2.0))),
          lambda pos, dim, idx: inequalities.check_conjugation_stack(
@@ -632,14 +614,14 @@ def _run_appendix(cfg: ScenarioConfig):
         """T, raw R, (T + i)^(-1) and F_T, taken once for every eps."""
         t = draw(idx, 0, dim, (-6.0, 6.0))
         return (t, draw(idx, 3 * 10 ** 6, dim, (-1.0, 1.0)),
-                inequalities.resolvent_at_i(t), bounded_transform(t, cfg.tolerances))
+                inequalities.resolvent_at_i(t), bounded_transform(t))
 
     def stability(eps):
         def check(base, dim, idx):
             t, raw, res, f_t = base
             r = inequalities.scale_perturbation_stack(t, raw, eps, res)
             return inequalities.check_stability_stack(
-                t, t + r, eps, res, f_t, idx, cfg.tolerances)
+                t, t + r, eps, res, f_t, idx)
         return check
 
     stabilities = functools.cache(lambda: trial_suites(
@@ -653,7 +635,7 @@ def _run_appendix(cfg: ScenarioConfig):
         tower = TruncationTower(dims, alternating_diag_template,
                                 (rank_one_template,))
         rep = inequalities.check_relative_bound_schedule(
-            tower, (0.5, 0.1, 0.02), seed=base_seed, tol=cfg.tolerances)
+            tower, (0.5, 0.1, 0.02), seed=base_seed)
         worst = max(w for (_, _, _, w) in rep.entries)
         return dict(lhs=worst, rhs=0.0, passed=rep.passed, residual=max(0.0, worst))
     records.append(_guarded("relative-bound-schedule",
@@ -665,8 +647,7 @@ def _run_appendix(cfg: ScenarioConfig):
         scale = 3.0 / float(np.linalg.norm(raw(dims[0]), 2))
         tower = TruncationTower(dims, alternating_diag_template,
                                 (lambda n: scale * raw(n),))
-        rep = inequalities.check_functional_calculus_tails(
-            tower, tol=cfg.tolerances)
+        rep = inequalities.check_functional_calculus_tails(tower)
         step = rep.tail_norms["step"]
         return dict(lhs=step[-1], rhs=step[-2], passed=rep.passed,
                     residual=rep.resolvent_residual)
@@ -684,7 +665,7 @@ def _run_appendix(cfg: ScenarioConfig):
 
     def quadrature():
         h = inequalities.random_hermitian_stack([base_seed], 6, (-4.0, 4.0))[0]
-        rep = inv_sqrt_via_quadrature(h, quad_nodes, cfg.tolerances)
+        rep = inv_sqrt_via_quadrature(h, quad_nodes)
         return dict(lhs=rep.error, rhs=1e-8, passed=rep.error <= 1e-8,
                     residual=rep.error)
     records.append(_guarded(f"quadrature[{quad_nodes}]",
@@ -719,7 +700,7 @@ def run(cfg: ScenarioConfig, jobs: int = 1) -> RunReport:
     records = [rec for recs in outputs for rec in recs]
     branch_data = None
     if path is not None:
-        times, branches = specflow.branch_curves(path, cfg.tolerances)
+        times, branches = specflow.branch_curves(path)
         branch_data = {"t": times, "branches": branches}
     digest = digest_of({"config": cfg.raw, "seeds": cfg.seeds})
     return RunReport(records=records, inputs_digest=digest,

@@ -18,14 +18,16 @@ Two discretizations serve two distinct purposes:
   kernel is a k x k problem: carry the left boundary subspace across the
   grid and test where it lands (Robbin-Salamon).  The carry is a chain of
   plain products with a QR only where the steps' condition numbers have
-  grown past a bound set by machine epsilon and svd_gap_cap.
+  grown past a bound set by machine epsilon and the SVD route's relative
+  cut opcore._SVD_GAP_CAP (1e-6).
   That count of exact kernel vectors is accepted only when Sturm counts of
   D's singular values confirm that exactly the implied number lies below
-  the SVD route's cut svd_gap_cap * sigma_max.  The counts come from
-  odd-even reduction of the block tridiagonal DD* - tau^2, one batched
-  eigh per round, so O(log n_cells) numpy calls per level.  Their rounding
-  is about eps * sigma_max^2, so they decide only cuts whose square lies a
-  thousandfold above that; a smaller svd_gap_cap goes to the dense SVD.
+  the cut _SVD_GAP_CAP * sigma_max.  The counts come from odd-even
+  reduction of the block tridiagonal DD* - tau^2, one batched eigh per
+  round, so O(log n_cells) numpy calls per level.  Their rounding is about
+  eps * sigma_max^2, so they decide only cuts whose square lies a
+  thousandfold above that (_LEVEL_FLOOR); a cut below it goes to the dense
+  SVD.
   A singular value that is tiny but not zero (tunnelling between two
   nearby crossings) lies below that cut while the exact kernel misses it;
   then, or when some B_j is singular, the dense SVD decides, as it always
@@ -53,9 +55,8 @@ from .errors import (
     NotDiagonalizable,
     NotInvertible,
 )
+from . import opcore
 from .opcore import (
-    DEFAULT_TOL,
-    Tolerances,
     eigh,
     null_space,
     spectral_norm,
@@ -194,7 +195,7 @@ class DiscretizedDiracSchroedinger:
         return out.reshape(-1)
 
 
-def _aps_operator(path, grid, lam, tol):
+def _aps_operator(path, grid, lam):
     """The APS assembly of ``assemble``, without the path's declaration
     check (it depends on the path only, not on the grid)."""
     k, h = path.k, grid.h
@@ -204,10 +205,10 @@ def _aps_operator(path, grid, lam, tol):
     s = path.samples(np.concatenate([grid.midpoints(), nodes[[0, -1]]]))
     cell_a = (1j / h) * eye - (0.5j * lam) * s[:-2]
     cell_b = (-1j / h) * eye - (0.5j * lam) * s[:-2]
-    wl, vl = eigh(s[-2], tol)
-    wr, vr = eigh(s[-1], tol)
+    wl, vl = eigh(s[-2])
+    wr, vr = eigh(s[-1])
     for w, label in ((wl, "left"), (wr, "right")):
-        if float(np.abs(w).min()) < tol.proj_gap_tol:
+        if float(np.abs(w).min()) < opcore._PROJ_GAP_TOL:
             raise NotInvertible(f"potential not invertible at the {label} endpoint")
     return DiscretizedDiracSchroedinger(
         bc="aps", grid=grid, path=path, lam=lam,
@@ -234,7 +235,7 @@ def _dirichlet_matrix(path, grid, lam):
 
 
 def assemble(path: PotentialPath, grid: GridSpec, bc: str = "aps",
-             lam: float = 1.0, tol: Tolerances = DEFAULT_TOL) -> DiscretizedDiracSchroedinger:
+             lam: float = 1.0) -> DiscretizedDiracSchroedinger:
     """Assemble the discretized operator -i d/dt - i*lam*S(t) on [-L, L].
 
     ``bc`` selects the APS (rectangular, index-carrying) or Dirichlet
@@ -243,21 +244,21 @@ def assemble(path: PotentialPath, grid: GridSpec, bc: str = "aps",
 
     Raises NotInvertible when the path breaks its own declaration that S is
     invertible outside its support K: some grid sample outside K has a
-    spectral gap below ``tol.proj_gap_tol``.  An APS assembly further
+    spectral gap below ``opcore._PROJ_GAP_TOL``.  An APS assembly further
     raises NotInvertible when S is singular at an endpoint of [-L, L].
     """
     if bc not in ("aps", "dirichlet"):
         raise InvalidInput(f"unknown boundary condition {bc!r}")
     if not lam > 0:
         raise InvalidInput("coupling lam must be positive")
-    t_worst, gap = path.least_gap_outside(tol)
-    if gap < tol.proj_gap_tol:
+    t_worst, gap = path.least_gap_outside()
+    if gap < opcore._PROJ_GAP_TOL:
         raise NotInvertible(
             f"path declared invertible outside its support {path.support} "
             f"has gap {gap:.3e} at t={t_worst:g}, below proj_gap_tol "
-            f"{tol.proj_gap_tol:.3e}")
+            f"{opcore._PROJ_GAP_TOL:.3e}")
     if bc == "aps":
-        return _aps_operator(path, grid, lam, tol)
+        return _aps_operator(path, grid, lam)
     return DiscretizedDiracSchroedinger(
         bc=bc, grid=grid, path=path, lam=lam,
         left_basis=None, right_basis=None)
@@ -277,11 +278,11 @@ class IndexReport:
     ``route`` names what decided (dim ker, dim coker):
 
     * ``"transfer"``: the Cayley transfer kernel, certified by Sturm counts
-      of the singular values of D.  ``threshold`` is svd_gap_cap times the
-      Rayleigh lower bound of sigma_max (the root of DD*'s largest
-      diagonal entry): exactly dim ker - (cols - min(rows, cols)) singular
-      values lie below it.  ``sigma_next`` is svd_gap_cap times the
-      Gershgorin upper bound of sigma_max (the root of DD*'s largest
+      of the singular values of D.  ``threshold`` is opcore._SVD_GAP_CAP
+      times the Rayleigh lower bound of sigma_max (the root of DD*'s
+      largest diagonal entry): exactly dim ker - (cols - min(rows, cols))
+      singular values lie below it.  ``sigma_next`` is _SVD_GAP_CAP times
+      the Gershgorin upper bound of sigma_max (the root of DD*'s largest
       absolute row sum), a lower bound of every other singular value.
       ``gap_ratio`` is the ratio, in the transfer test matrix, of
       the smallest principal-angle cosine kept to the largest one counted
@@ -308,8 +309,8 @@ class IndexReport:
     route: str                # "transfer" | "svd"
 
 
-def _dims_from_svd(matrix, tol):
-    res = null_space(matrix, tol, want_basis=False)
+def _dims_from_svd(matrix):
+    res = null_space(matrix, want_basis=False)
     rows, cols = matrix.shape
     rank = cols - res.dim
     dim_coker = rows - rank
@@ -326,15 +327,16 @@ def _dims_from_svd(matrix, tol):
 # thousandfold: tau >= _LEVEL_FLOOR * sigma_max, about 4.7e-7 * sigma_max.
 # On the k = 16 tower fibers and the tunnelling chain(3866) the counts are
 # still right at tau^2 = 0.45 eps * sigma_max^2 and wrong below 0.05.  The
-# default svd_gap_cap 1e-6 clears the floor whenever the sigma_max bracket
-# has lo >= 0.47 hi; over the 2498 index decisions of the `all` config and
-# the benchmark workloads at all pool seeds (tests/index_decisions.py) the
-# smallest lo / hi is 0.601, and 0.627 on k = 32 and 64 tower fibers.  A
-# smaller configured cap leaves the count to the dense SVD.
+# cut opcore._SVD_GAP_CAP = 1e-6 clears the floor whenever the sigma_max
+# bracket has lo >= 0.47 hi; over the 2498 index decisions of the `all`
+# config and the benchmark workloads at all pool seeds
+# (tests/index_decisions.py) the smallest lo / hi is 0.601, and 0.627 on
+# k = 32 and 64 tower fibers.  A bracket wider than that, or a cut below
+# 4.7e-7, leaves the count to the dense SVD.
 _LEVEL_FLOOR = math.sqrt(1e3 * np.finfo(float).eps)
 
 
-def _transfer_kernel(op, tol):
+def _transfer_kernel(op):
     """(dim ker D, gap ratio) by Cayley transfer.
 
     Every kernel vector starts at psi_0 in Ran L and follows
@@ -343,14 +345,14 @@ def _transfer_kernel(op, tol):
     the Hermitian S(m_j), hence normal, and one batched SVD gives every
     cond(M_j).  The orthonormal basis L is carried along by plain products
     of the steps scaled to norm 1, with a QR only when the product g of the
-    conds since the last QR would pass 1e-3 * svd_gap_cap / eps, and one at
-    the end.  Rounding in such a product reaches the weakest carried
+    conds since the last QR would pass 1e-3 * _SVD_GAP_CAP / eps, and one
+    at the end.  Rounding in such a product reaches the weakest carried
     direction amplified by up to g, so a cosine drifts by about eps * g
     before the closing QR; the limit holds that drift a thousand times
-    below the cut svd_gap_cap (g <= 4.5e6 at the default cap 1e-6).
+    below the cut opcore._SVD_GAP_CAP (g <= 4.5e6 at its value 1e-6).
     The singular values of (1 - R R*) Q_n are the cosines of the principal
-    angles between Ran Q_n and Ran P_-(S(+L)), and those below svd_gap_cap
-    count as zero.  Raises LinAlgError when some B_j is singular
+    angles between Ran Q_n and Ran P_-(S(+L)), and those below
+    _SVD_GAP_CAP count as zero.  Raises LinAlgError when some B_j is singular
     (lam * s * h / 2 = -1 for an eigenvalue s of S(m_j)).
     """
     left, right = op.left_basis, op.right_basis
@@ -361,7 +363,8 @@ def _transfer_kernel(op, tol):
     steps /= np.where(s[:, 0] > 0.0, s[:, 0], 1.0)[:, None, None]
     conds = np.divide(s[:, 0], s[:, -1], out=np.full(s.shape[0], np.inf),
                       where=s[:, -1] > 0.0)
-    limit = 1e-3 * tol.svd_gap_cap / np.finfo(float).eps
+    cap = opcore._SVD_GAP_CAP
+    limit = 1e-3 * cap / np.finfo(float).eps
     q, growth = left, 1.0
     for step, cond in zip(steps, conds):
         # growth 1 means q is orthonormal up to scale: nothing to restore
@@ -372,7 +375,7 @@ def _transfer_kernel(op, tol):
     cos = np.linalg.svd(q - right @ (right.conj().T @ q), compute_uv=False)
     if not np.all(np.isfinite(cos)):
         raise np.linalg.LinAlgError("transfer overflowed")
-    rank = int(np.sum(cos >= tol.svd_gap_cap))
+    rank = int(np.sum(cos >= cap))
     zero_max = float(cos[rank]) if rank < cos.size else 0.0
     ratio = float(cos[rank - 1]) / zero_max if rank and zero_max > 0.0 else float("inf")
     return left.shape[1] - rank, ratio
@@ -477,11 +480,11 @@ def _sturm_counts(gram, coupling, levels, scale):
     return np.array(counts)
 
 
-def _transfer_dims(op, tol):
+def _transfer_dims(op):
     """Index dimensions by the transfer route, or None when it cannot
     certify them.  The blocks of DD* are built once; they give the bracket
     lo <= sigma_max <= hi (``_sigma_max_bracket``) and the Sturm counts at
-    the two levels svd_gap_cap * lo and svd_gap_cap * hi.  None when the
+    the two levels opcore._SVD_GAP_CAP times lo and hi.  None when the
     lower level lies below the floor _LEVEL_FLOOR * hi where Sturm counts
     are reliable, when DD* or the square of its largest diagonal entry is
     out of floating-point range, when some B_j is singular, or when a count
@@ -490,11 +493,11 @@ def _transfer_dims(op, tol):
     rows, cols = op.shape
     gram, coupling = _dd_star(op.cell_a, op.cell_b, op.left_basis, op.right_basis)
     lo, hi = _sigma_max_bracket(gram, coupling)
-    levels = (tol.svd_gap_cap * lo, tol.svd_gap_cap * hi)
+    levels = (opcore._SVD_GAP_CAP * lo, opcore._SVD_GAP_CAP * hi)
     if not levels[0] >= _LEVEL_FLOOR * hi:
         return None
     try:
-        dim_ker, ratio = _transfer_kernel(op, tol)
+        dim_ker, ratio = _transfer_kernel(op)
         counts = _sturm_counts(gram, coupling, levels, lo * lo)
     except np.linalg.LinAlgError:
         return None
@@ -504,22 +507,22 @@ def _transfer_dims(op, tol):
     return dim_ker, dim_coker, (), levels[1], ratio, levels[0], "transfer"
 
 
-def _index_dims(op, tol):
+def _index_dims(op):
     """(dim_ker, dim_coker, sigma_kernel, sigma_next, gap_ratio, threshold,
     route): the certified transfer route, else the dense SVD."""
-    fast = _transfer_dims(op, tol)
+    fast = _transfer_dims(op)
     if fast is not None:
         return fast
-    return _dims_from_svd(op.matrix, tol) + ("svd",)
+    return _dims_from_svd(op.matrix) + ("svd",)
 
 
-def index_report(op: DiscretizedDiracSchroedinger, tol: Tolerances = DEFAULT_TOL,
+def index_report(op: DiscretizedDiracSchroedinger,
                  refine_check: bool = True) -> IndexReport:
     """Numerical index of an APS assembly: dim ker - dim coker.
 
     The dimensions come from the Cayley transfer kernel when block Sturm
     counts of D's singular values confirm its count of exact zeros at
-    svd_gap_cap * sigma_max, in O(n_cells k^3); otherwise from the
+    opcore._SVD_GAP_CAP * sigma_max, in O(n_cells k^3); otherwise from the
     singular-value clusters of the dense D (``opcore.null_space``, whose
     AmbiguousRank propagates).  ``IndexReport.route`` says which decided.
 
@@ -529,13 +532,13 @@ def index_report(op: DiscretizedDiracSchroedinger, tol: Tolerances = DEFAULT_TOL
     """
     if op.bc != "aps":
         raise InvalidInput("index_report requires an APS assembly")
-    dim_ker, dim_coker, sig_ker, sig_next, ratio, thr, route = _index_dims(op, tol)
+    dim_ker, dim_coker, sig_ker, sig_next, ratio, thr, route = _index_dims(op)
     index = dim_ker - dim_coker
     structural = op.structural_index
     refined_agrees = None
     if refine_check:
-        refined = _aps_operator(op.path, op.grid.refined(), op.lam, tol)
-        dk2, dc2, *_ = _index_dims(refined, tol)
+        refined = _aps_operator(op.path, op.grid.refined(), op.lam)
+        dk2, dc2, *_ = _index_dims(refined)
         refined_agrees = (dk2 == dim_ker and dc2 == dim_coker)
     return IndexReport(index=index, dim_ker=dim_ker, dim_coker=dim_coker,
                        structural_index=structural,
@@ -551,20 +554,18 @@ def _resolve_grid(grid: Optional[GridSpec], path: PotentialPath) -> GridSpec:
     return GridSpec.auto(path) if grid is None else grid
 
 
-def path_index_report(path: PotentialPath, grid=None, lam: float = 1.0,
-                      tol: Tolerances = DEFAULT_TOL) -> IndexReport:
+def path_index_report(path: PotentialPath, grid=None, lam: float = 1.0) -> IndexReport:
     """``index_report`` of the APS assembly of ``path``, without the h/2
     refinement rerun.  ``grid`` is a GridSpec, or None for
     ``GridSpec.auto``."""
-    return index_report(assemble(path, _resolve_grid(grid, path), "aps", lam, tol),
-                        tol, refine_check=False)
+    return index_report(assemble(path, _resolve_grid(grid, path), "aps", lam),
+                        refine_check=False)
 
 
-def kernel_vectors(op: DiscretizedDiracSchroedinger,
-                   tol: Tolerances = DEFAULT_TOL) -> list:
+def kernel_vectors(op: DiscretizedDiracSchroedinger) -> list:
     """Numerical kernel of an APS assembly as node-space functions
     (one complex array over the n_cells+1 grid nodes per kernel vector)."""
-    res = null_space(op.matrix, tol, want_basis=True)
+    res = null_space(op.matrix, want_basis=True)
     return [op.domain_to_nodes(res.basis[:, j]) for j in range(res.dim)]
 
 
@@ -575,8 +576,7 @@ class OracleIndex:
     index: int
 
 
-def kernel_oracle_diagonal(path: PotentialPath,
-                           tol: Tolerances = DEFAULT_TOL) -> OracleIndex:
+def kernel_oracle_diagonal(path: PotentialPath) -> OracleIndex:
     """Closed-form index for simultaneously diagonalizable paths.
 
     Each scalar branch s(t) of the commuting family solves psi' = -s psi
@@ -591,7 +591,7 @@ def kernel_oracle_diagonal(path: PotentialPath,
     scale = max(1.0, float(np.linalg.norm(samples, axis=(1, 2)).max()))
     rng = np.random.default_rng(0x5EED)
     weights = rng.uniform(0.5, 1.5, size=len(samples))
-    _, v = eigh(sum(w * s for w, s in zip(weights, samples)), tol)
+    _, v = eigh(sum(w * s for w, s in zip(weights, samples)))
     rotated = v.conj().T @ samples @ v
     diagonal = np.einsum("jaa->ja", rotated)
     off = np.linalg.norm(rotated * (1.0 - np.eye(path.k)), axis=(1, 2)) / scale
@@ -693,8 +693,7 @@ def quintic_plateau(t, lo, hi, ramp):
         d >= ramp, 0.0, smoothstep(1.0 - d / ramp)))[()]
 
 
-def bound_constants(path: PotentialPath, k_hat: Optional[Tuple[float, float]] = None,
-                    tol: Tolerances = DEFAULT_TOL):
+def bound_constants(path: PotentialPath, k_hat: Optional[Tuple[float, float]] = None):
     """(c, delta_out, delta_K, lambda0): the uniform invertibility bound and
     derivative-resolvent sups outside/inside the compact region, and the
     minimal coupling making the lower-bound threshold positive.  The gaps
@@ -706,12 +705,12 @@ def bound_constants(path: PotentialPath, k_hat: Optional[Tuple[float, float]] = 
     def outside(t):
         return k_hat is None or not (k_hat[0] <= t <= k_hat[1])
 
-    gaps = np.abs(path._grid_spectra(tol)[0]).min(axis=1)
+    gaps = np.abs(path._grid_spectra()[0]).min(axis=1)
     gaps_out = [float(g) for (t, _), g in zip(deltas, gaps) if outside(t)]
     if not gaps_out:
         raise InvalidInput("no sample lies outside the compact region")
     c_hat = min(gaps_out)
-    if c_hat < tol.proj_gap_tol:
+    if c_hat < opcore._PROJ_GAP_TOL:
         raise NotInvertible("potential is not uniformly invertible outside K")
     delta_hat = max((d for (t, d) in deltas if outside(t)), default=0.0)
     delta_k = max((d for (t, d) in deltas if not outside(t)), default=0.0)
@@ -740,8 +739,7 @@ _DISC_SLACK = 0.2
 
 def fredholm_bounds(path: PotentialPath, lam: float,
                     grid: Optional[GridSpec] = None,
-                    k_hat: Optional[Tuple[float, float]] = None,
-                    tol: Tolerances = DEFAULT_TOL) -> FredholmBoundReport:
+                    k_hat: Optional[Tuple[float, float]] = None) -> FredholmBoundReport:
     """Verify the quantitative lower bound on the doubled operator.
 
     Computes c = inf gap(S) and delta = sup ||S'(S +- i)^{-1}|| outside the
@@ -758,7 +756,7 @@ def fredholm_bounds(path: PotentialPath, lam: float,
     """
     if k_hat is None:
         k_hat = path.hull()
-    c_hat, delta_hat, delta_k, lambda0 = bound_constants(path, k_hat, tol)
+    c_hat, delta_hat, delta_k, lambda0 = bound_constants(path, k_hat)
     epsilon = 0.5 * (lam ** 2 * c_hat ** 2 - delta_hat ** 2 * (1.0 + 1.0 / c_hat) ** 2)
     if epsilon <= 0.0:
         raise HypothesisUnmet(
@@ -776,7 +774,7 @@ def fredholm_bounds(path: PotentialPath, lam: float,
         if ramp <= 0:
             raise InvalidInput("grid too short for a compactly supported cutoff")
         f_sq = (amplitude * quintic_plateau(nodes, k_hat[0], k_hat[1], ramp)) ** 2
-    op = assemble(path, grid, "dirichlet", lam, tol)
+    op = assemble(path, grid, "dirichlet", lam)
     d = op.matrix
     f_sq = np.repeat(f_sq[1:-1], path.k)
     m1 = d.conj().T @ d + np.diag(f_sq)

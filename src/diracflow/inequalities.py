@@ -29,8 +29,6 @@ from .errors import (
     NotRelativelyCompact,
 )
 from .opcore import (
-    DEFAULT_TOL,
-    Tolerances,
     TruncationTower,
     _hermitised,
     _projection_above,
@@ -167,13 +165,12 @@ class PositiveDecomposition(NamedTuple):
     half_inv: np.ndarray    # (m, n, n) T^(-1/2)
 
 
-def positive_decomposition(t, trials,
-                           tol: Tolerances = DEFAULT_TOL) -> PositiveDecomposition:
+def positive_decomposition(t, trials) -> PositiveDecomposition:
     """Decompose a positive definite T, or each matrix of a stack, by one
     certified `eigh`.  ``trials[j]`` is the trial number of matrix j; a
     matrix with an eigenvalue below 1e-8 raises InvalidInput naming it."""
     tm = _stack(t)
-    w, v = eigh(tm, tol)
+    w, v = eigh(tm)
     low = w.min(axis=1)
     bad = np.flatnonzero(low < 1e-8)
     if bad.size:
@@ -308,8 +305,7 @@ def scale_perturbation_stack(t, r_raw, eps: float, res) -> np.ndarray:
     return _hermitised(rm * factor[:, None, None], stack=True)
 
 
-def check_stability_stack(t, t_n, eps: float, res, f_t, trials,
-                          tol: Tolerances = DEFAULT_TOL) -> StabilityReport:
+def check_stability_stack(t, t_n, eps: float, res, f_t, trials) -> StabilityReport:
     """||F_T - F_Tn|| <= 4*eps whenever both resolvent-smallness norms
     ||(T - Tn)(T + i)^(-1)|| and ||(T + i)^(-1)(T - Tn)|| are <= eps < 1/2,
     for every trial of a stack at once: trial j, numbered ``trials[j]``,
@@ -334,7 +330,7 @@ def check_stability_stack(t, t_n, eps: float, res, f_t, trials,
         raise HypothesisUnmet(
             f"trial {int(trials[j])}: resolvent-smallness norms "
             f"({h1[j]:.3e}, {h2[j]:.3e}) exceed eps={eps:g}")
-    dist = spectral_norm(f_t - bounded_transform(tnm, tol))
+    dist = spectral_norm(f_t - bounded_transform(tnm))
     return StabilityReport(eps=eps, hypothesis_norms=(h1, h2),
                            transform_diff=dist, bound=4.0 * eps,
                            passed=dist <= 4.0 * eps)
@@ -366,8 +362,7 @@ class ScheduleReport:
 
 
 def check_relative_bound_schedule(tower: TruncationTower,
-                                  eps_list: Sequence[float], seed: int = 0,
-                                  tol: Tolerances = DEFAULT_TOL) -> ScheduleReport:
+                                  eps_list: Sequence[float], seed: int = 0) -> ScheduleReport:
     """Verify ||R psi|| <= eps ||T psi|| + eps*n ||psi|| with the minimal
     integer n <= 10^6 making ||R (T - i n)^(-1)|| < eps.
 
@@ -435,8 +430,7 @@ class TailReport:
     passed: bool
 
 
-def check_functional_calculus_tails(tower: TruncationTower,
-                                    tol: Tolerances = DEFAULT_TOL) -> TailReport:
+def check_functional_calculus_tails(tower: TruncationTower) -> TailReport:
     """Tail decay of f(T+R) - f(T) along a tower, for f the bounded
     transform, the resolvents (x +- i)^(-1), and the hard step at 0; T and
     R are the operator and the one perturbation of ``tower``.
@@ -476,7 +470,7 @@ def check_functional_calculus_tails(tower: TruncationTower,
         # F and the step of T (entry 0) and of T+R (entry 1), one eigh each
         transforms, steps = [], []
         for m, label in ((tn, "T"), (tr, "T+R")):
-            w, v = eigh(m, tol)
+            w, v = eigh(m)
             try:
                 steps.append(_projection_above(w, v, 0.0, _GAP_FLOOR).entries)
             except NotInvertible as exc:

@@ -7,9 +7,10 @@ functions f(H) = V f(L) V*, hard spectral projections, SVD-based numerical
 rank with gap detection, a quadrature route to (1+H^2)^(-1/2), and nested
 truncation towers that give finite-dimensional meaning to compactness.
 
-Conventions: complex128 throughout; all tolerances are relative to
-max(1, ||input||); reductions are plain left-to-right numpy reductions so
-repeated runs in one process are bitwise reproducible.
+Conventions: complex128 throughout; each numerical threshold is a module
+constant that states what it is relative to; reductions are plain
+left-to-right numpy reductions so repeated runs in one process are bitwise
+reproducible.
 """
 
 from dataclasses import dataclass
@@ -26,8 +27,6 @@ from .errors import (
 )
 
 __all__ = [
-    "Tolerances",
-    "DEFAULT_TOL",
     "HermitianOperator",
     "Projection",
     "TruncationTower",
@@ -52,30 +51,24 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds used across all modules.
-
-    eig_tol              eigendecomposition residual bound
-    svd_gap_cap          singular values below cap*sigma_max are kernel candidates
-    rank_rel_tol         absolute fallback threshold, relative to sigma_max
-    proj_gap_tol         minimal spectral gap for a stable positive projection
-    integer_residual_tol maximal distance of a trace from the nearest integer
-    """
-
-    eig_tol: float = 1e-10
-    svd_gap_cap: float = 1e-6
-    rank_rel_tol: float = 1e-8
-    proj_gap_tol: float = 1e-8
-    integer_residual_tol: float = 1e-6
-
-    def __post_init__(self):
-        for name in self.__dataclass_fields__:
-            if not getattr(self, name) > 0.0:
-                raise InvalidInput(f"tolerance {name} must be strictly positive")
-
-
-DEFAULT_TOL = Tolerances()
+# The thresholds of the numerical decisions.  Every use reads the module
+# attribute when it runs, so changing one name changes it for every caller.
+#
+# An eigendecomposition's residual ||A V - V diag(w)||_F, relative to
+# max(1, max |w|), and its unitarity defect ||V* V - 1||_F (absolute) must
+# stay below _EIG_TOL.
+_EIG_TOL = 1e-10
+# Singular values below _SVD_GAP_CAP * sigma_max (relative to sigma_max)
+# are kernel candidates: the kernel cut of `null_space` sits at the largest
+# jump among them, and the transfer route of `dirac1d` certifies its count
+# at this cut.
+_SVD_GAP_CAP = 1e-6
+# Without a decisive jump, the kernel is the singular values below
+# _RANK_REL_TOL * sigma_max (relative to sigma_max).
+_RANK_REL_TOL = 1e-8
+# A hard spectral projection at a level needs every eigenvalue at least
+# _PROJ_GAP_TOL away from it (absolute).
+_PROJ_GAP_TOL = 1e-8
 
 
 def _check_finite(a, what="matrix"):
@@ -174,31 +167,31 @@ def _decompose(a: np.ndarray):
     return w, v, np.stack([resid, unit], axis=-1)
 
 
-def _certify(defects: np.ndarray, tol: Tolerances, where: Callable[[int], str]):
+def _certify(defects: np.ndarray, where: Callable[[int], str]):
     """Raise InvalidInput when a certificate of `_decompose` exceeds
-    ``tol.eig_tol``; ``where(i)`` names the worst matrix i."""
+    _EIG_TOL; ``where(i)`` names the worst matrix i."""
     flat = defects.reshape(-1, 2)
     worst = int(np.argmax(flat.max(axis=1)))
     resid, unit = flat[worst]
-    if max(resid, unit) > tol.eig_tol:
+    if max(resid, unit) > _EIG_TOL:
         raise InvalidInput(
             f"eigendecomposition residual {resid:.3e} / unitarity "
-            f"{unit:.3e}{where(worst)} exceed eig_tol={tol.eig_tol:.1e}")
+            f"{unit:.3e}{where(worst)} exceed eig_tol={_EIG_TOL:.1e}")
 
 
-def eigh(h, tol: Tolerances = DEFAULT_TOL):
+def eigh(h):
     """Eigendecomposition of a Hermitian operator, or of each matrix of a
     stack (m, n, n) in one batched call.
 
     Returns (eigenvalues ascending, unitary eigenvector matrix V) with
     H V = V diag(w), stacked like the input.  Per matrix, the residual
     ||H V - V diag(w)||_F relative to max(1, max |w|) and the unitarity
-    defect ||V* V - 1||_F are checked against ``tol.eig_tol``; a failure
-    names the worst matrix of a stack.
+    defect ||V* V - 1||_F are checked against _EIG_TOL; a failure names
+    the worst matrix of a stack.
     """
     a = _hermitised(h, stack=True)
     w, v, defects = _decompose(a)
-    _certify(defects, tol, lambda i: f" at matrix {i} of the stack" if a.ndim == 3 else "")
+    _certify(defects, lambda i: f" at matrix {i} of the stack" if a.ndim == 3 else "")
     return w, v
 
 
@@ -209,11 +202,11 @@ def _transform_of(w: np.ndarray, v: np.ndarray) -> np.ndarray:
     return _hermitised((v * fw[..., None, :]) @ v.conj().swapaxes(-1, -2), stack=True)
 
 
-def bounded_transform(h, tol: Tolerances = DEFAULT_TOL) -> np.ndarray:
+def bounded_transform(h) -> np.ndarray:
     """The contraction H (1 + H^2)^(-1/2) of a Hermitian matrix, or of each
     matrix of a stack (m, n, n) from one batched `eigh`; its spectrum lies
     in (-1, 1)."""
-    return _transform_of(*eigh(h, tol))
+    return _transform_of(*eigh(h))
 
 
 def _projection_above(w: np.ndarray, v: np.ndarray, level: float,
@@ -228,14 +221,14 @@ def _projection_above(w: np.ndarray, v: np.ndarray, level: float,
     return Projection((v * (w > level)) @ v.conj().T)
 
 
-def positive_projection(h, tol: Tolerances = DEFAULT_TOL) -> Projection:
+def positive_projection(h) -> Projection:
     """Hard spectral projection onto (0, inf).
 
-    Requires a spectral gap: no eigenvalue may lie in (-tol.proj_gap_tol,
-    tol.proj_gap_tol), otherwise NotInvertible is raised.  The hard step at
-    0 is legitimate exactly because every caller guarantees such a gap.
+    Requires a spectral gap: no eigenvalue may lie in (-_PROJ_GAP_TOL,
+    _PROJ_GAP_TOL), otherwise NotInvertible is raised.  The hard step at 0
+    is legitimate exactly because every caller guarantees such a gap.
     """
-    return _projection_above(*eigh(h, tol), 0.0, tol.proj_gap_tol)
+    return _projection_above(*eigh(h), 0.0, _PROJ_GAP_TOL)
 
 
 class NullSpaceResult(NamedTuple):
@@ -246,12 +239,12 @@ class NullSpaceResult(NamedTuple):
     threshold: float
 
 
-def _kernel_cut(s: np.ndarray, cap: float, fallback_rel: float):
+def _kernel_cut(s: np.ndarray):
     """Choose a kernel cut in the descending singular values ``s``.
 
     The cut is placed at the largest multiplicative jump whose lower side
-    sits below ``cap * s[0]``; if no candidate jump exists, the absolute
-    level ``fallback_rel * s[0]`` is used.  Returns (kernel_dim, gap_ratio,
+    sits below ``_SVD_GAP_CAP * s[0]``; if no candidate jump exists, the
+    level ``_RANK_REL_TOL * s[0]`` is used.  Returns (kernel_dim, gap_ratio,
     threshold, candidates) where candidates collects the competing kernel
     dimensions when the decision is ambiguous.
     """
@@ -261,10 +254,10 @@ def _kernel_cut(s: np.ndarray, cap: float, fallback_rel: float):
     smax = float(s[0])
     if smax == 0.0:
         return n, float("inf"), 0.0, ()
-    cap_level = cap * smax
+    cap_level = _SVD_GAP_CAP * smax
     if float(s[-1]) > cap_level:
         # clean full rank: nothing remotely small
-        return 0, float("inf"), fallback_rel * smax, ()
+        return 0, float("inf"), _RANK_REL_TOL * smax, ()
     best_j, best_ratio = None, 0.0
     for j in range(n - 1):
         lo = float(s[j + 1])
@@ -277,8 +270,8 @@ def _kernel_cut(s: np.ndarray, cap: float, fallback_rel: float):
         lo = float(s[best_j + 1])
         thr = np.sqrt(float(s[best_j]) * lo) if lo > 0.0 else float(s[best_j]) / 2.0
         return n - best_j - 1, best_ratio, thr, ()
-    # fallback: absolute level
-    thr = fallback_rel * smax
+    # fallback: a fixed level
+    thr = _RANK_REL_TOL * smax
     dim_fb = int(np.sum(s < thr))
     above = s[s >= thr]
     below = s[s < thr]
@@ -293,13 +286,13 @@ def _kernel_cut(s: np.ndarray, cap: float, fallback_rel: float):
     return dim_fb, max(best_ratio, fb_ratio), thr, tuple(sorted({dim_gap, dim_fb}))
 
 
-def null_space(m, tol: Tolerances = DEFAULT_TOL, want_basis=True) -> NullSpaceResult:
+def null_space(m, want_basis=True) -> NullSpaceResult:
     """Numerical kernel of a rectangular complex matrix via SVD.
 
     The kernel dimension is the number of singular values below a
     threshold placed at the largest relative gap among the small singular
-    values (below ``svd_gap_cap * sigma_max``), falling back to the
-    absolute level ``rank_rel_tol * sigma_max``.  A gap ratio below 10
+    values (below ``_SVD_GAP_CAP * sigma_max``), falling back to the
+    level ``_RANK_REL_TOL * sigma_max``.  A gap ratio below 10
     raises AmbiguousRank carrying both candidate dimensions.
     """
     a = np.asarray(m, dtype=np.complex128)
@@ -312,7 +305,7 @@ def null_space(m, tol: Tolerances = DEFAULT_TOL, want_basis=True) -> NullSpaceRe
     else:
         s = np.linalg.svd(a, compute_uv=False)
         vh = None
-    small, ratio, thr, candidates = _kernel_cut(s, tol.svd_gap_cap, tol.rank_rel_tol)
+    small, ratio, thr, candidates = _kernel_cut(s)
     if candidates:
         raise AmbiguousRank(
             f"no decisive singular-value gap (ratio {ratio:.2f} < 10); "
@@ -335,7 +328,7 @@ class QuadratureResult(NamedTuple):
     error: float          # spectral-norm distance to the eigh-based exact value
 
 
-def inv_sqrt_via_quadrature(h, n_nodes: int, tol: Tolerances = DEFAULT_TOL) -> QuadratureResult:
+def inv_sqrt_via_quadrature(h, n_nodes: int) -> QuadratureResult:
     """Approximate (1 + H^2)^(-1/2) by resolvent quadrature.
 
     Uses the integral representation of the inverse square root over
@@ -362,7 +355,7 @@ def inv_sqrt_via_quadrature(h, n_nodes: int, tol: Tolerances = DEFAULT_TOL) -> Q
         sec2 = 1.0 / np.cos(theta) ** 2
         acc += sec2 * np.linalg.solve(sec2 * eye + h2, eye)
     approx = (2.0 / np.pi) * step * acc
-    w, v = eigh(a, tol)
+    w, v = eigh(a)
     exact = _hermitised((v * (1.0 / np.sqrt(1.0 + w * w))) @ v.conj().T)
     err = float(np.linalg.norm(approx - exact, 2))
     return QuadratureResult(_hermitised(approx), err)

@@ -6,8 +6,9 @@ must be compact), the relative index is the Fredholm index of Q viewed as
 a map Ran(P) -> Ran(Q).  In finite dimensions this equals both
 rank P - rank Q and tr(P - Q); we compute the trace and keep the distance
 to the nearest integer as a built-in health signal.  The explicit
-restricted-operator index is implemented once (`rel_index_restricted`) as
-an independent cross-check used by the property suites.
+restricted-operator index (`rel_index_restricted`) is, by rank-nullity,
+rank P - rank Q as the eigendecompositions count them: it compares ranks
+with the trace and is not an independent route (ROADMAP item 8).
 """
 
 from dataclasses import dataclass
@@ -16,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInput, NonIntegerTrace, PathTooCoarse
-from .opcore import DEFAULT_TOL, Projection, Tolerances, eigh, null_space
+from .opcore import Projection, eigh, null_space
 
 __all__ = [
     "rel_index",
@@ -26,6 +27,11 @@ __all__ = [
     "homotopy_constancy",
     "HomotopyReport",
 ]
+
+
+# A trace tr(P - Q) further than this (absolute) from the nearest integer
+# is not an index.
+_INTEGER_RESIDUAL_TOL = 1e-6
 
 
 def _projection(x) -> Projection:
@@ -40,35 +46,40 @@ def _pair(p, q):
     return p, q
 
 
-def rel_index(p, q, tol: Tolerances = DEFAULT_TOL) -> int:
+def rel_index(p, q) -> int:
     """Relative index of (P, Q) via the trace formula round(tr(P - Q)).
 
     Raises NonIntegerTrace when the trace sits further than
-    ``tol.integer_residual_tol`` from the nearest integer.
+    _INTEGER_RESIDUAL_TOL from the nearest integer.
     """
     p, q = _pair(p, q)
     t = float(np.trace(p.entries - q.entries).real)
     r = int(round(t))
-    if abs(t - r) > tol.integer_residual_tol:
+    if abs(t - r) > _INTEGER_RESIDUAL_TOL:
         raise NonIntegerTrace(
             f"tr(P-Q) = {t!r} is {abs(t - r):.3e} from the nearest integer")
     return r
 
 
-def _range_basis(p: Projection, tol: Tolerances) -> np.ndarray:
-    w, v = eigh(p, tol)
+def _range_basis(p: Projection) -> np.ndarray:
+    w, v = eigh(p)
     return v[:, w > 0.5]
 
 
-def rel_index_restricted(p, q, tol: Tolerances = DEFAULT_TOL) -> int:
+def rel_index_restricted(p, q) -> int:
     """Index of Q: Ran(P) -> Ran(Q) computed explicitly from the restricted
-    matrix (dim ker minus dim coker via SVD).  Cross-check for `rel_index`."""
+    matrix (dim ker minus dim coker via SVD).
+
+    By rank-nullity the result is the column count minus the row count of
+    that matrix, i.e. rank P - rank Q as the eigendecompositions count them,
+    whatever the SVD decides: it is bookkeeping, not a second route to
+    `rel_index` (ROADMAP item 8)."""
     p, q = _pair(p, q)
-    bp = _range_basis(p, tol)
-    bq = _range_basis(q, tol)
+    bp = _range_basis(p)
+    bq = _range_basis(q)
     # matrix of psi -> Q psi in the orthonormal bases of Ran P and Ran Q
     m = bq.conj().T @ (q.entries @ bp)
-    ker = null_space(m, tol, want_basis=False).dim
+    ker = null_space(m, want_basis=False).dim
     rank = m.shape[1] - ker
     # m and m* share their singular values, so one SVD gives dim coker
     return ker - (m.shape[0] - rank)
@@ -81,12 +92,12 @@ class AdditivityReport:
     passed: bool
 
 
-def check_additivity(p, q, r, tol: Tolerances = DEFAULT_TOL) -> AdditivityReport:
+def check_additivity(p, q, r) -> AdditivityReport:
     """Verify rel-ind(P, R) = rel-ind(P, Q) + rel-ind(Q, R) exactly."""
     p, q, r = _projection(p), _projection(q), _projection(r)
-    i_pr = rel_index(p, r, tol)
-    i_pq = rel_index(p, q, tol)
-    i_qr = rel_index(q, r, tol)
+    i_pr = rel_index(p, r)
+    i_pq = rel_index(p, q)
+    i_qr = rel_index(q, r)
     return AdditivityReport(direct=i_pr, terms=(i_pq, i_qr),
                             passed=i_pr == i_pq + i_qr)
 
@@ -97,8 +108,7 @@ class HomotopyReport:
     passed: bool
 
 
-def homotopy_constancy(p_path: Sequence, q_path: Sequence,
-                       tol: Tolerances = DEFAULT_TOL) -> HomotopyReport:
+def homotopy_constancy(p_path: Sequence, q_path: Sequence) -> HomotopyReport:
     """Verify constancy of rel_index along sampled projection paths.
 
     Both paths must be sampled on a common grid with consecutive jumps
@@ -118,5 +128,5 @@ def homotopy_constancy(p_path: Sequence, q_path: Sequence,
                 raise PathTooCoarse(
                     f"{label}-path jump ||{label}_{i + 1} - {label}_{i}|| = "
                     f"{step:.3f} >= 1")
-    values = tuple(rel_index(pi, qi, tol) for pi, qi in zip(ps, qs))
+    values = tuple(rel_index(pi, qi) for pi, qi in zip(ps, qs))
     return HomotopyReport(values=values, passed=len(set(values)) == 1)

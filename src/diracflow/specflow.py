@@ -52,9 +52,8 @@ from .errors import (
     RefineGrid,
     TheoremViolation,
 )
+from . import opcore
 from .opcore import (
-    DEFAULT_TOL,
-    Tolerances,
     _certify,
     _decompose,
     _projection_above,
@@ -129,7 +128,8 @@ class PotentialPath:
         as a finite union of disjoint closed intervals (or one (a, b)
         pair).  Empty means globally invertible.  The declaration is
         checked where it is used: `dirac1d.assemble` requires a spectral
-        gap of at least ``proj_gap_tol`` at every grid sample outside K.
+        gap of at least ``opcore._PROJ_GAP_TOL`` at every grid sample
+        outside K.
     """
 
     def __init__(self, k, grid, sampler, support=(), name=""):
@@ -196,32 +196,27 @@ class PotentialPath:
             mask |= (a <= t) & (t <= b)
         return mask[()]
 
-    def least_gap_outside(self, tol: Tolerances = DEFAULT_TOL
-                          ) -> Tuple[Optional[float], float]:
+    def least_gap_outside(self) -> Tuple[Optional[float], float]:
         """(t, gap): the grid sample outside K with the smallest spectral
         gap, and that gap; (None, inf) when every sample lies in K."""
         outside = ~self.in_support(self.grid)
         if not outside.any():
             return None, float("inf")
-        gaps = np.abs(self._grid_spectra(tol)[0][outside]).min(axis=1)
+        gaps = np.abs(self._grid_spectra()[0][outside]).min(axis=1)
         worst = int(np.argmin(gaps))
         return float(self.grid[outside][worst]), float(gaps[worst])
 
-    def _grid_spectra(self, tol: Tolerances = DEFAULT_TOL
-                      ) -> Tuple[np.ndarray, np.ndarray]:
-        """(spectra, steps) of the grid pass, taken on the first call only
-        (grid and sampler are fixed); the pass's certificate is checked
-        against ``tol`` on every call."""
+    def _grid_spectra(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(spectra, steps) of the certified grid pass, taken on the first
+        call only (grid and sampler are fixed)."""
         if self._spectra is None:
-            self._grid_pass(tol)
-        spectra, steps, defects = self._spectra
-        _certify(defects, tol, self._at_sample)
-        return spectra, steps
+            self._grid_pass()
+        return self._spectra
 
     def _at_sample(self, i: int) -> str:
         return f" at t={self.grid[i]:g}"
 
-    def _grid_pass(self, tol: Tolerances):
+    def _grid_pass(self):
         """(spectra, vectors, steps): one certified eigendecomposition of
         every grid sample and the Weyl bounds between them.
 
@@ -234,10 +229,10 @@ class PotentialPath:
         call per sample.  A non-finite sample raises InvalidInput naming
         its t.  Each sample's certificate
         (`opcore._decompose`: residual and unitarity) must stay within
-        tol.eig_tol; otherwise InvalidInput names the worst sample.
+        opcore._EIG_TOL (`opcore._certify`); otherwise InvalidInput names
+        the worst sample.
 
-        The path keeps (spectra, steps) with the certificates for
-        `_grid_spectra`, which checks them against its caller's ``tol``;
+        Once certified, the path keeps (spectra, steps) for `_grid_spectra`;
         the vectors go back to the caller only.  Both limits are measured: on
         the benchmark's index-large workload (k = 64 tower fibers, 41
         samples) the peak RSS is 47.8 MB, against 50.4 MB with the vectors
@@ -264,8 +259,8 @@ class PotentialPath:
             steps[i0 + first - 1:i1 - 1] = np.abs(np.linalg.eigvalsh(
                 buf[first + 1:1 + i1 - i0] - buf[first:i1 - i0])).max(axis=1)
             buf[0] = s[-1]
-        self._spectra = (spectra, steps, defects)
-        _certify(defects, tol, self._at_sample)
+        _certify(defects, self._at_sample)
+        self._spectra = (spectra, steps)
         return spectra, vectors, steps
 
     def __repr__(self):
@@ -339,8 +334,7 @@ def _step(a: _Sample, b: _Sample, depth: int, crossing_tol: float):
     return b, perm, split, depth
 
 
-def _tracked_branches(path: PotentialPath, spectra, vectors, tol: Tolerances,
-                      crossing_tol: float):
+def _tracked_branches(path: PotentialPath, spectra, vectors, crossing_tol: float):
     """(samples, values) of the branches followed over the grid pass:
     values[b][j] is branch b's eigenvalue at samples[j], and branch b starts
     as the b-th ascending eigenvalue.
@@ -374,7 +368,7 @@ def _tracked_branches(path: PotentialPath, spectra, vectors, tol: Tolerances,
                 f"{what} on [{a.t!r}, {b.t!r}] after {depth} refinements")
         # path samples are hermitised already, as in the grid pass
         w, v, defects = _decompose(path.sample(split))
-        _certify(defects, tol, lambda _: f" at t={split:g}")
+        _certify(defects, lambda _: f" at t={split:g}")
         mid = _Sample(float(split), w, v, depth + 1)
         lo, hi = _step(a, mid, depth + 1, crossing_tol), _step(mid, b, depth + 1, crossing_tol)
         # a refined sample's eigenvectors go once no step it ends is open
@@ -386,12 +380,12 @@ def _tracked_branches(path: PotentialPath, spectra, vectors, tol: Tolerances,
     return samples, values
 
 
-def branch_curves(path: PotentialPath, tol: Tolerances = DEFAULT_TOL):
+def branch_curves(path: PotentialPath):
     """Eigenvalue branches tracked along the path: (times, values) with
     values[b][j] the branch-b eigenvalue at times[j].  For plotting, so no
     crossing is localised."""
-    spectra, vectors, _ = path._grid_pass(tol)
-    samples, values = _tracked_branches(path, spectra, vectors, tol, np.inf)
+    spectra, vectors, _ = path._grid_pass()
+    samples, values = _tracked_branches(path, spectra, vectors, np.inf)
     return [s.t for s in samples], values
 
 
@@ -414,20 +408,20 @@ class CrossingReport:
         return sum(c.slope_sign for c in self.crossings)
 
 
-def _route_pass(path: PotentialPath, tol: Tolerances):
+def _route_pass(path: PotentialPath):
     """The grid pass of a path whose endpoints must be invertible (rows 0
     and -1 of its spectra); NotInvertible otherwise."""
-    grid_pass = path._grid_pass(tol)
+    grid_pass = path._grid_pass()
     spectra = grid_pass[0]
     for row, label in ((0, "start"), (-1, "end")):
-        if np.abs(spectra[row]).min() < tol.proj_gap_tol:
+        if np.abs(spectra[row]).min() < opcore._PROJ_GAP_TOL:
             raise NotInvertible(f"path {label} point is not invertible")
     return grid_pass
 
 
-def _crossings(path, grid_pass, tol):
+def _crossings(path, grid_pass):
     spectra, vectors, _ = grid_pass
-    samples, values = _tracked_branches(path, spectra, vectors, tol, _CROSSING_TOL)
+    samples, values = _tracked_branches(path, spectra, vectors, _CROSSING_TOL)
     crossings = []
     for b, xs in enumerate(values):
         signs = [0 if abs(x) <= _CROSSING_TOL else (1 if x > 0 else -1) for x in xs]
@@ -446,7 +440,7 @@ def _crossings(path, grid_pass, tol):
     return report.net(), report
 
 
-def sf_crossings(path: PotentialPath, tol: Tolerances = DEFAULT_TOL):
+def sf_crossings(path: PotentialPath):
     """Spectral flow by signed eigenvalue-crossing counting.
 
     Returns (net flow, CrossingReport).  Branches are tracked on samples
@@ -456,7 +450,7 @@ def sf_crossings(path: PotentialPath, tol: Tolerances = DEFAULT_TOL):
     sign change or a branch ending within _CROSSING_TOL of zero
     DegeneratePath.
     """
-    return _crossings(path, _route_pass(path, tol), tol)
+    return _crossings(path, _route_pass(path))
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +477,7 @@ def _gap_level(eigs: np.ndarray, min_width: float) -> Tuple[Optional[float], flo
     return best, best_score
 
 
-def _piece_level(spectra, steps, pgt: float) -> float:
+def _piece_level(spectra, steps) -> float:
     """Gap level for one partition piece, valid at every sample AND safe
     against motion between samples.
 
@@ -497,7 +491,7 @@ def _piece_level(spectra, steps, pgt: float) -> float:
     """
     pooled = np.concatenate(spectra)
     max_step = float(max(steps)) if len(steps) else 0.0
-    min_width = 1.5 * max_step + 4.0 * pgt
+    min_width = 1.5 * max_step + 4.0 * opcore._PROJ_GAP_TOL
     best, best_score = _gap_level(pooled, min_width)
     pad = max_step + 1.0
     for mid in (float(pooled.min()) - pad, float(pooled.max()) + pad):
@@ -507,12 +501,11 @@ def _piece_level(spectra, steps, pgt: float) -> float:
     return best
 
 
-def _junction(path: PotentialPath, spectra, i: int, a0: float, a1: float,
-              gap_tol: float) -> int:
+def _junction(path: PotentialPath, spectra, i: int, a0: float, a1: float) -> int:
     """ind(S(t_i), -a0*1, -a1*1) = #{w > a1} - #{w > a0} over the spectrum
     w of S(t_i); NotInvertible names t_i when an eigenvalue lies within
-    gap_tol of a1 (checked first) or of a0."""
-    w = spectra[i]
+    opcore._PROJ_GAP_TOL of a1 (checked first) or of a0."""
+    w, gap_tol = spectra[i], opcore._PROJ_GAP_TOL
     for a in (a1, a0):
         near = np.abs(w - a)
         if float(near.min()) < gap_tol:
@@ -522,15 +515,14 @@ def _junction(path: PotentialPath, spectra, i: int, a0: float, a1: float,
     return int(np.count_nonzero(w > a1)) - int(np.count_nonzero(w > a0))
 
 
-def _partition(path, spectra, steps, tol, n_chunks=6):
+def _partition(path, spectra, steps, n_chunks=6):
     def compute(chunks):
-        pieces = [(i0, i1, _piece_level(spectra[i0:i1 + 1], steps[i0:i1],
-                                        tol.proj_gap_tol))
+        pieces = [(i0, i1, _piece_level(spectra[i0:i1 + 1], steps[i0:i1]))
                   for (i0, i1) in chunks]
         # level 0 (B = 0) before the first piece and after the last one
         levels = [0.0] + [a for (_, _, a) in pieces] + [0.0]
         junctions = [i0 for (i0, _, _) in pieces] + [pieces[-1][1]]
-        return sum(_junction(path, spectra, i, a0, a1, tol.proj_gap_tol)
+        return sum(_junction(path, spectra, i, a0, a1)
                    for i, a0, a1 in zip(junctions, levels, levels[1:]))
 
     n = path.grid.size - 1
@@ -548,8 +540,7 @@ def _partition(path, spectra, steps, tol, n_chunks=6):
     return value
 
 
-def sf_partition(path: PotentialPath, tol: Tolerances = DEFAULT_TOL,
-                 n_chunks: int = 6) -> int:
+def sf_partition(path: PotentialPath, n_chunks: int = 6) -> int:
     """Spectral flow via the partition definition with scalar level shifts.
 
     The grid is split into contiguous chunks; per chunk a gap level ``a``
@@ -563,8 +554,8 @@ def sf_partition(path: PotentialPath, tol: Tolerances = DEFAULT_TOL,
     beyond the chunk's pooled spectrum.  The result is recomputed on a
     refined partition and must agree exactly.
     """
-    spectra, _, steps = _route_pass(path, tol)
-    return _partition(path, spectra, steps, tol, n_chunks)
+    spectra, _, steps = _route_pass(path)
+    return _partition(path, spectra, steps, n_chunks)
 
 
 @dataclass(frozen=True)
@@ -576,18 +567,17 @@ class EndpointIdentityReport:
     crossings: CrossingReport
 
 
-def endpoint_identity(path: PotentialPath,
-                      tol: Tolerances = DEFAULT_TOL) -> EndpointIdentityReport:
+def endpoint_identity(path: PotentialPath) -> EndpointIdentityReport:
     """Assert sf_crossings = sf_partition = rel-ind(P_+(S(end)), P_+(S(start))),
     all three read from one grid pass."""
-    grid_pass = _route_pass(path, tol)
+    grid_pass = _route_pass(path)
     spectra, vectors, steps = grid_pass
-    n_cross, report = _crossings(path, grid_pass, tol)
-    n_part = _partition(path, spectra, steps, tol)
+    n_cross, report = _crossings(path, grid_pass)
+    n_part = _partition(path, spectra, steps)
     # _route_pass has checked the gap at 0 of both endpoints
-    end, start = (_projection_above(spectra[i], vectors[i], 0.0, tol.proj_gap_tol)
+    end, start = (_projection_above(spectra[i], vectors[i], 0.0, opcore._PROJ_GAP_TOL)
                   for i in (-1, 0))
-    n_rel = rel_index(end, start, tol)
+    n_rel = rel_index(end, start)
     return EndpointIdentityReport(
         sf_by_crossings=n_cross, sf_by_partition=n_part,
         endpoint_rel_index=n_rel,

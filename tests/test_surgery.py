@@ -34,9 +34,9 @@ def test_additivity_takes_one_grid_pass_per_path(monkeypatch):
     passes = Counter()
     real = PotentialPath._grid_pass
 
-    def counted(path, tol):
+    def counted(path):
         passes[path.name] += 1
-        return real(path, tol)
+        return real(path)
 
     monkeypatch.setattr(PotentialPath, "_grid_pass", counted)
     m1, m2, t_cut = collar_pair(3, 2)

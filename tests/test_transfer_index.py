@@ -9,11 +9,10 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from diracflow import dirac1d
+from diracflow import dirac1d, opcore
 from diracflow.callias import tower_family, tower_scenario
 from diracflow.dirac1d import GridSpec, assemble, index_report
 from diracflow.errors import AmbiguousRank
-from diracflow.opcore import DEFAULT_TOL, Tolerances
 from diracflow.scenarios import callias_case, chain_path
 from diracflow.specflow import PotentialPath, constant_path, random_smooth_path, tanh_path
 from sturm_sweep import as_cells, sweep_counts
@@ -50,9 +49,9 @@ def ramp_path(seed, k, neg_left, neg_right):
 def routes_agree(op):
     """The transfer route, when it certifies, gives the dense dims; it does
     not certify where the dense route finds no decisive gap."""
-    fast = dirac1d._transfer_dims(op, DEFAULT_TOL)
+    fast = dirac1d._transfer_dims(op)
     try:
-        dense = dirac1d._dims_from_svd(op.matrix, DEFAULT_TOL)
+        dense = dirac1d._dims_from_svd(op.matrix)
     except AmbiguousRank:
         assert fast is None
         return fast
@@ -116,7 +115,7 @@ class TestRoutesAgree:
         assert rep.sigma_kernel == ()
         # the certified levels bracket the dense route's cut svd_gap_cap * sigma_max
         smax = np.linalg.svd(op.matrix, compute_uv=False)[0]
-        cut = DEFAULT_TOL.svd_gap_cap * smax
+        cut = opcore._SVD_GAP_CAP * smax
         assert 0.5 * cut < rep.threshold <= cut <= rep.sigma_next < 2.0 * cut
 
 
@@ -128,7 +127,7 @@ class TestFallback:
         (path,), lam, _, _ = callias_case(3866)
         grid = GridSpec.auto(path)
         op = assemble(path, grid, "aps", lam)
-        assert dirac1d._transfer_dims(op, DEFAULT_TOL) is None
+        assert dirac1d._transfer_dims(op) is None
         rep = index_report(op, refine_check=False)
         assert rep.route == "svd"
         assert (rep.dim_ker, rep.dim_coker) == (1, 2)
@@ -139,11 +138,10 @@ class TestFallback:
         path = constant_path(np.diag([-4.0, 1.0]), (-2.0, 2.0))
         op = assemble(path, GridSpec(2.0, 8), "aps", 1.0)
         assert np.abs(op.cell_b[:, 0, 0]).max() == 0.0
-        assert dirac1d._transfer_dims(op, DEFAULT_TOL) is None
+        assert dirac1d._transfer_dims(op) is None
         rep = index_report(op)
         assert rep.route == "svd"
-        assert (rep.dim_ker, rep.dim_coker) == dirac1d._dims_from_svd(
-            op.matrix, DEFAULT_TOL)[:2]
+        assert (rep.dim_ker, rep.dim_coker) == dirac1d._dims_from_svd(op.matrix)[:2]
 
 
 def block_bidiagonal(rng, row_sizes, col_sizes):
@@ -314,7 +312,7 @@ class TestCallCounts:
         n = 640
         op = assemble(path, GridSpec(8.0, n), "aps", lam)
         calls = counting(monkeypatch, "qr")
-        assert dirac1d._transfer_kernel(op, DEFAULT_TOL)[0] == dim_ker
+        assert dirac1d._transfer_kernel(op)[0] == dim_ker
         assert calls["qr"] <= n / 4
 
 
@@ -330,12 +328,12 @@ class TestGrowthBoundedTransfer:
                              support=((-1.0, 1.0),))
         op = assemble(path, grid, "aps")
         s = np.linalg.svd(np.linalg.solve(op.cell_b, -op.cell_a), compute_uv=False)
-        assert np.all(s[:, 0] / s[:, -1] > 1e-3 * DEFAULT_TOL.svd_gap_cap / np.finfo(float).eps)
+        assert np.all(s[:, 0] / s[:, -1] > 1e-3 * opcore._SVD_GAP_CAP / np.finfo(float).eps)
         calls = counting(monkeypatch, "qr")
-        fast = dirac1d._transfer_dims(op, DEFAULT_TOL)
+        fast = dirac1d._transfer_dims(op)
         assert calls["qr"] == grid.n_cells
         assert fast is not None
-        assert fast[:2] == dirac1d._dims_from_svd(op.matrix, DEFAULT_TOL)[:2] == (1, 0)
+        assert fast[:2] == dirac1d._dims_from_svd(op.matrix)[:2] == (1, 0)
 
     def test_limit_follows_the_configured_cap(self, monkeypatch):
         # a smaller cap lowers the growth limit, so the carry takes more QRs
@@ -343,8 +341,9 @@ class TestGrowthBoundedTransfer:
         calls = counting(monkeypatch, "qr")
         qrs = []
         for cap in (1e-6, 1e-9):
+            monkeypatch.setattr(opcore, "_SVD_GAP_CAP", cap)
             calls.clear()
-            assert dirac1d._transfer_kernel(op, Tolerances(svd_gap_cap=cap))[0] == 0
+            assert dirac1d._transfer_kernel(op)[0] == 0
             qrs.append(calls["qr"])
         assert qrs[1] > qrs[0]
 
@@ -352,9 +351,9 @@ class TestGrowthBoundedTransfer:
         for path in tower_family(tower_scenario(3, (16,), n_fibers=2), 16):
             op = assemble(path, GridSpec(9.0, 64), "aps")
             assert op.k == 16
-            fast = dirac1d._transfer_dims(op, DEFAULT_TOL)
+            fast = dirac1d._transfer_dims(op)
             assert fast is not None
-            assert fast[:2] == dirac1d._dims_from_svd(op.matrix, DEFAULT_TOL)[:2]
+            assert fast[:2] == dirac1d._dims_from_svd(op.matrix)[:2]
 
 
 class TestCountFloor:
@@ -366,14 +365,14 @@ class TestCountFloor:
         lambda: assemble(tower_family(tower_scenario(3, (16,), n_fibers=2), 16)[1],
                          GridSpec(9.0, 30), "aps"),
     ])
-    def test_cap_below_the_floor_takes_the_dense_route(self, make):
+    def test_cap_below_the_floor_takes_the_dense_route(self, make, monkeypatch):
         op = make()
-        tol = Tolerances(svd_gap_cap=1e-9)
-        assert dirac1d._transfer_dims(op, DEFAULT_TOL) is not None
-        assert dirac1d._transfer_dims(op, tol) is None
-        rep = index_report(op, tol, refine_check=False)
+        assert dirac1d._transfer_dims(op) is not None
+        monkeypatch.setattr(opcore, "_SVD_GAP_CAP", 1e-9)
+        assert dirac1d._transfer_dims(op) is None
+        rep = index_report(op, refine_check=False)
         assert rep.route == "svd"
-        assert (rep.dim_ker, rep.dim_coker) == dirac1d._dims_from_svd(op.matrix, tol)[:2]
+        assert (rep.dim_ker, rep.dim_coker) == dirac1d._dims_from_svd(op.matrix)[:2]
 
     # no step of DD*, the bracket, the counts or the SVD may overflow on the
     # way (pyproject.toml turns every RuntimeWarning into an error)
@@ -384,7 +383,7 @@ class TestCountFloor:
         lo, _ = dirac1d._sigma_max_bracket(gram, coupling)
         with pytest.raises(np.linalg.LinAlgError):
             dirac1d._sturm_counts(gram, coupling, [1e75], lo * lo)
-        assert dirac1d._transfer_dims(big, DEFAULT_TOL) is None
+        assert dirac1d._transfer_dims(big) is None
         rep = index_report(big, refine_check=False)
         assert rep.route == "svd" and (rep.dim_ker, rep.dim_coker) == (1, 0)
 
@@ -393,7 +392,7 @@ class TestCountFloor:
         big = magnified(assemble(tanh_path(), GridSpec(8.0, 160), "aps"), 1e160)
         gram, _ = dd_star(big)
         assert not np.all(np.isfinite(gram))
-        assert dirac1d._transfer_dims(big, DEFAULT_TOL) is None
+        assert dirac1d._transfer_dims(big) is None
         rep = index_report(big, refine_check=False)
         assert rep.route == "svd" and (rep.dim_ker, rep.dim_coker) == (1, 0)
 
