@@ -1,8 +1,13 @@
 """Spectral flow of paths of Hermitian matrices, computed two independent ways.
 
 The first route (`sf_crossings`) tracks eigenvalue branches across the
-sample grid by eigenvector overlap.  One refinement (`_tracked_branches`)
-splits a grid step while its matching is ambiguous or a branch changes
+sample grid (`_tracked_branches`), by eigenvector overlap only where a
+branch can reach zero.  By Weyl's inequality the j-th ascending eigenvalue
+moves by at most steps[i] = ||S(t_{i+1}) - S(t_i)|| across grid step i, so
+an index with |lambda_j| > steps[i] + _CROSSING_TOL at both ends of the
+step keeps its sign across it and continues by sorted position.  The hull
+of the other indices is the step's window: it is matched by overlap, and
+the step is split while that matching is ambiguous or a branch changes
 sign across it, so that every sign change ends on a sample with |lambda|
 <= _CROSSING_TOL; the route sums the signs of those changes.  The second
 route (`sf_partition`) exercises Phillips' partition definition (Phillips,
@@ -28,16 +33,18 @@ one parameter at a time.
 Both routes read one certified eigendecomposition of the grid samples
 (`PotentialPath._grid_pass`), and `endpoint_identity` takes it once for
 all three integers.  They share that sampled LAPACK output but no logic:
-the first matches eigenvectors and follows branches, refining the grid
-where they are ambiguous or change sign; the second picks Weyl-safe gap
-levels from the spectra and step bounds and counts eigenvalues above them
-at the junctions.  The path caches only the spectra and step bounds; the
-eigenvectors go back to the caller, because keeping them on every path
-raised the peak RSS of the k = 64 tower fibers' run by 5% (47.8 to 50.4
-MB).
+the first matches eigenvectors in the Weyl windows and follows branches,
+refining the grid where they are ambiguous or change sign; the second
+picks Weyl-safe gap levels from the spectra and step bounds and counts
+eigenvalues above them at the junctions.  The path caches only the
+spectra and step bounds; the eigenvectors go back to the caller, because
+keeping them on every path raised the peak RSS of the k = 64 tower
+fibers' run by 5% (47.8 to 50.4 MB).
 
-Branch tracking deliberately matches by eigenvector overlap instead of
-sorted order: sorted order silently swaps branches at avoided crossings.
+Inside a window, branch tracking deliberately matches by eigenvector
+overlap instead of sorted order: sorted order silently swaps branches at
+avoided crossings, and would put a crossing on the wrong branch.  Outside
+the windows no branch changes sign, and a swap only relabels branches.
 """
 
 from dataclasses import dataclass
@@ -278,10 +285,21 @@ _AMBIGUITY_MARGIN = 0.1
 # change of a branch is localised on a sample this close to it.
 _CROSSING_TOL = 1e-8
 
-# Most splits of one grid step.  A split keeps at most 3/4 of its step and
-# (3/4)**145 < 1e-18, so on steps up to 1e5 wide the 1e-13 width guard of
-# `_tracked_branches` ends a refinement first.
-_MAX_DEPTH = 145
+# The regula-falsi split of a step lands in its [1/256, 255/256].  A branch
+# that is near linear across the step has its zero estimated well even next
+# to an end, and a split keeps at most 255/256 of its step.  On the
+# crossing sweep of tests/crossing_sweep.py, clamps of 1/4, 1/64 and 1/256
+# take 15,234, 8,342 and 6,878 refined samples, and no clamp 6,770.
+_SPLIT_CLAMP = 1.0 / 256.0
+
+# Most splits of one grid step.  A split keeps at most 255/256 of its step
+# and (255/256)**10590 < 1e-18, so on steps up to 1e5 wide the 1e-13 width
+# guard of `_refined_step` ends a refinement first.  A branch that jumps
+# across zero can take the slowest shrink at every split, up to
+# 256 * ln(width / 1e-13) splits before DegeneratePath: a scalar jump from
+# -1e-6 to 1 just left of a grid point takes 5,468 splits of its 0.05-wide
+# step (79 with the 1/4 clamp).
+_MAX_DEPTH = 10590
 
 
 def _match_columns(va: np.ndarray, vb: np.ndarray) -> Optional[List[int]]:
@@ -314,51 +332,60 @@ class _Sample:
         self.t, self.w, self.v, self.depth = t, w, v, depth
 
 
-def _step(a: _Sample, b: _Sample, depth: int, crossing_tol: float):
+def _changes_sign(xa, xb, crossing_tol: float) -> np.ndarray:
+    """Where a branch with the value xa at one sample and xb at the next
+    changes sign, both values beyond crossing_tol."""
+    return (xa * xb < 0) & (np.abs(xa) > crossing_tol) & (np.abs(xb) > crossing_tol)
+
+
+def _step(a: _Sample, b: _Sample, depth: int, crossing_tol: float, lo: int, hi: int):
     """(b, perm, split, depth): the step from a to b, its matching, and
-    where to split it: at the midpoint while the matching is ambiguous,
-    else at the regula-falsi zero, clamped to the middle half of the step,
-    of the first branch that changes sign across it with both values beyond
-    crossing_tol; None when the step is final."""
-    perm = _match_columns(a.v, b.v)
+    where to split it.  perm[c] is the column of b continuing column c of
+    a: columns lo..hi-1 are matched by overlap (one column needs none), the
+    others keep their place.  The split is the midpoint while the matching
+    is ambiguous (perm None), else the regula-falsi zero, clamped to
+    [_SPLIT_CLAMP, 1 - _SPLIT_CLAMP] of the step, of the first branch that
+    changes sign across it with both values beyond crossing_tol; None when
+    the step is final."""
+    perm = np.arange(a.w.size)
+    if hi - lo > 1:
+        inside = _match_columns(a.v[:, lo:hi], b.v[:, lo:hi])
+        if inside is None:
+            return b, None, 0.5 * (a.t + b.t), depth
+        perm[lo:hi] = np.add(inside, lo)
+    xa, xb = a.w, b.w[perm]
+    change = _changes_sign(xa, xb, crossing_tol)
     split = None
-    if perm is None:
-        split = 0.5 * (a.t + b.t)
-    else:
-        xa, xb = a.w, b.w[perm]
-        change = (xa * xb < 0) & (np.abs(xa) > crossing_tol) & (np.abs(xb) > crossing_tol)
-        if change.any():
-            i = int(change.argmax())
-            u = min(max(xa[i] / (xa[i] - xb[i]), 0.25), 0.75)
-            split = a.t + u * (b.t - a.t)
+    if change.any():
+        i = int(change.argmax())
+        u = min(max(xa[i] / (xa[i] - xb[i]), _SPLIT_CLAMP), 1.0 - _SPLIT_CLAMP)
+        split = a.t + u * (b.t - a.t)
     return b, perm, split, depth
 
 
-def _tracked_branches(path: PotentialPath, spectra, vectors, crossing_tol: float):
-    """(samples, values) of the branches followed over the grid pass:
-    values[b][j] is branch b's eigenvalue at samples[j], and branch b starts
-    as the b-th ascending eigenvalue.
+def _refined_step(path: PotentialPath, a: _Sample, b: _Sample, lo: int, hi: int,
+                  crossing_tol: float):
+    """[(t, w, depth, perm), ...]: the samples after grid sample a up to
+    grid sample b that the step between them is refined to, each with the
+    matching of the step that ends on it.
 
-    Steps are split (see `_step`) until every matching is decisive and
-    every sign change of a branch passes through a sample within
-    crossing_tol of zero.  A split step's matching is replaced by those
-    through its split sample, so a step that pairs across an avoided
-    crossing is tracked again.  Both halves of a split are matched at once,
-    so only the open steps' samples keep eigenvectors.  A step still to be
-    split at width < 1e-13 or _MAX_DEPTH splits raises RefineGrid if
-    ambiguous, else DegeneratePath.
+    The grid step is matched on its window lo..hi-1 (`_step`) and split
+    until every matching is decisive and every sign change of a branch
+    passes through a sample within crossing_tol of zero.  A split step's
+    matching is replaced by those through its split sample, so a step that
+    pairs across an avoided crossing is tracked again.  The halves of a
+    split are matched in all columns: no Weyl bound covers them.  A step
+    still to be split at width < 1e-13 or _MAX_DEPTH splits raises
+    RefineGrid if ambiguous, else DegeneratePath.
     """
-    base = [_Sample(float(t), w, v) for t, w, v in zip(path.grid, spectra, vectors)]
-    a, idx = base[0], list(range(path.k))
-    samples, columns = [a], [idx]
+    k = a.w.size
+    chain = []
     # the steps right of a, nearest last
-    todo = [_step(p, q, 0, crossing_tol) for p, q in zip(base, base[1:])][::-1]
+    todo = [_step(a, b, 0, crossing_tol, lo, hi)]
     while todo:
         b, perm, split, depth = todo.pop()
         if split is None:
-            idx = [perm[i] for i in idx]
-            samples.append(b)
-            columns.append(idx)
+            chain.append((b.t, b.w, b.depth, perm))
             a = b
             continue
         if depth >= _MAX_DEPTH or b.t - a.t < 1e-13:
@@ -370,23 +397,60 @@ def _tracked_branches(path: PotentialPath, spectra, vectors, crossing_tol: float
         w, v, defects = _decompose(path.sample(split))
         _certify(defects, lambda _: f" at t={split:g}")
         mid = _Sample(float(split), w, v, depth + 1)
-        lo, hi = _step(a, mid, depth + 1, crossing_tol), _step(mid, b, depth + 1, crossing_tol)
-        # a refined sample's eigenvectors go once no step it ends is open
-        for s, ends in ((a, [lo]), (mid, [lo, hi]), (b, [hi] + todo[-1:])):
-            if s.depth and all(split is None for _, _, split, _ in ends):
-                s.v = None
-        todo += [hi, lo]
-    values = [[float(s.w[c]) for s, c in zip(samples, col)] for col in zip(*columns)]
-    return samples, values
+        todo += [_step(mid, b, depth + 1, crossing_tol, 0, k),
+                 _step(a, mid, depth + 1, crossing_tol, 0, k)]
+    return chain
+
+
+def _tracked_branches(path: PotentialPath, spectra, vectors, steps, crossing_tol: float):
+    """(ts, depths, values) of the branches followed over the grid pass:
+    values[b, j] is branch b's eigenvalue at the sample ts[j], which lies
+    depths[j] splits below a grid step, and branch b starts as the b-th
+    ascending eigenvalue.
+
+    Work is done only where a branch can cross zero.  By Weyl's inequality
+    the j-th ascending eigenvalue moves by at most steps[i] =
+    ||S(t_{i+1}) - S(t_i)|| across grid step i, so an index j with
+    |lambda_j| > steps[i] + crossing_tol at both t_i and t_{i+1} keeps its
+    sign across the step, beyond crossing_tol.  The step's window is the
+    hull of the other indices; every index outside it keeps its sign (those
+    below a window are negative, those above it positive) and continues by
+    sorted position.  A step with an empty window, or a one-column window
+    without a sign change, continues every column by position and takes no
+    overlap; any other step is matched on its window and refined
+    (`_refined_step`).  The windows of the whole grid come from a few array
+    operations on the grid pass's spectra and steps.  With crossing_tol =
+    inf every window is full, so every step is matched in all columns.
+    """
+    n, k = spectra.shape
+    bound = (steps + crossing_tol)[:, None]
+    near = (np.abs(spectra[:-1]) <= bound) | (np.abs(spectra[1:]) <= bound)
+    lo = near.argmax(axis=1)
+    hi = np.where(near.any(axis=1), k - near[:, ::-1].argmax(axis=1), lo)
+    rows = np.arange(n - 1)
+    change = _changes_sign(spectra[rows, lo], spectra[rows + 1, lo], crossing_tol)
+    # per run of consecutive samples: (ts, spectra, depths, columns)
+    runs, idx, start = [], np.arange(k), 0
+    for i in np.flatnonzero((hi - lo > 1) | ((hi - lo == 1) & change)).tolist():
+        runs.append((path.grid[start:i + 1], spectra[start:i + 1],
+                     np.zeros(i + 1 - start, dtype=int), np.broadcast_to(idx, (i + 1 - start, k))))
+        a, b = (_Sample(float(path.grid[j]), spectra[j], vectors[j]) for j in (i, i + 1))
+        for t, w, depth, perm in _refined_step(path, a, b, lo[i], hi[i], crossing_tol):
+            idx = perm[idx]
+            runs.append(([t], w[None], [depth], idx[None]))
+        start = i + 2
+    runs.append((path.grid[start:], spectra[start:], np.zeros(n - start, dtype=int),
+                 np.broadcast_to(idx, (n - start, k))))
+    ts, w, depths, columns = (np.concatenate(part) for part in zip(*runs))
+    return ts, depths, np.take_along_axis(w, columns, axis=1).T
 
 
 def branch_curves(path: PotentialPath):
     """Eigenvalue branches tracked along the path: (times, values) with
     values[b][j] the branch-b eigenvalue at times[j].  For plotting, so no
     crossing is localised."""
-    spectra, vectors, _ = path._grid_pass()
-    samples, values = _tracked_branches(path, spectra, vectors, np.inf)
-    return [s.t for s in samples], values
+    ts, _, values = _tracked_branches(path, *path._grid_pass(), np.inf)
+    return ts.tolist(), values.tolist()
 
 
 @dataclass(frozen=True)
@@ -420,23 +484,22 @@ def _route_pass(path: PotentialPath):
 
 
 def _crossings(path, grid_pass):
-    spectra, vectors, _ = grid_pass
-    samples, values = _tracked_branches(path, spectra, vectors, _CROSSING_TOL)
-    crossings = []
-    for b, xs in enumerate(values):
-        signs = [0 if abs(x) <= _CROSSING_TOL else (1 if x > 0 else -1) for x in xs]
-        if signs[0] == 0 or signs[-1] == 0:
-            raise DegeneratePath(
-                f"branch {b} starts or ends on zero within {_CROSSING_TOL:g}")
-        # the tracker puts a sample within _CROSSING_TOL in each sign change
-        nonzero = [j for j, s in enumerate(signs) if s]
-        for j, jn in zip(nonzero, nonzero[1:]):
-            if signs[j] != signs[jn]:
-                zero = samples[j + 1]
-                crossings.append(Crossing(t=zero.t, branch=b, slope_sign=signs[jn],
-                                          depth=zero.depth))
+    ts, depths, values = _tracked_branches(path, *grid_pass, _CROSSING_TOL)
+    signs = np.sign(values) * (np.abs(values) > _CROSSING_TOL)
+    ends = np.flatnonzero((signs[:, 0] == 0) | (signs[:, -1] == 0))
+    if ends.size:
+        raise DegeneratePath(
+            f"branch {ends[0]} starts or ends on zero within {_CROSSING_TOL:g}")
+    # consecutive nonzero signs of one branch, in sample order; the tracker
+    # puts a sample within _CROSSING_TOL in each sign change, right after
+    # the last nonzero sample before it
+    b, j = np.nonzero(signs)
+    s = signs[b, j]
+    crossings = [Crossing(t=float(ts[j[c] + 1]), branch=int(b[c]), slope_sign=int(s[c + 1]),
+                          depth=int(depths[j[c] + 1]))
+                 for c in np.flatnonzero((b[1:] == b[:-1]) & (s[1:] != s[:-1])).tolist()]
     report = CrossingReport(crossings=tuple(sorted(crossings, key=lambda c: (c.t, c.branch))),
-                            n_samples=len(samples))
+                            n_samples=ts.size)
     return report.net(), report
 
 
@@ -462,19 +525,18 @@ def _gap_level(eigs: np.ndarray, min_width: float) -> Tuple[Optional[float], flo
 
     Candidate gaps are the spaces between consecutive pooled eigenvalues of
     width >= min_width; among them the score width/(1 + mid^2) prefers wide
-    gaps close to zero.  Returns (None, 0.0) when no candidate exists.
+    gaps close to zero, and the lowest of equal best scores wins.  Returns
+    (None, 0.0) when no candidate has a positive score.
     """
     vals = np.sort(eigs)
-    best, best_score = None, 0.0
-    for lo, hi in zip(vals, vals[1:]):
-        width = hi - lo
-        if width < min_width:
-            continue
-        mid = 0.5 * (lo + hi)
-        score = float(width / (1.0 + mid * mid))
-        if score > best_score:
-            best, best_score = float(mid), score
-    return best, best_score
+    width = vals[1:] - vals[:-1]
+    mid = 0.5 * (vals[:-1] + vals[1:])
+    score = np.where(width >= min_width, width / (1.0 + mid * mid), 0.0)
+    if not score.size or score.max() <= 0.0:
+        return None, 0.0
+    # argmax takes the first maximum
+    best = int(score.argmax())
+    return float(mid[best]), float(score[best])
 
 
 def _piece_level(spectra, steps) -> float:

@@ -19,18 +19,21 @@ where crossings lists the (t, branch, slope_sign, depth) of each
 raised.  The last line counts the paths and the off-grid
 `specflow._decompose` calls, the refined samples that branch tracking
 takes between grid points.  Run it once on the parent commit and once on
-the change, each from its own checkout, then compare with
+the change, each from its own checkout, then check the gate with
 
-    diff OUT_PARENT OUT_CHANGE
+    PYTHONPATH=src python tests/crossing_sweep.py --compare OUT_PARENT OUT_CHANGE
 
 A change to the tracker keeps the three integers and the crossing count of
-every path and adds no `raise:` line; the sample counts and crossing
-tuples show where its refinement moved.  The script is not a test module
-(pytest does not collect it).  A full run takes about 10 s on a 2-vCPU
-host.
+every path and adds no `raise:` line; `--compare` fails (exit 1) naming
+each path that breaks this, names each path that raised on the parent
+only, and prints how many paths' sample counts or crossing tuples moved,
+which `diff OUT_PARENT OUT_CHANGE` shows in full.
+The script is not a test module (pytest does not collect it).  A full run
+takes about 10 s on a 2-vCPU host.
 """
 
 import argparse
+import sys
 from pathlib import Path
 
 from diracflow import scenarios, specflow, surgery
@@ -80,7 +83,41 @@ def sweep(out):
     print(lines[-1])
 
 
+def read(out):
+    """({label: fields after the label}, summary line) of a sweep's OUT."""
+    *lines, summary = Path(out).read_text().splitlines()
+    return dict(line.split("\t", 1) for line in lines), summary
+
+
+def compare(parent_out, change_out) -> int:
+    """Check the gate on two sweeps' OUT files; 0 when it holds, else 1."""
+    (parent, parent_summary), (change, change_summary) = read(parent_out), read(change_out)
+    broken = [f"path set differs: {len(parent)} paths against {len(change)}"] \
+        if parent.keys() != change.keys() else []
+    fixed, moved = [], 0
+    for label in parent.keys() & change.keys():
+        old, new = parent[label].split("\t"), change[label].split("\t")
+        if old[:2] == new[:2]:
+            moved += old[2:] != new[2:]
+        elif old[0].startswith("raise:") and not new[0].startswith("raise:"):
+            fixed.append(f"{label}: {' '.join(new[:2])} (parent: {old[0]})")
+        else:
+            broken.append(f"{label}: {' '.join(new[:2])} (parent: {' '.join(old[:2])})")
+    print(f"parent {parent_summary}\nchange {change_summary}\n"
+          f"{moved} paths whose samples or crossing tuples moved")
+    for tag, lines in (("FIXED", fixed), ("BROKEN", broken)):
+        for line in sorted(lines):
+            print(f"{tag} {line}")
+    return 1 if broken else 0
+
+
 if __name__ == "__main__":
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("out")
-    sweep(parser.parse_args().out)
+    parser.add_argument("out", nargs="?")
+    parser.add_argument("--compare", nargs=2, metavar=("PARENT_OUT", "CHANGE_OUT"))
+    args = parser.parse_args()
+    if (args.out is None) == (args.compare is None):
+        parser.error("give OUT or --compare PARENT_OUT CHANGE_OUT")
+    if args.compare:
+        sys.exit(compare(*args.compare))
+    sweep(args.out)

@@ -26,6 +26,81 @@ def records_of(config):
     return cli.run(cli.parse_config(json.dumps(config))).records
 
 
+# Configs that parse_config must reject, each with the field its
+# ConfigError names, by test id.  The ids are explicit, so deleting a row
+# renames no other case; the rows here keep the positional ids that pytest
+# gave them before.
+MALFORMED = {
+    "config0-seeds": (dict(SMALL, seeds=["a"]), "seeds"),
+    "config1-seeds": (dict(SMALL, seeds=[]), "seeds"),
+    "config2-seeds.base": (dict(SMALL, seeds={"base": 1.5}), "seeds.base"),
+    "config3-seeds.count": (dict(SMALL, seeds={"base": 0, "count": "x"}), "seeds.count"),
+    # the thresholds are module constants, not configuration
+    "config4-tolerances": (dict(SMALL, tolerances={"eig_tol": 1e-10}), "tolerances"),
+    "config5-params.trials": (dict(SMALL, params={"trials": "x"}), "params.trials"),
+    "config6-potential.k": (dict(SMALL, potential={"kind": "tanh", "k": "two"}), "potential.k"),
+    "config7-params.dims": ({"scenario": "tower", "params": {"dims": 16}}, "params.dims"),
+    "config8-params.dims": ({"scenario": "tower", "params": {"dims": [16, 32.5]}}, "params.dims"),
+    "config9-params.lams":
+        ({"scenario": "index1d", "params": {"lams": [1.0, "a"]}},
+         "params.lams"),
+    "config10-potential.path": (dict(SMALL, potential={"kind": "file"}), "potential.path"),
+    "config11-potential.kind": (dict(SMALL, potential={"kind": ["tanh"]}), "potential.kind"),
+    "config12-scenario": (dict(SMALL, scenario=["relind"]), "scenario"),
+    # valid types out of range
+    "config13-params.dims": ({"scenario": "tower", "params": {"dims": []}}, "params.dims"),
+    "config14-potential.k":
+        ({"scenario": "sf", "potential": {"kind": "tanh", "k": 0}},
+         "potential.k"),
+    "config15-potential.entries":
+        ({"scenario": "sf", "potential": {"kind": "diag-list", "entries": [0]}},
+         "potential.entries"),
+    "config16-params.trials":
+        ({"scenario": "relind", "params": {"trials": -1, "dim": 0}},
+         "params.trials"),
+    "config17-params.bumps": ({"scenario": "index1d", "params": {"bumps": -2}}, "params.bumps"),
+    # a float key that must be positive
+    "config18-potential.scale":
+        ({"scenario": "sf", "potential": {"kind": "tanh", "scale": 0}},
+         "potential.scale"),
+    "config19-potential.scale":
+        ({"scenario": "sf", "potential": {"kind": "tanh", "scale": -1}},
+         "potential.scale"),
+    "config20-params.lams": ({"scenario": "index1d", "params": {"lams": [0]}}, "params.lams"),
+    "config21-params.a4_eps":
+        ({"scenario": "appendix", "params": {"a4_eps": [0]}},
+         "params.a4_eps"),
+    # seeds below numpy's range, NaN and Infinity (which Python's json
+    # reads), and output values of the wrong type
+    "config22-seeds": ({"scenario": "sf", "seeds": [-1]}, "seeds"),
+    "config23-seeds.base": ({"scenario": "sf", "seeds": {"base": -5, "count": 1}}, "seeds.base"),
+    "config24-potential.seed":
+        ({"scenario": "sf", "potential": {"kind": "seeded-random", "seed": -1}},
+         "potential.seed"),
+    "config25-coupling": (dict(SMALL, coupling=math.nan), "coupling"),
+    "config26-potential.scale":
+        ({"scenario": "sf", "potential": {"kind": "tanh", "scale": math.nan}},
+         "potential.scale"),
+    "config27-coupling": (dict(SMALL, coupling=math.inf), "coupling"),
+    "config28-output.emit_timings":
+        (dict(SMALL, output={"emit_timings": "false"}),
+         "output.emit_timings"),
+    "config29-output.dir": (dict(SMALL, output={"dir": ["x"]}), "output.dir"),
+    # a pair or case count above the seed count (8 by default)
+    "config30-params.pairs": ({"scenario": "cutpaste", "params": {"pairs": 12}}, "params.pairs"),
+    "config31-params.cases": ({"scenario": "callias", "params": {"cases": 10}}, "params.cases"),
+    "config32-params.cases":
+        ({"scenario": "all", "seeds": [0, 1], "params": {"cases": 3}},
+         "params.cases"),
+    # tower dims that show no decay: fewer than two, or not increasing
+    "config33-params.dims": ({"scenario": "all", "params": {"dims": [32, 16]}}, "params.dims"),
+    "config34-params.dims": ({"scenario": "tower", "params": {"dims": [16]}}, "params.dims"),
+    "config35-params.dims":
+        ({"scenario": "appendix", "params": {"dims": [16, 16]}},
+         "params.dims"),
+}
+
+
 class TestExitCodes:
     def test_passing_config_exits_0(self, tmp_path):
         assert run_main(tmp_path, SMALL) == 0
@@ -44,7 +119,8 @@ class TestExitCodes:
         assert "error:" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("grid", ["auto", {"length": 8.0, "n_cells": 160}])
+    @pytest.mark.parametrize("grid", ["auto", {"length": 8.0, "n_cells": 160}],
+                             ids=["auto", "grid1"])
     def test_grid_key_is_unknown(self, tmp_path, grid, capsys):
         config = dict(SMALL, grid=grid)
         with pytest.raises(ConfigError) as info:
@@ -53,54 +129,7 @@ class TestExitCodes:
         assert run_main(tmp_path, config) == 2
         assert "(field: grid)" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("config, field", [
-        (dict(SMALL, seeds=["a"]), "seeds"),
-        (dict(SMALL, seeds=[]), "seeds"),
-        (dict(SMALL, seeds={"base": 1.5}), "seeds.base"),
-        (dict(SMALL, seeds={"base": 0, "count": "x"}), "seeds.count"),
-        # the thresholds are module constants, not configuration
-        (dict(SMALL, tolerances={"eig_tol": 1e-10}), "tolerances"),
-        (dict(SMALL, params={"trials": "x"}), "params.trials"),
-        (dict(SMALL, potential={"kind": "tanh", "k": "two"}), "potential.k"),
-        ({"scenario": "tower", "params": {"dims": 16}}, "params.dims"),
-        ({"scenario": "tower", "params": {"dims": [16, 32.5]}}, "params.dims"),
-        ({"scenario": "index1d", "params": {"lams": [1.0, "a"]}}, "params.lams"),
-        (dict(SMALL, potential={"kind": "file"}), "potential.path"),
-        (dict(SMALL, potential={"kind": ["tanh"]}), "potential.kind"),
-        (dict(SMALL, scenario=["relind"]), "scenario"),
-        # valid types out of range
-        ({"scenario": "tower", "params": {"dims": []}}, "params.dims"),
-        ({"scenario": "sf", "potential": {"kind": "tanh", "k": 0}}, "potential.k"),
-        ({"scenario": "sf", "potential": {"kind": "diag-list", "entries": [0]}},
-         "potential.entries"),
-        ({"scenario": "relind", "params": {"trials": -1, "dim": 0}}, "params.trials"),
-        ({"scenario": "index1d", "params": {"bumps": -2}}, "params.bumps"),
-        # a float key that must be positive
-        ({"scenario": "sf", "potential": {"kind": "tanh", "scale": 0}}, "potential.scale"),
-        ({"scenario": "sf", "potential": {"kind": "tanh", "scale": -1}}, "potential.scale"),
-        ({"scenario": "index1d", "params": {"lams": [0]}}, "params.lams"),
-        ({"scenario": "appendix", "params": {"a4_eps": [0]}}, "params.a4_eps"),
-        # seeds below numpy's range, NaN and Infinity (which Python's json
-        # reads), and output values of the wrong type
-        ({"scenario": "sf", "seeds": [-1]}, "seeds"),
-        ({"scenario": "sf", "seeds": {"base": -5, "count": 1}}, "seeds.base"),
-        ({"scenario": "sf", "potential": {"kind": "seeded-random", "seed": -1}},
-         "potential.seed"),
-        (dict(SMALL, coupling=math.nan), "coupling"),
-        ({"scenario": "sf", "potential": {"kind": "tanh", "scale": math.nan}},
-         "potential.scale"),
-        (dict(SMALL, coupling=math.inf), "coupling"),
-        (dict(SMALL, output={"emit_timings": "false"}), "output.emit_timings"),
-        (dict(SMALL, output={"dir": ["x"]}), "output.dir"),
-        # a pair or case count above the seed count (8 by default)
-        ({"scenario": "cutpaste", "params": {"pairs": 12}}, "params.pairs"),
-        ({"scenario": "callias", "params": {"cases": 10}}, "params.cases"),
-        ({"scenario": "all", "seeds": [0, 1], "params": {"cases": 3}}, "params.cases"),
-        # tower dims that show no decay: fewer than two, or not increasing
-        ({"scenario": "all", "params": {"dims": [32, 16]}}, "params.dims"),
-        ({"scenario": "tower", "params": {"dims": [16]}}, "params.dims"),
-        ({"scenario": "appendix", "params": {"dims": [16, 16]}}, "params.dims"),
-    ])
+    @pytest.mark.parametrize("config, field", list(MALFORMED.values()), ids=list(MALFORMED))
     def test_malformed_value_names_its_field(self, tmp_path, config, field, capsys):
         with pytest.raises(ConfigError) as info:
             cli.parse_config(json.dumps(config))

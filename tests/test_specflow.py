@@ -32,6 +32,22 @@ from diracflow.specflow import (
 )
 
 
+def gap_level_loop(eigs, min_width):
+    """`specflow._gap_level` one gap at a time: the first gap with the
+    highest positive score wins."""
+    vals = np.sort(eigs)
+    best, best_score = None, 0.0
+    for lo, hi in zip(vals, vals[1:]):
+        width = hi - lo
+        if width < min_width:
+            continue
+        mid = 0.5 * (lo + hi)
+        score = float(width / (1.0 + mid * mid))
+        if score > best_score:
+            best, best_score = float(mid), score
+    return best, best_score
+
+
 class TestPotentialPath:
     def test_constant_extension_beyond_grid(self):
         p = linear_scalar_path()
@@ -128,6 +144,16 @@ class TestGridPass:
         expected = rel_index(positive_projection(s - a1 * eye),
                              positive_projection(s - a0 * eye))
         assert specflow._junction(p, spectra, 0, a0, a1) == expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(eigs=st.lists(st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0]),
+                                   st.floats(-1e3, 1e3)), max_size=10),
+           min_width=st.sampled_from([0.0, 1e-9, 0.1, 0.5, 1.0, 3.0]))
+    def test_gap_level_equals_the_loop_over_gaps(self, eigs, min_width):
+        # tied levels give equal widths and mirrored midpoints, so equal
+        # scores: the first of them must win, as in the loop
+        assert specflow._gap_level(np.array(eigs), min_width) == \
+            gap_level_loop(np.array(eigs), min_width)
 
     def test_junction_inside_gap_is_not_invertible(self):
         p = constant_path(np.diag([1.0, -1.0]))
