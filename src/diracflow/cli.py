@@ -40,6 +40,7 @@ from .opcore import (
     exp_decay_template,
     inv_sqrt_via_quadrature,
     rank_one_template,
+    spectral_norm,
 )
 from .reporting import CheckRecord, RunReport, check_formats, digest_of, emit
 from .specflow import PotentialPath
@@ -644,7 +645,7 @@ def _run_appendix(cfg: ScenarioConfig):
 
     def tails():
         raw = decaying_rank_template(2, 1.2, seed=base_seed)
-        scale = 3.0 / float(np.linalg.norm(raw(dims[0]), 2))
+        scale = 3.0 / spectral_norm(raw(dims[0]))
         tower = TruncationTower(dims, alternating_diag_template,
                                 (lambda n: scale * raw(n),))
         rep = inequalities.check_functional_calculus_tails(tower)

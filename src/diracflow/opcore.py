@@ -69,6 +69,8 @@ _RANK_REL_TOL = 1e-8
 # A hard spectral projection at a level needs every eigenvalue at least
 # _PROJ_GAP_TOL away from it (absolute).
 _PROJ_GAP_TOL = 1e-8
+# Bound on a `Projection`'s ||P - P*||_F and ||P^2 - P||_F (absolute, Frobenius).
+_PROJECTION_TOL = 1e-10
 
 
 def _check_finite(a, what="matrix"):
@@ -127,8 +129,8 @@ class HermitianOperator:
 class Projection:
     """A Hermitian idempotent within tolerance.
 
-    Construction validates ||P^2 - P||_F <= 1e-10 and ||P - P*||_F <= 1e-10
-    (Frobenius norms, upper bounds of the spectral ones); degraded inputs
+    Construction bounds ||P^2 - P||_F and ||P - P*||_F (Frobenius norms,
+    upper bounds of the spectral ones) by _PROJECTION_TOL; degraded inputs
     are rejected rather than repaired.
     """
 
@@ -139,10 +141,10 @@ class Projection:
         _check_finite(p, "projection")
         self.herm_residual = float(np.linalg.norm(p - p.conj().T))
         self.idem_residual = float(np.linalg.norm(p @ p - p))
-        if self.herm_residual > 1e-10:
+        if self.herm_residual > _PROJECTION_TOL:
             raise InvalidInput(
                 f"projection is not Hermitian: ||P - P*||_F = {self.herm_residual:.3e}")
-        if self.idem_residual > 1e-10:
+        if self.idem_residual > _PROJECTION_TOL:
             raise InvalidInput(
                 f"projection is not idempotent: ||P^2 - P||_F = {self.idem_residual:.3e}")
         self.entries = _hermitised(p)
@@ -357,7 +359,7 @@ def inv_sqrt_via_quadrature(h, n_nodes: int) -> QuadratureResult:
     approx = (2.0 / np.pi) * step * acc
     w, v = eigh(a)
     exact = _hermitised((v * (1.0 / np.sqrt(1.0 + w * w))) @ v.conj().T)
-    err = float(np.linalg.norm(approx - exact, 2))
+    err = spectral_norm(approx - exact)
     return QuadratureResult(_hermitised(approx), err)
 
 
@@ -450,14 +452,10 @@ def tails_vanish(tails) -> bool:
 
 def spectral_norm(m):
     """Largest singular value of a matrix (a float), or of each matrix of a
-    stack (an array) from one batched `svd` without vectors, bitwise equal
-    to ``np.linalg.norm(m[j], 2)`` for each j."""
-    a = np.asarray(m, dtype=np.complex128)
-    if a.ndim == 2:
-        # the same SVD; kept so that traces of single-matrix norms keep
-        # counting them as np.linalg.norm calls
-        return float(np.linalg.norm(a, 2))
-    return np.linalg.svd(a, compute_uv=False).max(axis=-1)
+    stack (an array), from one batched `svd` without vectors: bitwise equal
+    to ``np.linalg.norm(x, 2)`` for each such matrix x."""
+    s = np.linalg.svd(np.asarray(m, dtype=np.complex128), compute_uv=False).max(axis=-1)
+    return float(s) if s.ndim == 0 else s
 
 
 def spectral_gap(h) -> float:

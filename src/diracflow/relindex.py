@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import InvalidInput, NonIntegerTrace, PathTooCoarse
-from .opcore import Projection, eigh, null_space
+from .opcore import Projection, eigh, null_space, spectral_norm
 
 __all__ = [
     "rel_index",
@@ -122,11 +122,11 @@ def homotopy_constancy(p_path: Sequence, q_path: Sequence) -> HomotopyReport:
     if len(ps) != len(qs) or len(ps) == 0:
         raise InvalidInput("paths must be nonempty and sampled on a common grid")
     for seq, label in ((ps, "P"), (qs, "Q")):
-        for i in range(len(seq) - 1):
-            step = float(np.linalg.norm(seq[i + 1].entries - seq[i].entries, 2))
-            if step >= 1.0:
-                raise PathTooCoarse(
-                    f"{label}-path jump ||{label}_{i + 1} - {label}_{i}|| = "
-                    f"{step:.3f} >= 1")
+        steps = spectral_norm(np.diff([x.entries for x in seq], axis=0))
+        if (steps >= 1.0).any():
+            i = int(np.argmax(steps >= 1.0))
+            raise PathTooCoarse(
+                f"{label}-path jump ||{label}_{i + 1} - {label}_{i}|| = "
+                f"{steps[i]:.3f} >= 1")
     values = tuple(rel_index(pi, qi) for pi, qi in zip(ps, qs))
     return HomotopyReport(values=values, passed=len(set(values)) == 1)

@@ -16,6 +16,7 @@ import numpy as np
 from .dirac1d import quintic_plateau, smoothstep
 from .errors import InvalidInput
 from .inequalities import random_unitary
+from .opcore import spectral_norm
 from .specflow import PotentialPath
 
 __all__ = [
@@ -41,7 +42,7 @@ def _bounded_hermitian(rng: np.random.Generator, k: int, bound: float) -> np.nda
     ``bound``."""
     b = rng.standard_normal((k, k)) + 1j * rng.standard_normal((k, k))
     b = (b + b.conj().T) / 2.0
-    return bound * b / max(1.0, float(np.linalg.norm(b, 2)))
+    return bound * b / max(1.0, spectral_norm(b))
 
 
 def _plateau_chain(plateaus, bumps, n_samples: int, name: str) -> PotentialPath:

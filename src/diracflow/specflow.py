@@ -9,7 +9,8 @@ step keeps its sign across it and continues by sorted position.  The hull
 of the other indices is the step's window: it is matched by overlap, and
 the step is split while that matching is ambiguous or a branch changes
 sign across it, so that every sign change ends on a sample with |lambda|
-<= _CROSSING_TOL; the route sums the signs of those changes.  The second
+<= _CROSSING_TOL; the route sums the signs of those changes, and
+`branch_curves` gives these branches for the gnuplot table.  The second
 route (`sf_partition`) exercises Phillips' partition definition (Phillips,
 "Self-adjoint Fredholm operators and spectral flow", Canad. Math. Bull.
 39, 1996): it subdivides the parameter interval, picks per subinterval an
@@ -31,15 +32,13 @@ formulas on the whole array with the same floating-point operations as
 one parameter at a time.
 
 Both routes read one certified eigendecomposition of the grid samples
-(`PotentialPath._grid_pass`), and `endpoint_identity` takes it once for
-all three integers.  They share that sampled LAPACK output but no logic:
-the first matches eigenvectors in the Weyl windows and follows branches,
+(`PotentialPath._grid_pass`, which says why the path keeps only its
+spectra and step bounds), and `endpoint_identity` takes it once for all
+three integers.  They share that sampled LAPACK output but no logic: the
+first matches eigenvectors in the Weyl windows and follows branches,
 refining the grid where they are ambiguous or change sign; the second
 picks Weyl-safe gap levels from the spectra and step bounds and counts
-eigenvalues above them at the junctions.  The path caches only the
-spectra and step bounds; the eigenvectors go back to the caller, because
-keeping them on every path raised the peak RSS of the k = 64 tower
-fibers' run by 5% (47.8 to 50.4 MB).
+eigenvalues above them at the junctions.
 
 Inside a window, branch tracking deliberately matches by eigenvector
 overlap instead of sorted order: sorted order silently swaps branches at
@@ -332,77 +331,75 @@ class _Sample:
         self.t, self.w, self.v, self.depth = t, w, v, depth
 
 
-def _changes_sign(xa, xb, crossing_tol: float) -> np.ndarray:
+def _changes_sign(xa, xb) -> np.ndarray:
     """Where a branch with the value xa at one sample and xb at the next
-    changes sign, both values beyond crossing_tol."""
-    return (xa * xb < 0) & (np.abs(xa) > crossing_tol) & (np.abs(xb) > crossing_tol)
+    changes sign, both values beyond _CROSSING_TOL."""
+    return (xa * xb < 0) & (np.abs(xa) > _CROSSING_TOL) & (np.abs(xb) > _CROSSING_TOL)
 
 
-def _step(a: _Sample, b: _Sample, depth: int, crossing_tol: float, lo: int, hi: int):
-    """(b, perm, split, depth): the step from a to b, its matching, and
-    where to split it.  perm[c] is the column of b continuing column c of
-    a: columns lo..hi-1 are matched by overlap (one column needs none), the
-    others keep their place.  The split is the midpoint while the matching
-    is ambiguous (perm None), else the regula-falsi zero, clamped to
+def _step(a: _Sample, b: _Sample, lo: int, hi: int):
+    """(b, perm, split): the step from a to b, its matching, and where to
+    split it.  perm[c] is the column of b continuing column c of a: columns
+    lo..hi-1 are matched by overlap (one column needs none), the others
+    keep their place.  The split is the midpoint while the matching is
+    ambiguous (perm None), else the regula-falsi zero, clamped to
     [_SPLIT_CLAMP, 1 - _SPLIT_CLAMP] of the step, of the first branch that
-    changes sign across it with both values beyond crossing_tol; None when
+    changes sign across it with both values beyond _CROSSING_TOL; None when
     the step is final."""
     perm = np.arange(a.w.size)
     if hi - lo > 1:
         inside = _match_columns(a.v[:, lo:hi], b.v[:, lo:hi])
         if inside is None:
-            return b, None, 0.5 * (a.t + b.t), depth
+            return b, None, 0.5 * (a.t + b.t)
         perm[lo:hi] = np.add(inside, lo)
     xa, xb = a.w, b.w[perm]
-    change = _changes_sign(xa, xb, crossing_tol)
+    change = _changes_sign(xa, xb)
     split = None
     if change.any():
         i = int(change.argmax())
         u = min(max(xa[i] / (xa[i] - xb[i]), _SPLIT_CLAMP), 1.0 - _SPLIT_CLAMP)
         split = a.t + u * (b.t - a.t)
-    return b, perm, split, depth
+    return b, perm, split
 
 
-def _refined_step(path: PotentialPath, a: _Sample, b: _Sample, lo: int, hi: int,
-                  crossing_tol: float):
+def _refined_step(path: PotentialPath, a: _Sample, b: _Sample, lo: int, hi: int):
     """[(t, w, depth, perm), ...]: the samples after grid sample a up to
     grid sample b that the step between them is refined to, each with the
     matching of the step that ends on it.
 
     The grid step is matched on its window lo..hi-1 (`_step`) and split
     until every matching is decisive and every sign change of a branch
-    passes through a sample within crossing_tol of zero.  A split step's
+    passes through a sample within _CROSSING_TOL of zero.  A split step's
     matching is replaced by those through its split sample, so a step that
     pairs across an avoided crossing is tracked again.  The halves of a
     split are matched in all columns: no Weyl bound covers them.  A step
     still to be split at width < 1e-13 or _MAX_DEPTH splits raises
     RefineGrid if ambiguous, else DegeneratePath.
     """
-    k = a.w.size
     chain = []
     # the steps right of a, nearest last
-    todo = [_step(a, b, 0, crossing_tol, lo, hi)]
+    todo = [_step(a, b, lo, hi)]
     while todo:
-        b, perm, split, depth = todo.pop()
+        b, perm, split = todo.pop()
         if split is None:
             chain.append((b.t, b.w, b.depth, perm))
             a = b
             continue
+        depth = max(a.depth, b.depth)
         if depth >= _MAX_DEPTH or b.t - a.t < 1e-13:
             what = ("branch matching stayed ambiguous" if perm is None else
-                    f"a crossing stayed beyond |lambda| <= {crossing_tol:g}")
+                    f"a crossing stayed beyond |lambda| <= {_CROSSING_TOL:g}")
             raise (RefineGrid if perm is None else DegeneratePath)(
                 f"{what} on [{a.t!r}, {b.t!r}] after {depth} refinements")
         # path samples are hermitised already, as in the grid pass
         w, v, defects = _decompose(path.sample(split))
         _certify(defects, lambda _: f" at t={split:g}")
         mid = _Sample(float(split), w, v, depth + 1)
-        todo += [_step(mid, b, depth + 1, crossing_tol, 0, k),
-                 _step(a, mid, depth + 1, crossing_tol, 0, k)]
+        todo += [_step(mid, b, 0, w.size), _step(a, mid, 0, w.size)]
     return chain
 
 
-def _tracked_branches(path: PotentialPath, spectra, vectors, steps, crossing_tol: float):
+def _tracked_branches(path: PotentialPath, spectra, vectors, steps):
     """(ts, depths, values) of the branches followed over the grid pass:
     values[b, j] is branch b's eigenvalue at the sample ts[j], which lies
     depths[j] splits below a grid step, and branch b starts as the b-th
@@ -411,31 +408,30 @@ def _tracked_branches(path: PotentialPath, spectra, vectors, steps, crossing_tol
     Work is done only where a branch can cross zero.  By Weyl's inequality
     the j-th ascending eigenvalue moves by at most steps[i] =
     ||S(t_{i+1}) - S(t_i)|| across grid step i, so an index j with
-    |lambda_j| > steps[i] + crossing_tol at both t_i and t_{i+1} keeps its
-    sign across the step, beyond crossing_tol.  The step's window is the
+    |lambda_j| > steps[i] + _CROSSING_TOL at both t_i and t_{i+1} keeps its
+    sign across the step, beyond _CROSSING_TOL.  The step's window is the
     hull of the other indices; every index outside it keeps its sign (those
     below a window are negative, those above it positive) and continues by
     sorted position.  A step with an empty window, or a one-column window
     without a sign change, continues every column by position and takes no
     overlap; any other step is matched on its window and refined
     (`_refined_step`).  The windows of the whole grid come from a few array
-    operations on the grid pass's spectra and steps.  With crossing_tol =
-    inf every window is full, so every step is matched in all columns.
+    operations on the grid pass's spectra and steps.
     """
     n, k = spectra.shape
-    bound = (steps + crossing_tol)[:, None]
+    bound = (steps + _CROSSING_TOL)[:, None]
     near = (np.abs(spectra[:-1]) <= bound) | (np.abs(spectra[1:]) <= bound)
     lo = near.argmax(axis=1)
     hi = np.where(near.any(axis=1), k - near[:, ::-1].argmax(axis=1), lo)
     rows = np.arange(n - 1)
-    change = _changes_sign(spectra[rows, lo], spectra[rows + 1, lo], crossing_tol)
+    change = _changes_sign(spectra[rows, lo], spectra[rows + 1, lo])
     # per run of consecutive samples: (ts, spectra, depths, columns)
     runs, idx, start = [], np.arange(k), 0
     for i in np.flatnonzero((hi - lo > 1) | ((hi - lo == 1) & change)).tolist():
         runs.append((path.grid[start:i + 1], spectra[start:i + 1],
                      np.zeros(i + 1 - start, dtype=int), np.broadcast_to(idx, (i + 1 - start, k))))
         a, b = (_Sample(float(path.grid[j]), spectra[j], vectors[j]) for j in (i, i + 1))
-        for t, w, depth, perm in _refined_step(path, a, b, lo[i], hi[i], crossing_tol):
+        for t, w, depth, perm in _refined_step(path, a, b, lo[i], hi[i]):
             idx = perm[idx]
             runs.append(([t], w[None], [depth], idx[None]))
         start = i + 2
@@ -446,10 +442,10 @@ def _tracked_branches(path: PotentialPath, spectra, vectors, steps, crossing_tol
 
 
 def branch_curves(path: PotentialPath):
-    """Eigenvalue branches tracked along the path: (times, values) with
-    values[b][j] the branch-b eigenvalue at times[j].  For plotting, so no
-    crossing is localised."""
-    ts, _, values = _tracked_branches(path, *path._grid_pass(), np.inf)
+    """The branches that the crossing route counts, with its localised
+    crossings: (times, values), values[b][j] the branch-b eigenvalue at
+    times[j], on the grid and the samples its steps were refined to."""
+    ts, _, values = _tracked_branches(path, *path._grid_pass())
     return ts.tolist(), values.tolist()
 
 
@@ -484,7 +480,7 @@ def _route_pass(path: PotentialPath):
 
 
 def _crossings(path, grid_pass):
-    ts, depths, values = _tracked_branches(path, *grid_pass, _CROSSING_TOL)
+    ts, depths, values = _tracked_branches(path, *grid_pass)
     signs = np.sign(values) * (np.abs(values) > _CROSSING_TOL)
     ends = np.flatnonzero((signs[:, 0] == 0) | (signs[:, -1] == 0))
     if ends.size:
@@ -697,12 +693,16 @@ def diagonal_path(funcs: Sequence[Callable[[float], float]], span, n_samples,
 
 def path_from_samples(grid, matrices, support=(),
                       name="tabulated") -> PotentialPath:
-    """Piecewise-linear interpolation through tabulated Hermitian samples."""
+    """Piecewise-linear interpolation through tabulated Hermitian samples;
+    InvalidInput names the first t whose matrix has non-finite entries."""
     grid = np.asarray(grid, dtype=float)
     mats = [np.asarray(m, dtype=np.complex128) for m in matrices]
     if len(mats) != grid.size:
         raise InvalidInput("need one matrix per grid point")
     mats = np.stack(mats)
+    bad = ~np.isfinite(mats).all(axis=(1, 2))
+    if bad.any():
+        raise InvalidInput(f"path sample at t={grid[bad.argmax()]:g} has non-finite entries")
 
     def sampler(ts):
         j = np.clip(np.searchsorted(grid, ts, side="right") - 1, 0, grid.size - 2)
@@ -772,7 +772,7 @@ def concat_paths(p1: PotentialPath, p2: PotentialPath) -> PotentialPath:
     p2's parameter to start where p1 ends."""
     if p1.k != p2.k:
         raise InvalidInput("fiber dims differ")
-    if float(np.linalg.norm(p1.end() - p2.start(), 2)) > 1e-10:
+    if opcore.spectral_norm(p1.end() - p2.start()) > 1e-10:
         raise InvalidInput("junction mismatch: p1.end != p2.start")
     a1, b1 = p1.span()
     a2, b2 = p2.span()

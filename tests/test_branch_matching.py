@@ -15,6 +15,8 @@ from diracflow.inequalities import random_unitary
 from diracflow.specflow import (
     PotentialPath,
     _match_columns,
+    _tracked_branches,
+    branch_curves,
     endpoint_identity,
     random_smooth_path,
     sf_crossings,
@@ -285,3 +287,25 @@ def test_degenerate_pairs_far_from_zero_are_not_matched():
     rep = endpoint_identity(rotation_loop(2))
     assert (rep.sf_by_crossings, rep.sf_by_partition, rep.endpoint_rel_index) == (0, 0, 0)
     assert sorted(c.slope_sign for c in rep.crossings.crossings) == [-1, 1]
+
+
+def test_branch_curves_on_the_rotation_loop():
+    # the doubly degenerate start, which an all-columns match cannot follow;
+    # both crossings lie on the grid sample t = 0
+    path = rotation_loop(2)
+    times, values = branch_curves(path)
+    assert times == path.grid.tolist()
+    assert len(values) == path.k and all(len(v) == path.grid.size for v in values)
+
+
+def test_branch_curves_are_the_crossing_routes_branches():
+    # an sf scenario path (seed 1 of the default config) with crossings
+    # between grid samples
+    path = random_smooth_path(1, 6)
+    times, values = branch_curves(path)
+    ts, _, vals = _tracked_branches(path, *path._grid_pass())
+    assert times == ts.tolist() and values == vals.tolist()
+    crossings = sf_crossings(path)[1].crossings
+    assert any(c.depth for c in crossings)
+    for c in crossings:
+        assert abs(values[c.branch][times.index(c.t)]) <= specflow._CROSSING_TOL

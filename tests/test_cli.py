@@ -180,6 +180,21 @@ class TestExitCodes:
         assert "no samples" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
+    def test_table_with_a_non_finite_entry_exits_2_before_any_check(
+            self, tmp_path, capsys, monkeypatch):
+        # the header "1 3"; the sample at t = 0 is NaN, and interpolation
+        # would carry it to t = -1
+        (tmp_path / "nan.tab").write_text("1 3\n-1.0 1.0,0\n0.0 nan,0\n1.0 -1.0,0\n")
+        called = []
+        monkeypatch.setattr(cli, "_RUNNERS", {
+            name: (lambda cfg, name=name: called.append(name) or []) for name in cli._RUNNERS})
+        config = {"scenario": "all",
+                  "potential": {"kind": "file", "path": str(tmp_path / "nan.tab")}}
+        assert run_main(tmp_path, config) == 2
+        assert "path sample at t=0 has non-finite entries" in capsys.readouterr().err
+        assert called == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("formats", ["xml", "csv,xml"])
     def test_unknown_format_exits_2_and_writes_nothing(self, tmp_path, formats, capsys,
                                                        monkeypatch):

@@ -177,6 +177,19 @@ class TestSpectralGap:
             opcore.spectral_gap(np.array([[np.nan]]))
 
 
+class TestSpectralNorm:
+    @pytest.mark.parametrize("shape", [(1, 1), (2, 2), (5, 5), (17, 17), (39, 39), (6, 9)])
+    def test_bitwise_equal_to_numpy_norm(self, shape):
+        rng = np.random.default_rng(shape[0] * shape[1])
+        stack = rng.standard_normal((4,) + shape) + 1j * rng.standard_normal((4,) + shape)
+        norms = opcore.spectral_norm(stack)
+        assert norms.shape == (4,)
+        for j, m in enumerate(stack):
+            one = opcore.spectral_norm(m)
+            assert type(one) is float
+            assert one == np.linalg.norm(m, 2) == norms[j]
+
+
 class TestNullSpace:
     def test_zero_matrix(self):
         res = null_space(np.zeros((3, 3)))
