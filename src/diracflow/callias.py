@@ -82,30 +82,33 @@ def _boundary(path: PotentialPath) -> tuple:
     return tuple(boundary)
 
 
-def _pairing_terms(path: PotentialPath, boundary, reference) -> tuple:
+def _pairing_terms(path: PotentialPath, boundary, reference, resolved) -> tuple:
     """gamma(y) * rel-ind(P_+(S(y)), P_+(T)) for each boundary point y,
     with the reference T a scalar (a multiple of the identity) or a
-    matrix.  Without boundary points no reference is resolved."""
+    matrix.  ``resolved`` maps a fiber dimension to its P_+(T) and is
+    filled on first use, so a family resolves T once per dimension.
+    Without boundary points no reference is resolved."""
     if not boundary:
         return ()
     k = path.k
-    if np.isscalar(reference):
-        reference = complex(reference) * np.eye(k, dtype=np.complex128)
-    reference = _hermitised(reference)
-    if reference.shape != (k, k):
-        raise InvalidInput(f"reference has shape {reference.shape}, expected ({k}, {k})")
-    try:
-        p_ref = positive_projection(reference)
-    except NotInvertible as exc:
-        raise NotInvertible("reference operator is not invertible") from exc
-    return tuple(g * rel_index(p_y, p_ref) for _, g, p_y in boundary)
+    if k not in resolved:
+        if np.isscalar(reference):
+            reference = complex(reference) * np.eye(k, dtype=np.complex128)
+        reference = _hermitised(reference)
+        if reference.shape != (k, k):
+            raise InvalidInput(f"reference has shape {reference.shape}, expected ({k}, {k})")
+        try:
+            resolved[k] = positive_projection(reference)
+        except NotInvertible as exc:
+            raise NotInvertible("reference operator is not invertible") from exc
+    return tuple(g * rel_index(p_y, resolved[k]) for _, g, p_y in boundary)
 
 
 def rhs_pairing(path: PotentialPath, reference=-1.0) -> int:
     """Signed sum over N = dK of the relative indices of P_+(S(y)) against
     P_+(T) for a reference T (a scalar multiple of the identity or a
     matrix)."""
-    return sum(_pairing_terms(path, _boundary(path), reference))
+    return sum(_pairing_terms(path, _boundary(path), reference, {}))
 
 
 def _flow(path: PotentialPath) -> int:
@@ -162,14 +165,15 @@ def callias_check(paths: tuple, lam: float = 1.0, reference=-1.0,
 def _pairing_report(paths, boundaries, lhs, reference, reference_alt) -> CalliasReport:
     """The CalliasReport of ``paths`` from their boundary projections; per
     fiber, ``lhs(path)`` is taken first, then the pairing against each
-    reference."""
+    reference, whose projection is resolved once for the family."""
     values, rhs, rhs2, per_point = [], [], [], []
+    resolved, resolved_alt = {}, {}
     for p, boundary in zip(paths, boundaries):
         values.append(lhs(p))
-        terms = _pairing_terms(p, boundary, reference)
+        terms = _pairing_terms(p, boundary, reference, resolved)
         per_point.append(terms)
         rhs.append(sum(terms))
-        rhs2.append(sum(_pairing_terms(p, boundary, reference_alt)))
+        rhs2.append(sum(_pairing_terms(p, boundary, reference_alt, resolved_alt)))
     report = CalliasReport(lhs=tuple(values), rhs=tuple(rhs), rhs_alt=tuple(rhs2),
                            per_point=tuple(per_point))
     if not values == rhs == rhs2:

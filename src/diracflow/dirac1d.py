@@ -343,8 +343,12 @@ def _transfer_kernel(op):
     psi_{j+1} = M_j psi_j with M_j = -B_j^{-1} A_j, so ker D is the set of
     starts whose psi_n lies in Ran R.  Each M_j is the Cayley transform of
     the Hermitian S(m_j), hence normal, and one batched SVD gives every
-    cond(M_j).  The orthonormal basis L is carried along by plain products
-    of the steps scaled to norm 1, with a QR only when the product g of the
+    cond(M_j).  Cells whose A_j and B_j are bitwise equal to the previous
+    cell's (`opcore._repeats`; a potential that is constant outside its
+    support makes long runs of them) reuse that cell's M_j and cond, so the
+    solve and the SVD see only the distinct cells.  The orthonormal basis L
+    is carried along by plain products of the steps scaled to norm 1, one
+    per cell, repeats included, with a QR only when the product g of the
     conds since the last QR would pass 1e-3 * _SVD_GAP_CAP / eps, and one
     at the end.  Rounding in such a product reaches the weakest carried
     direction amplified by up to g, so a cosine drifts by about eps * g
@@ -358,7 +362,8 @@ def _transfer_kernel(op):
     left, right = op.left_basis, op.right_basis
     if left.shape[1] == 0:
         return 0, float("inf")
-    steps = np.linalg.solve(op.cell_b, -op.cell_a)
+    new = ~(opcore._repeats(op.cell_a) & opcore._repeats(op.cell_b))
+    steps = np.linalg.solve(op.cell_b[new], -op.cell_a[new])
     s = np.linalg.svd(steps, compute_uv=False)
     steps /= np.where(s[:, 0] > 0.0, s[:, 0], 1.0)[:, None, None]
     conds = np.divide(s[:, 0], s[:, -1], out=np.full(s.shape[0], np.inf),
@@ -366,7 +371,8 @@ def _transfer_kernel(op):
     cap = opcore._SVD_GAP_CAP
     limit = 1e-3 * cap / np.finfo(float).eps
     q, growth = left, 1.0
-    for step, cond in zip(steps, conds):
+    for j in np.cumsum(new) - 1:
+        step, cond = steps[j], conds[j]
         # growth 1 means q is orthonormal up to scale: nothing to restore
         if growth > 1.0 and growth * cond > limit:
             q, growth = np.linalg.qr(q)[0], 1.0

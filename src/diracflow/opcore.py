@@ -169,6 +169,20 @@ def _decompose(a: np.ndarray):
     return w, v, np.stack([resid, unit], axis=-1)
 
 
+def _repeats(stack: np.ndarray, before=None) -> np.ndarray:
+    """Mask of the matrices of the complex stack (m, r, c) that are bitwise
+    equal to the one before them; matrix 0 is compared with ``before``
+    (None: no predecessor).  Bitwise, so +0.0 and -0.0 differ, and a
+    result computed for the predecessor is exactly the one the repeat
+    would get."""
+    bits = np.ascontiguousarray(stack).view(np.int64)
+    same = np.empty(len(stack), dtype=bool)
+    same[1:] = (bits[1:] == bits[:-1]).all(axis=(1, 2))
+    same[:1] = before is not None and np.array_equal(
+        bits[0], np.ascontiguousarray(before).view(np.int64))
+    return same
+
+
 def _certify(defects: np.ndarray, where: Callable[[int], str]):
     """Raise InvalidInput when a certificate of `_decompose` exceeds
     _EIG_TOL; ``where(i)`` names the worst matrix i."""

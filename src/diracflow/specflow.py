@@ -33,8 +33,9 @@ one parameter at a time.
 
 Both routes read one certified eigendecomposition of the grid samples
 (`PotentialPath._grid_pass`, which says why the path keeps only its
-spectra and step bounds), and `endpoint_identity` takes it once for all
-three integers.  They share that sampled LAPACK output but no logic: the
+spectra and step bounds, and how a sample that repeats the one before it
+reuses its results), and `endpoint_identity` takes it once for all three
+integers.  They share that sampled LAPACK output but no logic: the
 first matches eigenvectors in the Weyl windows and follows branches,
 refining the grid where they are ambiguous or change sign; the second
 picks Weyl-safe gap levels from the spectra and step bounds and counts
@@ -123,7 +124,7 @@ class PotentialPath:
     Parameters
     ----------
     k : fiber dimension, at least 1.
-    grid : strictly increasing parameter samples t_0 < ... < t_n.
+    grid : strictly increasing finite parameter samples t_0 < ... < t_n.
     sampler : stacked rule ts -> S(ts): given a float array ts of shape
         (m,), m >= 1, it returns the (m, k, k) complex stack whose matrix i
         is S(ts[i]).  `samples` clamps ts into [t_0, t_n] before the call,
@@ -145,6 +146,9 @@ class PotentialPath:
         self.grid = np.asarray(grid, dtype=float)
         if self.grid.ndim != 1 or self.grid.size < 2:
             raise InvalidInput("grid must contain at least two samples")
+        if not np.isfinite(self.grid).all():
+            bad = self.grid[~np.isfinite(self.grid)][0]
+            raise InvalidInput(f"grid must be finite, got t={bad:g}")
         if not np.all(np.diff(self.grid) > 0):
             raise InvalidInput("grid must be strictly increasing")
         self.sampler = sampler
@@ -232,40 +236,50 @@ class PotentialPath:
         The samples are taken once each, in chunks of at most _CHUNK_BYTES
         (or one sample, if larger) with one `samples` call (so one sampler
         call) and one batched eigh per chunk, which is bitwise equal to one
-        call per sample.  A non-finite sample raises InvalidInput naming
-        its t.  Each sample's certificate
+        call per sample.  A sample bitwise equal to the one before it
+        (`opcore._repeats`, across chunk seams too) is not decomposed: it
+        takes that sample's spectrum, vectors and certificate, and its step
+        is 0.0.  A potential that is constant outside its support, as every
+        tower fiber is, repeats most of its grid.  A non-finite sample
+        raises InvalidInput naming its t.  Each sample's certificate
         (`opcore._decompose`: residual and unitarity) must stay within
         opcore._EIG_TOL (`opcore._certify`); otherwise InvalidInput names
-        the worst sample.
+        the worst sample, the first of its run when it repeats.
 
         Once certified, the path keeps (spectra, steps) for `_grid_spectra`;
-        the vectors go back to the caller only.  Both limits are measured: on
-        the benchmark's index-large workload (k = 64 tower fibers, 41
-        samples) the peak RSS is 47.8 MB, against 50.4 MB with the vectors
-        kept on the path, 48.6 MB with 256 KiB chunks and 57.8 MB with the
-        whole grid in one chunk.
+        the vectors go back to the caller only.
         """
         n, k = self.grid.size, self.k
         spectra = np.empty((n, k))
         vectors = np.empty((n, k, k), dtype=np.complex128)
-        steps = np.empty(n - 1)
+        # jumps[i] = ||S(t_i) - S(t_{i-1})||, so steps = jumps[1:]
+        jumps = np.zeros(n)
         defects = np.empty((n, 2))
         per_chunk = max(1, _CHUNK_BYTES // vectors[0].nbytes)
-        # buf[0] holds the previous chunk's last sample, for the step across
-        # the seam
+        # buf[0] holds the previous chunk's last sample, for the step and the
+        # repeat test across the seam
         buf = np.empty((per_chunk + 1, k, k), dtype=np.complex128)
         for i0 in range(0, n, per_chunk):
             i1 = min(i0 + per_chunk, n)
             s = buf[1:1 + i1 - i0]
             s[:] = self.samples(self.grid[i0:i1])
-            spectra[i0:i1], vectors[i0:i1], defects[i0:i1] = _decompose(s)
+            new = ~opcore._repeats(s, buf[0] if i0 else None)
+            if new.any():
+                (spectra[i0:i1][new], vectors[i0:i1][new],
+                 defects[i0:i1][new]) = _decompose(s[new])
+            # a repeat copies the results of the last new sample before it
+            last = np.maximum.accumulate(np.where(new, np.arange(i0, i1), i0 - 1))
+            spectra[i0:i1], vectors[i0:i1], defects[i0:i1] = (
+                spectra[last], vectors[last], defects[last])
             # hermitised samples differ by an exactly Hermitian matrix, whose
-            # spectral norm is its largest |eigenvalue|
-            first = 0 if i0 else 1
-            steps[i0 + first - 1:i1 - 1] = np.abs(np.linalg.eigvalsh(
-                buf[first + 1:1 + i1 - i0] - buf[first:i1 - i0])).max(axis=1)
+            # spectral norm is its largest |eigenvalue|; a repeat's is 0.0
+            moved = new & (np.arange(i0, i1) > 0)
+            if moved.any():
+                jumps[i0:i1][moved] = np.abs(np.linalg.eigvalsh(
+                    s[moved] - buf[:i1 - i0][moved])).max(axis=1)
             buf[0] = s[-1]
         _certify(defects, self._at_sample)
+        steps = jumps[1:]
         self._spectra = (spectra, steps)
         return spectra, vectors, steps
 

@@ -14,6 +14,7 @@ from diracflow.opcore import (
     alternating_diag_template,
     resolvent_tails,
     tails_vanish,
+    tower_instantiate,
 )
 from diracflow.specflow import PotentialPath, random_smooth_path
 
@@ -96,6 +97,29 @@ def test_singular_reference_is_named():
     (path,), *_ = scenarios.callias_case(1)
     with pytest.raises(NotInvertible, match="reference operator"):
         callias.rhs_pairing(path, reference=0.0)
+
+
+def test_pairing_report_resolves_each_reference_once(monkeypatch):
+    tower = callias.tower_scenario(3, (16,), n_fibers=2)
+    t_n = tower_instantiate(tower, 16)[0]
+    family = callias.tower_family(tower, 16)
+    boundaries = [callias._boundary(p) for p in family]
+    lhs = {p.name: callias.rhs_pairing(p, t_n) for p in family}
+    resolved = []
+    projection = callias.positive_projection
+    monkeypatch.setattr(callias, "positive_projection",
+                        lambda h: resolved.append(h) or projection(h))
+    rep = callias._pairing_report(family, boundaries, lambda p: lhs[p.name], t_n, -t_n)
+    assert rep.rhs == rep.rhs_alt == tuple(lhs.values()) == (0, -1)
+    # two fibers with two boundary points each: one projection per reference
+    assert len(resolved) == 2
+    assert np.array_equal(resolved[0], t_n) and np.array_equal(resolved[1], -t_n)
+
+
+def test_fiber_without_boundary_resolves_no_reference():
+    # the singular reference 0 is never resolved, so it raises nothing
+    rep = callias._pairing_report((random_smooth_path(0, 2),), ((),), lambda p: 0, 0.0, 0.0)
+    assert rep.rhs == rep.rhs_alt == (0,)
 
 
 def test_flipped_sign_is_a_violation(monkeypatch):

@@ -3,6 +3,7 @@ that keep their name and anchor when a check is skipped or fails."""
 
 import json
 import math
+import warnings
 
 import pytest
 
@@ -192,6 +193,22 @@ class TestExitCodes:
                   "potential": {"kind": "file", "path": str(tmp_path / "nan.tab")}}
         assert run_main(tmp_path, config) == 2
         assert "path sample at t=0 has non-finite entries" in capsys.readouterr().err
+        assert called == []
+        assert not (tmp_path / "out").exists()
+
+    def test_table_with_an_infinite_t_exits_2_naming_the_grid(
+            self, tmp_path, capsys, monkeypatch):
+        # the header "1 3"; every matrix is finite, the last t is not
+        (tmp_path / "inf.tab").write_text("1 3\n0.0 1.0,0\n1.0 -1.0,0\ninf -1.0,0\n")
+        called = []
+        monkeypatch.setattr(cli, "_RUNNERS", {
+            name: (lambda cfg, name=name: called.append(name) or []) for name in cli._RUNNERS})
+        config = {"scenario": "all",
+                  "potential": {"kind": "file", "path": str(tmp_path / "inf.tab")}}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            assert run_main(tmp_path, config) == 2
+        assert "error: grid must be finite, got t=inf" in capsys.readouterr().err
         assert called == []
         assert not (tmp_path / "out").exists()
 

@@ -4,6 +4,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from diracflow import opcore, scenarios, specflow
+from diracflow.callias import tower_family, tower_scenario
 from diracflow.errors import (
     InvalidInput,
     NotInvertible,
@@ -46,6 +47,41 @@ def gap_level_loop(eigs, min_width):
         if score > best_score:
             best, best_score = float(mid), score
     return best, best_score
+
+
+def tower_fiber(k):
+    """Fiber 0 of the seed-3 tower family at dimension k: 41 grid samples,
+    constant for t <= -1 and for t >= 1."""
+    return tower_family(tower_scenario(3, (k,)), k)[0]
+
+
+def grid_pass_loop(p):
+    """`PotentialPath._grid_pass` one sample at a time, repeats included:
+    (spectra, vectors, steps)."""
+    samples = [p.sample(t) for t in p.grid]
+    pairs = [eigh(s) for s in samples]
+    steps = [np.abs(np.linalg.eigvalsh(b - a)).max() for a, b in zip(samples, samples[1:])]
+    return (np.array([w for w, _ in pairs]), np.array([v for _, v in pairs]),
+            np.array(steps))
+
+
+def count_rows(monkeypatch):
+    """Count the matrices that the grid pass hands to `_decompose` and to
+    `np.linalg.eigvalsh`."""
+    rows = {"decompose": 0, "eigvalsh": 0}
+    decompose, eigvalsh = specflow._decompose, np.linalg.eigvalsh
+
+    def counted_decompose(a):
+        rows["decompose"] += a.shape[0]
+        return decompose(a)
+
+    def counted_eigvalsh(a, *args, **kwargs):
+        rows["eigvalsh"] += a.shape[0]
+        return eigvalsh(a, *args, **kwargs)
+
+    monkeypatch.setattr(specflow, "_decompose", counted_decompose)
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted_eigvalsh)
+    return rows
 
 
 class TestPotentialPath:
@@ -126,6 +162,63 @@ class TestGridPass:
                           lambda ts: np.stack([np.diag([np.nan if t == 0.75 else 1.0, -1.0])
                                              for t in ts.tolist()]))
         with pytest.raises(InvalidInput, match=r"t=0\.75 has non-finite"):
+            p._grid_pass()
+
+    @pytest.mark.parametrize("make", [
+        lambda: tower_fiber(32),     # four samples per chunk
+        lambda: tower_fiber(64),     # one sample per chunk: every repeat is on a seam
+        lambda: random_smooth_path(4, 6, n_samples=41),    # no repeats
+    ], ids=["tower-k32", "tower-k64", "no-repeats"])
+    def test_repeats_match_a_per_sample_loop(self, make):
+        p = make()
+        spectra, vectors, steps = p._grid_pass()
+        ref_spectra, ref_vectors, ref_steps = grid_pass_loop(p)
+        np.testing.assert_array_equal(spectra, ref_spectra)
+        np.testing.assert_array_equal(vectors, ref_vectors)
+        np.testing.assert_array_equal(steps, ref_steps)
+
+    def test_decompose_sees_only_the_distinct_samples(self, monkeypatch):
+        # a tower fiber is constant on [-2.5, -1] and on [1, 2.5]: 13 samples
+        # each, so 24 of its 41 samples repeat the one before them
+        p = tower_fiber(32)
+        rows = count_rows(monkeypatch)
+        p._grid_pass()
+        assert rows["decompose"] == 17
+        # a repeat's step is 0.0 without an eigvalsh
+        assert rows["eigvalsh"] == 16
+
+    def test_a_signed_zero_is_not_a_repeat(self, monkeypatch):
+        # the samples at t = 1 and t = 2 differ from the one at t = 0 only in
+        # the sign of the imaginary part of entry (0, 1), which is zero (a
+        # real part of -0.0 would not survive the hermitisation)
+        def sampler(ts):
+            s = np.tile(np.diag([1.0, 2.0]).astype(np.complex128), (ts.size, 1, 1))
+            s[ts > 0.0, 0, 1] = complex(0.0, -0.0)
+            return s
+
+        p = PotentialPath(2, [0.0, 1.0, 2.0], sampler)
+        s = p.samples(p.grid)
+        assert np.signbit(s[1:, 0, 1].imag).all() and not np.signbit(s[0, 0, 1].imag)
+        assert np.array_equal(s[0], s[1])
+        np.testing.assert_array_equal(opcore._repeats(s), [False, False, True])
+        rows = count_rows(monkeypatch)
+        p._grid_pass()
+        assert rows["decompose"] == 2
+
+    def test_certificate_failure_on_a_repeat_names_the_first_t_of_its_run(
+            self, monkeypatch):
+        # two samples per chunk; the dense sample repeats on t = 0.375 ...
+        # 0.75, a run that starts inside a chunk and crosses two seams, and
+        # is the only sample that does not decompose exactly
+        monkeypatch.setattr(specflow, "_CHUNK_BYTES", 2 * 16 * 16 ** 2)
+        rng = np.random.default_rng(0)
+        a = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        dense = a + a.conj().T
+        p = PotentialPath(16, np.linspace(0, 1, 9), lambda ts: np.stack([
+            dense if 0.375 <= t <= 0.75 else np.diag(np.arange(1.0, 17.0) + t)
+            for t in ts.tolist()]))
+        monkeypatch.setattr(opcore, "_EIG_TOL", 1e-300)
+        with pytest.raises(InvalidInput, match=r"at t=0\.375 exceed eig_tol"):
             p._grid_pass()
 
     @settings(max_examples=60, deadline=None, derandomize=True, database=None)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from diracflow import dirac1d, opcore
+from diracflow import callias, dirac1d, opcore
 from diracflow.callias import tower_family, tower_scenario
 from diracflow.dirac1d import GridSpec, assemble, index_report
 from diracflow.errors import AmbiguousRank
@@ -314,6 +314,55 @@ class TestCallCounts:
         calls = counting(monkeypatch, "qr")
         assert dirac1d._transfer_kernel(op)[0] == dim_ker
         assert calls["qr"] <= n / 4
+
+
+def transfer_kernel_loop(op):
+    """`dirac1d._transfer_kernel` with every cell solved, repeats included:
+    (dim ker, gap ratio)."""
+    left, right = op.left_basis, op.right_basis
+    if left.shape[1] == 0:
+        return 0, float("inf")
+    steps = np.linalg.solve(op.cell_b, -op.cell_a)
+    s = np.linalg.svd(steps, compute_uv=False)
+    steps /= np.where(s[:, 0] > 0.0, s[:, 0], 1.0)[:, None, None]
+    conds = np.divide(s[:, 0], s[:, -1], out=np.full(s.shape[0], np.inf),
+                      where=s[:, -1] > 0.0)
+    cap = opcore._SVD_GAP_CAP
+    limit = 1e-3 * cap / np.finfo(float).eps
+    q, growth = left, 1.0
+    for step, cond in zip(steps, conds):
+        if growth > 1.0 and growth * cond > limit:
+            q, growth = np.linalg.qr(q)[0], 1.0
+        q, growth = step @ q, growth * cond
+    q = np.linalg.qr(q)[0]
+    cos = np.linalg.svd(q - right @ (right.conj().T @ q), compute_uv=False)
+    rank = int(np.sum(cos >= cap))
+    zero_max = float(cos[rank]) if rank < cos.size else 0.0
+    ratio = float(cos[rank - 1]) / zero_max if rank and zero_max > 0.0 else float("inf")
+    return left.shape[1] - rank, ratio
+
+
+class TestRepeatedCells:
+    @pytest.mark.parametrize("fiber", [0, 1])
+    def test_tower_fiber_solves_only_its_distinct_cells(self, monkeypatch, fiber):
+        path = tower_family(tower_scenario(3, (16,), n_fibers=2), 16)[fiber]
+        op = assemble(path, callias._TOWER_GRID, "aps")
+        expected = transfer_kernel_loop(op)
+        # the fiber is constant for t <= -1 and for t >= 1, so only the
+        # cells with a midpoint in (-1, 1) and the first cell on either
+        # side differ from the cell before them
+        distinct = int(np.sum(np.abs(callias._TOWER_GRID.midpoints()) < 1.0)) + 2
+        assert distinct < callias._TOWER_GRID.n_cells / 4
+        solved = []
+        solve = np.linalg.solve
+
+        def counted(a, b):
+            solved.append(a.shape[0])
+            return solve(a, b)
+
+        monkeypatch.setattr(np.linalg, "solve", counted)
+        assert dirac1d._transfer_kernel(op) == expected
+        assert solved == [distinct]
 
 
 class TestGrowthBoundedTransfer:
