@@ -23,11 +23,11 @@ Two discretizations serve two distinct purposes:
   That count of exact kernel vectors is accepted only when Sturm counts of
   D's singular values confirm that exactly the implied number lies below
   the cut _SVD_GAP_CAP * sigma_max.  The counts come from odd-even
-  reduction of the block tridiagonal DD* - tau^2, one batched eigh per
-  round, so O(log n_cells) numpy calls per level.  Their rounding is about
-  eps * sigma_max^2, so they decide only cuts whose square lies a
-  thousandfold above that (_LEVEL_FLOOR); a cut below it goes to the dense
-  SVD.
+  reduction of the block tridiagonal DD* - tau^2, one batched Cholesky
+  factorisation per round (eigh where it fails), so O(log n_cells) numpy
+  calls per level.  Their rounding is about eps * sigma_max^2, so they
+  decide only cuts whose square lies a thousandfold above that
+  (_LEVEL_FLOOR); a cut below it goes to the dense SVD.
   A singular value that is tiny but not zero (tunnelling between two
   nearby crossings) lies below that cut while the exact kernel misses it;
   then, or when some B_j is singular, the dense SVD decides, as it always
@@ -371,7 +371,8 @@ def _transfer_kernel(op):
     cap = opcore._SVD_GAP_CAP
     limit = 1e-3 * cap / np.finfo(float).eps
     q, growth = left, 1.0
-    for j in np.cumsum(new) - 1:
+    steps, conds = list(steps), conds.tolist()
+    for j in (np.cumsum(new) - 1).tolist():
         step, cond = steps[j], conds[j]
         # growth 1 means q is orthonormal up to scale: nothing to restore
         if growth > 1.0 and growth * cond > limit:
@@ -428,6 +429,25 @@ def _sigma_max_bracket(gram, coupling):
         return math.sqrt(lo2), math.sqrt(float(row.max(initial=0.0)))
 
 
+def _inverse_cholesky(pivots):
+    """L^{-1} for the batched Cholesky factor P = L L* of ``pivots``, or
+    None when one of them is not numerically positive definite (the
+    factorisation raises or comes out non-finite)."""
+    try:
+        factor = np.linalg.cholesky(pivots)
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.inv(factor) if np.isfinite(factor).all() else None
+
+
+def _negative_pivots(w, pivmin):
+    """Number of pivot eigenvalues ``w`` below pivmin, which the clamp to
+    -pivmin makes negative; LinAlgError when one is not finite."""
+    if not np.isfinite(w).all():
+        raise np.linalg.LinAlgError("Sturm pivots out of floating-point range")
+    return int(np.sum(w < pivmin))
+
+
 def _sturm_counts(gram, coupling, levels, scale):
     """Number of eigenvalues of the block tridiagonal DD* (blocks from
     ``_dd_star``) below tau^2 for each tau in ``levels`` (all > 0).
@@ -441,21 +461,36 @@ def _sturm_counts(gram, coupling, levels, scale):
     matrix is a congruence, so by Sylvester's law nu is the count over the
     eliminated pivots plus that of the Schur complement, which is again
     block tridiagonal.  Each round eliminates the blocks 0, 2, 4, ... of T
-    with one batched eigh P = U diag(w) U* and applies each pivot inverse
-    as x = U* F and x / w to the couplings F of its two neighbours.  The
-    kept blocks 1, 3, 5, ... and their new couplings form the next T.  With
-    an even block count the last block is kept with no pivot to its right,
-    which is what padding with a decoupled -1 block would give after
-    subtracting that block's k negative eigenvalues.  One block is left at
-    the end, and its eigenvalues are counted directly.
+    and applies each pivot inverse P^{-1} to the couplings F of its two
+    neighbours.  The kept blocks 1, 3, 5, ... and their new couplings form
+    the next T.  With an even block count the last block is kept with no
+    pivot to its right, which is what padding with a decoupled -1 block
+    would give after subtracting that block's k negative eigenvalues.  One
+    block is left at the end, and its eigenvalues are counted directly.
+
+    A round takes its pivots' inertia from one batched Cholesky
+    factorisation P = L L*.  If it succeeds with finite factors, no pivot
+    is negative, and P^{-1} F is L^{-*} (L^{-1} F).  Otherwise the round
+    takes one batched eigh P = U diag(w) U* and applies U* F and x / w.  A
+    pivot eigenvalue of modulus below pivmin is then set to -pivmin and
+    counts as negative, as in LAPACK's bisection (dstebz); a non-finite
+    one raises LinAlgError.  As in dstebz, pivmin is the smallest normal
+    number times the square of the largest entry, which for the positive
+    semidefinite DD* is ``scale``.  The two rules differ only within
+    rounding: a Cholesky factorisation that succeeds in floating point is
+    the exact one of some P + E with ||E|| <= c k eps ||P|| (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., section
+    10.1), and eigh's eigenvalues carry errors of the same order, so the
+    two can disagree only on a pivot eigenvalue within that band of zero.
+    As scale^2 is finite, pivmin < 1.5e-154 * scale, far inside the
+    rounding of about eps * scale that every pivot carries from DD*
+    itself, so the clamp decides no pivot that the factorisation would
+    decide otherwise.
 
     The levels are reduced one after another, each on its own copy of
     DD* - tau^2 updated in place, so memory stays at a few copies of the
-    blocks.  A pivot eigenvalue of modulus below pivmin is set to -pivmin
-    and counts as negative, as in LAPACK's bisection (dstebz).  As there,
-    pivmin is the smallest normal number times the square of the largest
-    entry, which for the positive semidefinite DD* is ``scale``.  When that
-    square is not finite, LinAlgError is raised.
+    blocks.  When the square of ``scale`` is not finite, LinAlgError is
+    raised.
     """
     if not scale * scale < np.inf:
         raise np.linalg.LinAlgError("Sturm pivots out of floating-point range")
@@ -466,22 +501,31 @@ def _sturm_counts(gram, coupling, levels, scale):
         diag, upper = gram - tau * tau * np.eye(k), coupling
         negative = 0
         while diag.shape[0] > 1:
-            w, u = np.linalg.eigh(diag[0::2])
-            w = np.where(np.abs(w) < pivmin, -pivmin, w)
-            negative += int(np.sum(w < 0.0))
             # pivot 2i meets block 2i + 1 through upper[2i] and, for i > 0,
             # block 2i - 1 through upper[2i - 1]*; with an even count the
             # last block is kept and has no right pivot
             kept, to_right, to_left = diag[1::2], upper[0::2], upper[1::2]
-            x = u[:len(to_right)].conj().swapaxes(1, 2) @ to_right
-            z = to_left @ u[1:len(to_left) + 1]
-            y = x / w[:len(to_right), :, None]
-            v = z / w[1:len(to_left) + 1, None, :]
+            right, left = len(to_right), len(to_left)
+            inv = _inverse_cholesky(diag[0::2])
+            if inv is not None:
+                # P^{-1} = L^{-*} L^{-1}: x = L^{-1} F, z = G L^{-*}
+                x = y = inv[:right] @ to_right
+                z = v = to_left @ inv[1:left + 1].conj().swapaxes(1, 2)
+            else:
+                w, u = np.linalg.eigh(diag[0::2])
+                negative += _negative_pivots(w, pivmin)
+                w = np.where(np.abs(w) < pivmin, -pivmin, w)
+                x = u[:right].conj().swapaxes(1, 2) @ to_right
+                z = to_left @ u[1:left + 1]
+                y = x / w[:right, :, None]
+                v = z / w[1:left + 1, None, :]
             kept -= x.conj().swapaxes(1, 2) @ y
-            kept[:len(to_left)] -= v @ z.conj().swapaxes(1, 2)
-            diag, upper = kept, -v[:len(kept) - 1] @ x[1:]
-        # the last block's eigenvalues, a clamped one counting as negative
-        negative += int(np.sum(np.linalg.eigvalsh(diag[0]) < pivmin))
+            kept[:left] -= v @ z.conj().swapaxes(1, 2)
+            # the new couplings are -v x; the sign is dropped, because
+            # negating every coupling is a similarity by diag(1, -1, 1, ...),
+            # and it cancels exactly in every later update
+            diag, upper = kept, v[:len(kept) - 1] @ x[1:]
+        negative += _negative_pivots(np.linalg.eigvalsh(diag[0]), pivmin)
         counts.append(negative)
     return np.array(counts)
 

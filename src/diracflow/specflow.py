@@ -529,29 +529,36 @@ def sf_crossings(path: PotentialPath):
 # ---------------------------------------------------------------------------
 # Partition route.
 
-def _gap_level(eigs: np.ndarray, min_width: float) -> Tuple[Optional[float], float]:
-    """(level, score): the midpoint of the widest spectral gap near zero in
-    a pooled spectrum, and its score.
+def _gap_levels(pooled: np.ndarray, min_width) -> Tuple[np.ndarray, np.ndarray]:
+    """(levels, scores), one per row of ``pooled``: the midpoint of the
+    widest spectral gap near zero in that pooled spectrum, padded with +inf
+    to the common row length, and its score.
 
-    Candidate gaps are the spaces between consecutive pooled eigenvalues of
-    width >= min_width; among them the score width/(1 + mid^2) prefers wide
-    gaps close to zero, and the lowest of equal best scores wins.  Returns
-    (None, 0.0) when no candidate has a positive score.
+    Candidate gaps are the spaces between consecutive finite eigenvalues of
+    a row of width >= min_width (a scalar, or one value per row); among
+    them the score width/(1 + mid^2) prefers wide gaps close to zero, and
+    the lowest of equal best scores wins.  A row where no candidate has a
+    positive score has level nan and score 0.0.
     """
-    vals = np.sort(eigs)
-    width = vals[1:] - vals[:-1]
-    mid = 0.5 * (vals[:-1] + vals[1:])
-    score = np.where(width >= min_width, width / (1.0 + mid * mid), 0.0)
-    if not score.size or score.max() <= 0.0:
-        return None, 0.0
+    vals = np.sort(pooled, axis=1)
+    # a gap that reaches the padding has an infinite midpoint and is no
+    # candidate; inf - inf and inf / inf are nan there, and masked out
+    with np.errstate(invalid="ignore"):
+        width = vals[:, 1:] - vals[:, :-1]
+        mid = 0.5 * (vals[:, :-1] + vals[:, 1:])
+        score = np.where(np.isfinite(mid) & (width >= np.reshape(min_width, (-1, 1))),
+                         width / (1.0 + mid * mid), 0.0)
     # argmax takes the first maximum
-    best = int(score.argmax())
-    return float(mid[best]), float(score[best])
+    best = score.argmax(axis=1)[:, None]
+    level = np.take_along_axis(mid, best, axis=1)[:, 0]
+    top = np.take_along_axis(score, best, axis=1)[:, 0]
+    return np.where(top > 0.0, level, np.nan), top
 
 
-def _piece_level(spectra, steps) -> float:
-    """Gap level for one partition piece, valid at every sample AND safe
-    against motion between samples.
+def _piece_levels(spectra, steps, starts, ends) -> np.ndarray:
+    """Gap level of each partition piece, the samples starts[j] to ends[j]
+    (both included), valid at every sample of the piece AND safe against
+    motion between samples.
 
     A pooled-spectrum gap is only trustworthy if no eigenvalue branch can
     jump across it between consecutive samples; by Weyl's inequality the
@@ -559,52 +566,66 @@ def _piece_level(spectra, steps) -> float:
     wider than the largest step in the piece.  Two sentinel levels beyond
     the pooled spectrum (which no branch can reach) act as fallbacks, with
     a low score so interior gaps near zero win whenever they exist; so
-    every piece has a level.
+    every piece has a level.  All pieces go through one `_gap_levels`
+    call, their pooled spectra padded with +inf to the longest.
     """
-    pooled = np.concatenate(spectra)
-    max_step = float(max(steps)) if len(steps) else 0.0
+    span = np.arange(int((ends - starts).max()) + 1)
+    at = starts[:, None] + span
+    inside = at <= ends[:, None]
+    # clipped to its piece, a row repeats the piece's last sample and step,
+    # which moves no minimum or maximum
+    pieces = spectra[np.minimum(at, ends[:, None])]
+    max_step = steps[np.minimum(at[:, :-1], ends[:, None] - 1)].max(axis=1)
+    pooled = np.where(inside[:, :, None], pieces, np.inf).reshape(len(starts), -1)
     min_width = 1.5 * max_step + 4.0 * opcore._PROJ_GAP_TOL
-    best, best_score = _gap_level(pooled, min_width)
+    level, score = _gap_levels(pooled, min_width)
     pad = max_step + 1.0
-    for mid in (float(pooled.min()) - pad, float(pooled.max()) + pad):
-        score = float(min_width / (1.0 + mid * mid)) * 1e-6
-        if best is None or score > best_score:
-            best, best_score = mid, score
-    return best
+    for mid in (pieces.min(axis=(1, 2)) - pad, pieces.max(axis=(1, 2)) + pad):
+        sentinel = min_width / (1.0 + mid * mid) * 1e-6
+        take = np.isnan(level) | (sentinel > score)
+        level, score = np.where(take, mid, level), np.where(take, sentinel, score)
+    return level
 
 
-def _junction(path: PotentialPath, spectra, i: int, a0: float, a1: float) -> int:
+def _junction_counts(path: PotentialPath, spectra, at, a0, a1) -> np.ndarray:
     """ind(S(t_i), -a0*1, -a1*1) = #{w > a1} - #{w > a0} over the spectrum
-    w of S(t_i); NotInvertible names t_i when an eigenvalue lies within
-    opcore._PROJ_GAP_TOL of a1 (checked first) or of a0."""
-    w, gap_tol = spectra[i], opcore._PROJ_GAP_TOL
-    for a in (a1, a0):
-        near = np.abs(w - a)
-        if float(near.min()) < gap_tol:
-            raise NotInvertible(
-                f"S(t={path.grid[i]:g}) - {a:g}: eigenvalue {w[near.argmin()] - a:.3e} "
-                f"inside gap (+-{gap_tol:.1e})")
-    return int(np.count_nonzero(w > a1)) - int(np.count_nonzero(w > a0))
+    w of S(t_i), for each i, a0, a1 of the equal-length arrays ``at``,
+    ``a0`` and ``a1``.  NotInvertible names the first t_i, in the order of
+    ``at``, with an eigenvalue within opcore._PROJ_GAP_TOL of a1 (checked
+    first) or of a0."""
+    w, gap_tol = spectra[at], opcore._PROJ_GAP_TOL
+    shifts = np.stack([a1, a0], axis=1)
+    offsets = w[:, None, :] - shifts[:, :, None]
+    near = np.abs(offsets).min(axis=2) < gap_tol
+    if near.any():
+        j, side = divmod(int(near.argmax()), 2)
+        a, off = shifts[j, side], offsets[j, side]
+        raise NotInvertible(
+            f"S(t={path.grid[at[j]]:g}) - {a:g}: eigenvalue {off[np.abs(off).argmin()]:.3e} "
+            f"inside gap (+-{gap_tol:.1e})")
+    above = np.count_nonzero(w[:, None, :] > shifts[:, :, None], axis=2)
+    return above[:, 0] - above[:, 1]
 
 
 def _partition(path, spectra, steps, n_chunks=6):
-    def compute(chunks):
-        pieces = [(i0, i1, _piece_level(spectra[i0:i1 + 1], steps[i0:i1]))
-                  for (i0, i1) in chunks]
-        # level 0 (B = 0) before the first piece and after the last one
-        levels = [0.0] + [a for (_, _, a) in pieces] + [0.0]
-        junctions = [i0 for (i0, _, _) in pieces] + [pieces[-1][1]]
-        return sum(_junction(path, spectra, i, a0, a1)
-                   for i, a0, a1 in zip(junctions, levels, levels[1:]))
-
+    """The partition flow on n_chunks pieces, checked against the one on
+    2 * n_chunks pieces: the levels of all pieces of both partitions in
+    one `_piece_levels` call and all their junction counts in one
+    `_junction_counts` call."""
     n = path.grid.size - 1
-
-    def chunking(m):
-        bounds = np.unique(np.linspace(0, n, min(m, n) + 1).astype(int))
-        return list(zip(bounds[:-1], bounds[1:]))
-
-    value = compute(chunking(n_chunks))
-    refined_value = compute(chunking(2 * n_chunks))
+    bounds = [np.unique(np.linspace(0, n, min(m, n) + 1).astype(int))
+              for m in (n_chunks, 2 * n_chunks)]
+    levels = _piece_levels(spectra, steps, np.concatenate([b[:-1] for b in bounds]),
+                           np.concatenate([b[1:] for b in bounds]))
+    # junction j of a partition lies at its bounds[j], between the levels of
+    # pieces j - 1 and j, with level 0 (B = 0) before the first piece and
+    # after the last one
+    shifts = [np.concatenate([[0.0], piece, [0.0]])
+              for piece in np.split(levels, [bounds[0].size - 1])]
+    counts = _junction_counts(path, spectra, np.concatenate(bounds),
+                              np.concatenate([s[:-1] for s in shifts]),
+                              np.concatenate([s[1:] for s in shifts]))
+    value, refined_value = (int(c.sum()) for c in np.split(counts, [bounds[0].size]))
     if refined_value != value:
         raise TheoremViolation(
             f"partition spectral flow changed under refinement: "
@@ -626,6 +647,8 @@ def sf_partition(path: PotentialPath, n_chunks: int = 6) -> int:
     beyond the chunk's pooled spectrum.  The result is recomputed on a
     refined partition and must agree exactly.
     """
+    if n_chunks < 1:
+        raise InvalidInput(f"n_chunks must be at least 1, got {n_chunks}")
     spectra, _, steps = _route_pass(path)
     return _partition(path, spectra, steps, n_chunks)
 
@@ -758,8 +781,8 @@ def random_smooth_path(seed, k, span=(0.0, 1.0), n_samples=64) -> PotentialPath:
 
     def end_shift(mat):
         w = np.linalg.eigvalsh(mat)
-        lvl, _ = _gap_level(np.concatenate([w, [w.min() - 2.0, w.max() + 2.0]]), 0.1)
-        return 0.0 if lvl is None else lvl
+        levels, _ = _gap_levels(np.concatenate([w, [w.min() - 2.0, w.max() + 2.0]])[None], 0.1)
+        return 0.0 if np.isnan(levels[0]) else float(levels[0])
 
     c0, c1 = (end_shift(mat) for mat in raw(np.array([lo, hi])))
 

@@ -18,7 +18,8 @@ import numpy as np
 from diracflow.dirac1d import _piece_slopes
 from diracflow.opcore import as_matrix
 from diracflow.scenarios import invertible_matrix
-from diracflow.specflow import _gap_level, _trig_coeff_matrices
+from diracflow.specflow import _trig_coeff_matrices
+from partition_loops import gap_level
 
 
 class ScalarPath:
@@ -112,8 +113,8 @@ def random_smooth_path(seed, k, span=(0.0, 1.0), n_samples=64,
 
     def end_shift(mat):
         w = np.linalg.eigvalsh(mat)
-        lvl, _ = _gap_level(np.concatenate([w, [w.min() - 2.0, w.max() + 2.0]]),
-                            2.0 * min_end_gap)
+        lvl, _ = gap_level(np.concatenate([w, [w.min() - 2.0, w.max() + 2.0]]),
+                           2.0 * min_end_gap)
         return 0.0 if lvl is None else lvl
 
     c0 = end_shift(raw(lo))

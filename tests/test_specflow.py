@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,6 +11,7 @@ from diracflow.errors import (
     InvalidInput,
     NotInvertible,
     RefineGrid,
+    TheoremViolation,
 )
 from diracflow.opcore import (
     eigh,
@@ -31,11 +34,12 @@ from diracflow.specflow import (
     sf_crossings,
     sf_partition,
 )
+from partition_loops import chunking, junction, partition, piece_levels
 
 
 def gap_level_loop(eigs, min_width):
-    """`specflow._gap_level` one gap at a time: the first gap with the
-    highest positive score wins."""
+    """One row of `specflow._gap_levels`, one gap at a time: the first gap
+    with the highest positive score wins."""
     vals = np.sort(eigs)
     best, best_score = None, 0.0
     for lo, hi in zip(vals, vals[1:]):
@@ -236,26 +240,62 @@ class TestGridPass:
         # ind(S, -a0*1, -a1*1) = rel-ind(P_+(S - a1), P_+(S - a0))
         expected = rel_index(positive_projection(s - a1 * eye),
                              positive_projection(s - a0 * eye))
-        assert specflow._junction(p, spectra, 0, a0, a1) == expected
+        assert list(specflow._junction_counts(p, spectra, np.array([0]), np.array([a0]),
+                                              np.array([a1]))) == [expected]
 
     @settings(max_examples=300, deadline=None, derandomize=True, database=None)
-    @given(eigs=st.lists(st.one_of(st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0]),
-                                   st.floats(-1e3, 1e3)), max_size=10),
+    @given(rows=st.lists(st.lists(st.one_of(
+               st.sampled_from([-1.0, -0.5, 0.0, 0.25, 0.5, 1.0, 2.0]),
+               st.floats(-1e3, 1e3)), max_size=10), min_size=1, max_size=4),
            min_width=st.sampled_from([0.0, 1e-9, 0.1, 0.5, 1.0, 3.0]))
-    def test_gap_level_equals_the_loop_over_gaps(self, eigs, min_width):
+    def test_gap_level_equals_the_loop_over_gaps(self, rows, min_width):
         # tied levels give equal widths and mirrored midpoints, so equal
-        # scores: the first of them must win, as in the loop
-        assert specflow._gap_level(np.array(eigs), min_width) == \
-            gap_level_loop(np.array(eigs), min_width)
+        # scores: the first of them must win, as in the loop; the rows are
+        # padded with +inf to the longest (at least two), which must not
+        # add a gap
+        pooled = np.full((len(rows), max(2, *map(len, rows))), np.inf)
+        for row, eigs in zip(pooled, rows):
+            row[:len(eigs)] = eigs
+        levels, scores = specflow._gap_levels(pooled, min_width)
+        for eigs, level, score in zip(rows, levels, scores):
+            best, best_score = gap_level_loop(np.array(eigs), min_width)
+            if best is None:
+                assert np.isnan(level) and score == 0.0
+            else:
+                assert (level, score) == (best, best_score)
 
     def test_junction_inside_gap_is_not_invertible(self):
         p = constant_path(np.diag([1.0, -1.0]))
         spectra, _ = p._grid_spectra()
+
+        def counts(a0, a1):
+            return specflow._junction_counts(p, spectra, np.array([0]), np.array([a0]),
+                                             np.array([a1]))
+
         # a1 is checked before a0
         with pytest.raises(NotInvertible, match=r"t=0\) - -1: eigenvalue"):
-            specflow._junction(p, spectra, 0, 1.0 + 1e-9, -1.0 - 1e-9)
+            counts(1.0 + 1e-9, -1.0 - 1e-9)
         with pytest.raises(NotInvertible, match=r"t=0\) - 1: eigenvalue"):
-            specflow._junction(p, spectra, 0, 1.0 + 1e-9, 0.0)
+            counts(1.0 + 1e-9, 0.0)
+
+    def test_first_junction_inside_a_gap_is_named_as_by_the_loop(self):
+        # junctions 1 and 3 both fail, each on a0 and on a1; the first
+        # junction in order is named, with its a1, as the loop names it
+        p = random_smooth_path(7, 3, n_samples=17)
+        spectra, _ = p._grid_spectra()
+        at = np.array([0, 4, 8, 12, 16])
+        a0 = np.array([0.0, spectra[4, 1] + 1e-11, 5.0, spectra[12, 0], -9.0])
+        a1 = np.array([5.0, spectra[4, 2] - 1e-11, -9.0, spectra[12, 2], 0.0])
+        for i, lo, hi in zip(at.tolist(), a0.tolist(), a1.tolist()):
+            try:
+                junction(p, spectra, i, lo, hi)
+            except NotInvertible as exc:
+                expected = str(exc)
+                break
+        assert f"S(t={p.grid[4]:g}) - {a1[1]:g}: eigenvalue 1.000e-11" in expected
+        with pytest.raises(NotInvertible) as got:
+            specflow._junction_counts(p, spectra, at, a0, a1)
+        assert str(got.value) == expected
 
 
 class TestCrossings:
@@ -339,6 +379,49 @@ class TestPartition:
     def test_refinement_invariance_explicit(self):
         p = random_smooth_path(4, 4)
         assert sf_partition(p, n_chunks=3) == sf_partition(p, n_chunks=11)
+
+    @pytest.mark.parametrize("n_chunks", [0, -2])
+    def test_fewer_than_one_chunk_is_invalid(self, n_chunks):
+        with pytest.raises(InvalidInput, match=f"n_chunks must be at least 1, got {n_chunks}"):
+            sf_partition(linear_scalar_path(), n_chunks=n_chunks)
+
+    @pytest.mark.parametrize("make", [
+        *(pytest.param(lambda seed=seed, n=n: random_smooth_path(seed, 1 + seed % 5, n_samples=n),
+                       id=f"random-{seed}-{n}")
+          for seed in range(6) for n in (17, 24, 40, 65)),
+        # long runs of repeated samples: steps of 0.0 and equal spectra
+        pytest.param(lambda: tower_fiber(16), id="tower-fiber-16"),
+    ])
+    def test_levels_and_flow_equal_the_loop_over_pieces(self, make):
+        p = make()
+        spectra, steps = p._grid_spectra()
+        for n_chunks in (3, 6, 11, 12):
+            chunks = np.array(chunking(p, n_chunks))
+            levels = specflow._piece_levels(spectra, steps, chunks[:, 0], chunks[:, 1])
+            expected = np.array(piece_levels(spectra, steps, chunks.tolist()))
+            assert levels.tobytes() == expected.tobytes()
+            try:
+                flow = partition(p, spectra, steps, n_chunks)
+            except TheoremViolation as exc:
+                with pytest.raises(TheoremViolation, match=re.escape(str(exc))):
+                    specflow._partition(p, spectra, steps, n_chunks)
+            else:
+                assert specflow._partition(p, spectra, steps, n_chunks) == flow
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_singular_end_names_the_same_t_and_level_as_the_loop(self, seed):
+        # an endpoint eigenvalue within opcore._PROJ_GAP_TOL of the level 0
+        # that closes the partition (the public route rejects it earlier)
+        p = random_smooth_path(seed, 3, n_samples=33)
+        spectra, steps = p._grid_spectra()
+        spectra = spectra.copy()
+        spectra[-1, 1] = 1e-13
+        with pytest.raises(NotInvertible) as loop:
+            partition(p, spectra, steps)
+        assert f"S(t={p.grid[-1]:g}) - 0: eigenvalue 1.000e-13" in str(loop.value)
+        with pytest.raises(NotInvertible) as got:
+            specflow._partition(p, spectra, steps)
+        assert str(got.value) == str(loop.value)
 
 
 class TestEndpointIdentity:

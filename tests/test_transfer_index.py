@@ -446,6 +446,94 @@ class TestCountFloor:
         assert rep.route == "svd" and (rep.dim_ker, rep.dim_coker) == (1, 0)
 
 
+def d_blocks(op):
+    """D's blocks in the form ``sweep_counts`` takes: (diag, upper)."""
+    return ([op.cell_a[0] @ op.left_basis, *op.cell_a[1:]],
+            [*op.cell_b[:-1], op.cell_b[-1] @ op.right_basis])
+
+
+def rounds_of(monkeypatch):
+    """Log the type of each reduction round of _sturm_counts: "cholesky"
+    when the batched factorisation gives the inertia, else "eigh"."""
+    rounds = []
+    inverse_cholesky = dirac1d._inverse_cholesky
+
+    def logged(pivots):
+        inv = inverse_cholesky(pivots)
+        rounds.append("eigh" if inv is None else "cholesky")
+        return inv
+
+    monkeypatch.setattr(dirac1d, "_inverse_cholesky", logged)
+    return rounds
+
+
+def n_rounds(blocks):
+    """Number of odd-even reduction rounds from ``blocks`` blocks to one."""
+    return max(0, int(blocks).bit_length() - 1)
+
+
+class TestPivotInertia:
+    """Each reduction round takes its pivots' inertia from one batched
+    Cholesky factorisation, and from eigh where that fails."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: assemble(tanh_path(), GridSpec(8.0, 160), "aps"),
+        lambda: assemble(ramp_path(7, 3, 1, 2), GridSpec(5.0, 60), "aps", 1.3),
+        lambda: assemble(tower_family(tower_scenario(3, (16,), n_fibers=2), 16)[1],
+                         GridSpec(9.0, 30), "aps"),
+    ])
+    def test_every_round_factorises_on_a_fibre(self, monkeypatch, make):
+        # at the route's own levels every pivot of DD* - tau^2 is positive
+        # definite here, so no eigh runs; the ramp's D is tall, and its one
+        # negative eigenvalue is counted in the last block
+        op = make()
+        gram, coupling = dd_star(op)
+        lo, hi = dirac1d._sigma_max_bracket(gram, coupling)
+        levels = [opcore._SVD_GAP_CAP * lo, opcore._SVD_GAP_CAP * hi]
+        rounds = rounds_of(monkeypatch)
+        calls = counting(monkeypatch, "eigh", "eigvalsh")
+        counts = dirac1d._sturm_counts(gram, coupling, levels, lo * lo)
+        assert rounds == ["cholesky"] * (2 * n_rounds(op.grid.n_cells))
+        assert calls == {"eigvalsh": 2}
+        rows, cols = op.shape
+        assert list(counts) == [max(0, rows - cols)] * 2
+        assert list(counts - max(0, rows - cols)) == list(sweep_counts(*d_blocks(op), levels))
+
+    @pytest.mark.parametrize("n", [2, 5, 8, 17])
+    @pytest.mark.parametrize("ends", [(2, 0), (0, 1), (2, 2)])
+    def test_indefinite_pivots_take_an_eigh_round(self, monkeypatch, n, ends):
+        # between the singular values DD* - tau^2 is indefinite, and on a
+        # tall D (rows > cols) it has the eigenvalue -tau^2; above sigma_max
+        # it is negative definite, and so is every pivot: each round is eigh
+        rng = np.random.default_rng(n)
+        diag, upper, dense = block_bidiagonal(rng, [2] * n, [ends[0]] + [2] * (n - 1) + [ends[1]])
+        s = np.sort(np.linalg.svd(dense, compute_uv=False))
+        rounds = rounds_of(monkeypatch)
+        for level in [*(0.5 * (s[:-1] + s[1:])), 2.0 * s[-1]]:
+            rounds.clear()
+            counts = sturm_counts(diag, upper, [level])
+            assert list(counts) == list(sweep_counts(diag, upper, [level]))
+            assert list(counts) == [int(np.sum(s < level))]
+        assert rounds == ["eigh"] * n_rounds(n)
+
+    def test_non_finite_blocks_raise_and_leave_the_route(self, monkeypatch):
+        # a nan coupling with a finite diagonal passes the scale test and the
+        # first round's factorisation, then fills the Schur complement: the
+        # second round falls back to eigh, whose pivots are not finite
+        op = assemble(tanh_path(), GridSpec(8.0, 160), "aps")
+        gram, coupling = dd_star(op)
+        coupling[5] = np.nan
+        lo, _ = dirac1d._sigma_max_bracket(gram, coupling)
+        assert math.isfinite(lo)
+        rounds = rounds_of(monkeypatch)
+        with pytest.raises(np.linalg.LinAlgError, match="Sturm pivots"):
+            dirac1d._sturm_counts(gram, coupling, [1e-5], lo * lo)
+        assert rounds == ["cholesky", "eigh"]
+        monkeypatch.setattr(dirac1d, "_dd_star", lambda *cells: (gram, coupling))
+        assert dirac1d._transfer_kernel(op)[0] == 1
+        assert dirac1d._transfer_dims(op) is None
+
+
 class TestSigmaMaxBracket:
     @pytest.mark.parametrize("k, seed", [(1, 0), (3, 1), (4, 2)])
     def test_brackets_sigma_max(self, k, seed):
