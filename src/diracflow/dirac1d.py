@@ -30,8 +30,10 @@ Two discretizations serve two distinct purposes:
   (_LEVEL_FLOOR); a cut below it goes to the dense SVD.
   A singular value that is tiny but not zero (tunnelling between two
   nearby crossings) lies below that cut while the exact kernel misses it;
-  then, or when some B_j is singular, the dense SVD decides, as it always
-  did.
+  then, or when the carry meets a singular B_j, the dense SVD decides, as
+  it always did, unless D would be too large to form (AmbiguousRank).
+  When P_-(S(+L)) is 0 or the identity, the endpoint bases alone give the
+  transfer kernel, and no carry runs.
 
 * Dirichlet assembly (quadratic-form bounds).  A square central-difference
   matrix on interior nodes with the potential sampled at nodes.  Its
@@ -50,6 +52,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import (
+    AmbiguousRank,
     HypothesisUnmet,
     InvalidInput,
     NotDiagonalizable,
@@ -356,12 +359,21 @@ def _transfer_kernel(op):
     below the cut opcore._SVD_GAP_CAP (g <= 4.5e6 at its value 1e-6).
     The singular values of (1 - R R*) Q_n are the cosines of the principal
     angles between Ran Q_n and Ran P_-(S(+L)), and those below
-    _SVD_GAP_CAP count as zero.  Raises LinAlgError when some B_j is singular
-    (lam * s * h / 2 = -1 for an eigenvalue s of S(m_j)).
+    _SVD_GAP_CAP count as zero.
+
+    Where the endpoint bases decide the answer, no carry runs, and the
+    result is the one the carry gives there: (0, inf) when L is empty or
+    Ran P_-(S(+L)) is all of C^k (R empty, every cosine is 1), and
+    (columns of L, inf) when Ran P_-(S(+L)) is 0 (R spans C^k, every
+    cosine is 0).  Only the carry raises LinAlgError: when some B_j is
+    singular (lam * s * h / 2 = -1 for an eigenvalue s of S(m_j)) or the
+    carried basis overflows.
     """
     left, right = op.left_basis, op.right_basis
-    if left.shape[1] == 0:
+    if left.shape[1] == 0 or right.shape[1] == 0:
         return 0, float("inf")
+    if right.shape[1] == op.k:
+        return left.shape[1], float("inf")
     new = ~(opcore._repeats(op.cell_a) & opcore._repeats(op.cell_b))
     steps = np.linalg.solve(op.cell_b[new], -op.cell_a[new])
     s = np.linalg.svd(steps, compute_uv=False)
@@ -432,7 +444,19 @@ def _sigma_max_bracket(gram, coupling):
 def _inverse_cholesky(pivots):
     """L^{-1} for the batched Cholesky factor P = L L* of ``pivots``, or
     None when one of them is not numerically positive definite (the
-    factorisation raises or comes out non-finite)."""
+    factorisation raises or comes out non-finite).
+
+    1 x 1 pivots take no LAPACK call: L is the root of the pivot's real
+    part p, so L^{-1} is 1 / sqrt(p), or None when some p is not > 0 or
+    its root is not finite.  LAPACK's zpotrf reads only the real part of a
+    diagonal entry and fails on a 1 x 1 block exactly when it is not > 0
+    (NaN included), so the two decide every pivot alike."""
+    if pivots.shape[1] == 1:
+        p = pivots.real
+        if not (p > 0.0).all():
+            return None
+        root = np.sqrt(p)
+        return 1.0 / root if np.isfinite(root).all() else None
     try:
         factor = np.linalg.cholesky(pivots)
     except np.linalg.LinAlgError:
@@ -485,7 +509,9 @@ def _sturm_counts(gram, coupling, levels, scale):
     As scale^2 is finite, pivmin < 1.5e-154 * scale, far inside the
     rounding of about eps * scale that every pivot carries from DD*
     itself, so the clamp decides no pivot that the factorisation would
-    decide otherwise.
+    decide otherwise.  At k = 1 the factor is the root of each pivot
+    (``_inverse_cholesky``), which takes the round exactly where zpotrf
+    would.
 
     The levels are reduced one after another, each on its own copy of
     DD* - tau^2 updated in place, so memory stays at a few copies of the
@@ -530,6 +556,34 @@ def _sturm_counts(gram, coupling, levels, scale):
     return np.array(counts)
 
 
+def _transfer_route(op):
+    """(dims, why): the dims of ``_transfer_dims``, or None and why the
+    route declined them, naming the transfer kernel's dim ker and the one
+    the Sturm counts imply, or the step that could not compute one."""
+    rows, cols = op.shape
+    gram, coupling = _dd_star(op.cell_a, op.cell_b, op.left_basis, op.right_basis)
+    lo, hi = _sigma_max_bracket(gram, coupling)
+    levels = (opcore._SVD_GAP_CAP * lo, opcore._SVD_GAP_CAP * hi)
+    if not levels[0] >= _LEVEL_FLOOR * hi:
+        return None, (f"the Sturm level {levels[0]:.3e} lies below the floor "
+                      f"{_LEVEL_FLOOR * hi:.3e}, so the route computed no dim ker")
+    try:
+        dim_ker, ratio = _transfer_kernel(op)
+    except np.linalg.LinAlgError as exc:
+        return None, f"the transfer kernel could not be computed ({exc})"
+    try:
+        counts = _sturm_counts(gram, coupling, levels, lo * lo)
+    except np.linalg.LinAlgError as exc:
+        return None, (f"the transfer kernel gives dim ker {dim_ker}, and the Sturm "
+                      f"counts could not be computed ({exc})")
+    dim_coker = rows - cols + dim_ker
+    if np.any(counts != dim_coker):
+        implied = " and ".join(str(int(c) - (rows - cols)) for c in counts)
+        return None, (f"the transfer kernel gives dim ker {dim_ker}, the Sturm counts "
+                      f"at {levels[0]:.3e} and {levels[1]:.3e} imply {implied}")
+    return (dim_ker, dim_coker, (), levels[1], ratio, levels[0], "transfer"), ""
+
+
 def _transfer_dims(op):
     """Index dimensions by the transfer route, or None when it cannot
     certify them.  The blocks of DD* are built once; they give the bracket
@@ -537,32 +591,35 @@ def _transfer_dims(op):
     the two levels opcore._SVD_GAP_CAP times lo and hi.  None when the
     lower level lies below the floor _LEVEL_FLOOR * hi where Sturm counts
     are reliable, when DD* or the square of its largest diagonal entry is
-    out of floating-point range, when some B_j is singular, or when a count
-    differs from dim coker, the number of DD*'s eigenvalues that the
-    transfer kernel implies are zero."""
-    rows, cols = op.shape
-    gram, coupling = _dd_star(op.cell_a, op.cell_b, op.left_basis, op.right_basis)
-    lo, hi = _sigma_max_bracket(gram, coupling)
-    levels = (opcore._SVD_GAP_CAP * lo, opcore._SVD_GAP_CAP * hi)
-    if not levels[0] >= _LEVEL_FLOOR * hi:
-        return None
-    try:
-        dim_ker, ratio = _transfer_kernel(op)
-        counts = _sturm_counts(gram, coupling, levels, lo * lo)
-    except np.linalg.LinAlgError:
-        return None
-    dim_coker = rows - cols + dim_ker
-    if np.any(counts != dim_coker):
-        return None
-    return dim_ker, dim_coker, (), levels[1], ratio, levels[0], "transfer"
+    out of floating-point range, when the transfer carry raises (some B_j
+    singular), or when a count differs from dim coker, the number of DD*'s
+    eigenvalues that the transfer kernel implies are zero.  Where the
+    endpoint bases decide the transfer kernel, no carry runs and no B_j is
+    inverted; the counts, which need no B_j inverted either, still certify
+    the result."""
+    return _transfer_route(op)[0]
+
+
+# The dense fallback is refused above this many bytes of its complex D:
+# about 8,200 x 8,200 entries.  A fibre of k = 80 on 292 cells would ask
+# numpy for 8.16 GiB, and its untyped MemoryError would end the run.
+_DENSE_BYTES = 1 << 30
 
 
 def _index_dims(op):
     """(dim_ker, dim_coker, sigma_kernel, sigma_next, gap_ratio, threshold,
-    route): the certified transfer route, else the dense SVD."""
-    fast = _transfer_dims(op)
+    route): the certified transfer route, else the dense SVD.  AmbiguousRank
+    when the dense D would pass _DENSE_BYTES; the message names the shape
+    and why the transfer route declined."""
+    fast, why = _transfer_route(op)
     if fast is not None:
         return fast
+    rows, cols = op.shape
+    if rows * cols * 16 > _DENSE_BYTES:
+        raise AmbiguousRank(
+            f"the dense fallback for D of shape {rows} x {cols} needs "
+            f"{rows * cols * 16 / 2**30:.3g} GiB, above {_DENSE_BYTES / 2**30:.3g} GiB; "
+            f"the transfer route declined: {why}")
     return _dims_from_svd(op.matrix) + ("svd",)
 
 
@@ -803,6 +860,11 @@ def fredholm_bounds(path: PotentialPath, lam: float,
     min(2, half the room between k_hat and the grid's end), so f^2 equals
     the level the bound requires on k_hat; without a compact region
     (k_hat None) f is zero.
+
+    The Dirichlet matrix is D = -iR with R = iD, and R is real whenever
+    every sample of S is: D's entries are -i lam S and +-i/(2h).  Both
+    squares are formed from R, so a real potential takes real arithmetic
+    and a complex one the same code in complex arithmetic.
     """
     if k_hat is None:
         k_hat = path.hull()
@@ -824,11 +886,12 @@ def fredholm_bounds(path: PotentialPath, lam: float,
         if ramp <= 0:
             raise InvalidInput("grid too short for a compactly supported cutoff")
         f_sq = (amplitude * quintic_plateau(nodes, k_hat[0], k_hat[1], ramp)) ** 2
-    op = assemble(path, grid, "dirichlet", lam)
-    d = op.matrix
+    r = 1j * assemble(path, grid, "dirichlet", lam).matrix
+    if not r.imag.any():
+        r = np.ascontiguousarray(r.real)
     f_sq = np.repeat(f_sq[1:-1], path.k)
-    m1 = d.conj().T @ d + np.diag(f_sq)
-    m2 = d @ d.conj().T + np.diag(f_sq)
+    m1 = r.conj().T @ r + np.diag(f_sq)
+    m2 = r @ r.conj().T + np.diag(f_sq)
     min_eig = float(min(np.linalg.eigvalsh(m1).min(), np.linalg.eigvalsh(m2).min()))
     passed = min_eig >= epsilon * (1.0 - _DISC_SLACK)
     return FredholmBoundReport(

@@ -607,14 +607,20 @@ def _junction_counts(path: PotentialPath, spectra, at, a0, a1) -> np.ndarray:
     return above[:, 0] - above[:, 1]
 
 
+def _chunk_bounds(n, m):
+    """Grid indices 0 = b_0 < ... < b_m' = n that cut n grid steps into
+    m' = min(m, n) pieces of near-equal length.  Strictly increasing,
+    because the step n / m' between the unrounded bounds is at least 1."""
+    return np.linspace(0, n, min(m, n) + 1).astype(int)
+
+
 def _partition(path, spectra, steps, n_chunks=6):
     """The partition flow on n_chunks pieces, checked against the one on
     2 * n_chunks pieces: the levels of all pieces of both partitions in
     one `_piece_levels` call and all their junction counts in one
     `_junction_counts` call."""
     n = path.grid.size - 1
-    bounds = [np.unique(np.linspace(0, n, min(m, n) + 1).astype(int))
-              for m in (n_chunks, 2 * n_chunks)]
+    bounds = [_chunk_bounds(n, m) for m in (n_chunks, 2 * n_chunks)]
     levels = _piece_levels(spectra, steps, np.concatenate([b[:-1] for b in bounds]),
                            np.concatenate([b[1:] for b in bounds]))
     # junction j of a partition lies at its bounds[j], between the levels of

@@ -40,8 +40,9 @@ def _splice(left: PotentialPath, right: PotentialPath, t_cut,
     if left.k != right.k:
         raise InvalidInput("fiber dims differ")
 
-    grid = np.unique(np.concatenate([
-        left.grid[left.grid < t_cut], [t_cut], right.grid[right.grid > t_cut]]))
+    # strictly increasing: both grids are, and t_cut lies between the halves
+    grid = np.concatenate([
+        left.grid[left.grid < t_cut], [t_cut], right.grid[right.grid > t_cut]])
     support = _merged_support(tuple(iv for iv in left.support if iv[0] < t_cut)
                               + tuple(iv for iv in right.support if iv[1] > t_cut))
     return PotentialPath(left.k, grid, lambda ts: _glued(ts < t_cut, left, ts, right, ts),

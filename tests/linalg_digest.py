@@ -6,26 +6,28 @@ replays the `all` config and, for each benchmark pool seed (all of
 `bench/workloads.POOL` by default, or the listed ones), the configs of
 every benchmark workload through `cli.parse_config` -> `cli.run`.  Every
 grid pass (`specflow.PotentialPath._grid_pass`), every Cayley transfer
-(`dirac1d._transfer_kernel`) and every Sturm count
-(`dirac1d._sturm_counts`) writes one tab-separated line to OUT:
+(`dirac1d._transfer_kernel`), every Sturm count (`dirac1d._sturm_counts`)
+and every lower-bound check (`dirac1d.fredholm_bounds`) writes one
+tab-separated line to OUT:
 
     config  layer  path-name  k  n  result
 
 where layer is "grid" (n grid samples; the result is the SHA-256 of the
 spectra, vectors and steps), "transfer" (n cells; the SHA-256 of dim ker
-and the gap ratio) or "sturm" (n blocks of DD*, k x k each, for the path
+and the gap ratio), "sturm" (n blocks of DD*, k x k each, for the path
 of the transfer before it; the result is the counts at the two levels,
-space-separated), and the result is "raise:<exception>" when the call
-raised.  The last line counts the lines of each layer.  Run it once on the
-parent commit and once on the change, each from its own checkout, then
-compare with
+space-separated) or "lower" (n is the shape m x m of the Dirichlet
+matrix; the result is min_eig and epsilon at %.12g, space-separated), and
+the result is "raise:<exception>" when the call raised.  The last line
+counts the lines of each layer.  Run it once on the parent commit and once
+on the change, each from its own checkout, then compare with
 
     diff OUT_PARENT OUT_CHANGE
 
-A change that claims bitwise-equal results in these layers leaves that
-diff empty.  The script is not a test module (pytest does not collect it),
-and it only reads `bench/workloads.py`.  One seed takes about 10 s on a
-2-vCPU host.
+A change that claims bitwise-equal results in these layers (the lower
+bounds to 12 digits) leaves that diff empty.  The script is not a test
+module (pytest does not collect it), and it only reads
+`bench/workloads.py`.  One seed takes about 10 s on a 2-vCPU host.
 """
 
 import argparse
@@ -55,6 +57,7 @@ def replay(out, seeds):
     grid_pass = specflow.PotentialPath._grid_pass
     transfer_kernel = dirac1d._transfer_kernel
     sturm_counts = dirac1d._sturm_counts
+    fredholm_bounds = dirac1d.fredholm_bounds
     lines, layers = [], Counter()
     label = ""
     # _transfer_dims runs the transfer kernel of a path before its counts
@@ -86,6 +89,13 @@ def replay(out, seeds):
                       lambda: sturm_counts(gram, coupling, levels, scale),
                       lambda counts: " ".join(map(str, counts.tolist())))
 
+    def lower(path, lam, grid=None, k_hat=None):
+        # the grid pass that resolves an automatic grid is cached on the path
+        m = (dirac1d._resolve_grid(grid, path).n_cells - 1) * path.k
+        return logged("lower", path.name, path.k, f"{m}x{m}",
+                      lambda: fredholm_bounds(path, lam, grid, k_hat),
+                      lambda rep: f"{rep.min_eig:.12g} {rep.epsilon:.12g}")
+
     runs = [("all", '{"scenario": "all"}')]
     for seed in seeds:
         for workload in WORKLOADS:
@@ -94,6 +104,7 @@ def replay(out, seeds):
     specflow.PotentialPath._grid_pass = grid
     dirac1d._transfer_kernel = transfer
     dirac1d._sturm_counts = sturm
+    dirac1d.fredholm_bounds = lower
     try:
         for label, text in runs:
             cli.run(cli.parse_config(text))
@@ -101,8 +112,9 @@ def replay(out, seeds):
         specflow.PotentialPath._grid_pass = grid_pass
         dirac1d._transfer_kernel = transfer_kernel
         dirac1d._sturm_counts = sturm_counts
+        dirac1d.fredholm_bounds = fredholm_bounds
     lines.append(f"# {layers['grid']} grid passes, {layers['transfer']} transfer kernels, "
-                 f"{layers['sturm']} Sturm counts")
+                 f"{layers['sturm']} Sturm counts, {layers['lower']} lower bounds")
     Path(out).write_text("\n".join(lines) + "\n")
     print(lines[-1])
 

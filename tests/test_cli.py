@@ -3,7 +3,11 @@ that keep their name and anchor when a check is skipped or fails."""
 
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
@@ -266,6 +270,22 @@ def test_cutpaste_pair_across_an_avoided_crossing_passes():
                           "seeds": {"base": 1718458259, "count": 1},
                           "params": {"pairs": 1, "k_max": 5}})
     assert [rec.outcome for rec in records] == ["true"] * len(records) and records
+
+
+def test_index_and_cutpaste_runs_do_not_import_numpy_ma():
+    # numpy.ma costs about 16 ms to import in a fresh process; np.unique is
+    # one function that imports it
+    code = ("import sys\n"
+            "from diracflow import cli\n"
+            "for name in ('index1d', 'cutpaste'):\n"
+            "    cli.run(cli.parse_config('{\"scenario\": \"%s\"}' % name))\n"
+            "print('numpy.ma' in sys.modules)\n")
+    src = str(Path(cli.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.split() == ["False"]
 
 
 def test_rerun_is_byte_identical(tmp_path):

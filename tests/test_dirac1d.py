@@ -285,6 +285,35 @@ class TestFredholmBounds:
         assert rep.f_amplitude ** 2 == pytest.approx(
             rep.epsilon + 0.5 * (3.0 ** 2 + rep.delta_k ** 2), rel=1e-15)
 
+    def test_real_potential_takes_real_arithmetic(self, monkeypatch):
+        # S = tanh(t) sz + 0.3 sech(t) sx is real; V S V* with a complex
+        # diagonal unitary V is not, and has the same lower bound
+        def real(ts):
+            out = np.zeros((ts.size, 2, 2), dtype=np.complex128)
+            out[:, 0, 0], out[:, 1, 1] = np.tanh(ts), -np.tanh(ts)
+            out[:, 0, 1] = out[:, 1, 0] = 0.3 / np.cosh(ts)
+            return out
+
+        path = PotentialPath(2, np.linspace(-8.0, 8.0, 161), real, support=((-1.0, 1.0),))
+        phase = np.diag([1.0, np.exp(0.7j)])
+        rotated = conjugated_path(path, lambda ts: np.broadcast_to(phase, (ts.size, 2, 2)))
+        dtypes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def logged(a):
+            dtypes.append(a.dtype)
+            return eigvalsh(a)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", logged)
+        grid = GridSpec(8.0, 160)
+        rep = fredholm_bounds(path, 3.0, grid=grid)
+        assert dtypes[-2:] == [np.float64] * 2
+        dtypes.clear()
+        ref = fredholm_bounds(rotated, 3.0, grid=grid)
+        assert dtypes[-2:] == [np.complex128] * 2
+        assert rep.min_eig == pytest.approx(ref.min_eig, rel=1e-12)
+        assert rep.epsilon == pytest.approx(ref.epsilon, rel=1e-12)
+
     def test_coupling_below_threshold(self):
         path, k_hat = engineered_threshold_path(alpha=0.4)
         with pytest.raises(HypothesisUnmet):

@@ -368,6 +368,15 @@ class TestPartition:
     def test_constant(self):
         assert sf_partition(constant_path(np.diag([2.0, -1.0]))) == 0
 
+    def test_chunk_bounds_strictly_increase(self):
+        # so they need no deduplication
+        for n in range(1, 201):
+            for m in range(1, 13):
+                bounds = specflow._chunk_bounds(n, m)
+                assert bounds[0] == 0 and bounds[-1] == n
+                assert bounds.size == min(m, n) + 1
+                assert np.all(np.diff(bounds) > 0)
+
     def test_scalar_linear(self):
         assert sf_partition(linear_scalar_path()) == 1
 

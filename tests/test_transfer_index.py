@@ -367,15 +367,18 @@ class TestRepeatedCells:
 
 class TestGrowthBoundedTransfer:
     def test_qr_after_every_cell_when_every_step_exceeds_the_limit(self, monkeypatch):
-        # S = diag(c, tanh 2t) with lam h c / 2 = 1 - 1e-8: every step damps
-        # e1 by 5e-9 and keeps e2, so cond(M_j) ~ 2e8 exceeds the limit
+        # S = diag(c, tanh 2t, -1) with lam h c / 2 = 1 - 1e-8: every step
+        # damps e1 by 5e-9 and keeps e2 and e3, so cond(M_j) ~ 2e8 exceeds
+        # the limit; the constant -1 keeps the right basis (e1, e2) neither
+        # empty nor all of C^3, so the carry runs
         grid = GridSpec(4.0, 40)
         c = 2.0 * (1.0 - 1e-8) / grid.h
-        path = PotentialPath(2, np.linspace(-4.0, 4.0, 81),
-                             lambda ts: np.stack([np.diag([c, math.tanh(2.0 * t)])
+        path = PotentialPath(3, np.linspace(-4.0, 4.0, 81),
+                             lambda ts: np.stack([np.diag([c, math.tanh(2.0 * t), -1.0])
                                                  for t in ts.tolist()]),
                              support=((-1.0, 1.0),))
         op = assemble(path, grid, "aps")
+        assert op.left_basis.shape[1] == op.right_basis.shape[1] == 2
         s = np.linalg.svd(np.linalg.solve(op.cell_b, -op.cell_a), compute_uv=False)
         assert np.all(s[:, 0] / s[:, -1] > 1e-3 * opcore._SVD_GAP_CAP / np.finfo(float).eps)
         calls = counting(monkeypatch, "qr")
@@ -577,3 +580,132 @@ def test_dense_matrix_is_block_bidiagonal():
     h = op.grid.h
     s_mid = path.sample(op.grid.midpoints()[3])
     np.testing.assert_array_equal(op.cell_a[3], (1j / h) * np.eye(2) - (0.5j * 1.1) * s_mid)
+
+
+def singular_cell_path():
+    """S(t) = 2t - 1.5, negative at -L and positive at +L.  On
+    GridSpec(2.0, 8) (h = 0.5) its midpoint -1.25 has S = -4, so
+    lam h S / 2 = -1 there and that cell's B_j is exactly 0."""
+    return PotentialPath(1, np.linspace(-2.0, 2.0, 41),
+                         lambda ts: (2.0 * ts - 1.5)[:, None, None],
+                         support=((0.0, 1.5),), name="singular-cell")
+
+
+class TestTrivialBases:
+    """Where Ran P_-(S(+L)) is 0 or all of C^k, the endpoint bases decide
+    the transfer kernel, and no carry runs."""
+
+    @pytest.mark.parametrize("make, right_cols, expected", [
+        (lambda: assemble(tanh_path(), GridSpec(8.0, 320), "aps"), 1, (1, math.inf)),
+        (lambda: assemble(tanh_path(), GridSpec(8.0, 640), "aps"), 1, (1, math.inf)),
+        (lambda: assemble(ramp_path(7, 3, 1, 0), GridSpec(5.0, 60), "aps", 1.3), 3,
+         (1, math.inf)),
+        (lambda: assemble(ramp_path(7, 3, 1, 3), GridSpec(5.0, 60), "aps", 1.3), 0,
+         (0, math.inf)),
+    ], ids=["tanh-320", "tanh-640", "ramp-full", "ramp-empty"])
+    def test_equals_the_carry_and_takes_no_solve_or_qr(self, monkeypatch, make,
+                                                       right_cols, expected):
+        op = make()
+        assert op.right_basis.shape[1] == right_cols
+        assert transfer_kernel_loop(op) == expected
+        calls = counting(monkeypatch, "solve", "qr")
+        assert dirac1d._transfer_kernel(op) == expected
+        assert not calls
+
+    def test_singular_cell_is_certified_by_the_counts(self):
+        op = assemble(singular_cell_path(), GridSpec(2.0, 8), "aps")
+        assert np.count_nonzero(op.cell_b[:, 0, 0] == 0.0) == 1
+        with pytest.raises(np.linalg.LinAlgError):
+            transfer_kernel_loop(op)
+        rep = index_report(op, refine_check=False)
+        assert rep.route == "transfer"
+        assert (rep.dim_ker, rep.dim_coker) == dirac1d._dims_from_svd(op.matrix)[:2] == (1, 0)
+
+
+class TestScalarPivots:
+    """1 x 1 pivots take their inverse root without LAPACK, and decide
+    every round as the batched Cholesky factorisation would."""
+
+    @pytest.mark.parametrize("make", [
+        lambda: assemble(tanh_path(), GridSpec(8.0, 320), "aps"),
+        lambda: assemble(tanh_path(), GridSpec(8.0, 640), "aps"),
+        lambda: assemble(chain_path(2, 1, n_intervals=3), GridSpec(8.0, 120), "aps", 1.7),
+    ], ids=["tanh-320", "tanh-640", "chain"])
+    def test_counts_match_the_sweep_without_cholesky_or_inv(self, monkeypatch, make):
+        op = make()
+        assert op.k == 1
+        gram, coupling = dd_star(op)
+        lo, hi = dirac1d._sigma_max_bracket(gram, coupling)
+        s = np.sort(np.linalg.svd(op.matrix, compute_uv=False))
+        # the route's levels, levels between the smallest singular values,
+        # and one above sigma_max, where every pivot is negative
+        levels = [opcore._SVD_GAP_CAP * lo, opcore._SVD_GAP_CAP * hi,
+                  *(0.5 * (s[:4] + s[1:5])), 2.0 * hi]
+        rows, cols = op.shape
+        rounds = rounds_of(monkeypatch)
+        calls = counting(monkeypatch, "cholesky", "inv")
+        counts = dirac1d._sturm_counts(gram, coupling, levels, lo * lo) - max(0, rows - cols)
+        assert not calls
+        assert list(counts) == list(sweep_counts(*d_blocks(op), levels))
+        assert list(counts) == [int(np.sum(s < lv)) for lv in levels]
+        assert rounds[-n_rounds(op.grid.n_cells):] == ["eigh"] * n_rounds(op.grid.n_cells)
+
+    def test_inverse_root_decides_as_cholesky_does(self):
+        pivots = np.array([4.0, 1e-300, 0.0, -1e-300, -2.0, np.inf, np.nan]) + 0j
+        for p in pivots:
+            block = np.array([[p], [2.0 + 0j]])[:, :, None]
+            inv = dirac1d._inverse_cholesky(block)
+            try:
+                factor = np.linalg.cholesky(block)
+                expected = None if not np.isfinite(factor).all() else np.linalg.inv(factor)
+            except np.linalg.LinAlgError:
+                expected = None
+            if expected is None:
+                assert inv is None, p
+            else:
+                np.testing.assert_array_equal(inv, expected)
+
+    def test_nan_pivot_raises(self, monkeypatch):
+        # a nan pivot is not > 0: the first round goes to eigh, whose
+        # pivots are not finite (the scale is the clean DD*'s)
+        op = assemble(tanh_path(), GridSpec(8.0, 160), "aps")
+        gram, coupling = dd_star(op)
+        lo, _ = dirac1d._sigma_max_bracket(gram, coupling)
+        gram[4] = np.nan
+        rounds = rounds_of(monkeypatch)
+        with pytest.raises(np.linalg.LinAlgError, match="Sturm pivots"):
+            dirac1d._sturm_counts(gram, coupling, [1e-5], lo * lo)
+        assert rounds == ["eigh"]
+
+
+def tunnelling_pair():
+    (path,), lam, _, _ = callias_case(3866)
+    return assemble(path, GridSpec.auto(path), "aps", lam)
+
+
+class TestDenseGuard:
+    """The dense fallback is refused before it allocates above _DENSE_BYTES."""
+
+    @pytest.mark.parametrize("make, why", [
+        # the tunnelling pair: the kernel says 1, the counts 0 at both levels
+        (tunnelling_pair, "the transfer kernel gives dim ker 0, the Sturm counts at"),
+        # B_j singular in every cell, with a carry to run
+        (lambda: assemble(constant_path(np.diag([-4.0, 1.0]), (-2.0, 2.0)),
+                          GridSpec(2.0, 8), "aps"),
+         "the transfer kernel could not be computed"),
+    ], ids=["tunnelling", "singular-steps"])
+    def test_declined_route_raises_ambiguous_rank(self, monkeypatch, make, why):
+        op = make()
+        rows, cols = op.shape
+        monkeypatch.setattr(dirac1d, "_DENSE_BYTES", rows * cols * 16 - 1)
+        with pytest.raises(AmbiguousRank, match=f"shape {rows} x {cols}") as info:
+            index_report(op, refine_check=False)
+        assert why in str(info.value)
+        assert "matrix" not in vars(op)
+        monkeypatch.setattr(dirac1d, "_DENSE_BYTES", rows * cols * 16)
+        assert index_report(op, refine_check=False).route == "svd"
+
+    def test_certified_route_ignores_the_bound(self, monkeypatch):
+        op = assemble(tanh_path(), GridSpec(8.0, 160), "aps")
+        monkeypatch.setattr(dirac1d, "_DENSE_BYTES", 1024)
+        assert index_report(op, refine_check=False).route == "transfer"
